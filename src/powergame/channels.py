@@ -29,7 +29,8 @@ from .errors import ModelError, ReducibleLawError
 _ROW_SUM_TOL = 1e-12
 _JOINT_CAP = 1 << 17  # largest joint space materialized exactly
 
-MODEL_FILE_FORMAT = "powergame-channel-model-v1"
+MODEL_FILE_FORMAT = "powergame-channel-model-v2"
+_MODEL_FILE_FORMAT_V1 = "powergame-channel-model-v1"  # still loaded
 
 
 def _check_probs(vec, what: str) -> np.ndarray:
@@ -394,61 +395,69 @@ def stationary_distribution(law) -> np.ndarray:
 
 
 def _row_sum_checksum(rows) -> str:
+    # v1 files only: detects a changed row count, not changed entries
     sums = np.asarray(rows, dtype=float).sum(axis=-1)
     return hashlib.sha256(np.round(sums, 9).tobytes()).hexdigest()
+
+
+def _content_sha256(gains, law_values) -> str:
+    """sha256 over the little-endian float64 bytes of the per-player state
+    counts, every gain, and the law's ``mu`` or ``transition`` entries."""
+    digest = hashlib.sha256(np.array([len(g) for g in gains], dtype="<f8").tobytes())
+    for values in (*gains, law_values):
+        digest.update(np.asarray(values, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 def save_model(model: ChannelModel, path) -> None:
     """Write a model to the documented JSON file format.
 
     The file stores per-player gain values plus either ``mu`` (i.i.d.) or
-    a row-major ``transition`` matrix over joint states, with a checksum
-    of the row sums that the loader verifies.
+    a row-major ``transition`` matrix over joint states, with a sha256 of
+    that content (JSON floats round-trip exactly) that the loader verifies.
     """
+    law = model.law
+    if isinstance(law, (IIDProductLaw, IIDJointLaw)):
+        key, values = "mu", law.stationary_joint()
+    elif isinstance(law, MarkovJointLaw):
+        key, values = "transition", law.matrix
+    else:
+        raise ModelError(f"cannot serialize law {type(law).__name__}")
     doc = {
         "format": MODEL_FILE_FORMAT,
         "gains": [g.tolist() for g in model.gains],
+        key: values.tolist(),
+        "content_sha256": _content_sha256(model.gains, values),
     }
-    law = model.law
-    if isinstance(law, (IIDProductLaw, IIDJointLaw)):
-        mu = law.stationary_joint()
-        doc["mu"] = mu.tolist()
-        doc["row_sum_checksum"] = _row_sum_checksum(mu[None, :])
-    elif isinstance(law, MarkovJointLaw):
-        doc["transition"] = law.matrix.tolist()
-        doc["row_sum_checksum"] = _row_sum_checksum(law.matrix)
-    else:
-        raise ModelError(f"cannot serialize law {type(law).__name__}")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def load_model(path) -> ChannelModel:
-    """Load a model written by ``save_model`` (or by hand, same schema)."""
+    """Load a model written by ``save_model`` (or by hand, same schema);
+    v1 files load under their row-sum checksum."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelError(f"{path}: not valid JSON ({exc})") from exc
-    if doc.get("format") != MODEL_FILE_FORMAT:
-        raise ModelError(f"{path}: unknown format {doc.get('format')!r}")
+    fmt = doc.get("format")
+    if fmt not in (MODEL_FILE_FORMAT, _MODEL_FILE_FORMAT_V1):
+        raise ModelError(f"{path}: unknown format {fmt!r}")
     if "gains" not in doc:
         raise ModelError(f"{path}: missing gains")
     gains = tuple(np.asarray(g, dtype=float) for g in doc["gains"])
     dims = [g.size for g in gains]
     if ("mu" in doc) == ("transition" in doc):
         raise ModelError(f"{path}: give exactly one of mu or transition")
-    rows = (
-        np.asarray(doc["mu"], dtype=float)[None, :]
-        if "mu" in doc
-        else np.asarray(doc["transition"], dtype=float)
-    )
-    expected = doc.get("row_sum_checksum")
-    if expected is not None and _row_sum_checksum(rows) != expected:
-        raise ModelError(f"{path}: row-sum checksum mismatch")
-    if "mu" in doc:
-        law = IIDJointLaw(doc["mu"], dims)
+    values = np.asarray(doc["mu"] if "mu" in doc else doc["transition"], dtype=float)
+    if fmt == MODEL_FILE_FORMAT:
+        if doc.get("content_sha256") != _content_sha256(gains, values):
+            raise ModelError(f"{path}: content checksum missing or mismatched")
     else:
-        law = MarkovJointLaw(doc["transition"], dims)
+        expected = doc.get("row_sum_checksum")
+        if expected is not None and _row_sum_checksum(np.atleast_2d(values)) != expected:
+            raise ModelError(f"{path}: row-sum checksum mismatch")
+    law = IIDJointLaw(values, dims) if "mu" in doc else MarkovJointLaw(values, dims)
     return ChannelModel(gains, law)

@@ -1,4 +1,4 @@
-"""Multi-stage game loop: state evolution, stage actions, grim-trigger
+"""Multi-stage game: state evolution, stage plans, grim-trigger
 punishment, deviation injection, and discounted/average payoffs.
 
 A run is a deterministic function of (game, model, strategy kinds, config):
@@ -8,13 +8,17 @@ actions, so the whole path is drawn up front; runs sharing a seed see
 identical channels regardless of strategy, which is what makes paired
 (common-random-number) comparisons work.
 
-Homogeneous compliant runs (everyone plays the same rule and no deviation
-is injected) are evaluated fully vectorized over stages.  Runs with a
-deviation or with mixed rules fall back to a sequential stage loop with
-SINR-based deviation detection: detection at stage t switches every
-player to the selfish equilibrium from stage t+1 on.  Detection compares
-each transmitting player's realized SINR against the value the plan
-predicts; monitoring from the total received power alone is not
+Every run is evaluated over the whole horizon at once: with the path
+fixed up front and punishment never ending once it starts, grim trigger
+needs no stage loop.  Each rule plans every stage and each player takes
+its own rule's column; the deviator's best response overwrites its plan
+at the deviation stage (``one_shot``) or from it on (``permanent``).
+Every transmitting player whose rule carries an alarm compares its
+realized SINR with the value its plan predicts, and the first stage t*
+with a mismatch (other than the deviator's own) switches every later
+stage to the selfish equilibrium, to which a permanent deviator keeps
+best-responding.  Monitoring is skipped when everyone follows one rule and
+nobody deviates; monitoring from the total received power alone is not
 supported.
 """
 
@@ -25,14 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oneshot import GameParams, best_response, sinr, utility
-from .strategies import (
-    MONITORED_KINDS,
-    PunishmentState,
-    SignalProfile,
+from .strategies import (  # noqa: F401  compliant_profile stays importable from here
+    NASH,
     StrategyKind,
+    check_caps,
     compliant_profile,
     detect_deviation,
-    stage_action,
+    unchecked_profile,
 )
 
 _FULL_TRACE_MAX = 10_000
@@ -135,8 +138,7 @@ def _normalize_kinds(kinds, n_players: int) -> tuple:
     return kinds
 
 
-def run_game(params: GameParams, model, kinds, cfg: EngineConfig,
-             *, force_sequential: bool = False) -> RunResult:
+def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
     """Play the stochastic game and return discounted/average payoffs.
 
     ``kinds`` is one StrategyKind for everyone or a per-player sequence.
@@ -148,20 +150,48 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig,
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=cfg.spawn_key))
     idx = model.sample_path(cfg.horizon, rng, cfg.initial_state)
     eta = model.gain_matrix(idx)
-
-    homogeneous = all(k == kinds[0] for k in kinds)
-    if homogeneous and cfg.deviation is None and not force_sequential:
-        powers, recommended, _ = compliant_profile(params, kinds[0], eta)
-        sinr_all = sinr(params, eta, powers)
-        util_all = utility(params, eta, powers)
-        punishing = np.zeros(eta.shape, dtype=bool)
-        punishment_stage = None
-    else:
-        powers, recommended, sinr_all, util_all, punishing, punishment_stage = (
-            _run_sequential(params, model, kinds, cfg, eta)
-        )
-
+    dev = cfg.deviation
+    if dev is not None and dev.player >= params.n_players:
+        raise ValueError("deviation player index out of range")
     horizon = cfg.horizon
+
+    planned, recommended, expected, failure = _plan(params, kinds, eta, dev is not None)
+    deviating = slice(0, 0)
+    if dev is not None:
+        deviating = slice(dev.start - 1, None if dev.mode == "permanent" else dev.start)
+    powers = _deviate(params, eta, planned, dev, deviating)
+    punishment_stage = None
+    if expected is not None:
+        hits = detect_deviation(expected, sinr(params, eta, powers), cfg.detection_tol)
+        hits &= powers > 0  # silent players are not monitored
+        if dev is not None:
+            hits[deviating, dev.player] = False  # nor is the deviator while it deviates
+        if hits.any():
+            punishment_stage = int(np.argmax(hits.any(axis=1))) + 1
+
+    scheduled = planned
+    if punishment_stage is not None and punishment_stage < horizon:
+        # grim trigger: everyone plays the selfish equilibrium from the next stage on
+        scheduled = planned.copy()
+        scheduled[punishment_stage:] = unchecked_profile(params, NASH, eta[punishment_stage:])[0]
+        if dev is not None and dev.mode == "one_shot" and punishment_stage < dev.start:
+            deviating = slice(0, 0)  # caught before its deviation stage came
+        powers = _deviate(params, eta, scheduled, dev, deviating)
+    # raise what the earliest failing stage raises: a rule that cannot plan
+    # it fails before anyone acts, then any scheduled power over its cap
+    # (the deviator's counts too, although it plays another one)
+    stop = horizon if failure is None else failure[0]
+    calm = stop if punishment_stage is None else min(punishment_stage, stop)
+    check_caps(params, kinds, scheduled[:calm])
+    check_caps(params, NASH, scheduled[calm:stop])
+    if failure is not None:
+        raise failure[1]
+
+    sinr_all = sinr(params, eta, powers)
+    util_all = utility(params, eta, powers)
+    punishing = np.zeros(eta.shape, dtype=bool)
+    if punishment_stage is not None:
+        punishing[punishment_stage:] = True
     weights = discount_weights(horizon, cfg.lam)
     discounted = weights @ util_all
     every = cfg.record_every or (1 if horizon <= _FULL_TRACE_MAX else _THINNED_EVERY)
@@ -187,122 +217,50 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig,
     )
 
 
-def _stage_plans(params, kinds, row, so_cache):
-    """Recommendation signal per player for one stage.
+def _plan(params, kinds, eta, deviation: bool):
+    """Every player's unchecked compliant plan, one plan per distinct rule.
 
-    Each distinct rule present computes its own receiver recommendation;
-    a player sees the recommendation addressed to its rule.  Returns
-    (recommended (K,) bool, k_active (K,) int, social profile or None).
+    Returns ``(powers, recommended, expected, failure)``: ``expected`` is
+    the SINR each player's alarm predicts (NaN without an alarm), or None
+    when everyone follows one rule and nobody deviates; ``failure`` is
+    the earliest ``(row, error)`` a rule could not plan, or None.
     """
-    from .strategies import select_best_users, select_by_threshold
-    from .oneshot import social_optimum as solve_social
-
-    n = params.n_players
-    recommended = np.ones(n, dtype=bool)
-    k_active = np.full(n, n)
-    so_profile = None
-    done = {}
-    for i, kind in enumerate(kinds):
-        key = (kind.name, kind.alpha)
-        if key not in done:
-            if kind.name == "best_users":
-                members = select_best_users(params, row)
-                mask = np.zeros(n, dtype=bool)
-                mask[members] = True
-                done[key] = (mask, members.size)
-            elif kind.name == "threshold":
-                members = select_by_threshold(kind.alpha, row)
-                mask = np.zeros(n, dtype=bool)
-                mask[members] = True
-                done[key] = (mask, members.size)
-            elif kind.name == "time_sharing":
-                mask = np.zeros(n, dtype=bool)
-                mask[int(np.argmax(row))] = True
-                done[key] = (mask, 1)
-            elif kind.name == "social_optimum":
-                state = row.tobytes()
-                if state not in so_cache:
-                    so_cache[state], _ = solve_social(params, row, kind.grid_size)
-                so_profile = so_cache[state]
-                mask = so_profile > 0
-                done[key] = (mask, int(mask.sum()))
-            else:  # nash / operating_point: everyone is always "in"
-                done[key] = (np.ones(n, dtype=bool), n)
-        mask, count = done[key]
-        recommended[i] = mask[i]
-        k_active[i] = count
-    return recommended, k_active, so_profile
-
-
-def _expected_sinr(params, kind, k_active, i, so_profile, row):
-    if kind.name == "operating_point":
-        return params.gamma_tilde(params.n_players)
-    if kind.name in ("threshold", "best_users"):
-        return params.gamma_tilde(int(k_active))
-    if kind.name == "social_optimum":
-        return float(sinr(params, row, so_profile, i))
-    return None
-
-
-def _run_sequential(params, model, kinds, cfg, eta):
-    horizon, n = eta.shape
-    dev = cfg.deviation
-    if dev is not None and dev.player >= n:
-        raise ValueError("deviation player index out of range")
-    punish = PunishmentState()
-    powers = np.zeros((horizon, n))
-    recommended = np.zeros((horizon, n), dtype=bool)
-    sinr_all = np.zeros((horizon, n))
-    util_all = np.zeros((horizon, n))
-    punishing = np.zeros((horizon, n), dtype=bool)
-    so_cache: dict[bytes, np.ndarray] = {}
-
-    for t in range(horizon):
-        stage = t + 1
-        row = eta[t]
-        rec, k_act, so_profile = _stage_plans(params, kinds, row, so_cache)
-        recommended[t] = rec
-        punishing[t] = punish.triggered
-
-        p_t = np.empty(n)
+    rules = list(dict.fromkeys(kinds))
+    plans = {rule: unchecked_profile(params, rule, eta) for rule in rules}
+    failure = min((p[3] for p in plans.values() if p[3] is not None),
+                  key=lambda f: f[0], default=None)
+    if len(rules) == 1:  # no gathered copy: long compliant runs stay lean
+        powers, recommended = plans[rules[0]][:2]
+    else:
+        powers = np.empty(eta.shape)
+        recommended = np.empty(eta.shape, dtype=bool)
         for i, kind in enumerate(kinds):
-            signal = SignalProfile(
-                own_gain=float(row[i]),
-                recommended=bool(rec[i]),
-                k_active=int(k_act[i]),
-                own_sinr_prev=float(sinr_all[t - 1, i]) if t else None,
-                global_state=row if kind.name == "social_optimum" else None,
-            )
-            p_t[i] = stage_action(kind, params, signal, punish, i)
+            powers[:, i] = plans[kind][0][:, i]
+            recommended[:, i] = plans[kind][1][:, i]
+    if len(rules) == 1 and not deviation:
+        return powers, recommended, None, failure
 
-        if dev is None:
-            deviating = False
-        elif dev.mode == "one_shot":
-            deviating = stage == dev.start and not punish.triggered
-        else:  # permanent: keeps best-responding, even to the punishment
-            deviating = stage >= dev.start
-        if deviating:
-            p_t[dev.player] = best_response(params, row, p_t, dev.player)
+    k = params.n_players
+    gamma = np.array([np.nan] + [params.gamma_tilde(m) for m in range(1, k + 1)])
+    expected = np.full(eta.shape, np.nan)
+    for rule, (rule_powers, _, k_active, _) in plans.items():
+        cols = [i for i, kind in enumerate(kinds) if kind == rule]
+        if rule.name == "operating_point":
+            expected[:, cols] = gamma[k]
+        elif rule.name in ("threshold", "best_users"):
+            expected[:, cols] = gamma[k_active][:, None]
+        elif rule.name == "social_optimum":
+            expected[:, cols] = sinr(params, eta, rule_powers)[:, cols]
+    return powers, recommended, expected, failure
 
-        s_t = sinr(params, row, p_t)
-        util_all[t] = utility(params, row, p_t)
-        sinr_all[t] = s_t
-        powers[t] = p_t
 
-        if not punish.triggered:
-            for i, kind in enumerate(kinds):
-                if kind.name not in MONITORED_KINDS or p_t[i] <= 0:
-                    continue
-                if deviating and i == dev.player:
-                    continue
-                expected = _expected_sinr(params, kind, k_act[i], i, so_profile, row)
-                if expected is not None and detect_deviation(
-                    expected, float(s_t[i]), cfg.detection_tol
-                ):
-                    punish.trigger(stage)
-                    break
-
-    return powers, recommended, sinr_all, util_all, punishing, punish.trigger_stage
+def _deviate(params, eta, scheduled, dev, rows):
+    """``scheduled`` with the deviator best-responding to it on ``rows``."""
+    if dev is None:
+        return scheduled
+    powers = scheduled.copy()
+    powers[rows, dev.player] = best_response(params, eta[rows], scheduled[rows], dev.player)
+    return powers
 
 
 @dataclass

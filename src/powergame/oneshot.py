@@ -7,9 +7,9 @@ equilibrium profile, the cooperative equal-received-power profile that
 Pareto-dominates it, and a grid search for the welfare-maximizing
 profile.
 
-All vector quantities are numpy arrays of length K.  ``sinr`` and
-``utility`` broadcast over leading axes, so a (N, K) matrix of gains and
-powers evaluates N realizations at once.
+All vector quantities are numpy arrays of length K.  ``sinr``,
+``utility`` and ``best_response`` broadcast over leading axes, so a
+(N, K) matrix of gains and powers evaluates N realizations at once.
 """
 
 from __future__ import annotations
@@ -155,16 +155,18 @@ def welfare(params: GameParams, eta, powers):
     return utility(params, eta, powers).sum(axis=-1)
 
 
-def best_response(params: GameParams, eta, p_others, i: int) -> float:
+def best_response(params: GameParams, eta, p_others, i: int):
     """Power maximizing player i's utility against the other entries of
     ``p_others`` (its own entry is ignored): reach SINR beta_star, or the
-    cap when that is out of reach."""
+    cap when that is out of reach.  (..., K) inputs give shape (...).
+    """
     eta = _check_realization(params, eta)
     p_others = np.asarray(p_others, dtype=float)
     received = p_others * eta
-    interference = received.sum() - received[i]
-    want = params.beta_star * (interference + params.sigma2) / eta[i]
-    return float(min(want, params.p_max[i]))
+    interference = received.sum(axis=-1) - received[..., i]
+    want = params.beta_star * (interference + params.sigma2) / eta[..., i]
+    out = np.minimum(want, params.p_max[i])
+    return out if np.ndim(out) else float(out)
 
 
 def nash_powers(params: GameParams, eta) -> np.ndarray:

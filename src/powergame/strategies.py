@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InformationError
+from .errors import CapError, InformationError, PowerGameError, SaturationError
 from .oneshot import GameParams, social_optimum
 
 _VALID_KINDS = (
@@ -129,12 +129,14 @@ def select_by_threshold(alpha: float, eta) -> np.ndarray:
     return np.nonzero(eta >= alpha * eta.max())[0]
 
 
-def detect_deviation(expected_sinr: float, observed_sinr: float, tol: float,
-                     floor: float = 1e-12) -> bool:
-    """Relative SINR mismatch test with an absolute floor."""
+def detect_deviation(expected_sinr, observed_sinr, tol: float, floor: float = 1e-12):
+    """Relative SINR mismatch test with an absolute floor; broadcasts over
+    arrays, where a NaN expectation (nothing to monitor) never fires."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return abs(observed_sinr - expected_sinr) > tol * max(expected_sinr, floor)
+    gap = np.abs(np.subtract(observed_sinr, expected_sinr))
+    hit = gap > tol * np.maximum(expected_sinr, floor)
+    return hit if np.ndim(hit) else bool(hit)
 
 
 def stage_action(kind: StrategyKind, params: GameParams, signal: SignalProfile,
@@ -172,8 +174,6 @@ def stage_action(kind: StrategyKind, params: GameParams, signal: SignalProfile,
 
 
 def _nash_power(params: GameParams, gain: float, i: int) -> float:
-    from .errors import SaturationError
-
     p = params.nash_scale() / gain
     if p > params.p_max[i]:
         raise SaturationError(f"equilibrium power {p:.6g} exceeds player {i}'s cap")
@@ -181,8 +181,6 @@ def _nash_power(params: GameParams, gain: float, i: int) -> float:
 
 
 def _equal_power(params: GameParams, k_active: int, gain: float, i: int) -> float:
-    from .errors import CapError
-
     p = params.equal_power_coeff(k_active) / gain
     if p > params.p_max[i]:
         raise CapError(
@@ -191,15 +189,40 @@ def _equal_power(params: GameParams, k_active: int, gain: float, i: int) -> floa
     return float(p)
 
 
+def check_caps(params: GameParams, kinds, powers) -> None:
+    """Raise what compliant play raises at the first planned power, in
+    row-major order, over its player's cap or undefined (NaN: the selfish
+    equilibrium does not exist).  ``kinds`` is the rule, or one per player."""
+    ok = powers <= params.p_max
+    if ok.all():
+        return
+    t, i = np.argwhere(~ok)[0]
+    kind = kinds if isinstance(kinds, StrategyKind) else kinds[i]
+    if kind.name == "nash":
+        params.nash_scale()  # raises first when no interior equilibrium exists
+        raise SaturationError(f"equilibrium power {powers[t, i]:.6g} exceeds player {i}'s cap")
+    raise CapError(f"equal-received-power level {powers[t, i]:.6g} exceeds player {i}'s cap")
+
+
 def compliant_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
     """Vectorized compliant play of one rule over many realizations.
 
     ``eta`` has shape (N, K).  Returns ``(powers, recommended, k_active)``
     with shapes (N, K), (N, K) bool and (N,) int.  Matches ``stage_action``
-    row by row when nobody is punishing.
+    row by row when nobody is punishing, and raises what it raises.
     """
-    from .errors import CapError, SaturationError
+    powers, recommended, k_active, failure = unchecked_profile(params, kind, eta)
+    if failure is not None:
+        raise failure[1]
+    check_caps(params, kind, powers)
+    return powers, recommended, k_active
 
+
+def unchecked_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
+    """``compliant_profile`` before ``check_caps``, plus ``failure``: the
+    first ``(row, error)`` whose welfare search raised (later rows are left
+    silent), or None.  Selfish-equilibrium powers are NaN when the
+    equilibrium does not exist."""
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
     n, k = eta.shape
     if k != params.n_players:
@@ -207,16 +230,16 @@ def compliant_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
     name = kind.name
 
     if name == "nash":
-        powers = params.nash_scale() / eta
-        if np.any(powers > params.p_max):
-            raise SaturationError("equilibrium powers exceed a cap")
-        return powers, np.ones_like(powers, dtype=bool), np.full(n, k)
+        try:
+            scale = params.nash_scale()
+        except SaturationError:
+            scale = np.nan  # no interior equilibrium: check_caps raises
+        powers = scale / eta
+        return powers, np.ones_like(powers, dtype=bool), np.full(n, k), None
 
     if name == "operating_point":
         powers = params.equal_power_coeff(k) / eta
-        if np.any(powers > params.p_max):
-            raise CapError("equal-received-power profile exceeds a cap")
-        return powers, np.ones_like(powers, dtype=bool), np.full(n, k)
+        return powers, np.ones_like(powers, dtype=bool), np.full(n, k), None
 
     if name == "time_sharing":
         winner = np.argmax(eta, axis=1)  # first max: lowest index wins ties
@@ -226,7 +249,7 @@ def compliant_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
         solo = np.minimum(solo, params.p_max[winner])
         powers = np.zeros((n, k))
         powers[np.arange(n), winner] = solo
-        return powers, recommended, np.ones(n, dtype=int)
+        return powers, recommended, np.ones(n, dtype=int), None
 
     if name == "threshold":
         recommended = eta >= kind.alpha * eta.max(axis=1, keepdims=True)
@@ -248,25 +271,26 @@ def compliant_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
 
     if name == "social_optimum":
         powers = np.zeros((n, k))
+        failure = None
         cache: dict[bytes, np.ndarray] = {}
         for row in range(n):
             key = eta[row].tobytes()
             if key not in cache:
-                cache[key], _ = social_optimum(params, eta[row], kind.grid_size)
+                try:
+                    cache[key], _ = social_optimum(params, eta[row], kind.grid_size)
+                except (PowerGameError, ValueError) as exc:
+                    failure = (row, exc)
+                    break
             powers[row] = cache[key]
         recommended = powers > 0
-        return powers, recommended, recommended.sum(axis=1).astype(int)
+        return powers, recommended, recommended.sum(axis=1).astype(int), failure
 
     raise ValueError(f"unknown strategy kind {name!r}")
 
 
 def _equal_power_rows(params: GameParams, eta, recommended):
-    from .errors import CapError
-
     n, k = eta.shape
     k_active = recommended.sum(axis=1).astype(int)
     coeffs = np.array([np.nan] + [params.equal_power_coeff(m) for m in range(1, k + 1)])
     powers = np.where(recommended, coeffs[k_active][:, None] / eta, 0.0)
-    if np.any(powers > params.p_max):
-        raise CapError("equal-received-power profile exceeds a cap")
-    return powers, recommended, k_active
+    return powers, recommended, k_active, None

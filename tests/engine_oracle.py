@@ -1,0 +1,173 @@
+"""Reference implementation of ``run_game``: the per-stage loop.
+
+This is the stage-by-stage evaluation the package used before play was
+evaluated over the whole horizon at once.  Every stage asks each player's
+``stage_action`` for its power, injects the deviation, and runs the SINR
+alarm through ``detect_deviation``; detection at stage t switches every
+player to the selfish equilibrium from stage t+1 on.  Tests compare
+``powergame.engine.run_game`` against ``run_game_oracle`` on seeded and
+generated runs.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from powergame.engine import (
+    RunResult,
+    StageTrace,
+    _normalize_kinds,
+    discount_weights,
+    truncation_bound,
+)
+from powergame.oneshot import best_response, sinr, utility
+from powergame.strategies import (
+    MONITORED_KINDS,
+    PunishmentState,
+    SignalProfile,
+    detect_deviation,
+    stage_action,
+)
+
+
+def run_game_oracle(params, model, kinds, cfg) -> RunResult:
+    """``run_game`` evaluated one stage at a time (full trace, no thinning)."""
+    kinds = _normalize_kinds(kinds, params.n_players)
+    if model.n_players != params.n_players:
+        raise ValueError("model and game disagree on the player count")
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=cfg.spawn_key))
+    idx = model.sample_path(cfg.horizon, rng, cfg.initial_state)
+    eta = model.gain_matrix(idx)
+    powers, recommended, sinr_all, util_all, punishing, punishment_stage = (
+        _run_sequential(params, model, kinds, cfg, eta)
+    )
+    t = np.arange(1, cfg.horizon + 1)
+    return RunResult(
+        discounted=discount_weights(cfg.horizon, cfg.lam) @ util_all,
+        time_average=util_all.mean(axis=0),
+        weight_sum=float(-np.expm1(cfg.horizon * np.log1p(-cfg.lam))),
+        remainder_bound=truncation_bound(util_all, cfg.lam),
+        trace=StageTrace(t=t, eta=eta, powers=powers, sinr=sinr_all, utility=util_all,
+                         recommended=recommended, punishing=punishing),
+        seed=cfg.seed,
+        spawn_key=cfg.spawn_key,
+        punishment_stage=punishment_stage,
+    )
+
+
+def _stage_plans(params, kinds, row, so_cache):
+    """Recommendation signal per player for one stage.
+
+    Each distinct rule present computes its own receiver recommendation;
+    a player sees the recommendation addressed to its rule.  Returns
+    (recommended (K,) bool, k_active (K,) int, social profile or None).
+    """
+    from powergame.strategies import select_best_users, select_by_threshold
+    from powergame.oneshot import social_optimum as solve_social
+
+    n = params.n_players
+    recommended = np.ones(n, dtype=bool)
+    k_active = np.full(n, n)
+    so_profile = None
+    done = {}
+    for i, kind in enumerate(kinds):
+        key = (kind.name, kind.alpha)
+        if key not in done:
+            if kind.name == "best_users":
+                members = select_best_users(params, row)
+                mask = np.zeros(n, dtype=bool)
+                mask[members] = True
+                done[key] = (mask, members.size)
+            elif kind.name == "threshold":
+                members = select_by_threshold(kind.alpha, row)
+                mask = np.zeros(n, dtype=bool)
+                mask[members] = True
+                done[key] = (mask, members.size)
+            elif kind.name == "time_sharing":
+                mask = np.zeros(n, dtype=bool)
+                mask[int(np.argmax(row))] = True
+                done[key] = (mask, 1)
+            elif kind.name == "social_optimum":
+                state = row.tobytes()
+                if state not in so_cache:
+                    so_cache[state], _ = solve_social(params, row, kind.grid_size)
+                so_profile = so_cache[state]
+                mask = so_profile > 0
+                done[key] = (mask, int(mask.sum()))
+            else:  # nash / operating_point: everyone is always "in"
+                done[key] = (np.ones(n, dtype=bool), n)
+        mask, count = done[key]
+        recommended[i] = mask[i]
+        k_active[i] = count
+    return recommended, k_active, so_profile
+
+
+def _expected_sinr(params, kind, k_active, i, so_profile, row):
+    if kind.name == "operating_point":
+        return params.gamma_tilde(params.n_players)
+    if kind.name in ("threshold", "best_users"):
+        return params.gamma_tilde(int(k_active))
+    if kind.name == "social_optimum":
+        return float(sinr(params, row, so_profile, i))
+    return None
+
+
+def _run_sequential(params, model, kinds, cfg, eta):
+    horizon, n = eta.shape
+    dev = cfg.deviation
+    if dev is not None and dev.player >= n:
+        raise ValueError("deviation player index out of range")
+    punish = PunishmentState()
+    powers = np.zeros((horizon, n))
+    recommended = np.zeros((horizon, n), dtype=bool)
+    sinr_all = np.zeros((horizon, n))
+    util_all = np.zeros((horizon, n))
+    punishing = np.zeros((horizon, n), dtype=bool)
+    so_cache: dict[bytes, np.ndarray] = {}
+
+    for t in range(horizon):
+        stage = t + 1
+        row = eta[t]
+        rec, k_act, so_profile = _stage_plans(params, kinds, row, so_cache)
+        recommended[t] = rec
+        punishing[t] = punish.triggered
+
+        p_t = np.empty(n)
+        for i, kind in enumerate(kinds):
+            signal = SignalProfile(
+                own_gain=float(row[i]),
+                recommended=bool(rec[i]),
+                k_active=int(k_act[i]),
+                own_sinr_prev=float(sinr_all[t - 1, i]) if t else None,
+                global_state=row if kind.name == "social_optimum" else None,
+            )
+            p_t[i] = stage_action(kind, params, signal, punish, i)
+
+        if dev is None:
+            deviating = False
+        elif dev.mode == "one_shot":
+            deviating = stage == dev.start and not punish.triggered
+        else:  # permanent: keeps best-responding, even to the punishment
+            deviating = stage >= dev.start
+        if deviating:
+            p_t[dev.player] = best_response(params, row, p_t, dev.player)
+
+        s_t = sinr(params, row, p_t)
+        util_all[t] = utility(params, row, p_t)
+        sinr_all[t] = s_t
+        powers[t] = p_t
+
+        if not punish.triggered:
+            for i, kind in enumerate(kinds):
+                if kind.name not in MONITORED_KINDS or p_t[i] <= 0:
+                    continue
+                if deviating and i == dev.player:
+                    continue
+                expected = _expected_sinr(params, kind, k_act[i], i, so_profile, row)
+                if expected is not None and detect_deviation(
+                    expected, float(s_t[i]), cfg.detection_tol
+                ):
+                    punish.trigger(stage)
+                    break
+
+    return powers, recommended, sinr_all, util_all, punishing, punish.trigger_stage

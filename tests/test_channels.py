@@ -266,6 +266,44 @@ class TestExplicitAndFiles:
         with pytest.raises(ModelError, match="checksum"):
             load_model(path)
 
+    def _saved_two_state_markov(self, tmp_path):
+        law = MarkovJointLaw([[0.9, 0.1], [0.5, 0.5]], (2, 1))
+        path = tmp_path / "model.json"
+        save_model(ChannelModel(([1.0, 2.0], [1.5]), law), path)
+        return path, json.loads(path.read_text())
+
+    def test_swapped_transition_matrix_detected(self, tmp_path):
+        # same size, same row sums: the v1 row-sum checksum accepted this
+        path, doc = self._saved_two_state_markov(tmp_path)
+        doc["transition"] = [[0.2, 0.8], [0.7, 0.3]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match="checksum"):
+            load_model(path)
+
+    def test_edited_gain_detected(self, tmp_path):
+        path, doc = self._saved_two_state_markov(tmp_path)
+        doc["gains"][0][1] = 2.5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match="checksum"):
+            load_model(path)
+
+    def test_v1_file_still_loads(self, tmp_path):
+        doc = {
+            "format": "powergame-channel-model-v1",
+            "gains": [[1.0, 2.0], [1.5]],
+            "transition": [[0.9, 0.1], [0.5, 0.5]],
+            "row_sum_checksum":
+                "5f07eef034c5a21fedede8ef2f970fefbcc8ea44c02fd970117dacbee5483005",
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_model(path)
+        np.testing.assert_array_equal(loaded.law.matrix, [[0.9, 0.1], [0.5, 0.5]])
+        doc["transition"] = [[0.9, 0.1], [0.5, 0.5], [0.5, 0.5]]  # a row more
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match="checksum"):
+            load_model(path)
+
     def test_bad_json_reported(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json")

@@ -17,6 +17,7 @@ from powergame.engine import (
     truncation_bound,
 )
 from powergame.oneshot import GameParams
+from engine_oracle import run_game_oracle
 from powergame.strategies import (
     BEST_USERS,
     NASH,
@@ -88,11 +89,12 @@ class TestRunGame:
         np.testing.assert_array_equal(a.trace.eta, b.trace.eta)
 
     def test_sequential_path_matches_fast_path(self):
+        # the per-stage reference loop lives in tests/engine_oracle.py
         params = params_for(3, 0.1)
         model = build_model(TwoStateSpec(1.0, 4.0), 3)
         cfg = EngineConfig(horizon=200, lam=0.1, seed=9)
         fast = run_game(params, model, BEST_USERS, cfg)
-        slow = run_game(params, model, BEST_USERS, cfg, force_sequential=True)
+        slow = run_game_oracle(params, model, BEST_USERS, cfg)
         np.testing.assert_allclose(fast.trace.powers, slow.trace.powers, atol=1e-15)
         np.testing.assert_allclose(fast.discounted, slow.discounted, atol=1e-13)
         assert slow.punishment_stage is None
@@ -165,8 +167,10 @@ class TestPunishment:
         params = params_for(3, 0.1)
         model = build_model(TwoStateSpec(1.0, 4.0), 3)
         for seed in range(1000):
-            cfg = EngineConfig(horizon=20, lam=0.1, seed=seed)
-            res = run_game(params, model, BEST_USERS, cfg, force_sequential=True)
+            # a deviation past the horizon turns the monitor on over compliant play
+            cfg = EngineConfig(horizon=20, lam=0.1, seed=seed,
+                               deviation=DeviationSpec(0, start=21))
+            res = run_game(params, model, BEST_USERS, cfg)
             assert res.punishment_stage is None
             assert not res.trace.punishing.any()
 
@@ -235,10 +239,31 @@ class TestPunishment:
 
         params = params_for(2, 0.2)
         model = build_model(TwoStateSpec(1.0, 4.0), 2)
-        cfg = EngineConfig(horizon=25, lam=0.2, seed=5)
-        res = run_game(params, model, SOCIAL_OPTIMUM, cfg, force_sequential=True)
+        cfg = EngineConfig(horizon=25, lam=0.2, seed=5, deviation=DeviationSpec(0, start=26))
+        res = run_game(params, model, SOCIAL_OPTIMUM, cfg)
         assert res.punishment_stage is None
         assert res.trace.utility.sum() > 0
+
+    def test_social_optimum_solved_once_per_joint_state(self, monkeypatch):
+        from powergame import oneshot, strategies
+        from powergame.strategies import SOCIAL_OPTIMUM
+
+        calls = []
+
+        def counted(params, eta, grid_size=12):
+            calls.append(np.asarray(eta).tobytes())
+            return solve(params, eta, grid_size)
+
+        solve = oneshot.social_optimum
+        monkeypatch.setattr(strategies, "social_optimum", counted)
+        monkeypatch.setattr(oneshot, "social_optimum", counted)
+        params = params_for(3, 0.2)
+        model = build_model(TwoStateSpec(1.0, 4.0), 3)
+        cfg = EngineConfig(horizon=30, lam=0.2, seed=5,
+                           deviation=DeviationSpec(1, start=10, mode="one_shot"))
+        res = run_game(params, model, SOCIAL_OPTIMUM, cfg)
+        states = {row.tobytes() for row in res.trace.eta}
+        assert len(calls) == len(set(calls)) == len(states)
 
     def test_punishing_flags_monotone(self):
         params = params_for(2, 0.5)
