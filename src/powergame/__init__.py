@@ -35,7 +35,6 @@ from .channels import (
     TwoStateSpec,
     build_model,
     load_model,
-    sample_next,
     save_model,
     stationary_distribution,
 )
@@ -48,6 +47,7 @@ from .engine import (
     UtilityEstimate,
     discount_weights,
     discounted_utility,
+    estimate_expected_utilities,
     estimate_expected_utility,
     run_game,
     trace_csv,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import IIDJointLaw, IIDProductLaw, stationary_distribution
-from .engine import UtilityEstimate, estimate_expected_utility
+from .engine import UtilityEstimate, estimate_expected_utilities
 from .errors import ModelError
 from .geometry import (
     clip_to_lower_bounds,
@@ -206,11 +206,8 @@ def lambda_max(params: GameParams, model, *, horizon: int = 100_000,
     rate * sup_gain * f(beta_star) / (sigma2 * beta_star).
     """
     rate = params.require_equal_rates()
-    sel = estimate_expected_utility(
-        params, model, BEST_USERS, horizon, seed, replicates, spawn_prefix
-    )
-    eq = estimate_expected_utility(
-        params, model, NASH, horizon, seed, replicates, spawn_prefix
+    sel, eq = estimate_expected_utilities(
+        params, model, [BEST_USERS, NASH], horizon, seed, replicates, spawn_prefix
     )
     paired = sel.per_replicate - eq.per_replicate
     delta = paired.mean(axis=0)
@@ -255,12 +252,10 @@ def dominance_report(params: GameParams, model, *, horizon: int = 100_000,
     params.require_equal_rates()
     kinds = [BEST_USERS, NASH, OPERATING_POINT, TIME_SHARING]
     kinds += [threshold(a) for a in alphas]
-    estimates = {
-        kind.label: estimate_expected_utility(
-            params, model, kind, horizon, seed, replicates, spawn_prefix
-        )
-        for kind in kinds
-    }
+    paired = estimate_expected_utilities(
+        params, model, kinds, horizon, seed, replicates, spawn_prefix
+    )
+    estimates = {kind.label: est for kind, est in zip(kinds, paired)}
     sel = estimates["best_users"]
     violations = []
     for label in ("nash", "operating_point", "time_sharing"):

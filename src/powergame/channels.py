@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,13 +75,6 @@ class IIDProductLaw:
             idx[0] = np.asarray(initial, dtype=np.int64)
         return idx
 
-    def sample_next(self, current, rng):
-        u = rng.random(self.n_players)
-        return tuple(
-            int(np.searchsorted(cum, ui, side="right"))
-            for cum, ui in zip(self._cums, u)
-        )
-
     def stationary_marginals(self):
         return [p.copy() for p in self.probs]
 
@@ -126,10 +120,6 @@ class IIDJointLaw:
             idx[0] = np.asarray(initial, dtype=np.int64)
         return idx
 
-    def sample_next(self, current, rng):
-        flat = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        return tuple(int(v) for v in np.unravel_index(flat, self.dims))
-
     def stationary_joint(self) -> np.ndarray:
         return self.mu.copy()
 
@@ -161,6 +151,9 @@ class MarkovJointLaw:
         self.matrix = matrix
         self._cum = np.cumsum(matrix, axis=1)
         self._cum[:, -1] = 1.0
+        # zero-copy views of the rows: stepping the chain bisects one of
+        # them per stage without a numpy call
+        self._rows = [memoryview(row) for row in self._cum]
 
     @property
     def n_players(self) -> int:
@@ -174,22 +167,22 @@ class MarkovJointLaw:
         return np.stack(np.unravel_index(flat, self.dims), axis=-1).astype(np.int64)
 
     def sample_path(self, horizon: int, rng, initial=None) -> np.ndarray:
+        # bisect_right takes the same midpoints as searchsorted(side="right"),
+        # so even a row whose sums pass 1.0 before its last entry maps every
+        # uniform to the same state
         u = rng.random(horizon)
-        flat = np.empty(horizon, dtype=np.int64)
         if initial is None:
             cum0 = np.cumsum(self.stationary_joint())
             cum0[-1] = 1.0
-            flat[0] = np.searchsorted(cum0, u[0], side="right")
+            state = int(np.searchsorted(cum0, u[0], side="right"))
         else:
-            flat[0] = int(np.ravel_multi_index(tuple(initial), self.dims))
-        for t in range(1, horizon):
-            flat[t] = np.searchsorted(self._cum[flat[t - 1]], u[t], side="right")
-        return self._unravel(flat)
-
-    def sample_next(self, current, rng):
-        row = int(np.ravel_multi_index(tuple(current), self.dims))
-        flat = int(np.searchsorted(self._cum[row], rng.random(), side="right"))
-        return tuple(int(v) for v in np.unravel_index(flat, self.dims))
+            state = int(np.ravel_multi_index(tuple(initial), self.dims))
+        flat = [state]
+        rows = self._rows
+        for x in u[1:].tolist():
+            state = bisect_right(rows[state], x)
+            flat.append(state)
+        return self._unravel(np.array(flat, dtype=np.int64))
 
     def stationary_joint(self) -> np.ndarray:
         _require_irreducible(self.matrix)
@@ -382,11 +375,6 @@ def build_model(spec, n_players: int) -> ChannelModel:
             law = MarkovJointLaw(np.asarray(spec.transition, dtype=float), dims)
         return ChannelModel(gains, law)
     raise ModelError(f"unknown channel spec {type(spec).__name__}")
-
-
-def sample_next(law, current, rng):
-    """One transition of ``law`` from the joint state ``current``."""
-    return law.sample_next(current, rng)
 
 
 def stationary_distribution(law) -> np.ndarray:

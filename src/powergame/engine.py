@@ -6,7 +6,8 @@ the only randomness is the channel path, drawn from a dedicated generator
 seeded with ``(seed, spawn_key)``.  Channel evolution does not depend on
 actions, so the whole path is drawn up front; runs sharing a seed see
 identical channels regardless of strategy, which is what makes paired
-(common-random-number) comparisons work.
+(common-random-number) comparisons work; ``estimate_expected_utilities``
+draws each such path once and plays every strategy on it.
 
 Every run is evaluated over the whole horizon at once: with the path
 fixed up front and punishment never ending once it starts, grim trigger
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oneshot import GameParams, best_response, sinr, utility
+from .errors import PowerGameError
+from .oneshot import GameParams, _utility_from_sinr, best_response, sinr
 from .strategies import (  # noqa: F401  compliant_profile stays importable from here
     NASH,
     StrategyKind,
@@ -145,50 +147,9 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
     Deterministic: identical inputs give an identical result.
     """
     kinds = _normalize_kinds(kinds, params.n_players)
-    if model.n_players != params.n_players:
-        raise ValueError("model and game disagree on the player count")
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=cfg.spawn_key))
-    idx = model.sample_path(cfg.horizon, rng, cfg.initial_state)
-    eta = model.gain_matrix(idx)
-    dev = cfg.deviation
-    if dev is not None and dev.player >= params.n_players:
-        raise ValueError("deviation player index out of range")
+    eta = _draw_gains(params, model, cfg)
+    powers, recommended, sinr_all, util_all, punishment_stage = _play(params, kinds, eta, cfg)
     horizon = cfg.horizon
-
-    planned, recommended, expected, failure = _plan(params, kinds, eta, dev is not None)
-    deviating = slice(0, 0)
-    if dev is not None:
-        deviating = slice(dev.start - 1, None if dev.mode == "permanent" else dev.start)
-    powers = _deviate(params, eta, planned, dev, deviating)
-    punishment_stage = None
-    if expected is not None:
-        hits = detect_deviation(expected, sinr(params, eta, powers), cfg.detection_tol)
-        hits &= powers > 0  # silent players are not monitored
-        if dev is not None:
-            hits[deviating, dev.player] = False  # nor is the deviator while it deviates
-        if hits.any():
-            punishment_stage = int(np.argmax(hits.any(axis=1))) + 1
-
-    scheduled = planned
-    if punishment_stage is not None and punishment_stage < horizon:
-        # grim trigger: everyone plays the selfish equilibrium from the next stage on
-        scheduled = planned.copy()
-        scheduled[punishment_stage:] = unchecked_profile(params, NASH, eta[punishment_stage:])[0]
-        if dev is not None and dev.mode == "one_shot" and punishment_stage < dev.start:
-            deviating = slice(0, 0)  # caught before its deviation stage came
-        powers = _deviate(params, eta, scheduled, dev, deviating)
-    # raise what the earliest failing stage raises: a rule that cannot plan
-    # it fails before anyone acts, then any scheduled power over its cap
-    # (the deviator's counts too, although it plays another one)
-    stop = horizon if failure is None else failure[0]
-    calm = stop if punishment_stage is None else min(punishment_stage, stop)
-    check_caps(params, kinds, scheduled[:calm])
-    check_caps(params, NASH, scheduled[calm:stop])
-    if failure is not None:
-        raise failure[1]
-
-    sinr_all = sinr(params, eta, powers)
-    util_all = utility(params, eta, powers)
     punishing = np.zeros(eta.shape, dtype=bool)
     if punishment_stage is not None:
         punishing[punishment_stage:] = True
@@ -215,6 +176,65 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
         spawn_key=cfg.spawn_key,
         punishment_stage=punishment_stage,
     )
+
+
+def _draw_gains(params: GameParams, model, cfg: EngineConfig) -> np.ndarray:
+    """The (horizon, K) channel gains of the path seeded by ``(seed, spawn_key)``."""
+    if model.n_players != params.n_players:
+        raise ValueError("model and game disagree on the player count")
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=cfg.spawn_key))
+    return model.gain_matrix(model.sample_path(cfg.horizon, rng, cfg.initial_state))
+
+
+def _play(params: GameParams, kinds: tuple, eta: np.ndarray, cfg: EngineConfig):
+    """Grim-trigger play of per-player ``kinds`` on the gains ``eta``.
+
+    Returns ``(powers, recommended, sinr, utility, punishment_stage)``.
+    """
+    dev = cfg.deviation
+    if dev is not None and dev.player >= params.n_players:
+        raise ValueError("deviation player index out of range")
+    horizon = eta.shape[0]
+
+    planned, recommended, expected, failure = _plan(params, kinds, eta, dev is not None)
+    deviating = slice(0, 0)
+    if dev is not None:
+        deviating = slice(dev.start - 1, None if dev.mode == "permanent" else dev.start)
+    powers = _deviate(params, eta, planned, dev, deviating)
+    realized = None  # SINR of ``powers``, once computed
+    punishment_stage = None
+    if expected is not None:
+        realized = sinr(params, eta, powers)
+        hits = detect_deviation(expected, realized, cfg.detection_tol)
+        hits &= powers > 0  # silent players are not monitored
+        if dev is not None:
+            hits[deviating, dev.player] = False  # nor is the deviator while it deviates
+        if hits.any():
+            punishment_stage = int(np.argmax(hits.any(axis=1))) + 1
+
+    scheduled = planned
+    if punishment_stage is not None and punishment_stage < horizon:
+        # grim trigger: everyone plays the selfish equilibrium from the next stage on
+        scheduled = planned.copy()
+        scheduled[punishment_stage:] = unchecked_profile(params, NASH, eta[punishment_stage:])[0]
+        if dev is not None and dev.mode == "one_shot" and punishment_stage < dev.start:
+            deviating = slice(0, 0)  # caught before its deviation stage came
+        powers = _deviate(params, eta, scheduled, dev, deviating)
+        realized = None
+    # raise what the earliest failing stage raises: a rule that cannot plan
+    # it fails before anyone acts, then any scheduled power over its cap
+    # (the deviator's counts too, although it plays another one)
+    stop = horizon if failure is None else failure[0]
+    calm = stop if punishment_stage is None else min(punishment_stage, stop)
+    check_caps(params, kinds, scheduled[:calm])
+    check_caps(params, NASH, scheduled[calm:stop])
+    if failure is not None:
+        raise failure[1]
+
+    if realized is None:
+        realized = sinr(params, eta, powers)
+    util_all = _utility_from_sinr(params, powers, realized)
+    return powers, recommended, realized, util_all, punishment_stage
 
 
 def _plan(params, kinds, eta, deviation: bool):
@@ -281,14 +301,45 @@ def estimate_expected_utility(params: GameParams, model, kinds, horizon: int,
     the same seed for two different strategy kinds pairs the replicates
     on identical channel draws.
     """
+    return estimate_expected_utilities(
+        params, model, [kinds], horizon, seed, replicates, spawn_prefix
+    )[0]
+
+
+def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: int,
+                                seed: int, replicates: int,
+                                spawn_prefix: tuple = ()) -> list:
+    """``estimate_expected_utility`` of every entry of ``kinds_list``, in
+    order, with each replicate's path drawn once and shared by all of them.
+
+    Each estimate equals its own ``estimate_expected_utility`` call bit for
+    bit.  If several entries fail, the error of the first listed is raised.
+    """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    rows = []
+    kinds_list = list(kinds_list)
+    rows = [[] for _ in kinds_list]
+    live, failure = len(rows), None  # entries from ``live`` on are not evaluated
     for r in range(replicates):
         cfg = EngineConfig(horizon=horizon, lam=0.5, seed=seed,
                            spawn_key=spawn_prefix + (r,))
-        rows.append(run_game(params, model, kinds, cfg).time_average)
-    per = np.array(rows)
+        eta = _draw_gains(params, model, cfg)
+        for j, kinds in enumerate(kinds_list[:live]):
+            try:
+                util = _play(params, _normalize_kinds(kinds, params.n_players), eta, cfg)[3]
+            except (PowerGameError, ValueError) as exc:  # an earlier entry may still fail first
+                live, failure = j, exc
+                break
+            rows[j].append(util.mean(axis=0))
+        if live == 0:
+            break
+    if failure is not None:
+        raise failure
+    return [_utility_estimate(np.array(per)) for per in rows]
+
+
+def _utility_estimate(per: np.ndarray) -> UtilityEstimate:
+    replicates = per.shape[0]
     mean = per.mean(axis=0)
     if replicates > 1:
         stderr = per.std(axis=0, ddof=1) / np.sqrt(replicates)

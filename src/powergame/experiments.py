@@ -20,7 +20,13 @@ import numpy as np
 from . import analysis
 from .channels import TruncatedRayleighSpec, TwoStateSpec, build_model, load_model
 from .efficiency import ExponentialEfficiency
-from .engine import DeviationSpec, EngineConfig, estimate_expected_utility, run_game, trace_csv
+from .engine import (
+    DeviationSpec,
+    EngineConfig,
+    estimate_expected_utilities,
+    run_game,
+    trace_csv,
+)
 from .errors import ConfigError
 from .oneshot import GameParams
 from .strategies import StrategyKind, threshold
@@ -391,11 +397,10 @@ def _task_dominance(exp: Experiment) -> list:
     lines = [f"{_axis_label(exp)},strategy,mean,stderr"]
     for j, value in enumerate(exp.sweep_values):
         params, model, kinds = _build_point(exp, value)
-        for kind in kinds:
-            est = estimate_expected_utility(
-                params, model, kind, exp.horizon, exp.seed, exp.replicates,
-                spawn_prefix=(j,),
-            )
+        estimates = estimate_expected_utilities(
+            params, model, kinds, exp.horizon, exp.seed, exp.replicates, spawn_prefix=(j,),
+        )
+        for kind, est in zip(kinds, estimates):
             per_rep = est.per_replicate.mean(axis=1)  # player-averaged per replicate
             mean = per_rep.mean()
             se = per_rep.std(ddof=1) / np.sqrt(exp.replicates) if exp.replicates > 1 else 0.0

@@ -142,12 +142,16 @@ def sinr(params: GameParams, eta, powers, i: int | None = None):
 def utility(params: GameParams, eta, powers, i: int | None = None):
     """Energy efficiency R_i f(SINR_i) / p_i in bit/J; 0 for a silent player."""
     powers = np.asarray(powers, dtype=float)
-    s = sinr(params, eta, powers)
-    p_safe = np.where(powers > 0, powers, 1.0)
-    out = np.where(powers > 0, params.rates * np.asarray(params.eff.value(s)) / p_safe, 0.0)
+    out = _utility_from_sinr(params, powers, sinr(params, eta, powers))
     if i is not None:
         out = out[..., i]
     return out if np.ndim(out) else float(out)
+
+
+def _utility_from_sinr(params: GameParams, powers: np.ndarray, s) -> np.ndarray:
+    """Utilities of ``powers`` whose SINRs ``s`` are already known."""
+    p_safe = np.where(powers > 0, powers, 1.0)
+    return np.where(powers > 0, params.rates * np.asarray(params.eff.value(s)) / p_safe, 0.0)
 
 
 def welfare(params: GameParams, eta, powers):
@@ -219,8 +223,10 @@ def operating_point_powers(params: GameParams, eta, active=None) -> np.ndarray:
 
 def _power_grid(params: GameParams, eta, i: int, grid_size: int) -> np.ndarray:
     """Candidate powers for player i: 0, the equilibrium power (when it
-    exists), the equal-received-power powers for every group size, and a
-    log fill."""
+    exists), the equal-received-power powers for every group size, each
+    kept only under the cap, and a log fill from a tenth of the smallest
+    kept one (of the cap when none is kept) up to the cap (to ten times
+    the largest without one)."""
     k = params.n_players
     try:
         seeds = [params.nash_scale() / eta[i]]
@@ -231,7 +237,7 @@ def _power_grid(params: GameParams, eta, i: int, grid_size: int) -> np.ndarray:
     hi = params.p_max[i]
     if not np.isfinite(hi):
         hi = 10.0 * max(seeds)
-    lo = min(seeds) / 10.0
+    lo = min(seeds, default=hi) / 10.0
     n_fill = max(grid_size - len(seeds) - 1, 0)
     fill = np.geomspace(lo, hi, n_fill) if n_fill else np.empty(0)
     return np.unique(np.concatenate([[0.0], seeds, fill]))

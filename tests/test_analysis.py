@@ -23,6 +23,7 @@ from powergame.channels import (
     build_model,
 )
 from powergame.efficiency import ExponentialEfficiency
+from powergame.engine import estimate_expected_utilities, estimate_expected_utility
 from powergame.errors import ModelError
 from powergame.geometry import point_in_convex_polygon
 from powergame.oneshot import GameParams, utility
@@ -286,6 +287,49 @@ class TestLambdaBound:
         model = build_model(TwoStateSpec(1.0, 4.0), 2)
         bound = lambda_max(params, model, horizon=200, replicates=2, seed=1)
         assert bound.penalty == pytest.approx(4.0 * math.exp(-1) / 0.1, abs=1e-12)
+
+
+def count_paths(monkeypatch):
+    calls = []
+    original = ChannelModel.sample_path
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChannelModel, "sample_path", counted)
+    return calls
+
+
+class TestPairedPaths:
+    """Paired estimates draw each replicate's path once for all strategies."""
+
+    def test_estimator(self, monkeypatch):
+        params = params_for(3, 0.1)
+        model = build_model(TruncatedRayleighSpec(bins=8), 3)
+        calls = count_paths(monkeypatch)
+        kinds = [NASH, OPERATING_POINT, BEST_USERS, (BEST_USERS, NASH, OPERATING_POINT)]
+        estimate_expected_utilities(params, model, kinds, 40, 5, 4)
+        assert len(calls) == 4
+        calls.clear()
+        estimate_expected_utility(params, model, BEST_USERS, 40, 5, 3)
+        assert len(calls) == 3
+
+    def test_dominance_report(self, monkeypatch):
+        params = params_for(3, 0.1)
+        model = build_model(TruncatedRayleighSpec(bins=8), 3)
+        calls = count_paths(monkeypatch)
+        report = dominance_report(params, model, horizon=50, replicates=3, seed=2,
+                                  alphas=(0.3, 0.7))
+        assert len(report.estimates) == 6
+        assert len(calls) == 3
+
+    def test_lambda_max(self, monkeypatch):
+        params = params_for(3, 0.1)
+        model = build_model(TruncatedRayleighSpec(bins=8), 3)
+        calls = count_paths(monkeypatch)
+        lambda_max(params, model, horizon=50, replicates=4, seed=2)
+        assert len(calls) == 4
 
 
 class TestDominance:

@@ -14,7 +14,6 @@ from powergame.channels import (
     TwoStateSpec,
     build_model,
     load_model,
-    sample_next,
     save_model,
     stationary_distribution,
 )
@@ -134,16 +133,18 @@ class TestSampling:
             m.sample_path(10, rng_of(3), initial=(5, 0))
 
     def test_iid_next_state_independent_of_current(self):
-        # chi-squared homogeneity: next-state counts from two different
-        # current states; dof = (2-1)(4-1) = 3, crit chi2_{0.999}(3) = 16.266
+        # chi-squared homogeneity: next-state counts after two different
+        # current states, from consecutive stages of one path;
+        # dof = (2-1)(4-1) = 3, crit chi2_{0.999}(3) = 16.266
         law = IIDProductLaw([np.array([0.5, 0.5]), np.array([0.25, 0.75])])
-        rng = rng_of(9)
         n = 50_000
+        path = law.sample_path(10 * n, rng_of(9))
+        flat = path[:, 0] * 2 + path[:, 1]
         counts = np.zeros((2, 4))
-        for g, current in enumerate([(0, 0), (1, 1)]):
-            for _ in range(n):
-                nxt = law.sample_next(current, rng)
-                counts[g, nxt[0] * 2 + nxt[1]] += 1
+        for g, current in enumerate([0, 3]):  # joint states (0, 0) and (1, 1)
+            after = flat[1:][flat[:-1] == current][:n]
+            assert after.size == n
+            counts[g] = np.bincount(after, minlength=4)
         pooled = counts.sum(axis=0) / counts.sum()
         stat = 0.0
         for g in range(2):
@@ -161,10 +162,76 @@ class TestSampling:
         v = v / v.sum()
         assert np.all(np.abs(freq - v) <= 0.01)
 
-    def test_sample_next_helper(self):
-        law = IIDProductLaw([np.array([0.5, 0.5])])
-        out = sample_next(law, (0,), rng_of(1))
-        assert out in ((0,), (1,))
+
+def markov_path_reference(law, horizon, rng, initial=None):
+    """``MarkovJointLaw.sample_path`` as one ``np.searchsorted`` per stage."""
+    u = rng.random(horizon)
+    flat = np.empty(horizon, dtype=np.int64)
+    if initial is None:
+        cum0 = np.cumsum(law.stationary_joint())
+        cum0[-1] = 1.0
+        flat[0] = np.searchsorted(cum0, u[0], side="right")
+    else:
+        flat[0] = int(np.ravel_multi_index(tuple(initial), law.dims))
+    for t in range(1, horizon):
+        flat[t] = np.searchsorted(law._cum[flat[t - 1]], u[t], side="right")
+    return np.stack(np.unravel_index(flat, law.dims), axis=-1).astype(np.int64)
+
+
+def _random_markov(dims, seed):
+    size = math.prod(dims)
+    rows = rng_of(seed).uniform(0.05, 1.0, (size, size))
+    return MarkovJointLaw(rows / rows.sum(axis=1, keepdims=True), dims)
+
+
+def _zero_entry_markov():
+    # zero entries repeat cumulative values inside a row
+    matrix = [[0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0],
+              [0.25, 0.0, 0.0, 0.75], [0.3, 0.2, 0.0, 0.5]]
+    return MarkovJointLaw(matrix, (4,), require_irreducible=False)
+
+
+def _overshooting_markov():
+    # row 1 sums to 1 + 5e-13: its cumulative sums pass 1.0 before the
+    # last entry, which construction then forces back to 1.0
+    matrix = [[0.4, 0.3, 0.2, 0.1], [0.25, 0.25, 0.5 + 4e-13, 1e-13],
+              [0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]]
+    law = MarkovJointLaw(matrix, (4,))
+    assert law._cum[1, -2] > 1.0 and law._cum[1, -1] == 1.0
+    return law
+
+
+MARKOV_LAWS = {
+    "2": lambda: _random_markov((2,), 1),
+    "16x16": lambda: _random_markov((16, 16), 2),
+    "4x4x4x4": lambda: _random_markov((4, 4, 4, 4), 3),
+    "zero_entries": _zero_entry_markov,
+    "overshoot": _overshooting_markov,
+}
+
+
+class TestMarkovStepper:
+    @pytest.mark.parametrize("horizon", [1, 2, 1000])
+    @pytest.mark.parametrize("name,initial", [
+        (name, initial) for name in MARKOV_LAWS for initial in (None, "last")
+        if (name, initial) != ("zero_entries", None)  # no stationary start
+    ])
+    def test_matches_per_stage_searchsorted(self, name, initial, horizon):
+        law = MARKOV_LAWS[name]()
+        if initial == "last":
+            initial = tuple(d - 1 for d in law.dims)
+        for seed in range(3):
+            got = law.sample_path(horizon, rng_of(seed), initial)
+            want = markov_path_reference(law, horizon, rng_of(seed), initial)
+            assert got.dtype == want.dtype and got.shape == (horizon, len(law.dims))
+            np.testing.assert_array_equal(got, want)
+
+    def test_overshooting_row_is_visited(self):
+        # the comparison above only means something if the chain steps
+        # out of the overshooting row
+        law = _overshooting_markov()
+        flat = law.sample_path(1000, rng_of(0), (1,)).ravel()
+        assert np.count_nonzero(flat[:-1] == 1) > 100
 
 
 class TestStationary:

@@ -4,26 +4,35 @@ import math
 import numpy as np
 import pytest
 
-from powergame.channels import ExplicitSpec, TwoStateSpec, build_model
+from powergame.channels import (
+    ExplicitSpec,
+    TruncatedRayleighSpec,
+    TwoStateSpec,
+    build_model,
+)
 from powergame.efficiency import ExponentialEfficiency
 from powergame.engine import (
     DeviationSpec,
     EngineConfig,
     discount_weights,
     discounted_utility,
+    estimate_expected_utilities,
     estimate_expected_utility,
     run_game,
     trace_csv,
     truncation_bound,
 )
+from powergame.errors import CapError, SaturationError
 from powergame.oneshot import GameParams
 from engine_oracle import run_game_oracle
 from powergame.strategies import (
     BEST_USERS,
     NASH,
     OPERATING_POINT,
+    SOCIAL_OPTIMUM,
     TIME_SHARING,
     select_best_users,
+    threshold,
 )
 
 
@@ -329,6 +338,65 @@ class TestEstimates:
         a = run_game(params, model, BEST_USERS, cfg)
         b = run_game(params, model, NASH, cfg)
         np.testing.assert_array_equal(a.trace.eta, b.trace.eta)
+
+
+PAIRED_KINDS = [NASH, OPERATING_POINT, TIME_SHARING, threshold(0.5), BEST_USERS,
+                SOCIAL_OPTIMUM, (BEST_USERS, OPERATING_POINT, NASH)]
+
+
+def _paired_models():
+    rows = np.random.default_rng(4).uniform(0.1, 1.0, (8, 8))
+    markov = ExplicitSpec(gains=((0.4, 2.5), (0.7, 1.3), (0.2, 5.0)),
+                          transition=tuple(map(tuple, rows / rows.sum(axis=1, keepdims=True))))
+    return {"rayleigh": build_model(TruncatedRayleighSpec(bins=8), 3),
+            "markov": build_model(markov, 3)}
+
+
+class TestPairedEstimates:
+    @pytest.mark.parametrize("name", ["rayleigh", "markov"])
+    def test_each_estimate_equals_its_own_call(self, name):
+        params = params_for(3, 0.1)
+        model = _paired_models()[name]
+        paired = estimate_expected_utilities(params, model, PAIRED_KINDS, 60, 21, 3, (2,))
+        assert len(paired) == len(PAIRED_KINDS)
+        for kinds, est in zip(PAIRED_KINDS, paired):
+            alone = estimate_expected_utility(params, model, kinds, 60, 21, 3, (2,))
+            for field in ("per_replicate", "mean", "stderr"):
+                got, want = getattr(est, field), getattr(alone, field)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (kinds, field)
+            for r in range(3):  # and each replicate is its own run_game
+                cfg = EngineConfig(horizon=60, lam=0.5, seed=21, spawn_key=(2, r))
+                run = run_game(params, model, kinds, cfg)
+                assert est.per_replicate[r].tobytes() == run.time_average.tobytes()
+
+    def test_first_listed_failure_raises(self):
+        # caps [0.105, 0.05] on gains {1, 4}: the selfish equilibrium fails
+        # whenever a gain is 1, equal received power only when player 1's is;
+        # with this seed the first fails at replicate 0, the second at 2
+        params = params_for(2, 0.1, p_max=[0.105, 0.05])
+        model = build_model(TwoStateSpec(1.0, 4.0), 2)
+        args = (1, 15)
+        with pytest.raises(SaturationError):
+            estimate_expected_utility(params, model, NASH, *args, replicates=1)
+        estimate_expected_utility(params, model, OPERATING_POINT, *args, replicates=2)
+        with pytest.raises(CapError) as alone:
+            estimate_expected_utility(params, model, OPERATING_POINT, *args, replicates=4)
+
+        with pytest.raises(CapError) as paired:
+            estimate_expected_utilities(params, model, [OPERATING_POINT, NASH], *args, 4)
+        assert str(paired.value) == str(alone.value)
+        with pytest.raises(SaturationError):
+            estimate_expected_utilities(params, model, [NASH, OPERATING_POINT], *args, 4)
+        with pytest.raises(CapError):
+            estimate_expected_utilities(
+                params, model, [BEST_USERS, OPERATING_POINT, NASH], *args, 4)
+
+    def test_replicates_validated(self):
+        params = params_for(2, 0.1)
+        model = build_model(TwoStateSpec(1.0, 4.0), 2)
+        with pytest.raises(ValueError):
+            estimate_expected_utilities(params, model, [NASH, BEST_USERS], 10, 0, 0)
 
 
 class TestErgodicAndInitialState:

@@ -117,6 +117,18 @@ def test_punished_stages_check_the_equilibrium_cap():
         assert_agrees(params, model, BEST_USERS, cfg)
 
 
+def test_social_optimum_with_every_candidate_over_the_cap():
+    # a gain below 0.1 / 0.09 puts each named power level of its player over
+    # the cap, so that player's welfare grid is 0 plus a fill up to the cap
+    params = GameParams.symmetric(3, a=0.1, p_max=0.09)
+    model = build_model(TruncatedRayleighSpec(), 3)
+    for seed in (4, 5):
+        cfg = EngineConfig(horizon=30, lam=0.2, seed=seed)
+        res = run_game(params, model, SOCIAL_OPTIMUM, cfg)
+        assert (res.trace.eta < 0.1 / 0.09).any()
+        assert_agrees(params, model, SOCIAL_OPTIMUM, cfg)
+
+
 def test_detection_before_the_deviation_stage_cancels_a_one_shot():
     # the selfish player trips the alarm at stage 1, so from stage 2 on
     # everyone plays the equilibrium, the deviator included (it is its own

@@ -1,8 +1,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from powergame.channels import ChannelModel, MarkovJointLaw, save_model
 from powergame.errors import ConfigError
 from powergame.experiments import (
     PRESETS,
@@ -269,3 +271,71 @@ class TestPresets:
         listed = set(manifest["defaults_used"])
         assert "channel.scale" in listed
         assert "game.sigma2" in listed
+
+
+RAYLEIGH16 = {"kind": "truncated_rayleigh", "bins": 16}
+
+
+def _markov_model_file(directory):
+    rows = np.random.default_rng(20260).uniform(0.1, 1.0, (16, 16))
+    rows /= rows.sum(axis=1, keepdims=True)
+    matrix = 0.5 * np.eye(16) + 0.5 * rows
+    gains = (np.array([0.5, 1.0, 2.0, 4.0]), np.array([0.3, 0.9, 1.7, 3.1]))
+    path = directory / "markov.json"
+    save_model(ChannelModel(gains, MarkovJointLaw(matrix, (4, 4))), path)
+    return str(path)
+
+
+def _pinned_configs(directory):
+    markov = {"kind": "explicit", "path": _markov_model_file(directory)}
+    return {
+        "dominance": {
+            "task": "dominance", "game": {"K": 4, "a": 0.1}, "channel": RAYLEIGH16,
+            "strategies": ["nash", "time_sharing", "operating_point",
+                           {"kind": "threshold", "alpha": 0.5}, "best_users"],
+            "engine": {"horizon": 2000, "seed": 11, "replicates": 3},
+            "sweep": {"axis": "K", "values": [2, 3, 5]}},
+        "lambdamax": {
+            "task": "lambdamax", "game": {"K": 3, "a": 0.1}, "channel": RAYLEIGH16,
+            "engine": {"horizon": 2000, "seed": 12, "replicates": 3},
+            "sweep": {"axis": "K", "values": [2, 4]}},
+        "markov_simulate": {
+            "task": "simulate", "game": {"K": 2, "a": 0.15}, "channel": markov,
+            "strategies": ["best_users"],
+            "engine": {"horizon": 2000, "seed": 13, "replicates": 3, "trace": True}},
+        "deviation_simulate": {
+            "task": "simulate", "game": {"K": 3, "a": 0.1}, "channel": RAYLEIGH16,
+            "strategies": ["best_users", "operating_point", "best_users"],
+            "engine": {"horizon": 300, "seed": 15, "replicates": 2, "trace": True,
+                       "deviation": {"player": 1, "start": 40, "mode": "permanent"}}},
+        "markov_lambdamax": {
+            "task": "lambdamax", "game": {"K": 2, "a": 0.15}, "channel": markov,
+            "engine": {"horizon": 2000, "seed": 14, "replicates": 2}},
+    }
+
+
+# sha256 of each artifact (config.json, which echoes the model path, aside),
+# computed before paired replicates shared one path and Markov chains were
+# stepped without a numpy call per stage
+PINNED_ARTIFACTS = {
+    "dominance": {
+        "dominance.csv": "d6726365b99b845968df016bbf067b2deccf270cbf9ae067605c644663b40120"},
+    "lambdamax": {
+        "lambdamax.csv": "93de32cd6c5c3229c0fee34486eda42f3310bb9d3d6a17043365e07cb72768d4"},
+    "markov_simulate": {
+        "summary.csv": "7e4f9e85555a3331a1523ac16190b1b1f46c4d09e0f47dc63746af9cb7e420b5",
+        "trace.csv": "16f9e91e8db61578fddd3dd3d80bf085314a2ebc4dc2a540842f947b0dca969f"},
+    "deviation_simulate": {
+        "summary.csv": "96e9c9b99701abd2cf5d0e2bc6bc609e6a75944a9fe3752759c164f70508b6a2",
+        "trace.csv": "4447338e3580eea0e1d06c8c1788cb75355ce166081d598d05c99585e9fe974a"},
+    "markov_lambdamax": {
+        "lambdamax.csv": "30af5b6197d9358b7aac7c8a28c2d92051d8410f36d5254dedea13d2cb8fd9b5"},
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_ARTIFACTS))
+def test_artifact_bytes_are_pinned(name, tmp_path):
+    config = _pinned_configs(tmp_path)[name]
+    manifest = run_experiment(config, tmp_path / name)
+    got = {k: v for k, v in manifest["artifacts"].items() if k != "config.json"}
+    assert got == PINNED_ARTIFACTS[name]

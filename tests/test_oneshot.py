@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from powergame.efficiency import ExponentialEfficiency
 from powergame.errors import CapError, SaturationError
 from powergame.oneshot import (
     GameParams,
+    _power_grid,
     best_response,
     nash_powers,
     operating_point_powers,
@@ -263,3 +265,19 @@ class TestSocialOptimum:
         p = params_for(2, 0.1)
         with pytest.raises(ValueError):
             social_optimum(p, [1.0, 1.0], grid_size=1)
+
+    def test_every_candidate_over_the_cap(self):
+        # players 0 and 1 need 0.5 W and more for any named profile; the
+        # cap is 0.09 W, so their grids are 0 plus a log fill up to the cap
+        p = GameParams.symmetric(3, a=0.1, p_max=0.09)
+        eta = np.array([0.2, 0.3, 5.0])
+        powers, w = social_optimum(p, eta)
+        fill = np.geomspace(0.009, 0.09, 11)
+        for i in (0, 1):
+            np.testing.assert_array_equal(_power_grid(p, eta, i, 12),
+                                          np.concatenate([[0.0], fill]))
+        assert np.all(powers <= p.p_max)
+        grids = [_power_grid(p, eta, i, 12) for i in range(3)]
+        profiles = np.array(list(itertools.product(*grids)))
+        assert w == welfare(p, eta, profiles).max()
+        assert w >= welfare(p, eta, [0.0, 0.0, p.nash_scale() / 5.0])
