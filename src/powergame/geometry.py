@@ -10,45 +10,114 @@ from __future__ import annotations
 import numpy as np
 
 
+# Minkowski candidate pairs: an edge shorter than _TINY_EDGE times the
+# coordinate scale gives no direction (its end points share one arc).
+# Every arc is widened on each side by _ARC_SLACK radians, so that pairs
+# along parallel edges of the two polygons are kept, or, next to a short
+# edge of length L, by _ROUND_SLACK * scale / L: within that angle a pair
+# sum lies less than a few ulps of the scale inside the sum, where the
+# rounding of the sums and of the hull's cross products can still make
+# it a vertex.
+_TINY_EDGE = 1e-9
+_ARC_SLACK = 1e-9
+_ROUND_SLACK = 64 * np.finfo(float).eps
+_TWO_PI = 2.0 * np.pi
+
+
 def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _half_chain(pts: list) -> list:
+    """One monotone chain over [x, y] lists, popping non-left turns."""
+    chain: list = []
+    for p in pts:
+        px, py = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    return chain
+
+
 def convex_hull(points) -> np.ndarray:
-    """Monotone-chain convex hull; strictly extreme vertices only, CCW."""
+    """Monotone-chain convex hull; strictly extreme vertices only, CCW.
+
+    Collinear inputs give the segment between their two extreme points.
+    """
     pts = np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
     if pts.shape[0] <= 2:
         return pts
-    lower: list[np.ndarray] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = np.array(lower[:-1] + upper[:-1])
-    if hull.shape[0] == 2 and np.allclose(hull[0], hull[1]):
-        return hull[:1]
-    return hull
+    xy = pts.tolist()
+    return np.array(_half_chain(xy)[:-1] + _half_chain(xy[::-1])[:-1])
+
+
+def _vertex_arcs(poly: np.ndarray, scale: float):
+    """Arc of edge directions (start, CCW width) at each vertex of a CCW
+    convex polygon, or None when the polygon gives no usable arcs (fewer
+    than 2 edges longer than the tiny-edge length, or edges that do not
+    turn once around CCW).
+
+    A vertex is extreme for exactly the directions whose outward normals
+    lie between the normals of its incoming and outgoing edges; rotating
+    every normal by the same quarter turn, the arc from the incoming to
+    the outgoing edge direction stands for that normal arc.
+    """
+    m = poly.shape[0]
+    edges = np.roll(poly, -1, axis=0) - poly  # edge k runs from vertex k to k+1
+    length = np.hypot(edges[:, 0], edges[:, 1])
+    long = np.flatnonzero(length > _TINY_EDGE * scale)
+    if long.size < 2:
+        return None
+    angle = np.arctan2(edges[long, 1], edges[long, 0])
+    slack = np.maximum(_ARC_SLACK, _ROUND_SLACK * scale / length[long])
+    turn = np.remainder(np.roll(angle, -1) - angle + np.pi, _TWO_PI) - np.pi
+    # a convex CCW polygon turns left once around; rounding may leave a
+    # nearly collinear vertex turning right by a hair (NaN fails the test)
+    if not (turn.min() >= -1e-6 and abs(turn.sum() - _TWO_PI) <= 1e-6):
+        return None
+    # vertex i leaves along the first long edge at or after i and arrives
+    # along the last long edge before i (cyclically)
+    out_pos = np.searchsorted(long, np.arange(m)) % long.size
+    in_pos = (out_pos - 1) % long.size
+    vturn = turn[in_pos]
+    vslack = slack[in_pos] + slack[out_pos]
+    start = angle[in_pos] + np.minimum(vturn, 0.0) - vslack
+    return start, np.abs(vturn) + 2.0 * vslack
 
 
 def minkowski_sum(poly_a, poly_b) -> np.ndarray:
-    """Minkowski sum of two convex polygons (brute-force pair sums + hull).
+    """Minkowski sum of two convex polygons: hull of candidate pair sums.
 
-    Vertex counts here are tiny, so the O(|A| |B|) pair enumeration is
-    simpler than the rotating edge merge and just as exact.
+    Only pairs whose vertex arcs (``_vertex_arcs``) overlap can be
+    vertices of the sum, so only those pairs are added; when either
+    polygon gives no arcs every pair is.  The hull of the candidates is
+    the hull of all pair sums, and each kept sum is the same float.
     """
     a = np.asarray(poly_a, dtype=float).reshape(-1, 2)
     b = np.asarray(poly_b, dtype=float).reshape(-1, 2)
-    sums = (a[:, None, :] + b[None, :, :]).reshape(-1, 2)
-    return convex_hull(sums)
+    arcs_a = arcs_b = None
+    if a.shape[0] >= 3 and b.shape[0] >= 3:
+        scale = max(float(np.abs(a).max()), float(np.abs(b).max()))
+        arcs_a = _vertex_arcs(a, scale)
+        arcs_b = _vertex_arcs(b, scale)
+    if arcs_a is None or arcs_b is None:
+        return convex_hull(a[:, None, :] + b[None, :, :])
+    (start_a, width_a), (start_b, width_b) = arcs_a, arcs_b
+    # two arcs meet iff one of them starts inside the other
+    gap = np.remainder(start_b[None, :] - start_a[:, None], _TWO_PI)
+    keep = gap <= width_a[:, None]
+    keep |= _TWO_PI - gap <= width_b[None, :]
+    i, j = np.nonzero(keep)
+    return convex_hull(a[i] + b[j])
 
 
 def weighted_minkowski_sum(polys, weights) -> np.ndarray:
-    """Hull of sum_j w_j P_j for convex polygons P_j and weights w_j."""
+    """Hull of sum_j w_j P_j for convex polygons P_j and weights w_j
+    (a left fold of ``minkowski_sum`` over the polygons in order)."""
     polys = list(polys)
     weights = np.asarray(weights, dtype=float)
     if len(polys) != weights.size or not polys:

@@ -249,7 +249,8 @@ def social_optimum(params: GameParams, eta, grid_size: int = 12):
     The grid always contains 0, the selfish equilibrium power and every
     equal-received-power level, so the result weakly dominates those
     profiles by construction.  Exhaustive for K <= 4; coordinate ascent
-    from several starting profiles otherwise.
+    from several starting profiles otherwise, skipping those over a cap
+    (from all players silent when every one is).
 
     Returns (powers, welfare).
     """
@@ -267,14 +268,16 @@ def social_optimum(params: GameParams, eta, grid_size: int = 12):
         best = int(np.argmax(totals))
         return profiles[best].copy(), float(totals[best])
 
-    starts = [operating_point_powers(params, eta)]
-    try:
-        starts.append(nash_powers(params, eta))
-    except SaturationError:
-        pass
+    def start_or_none(profile, *args):
+        try:
+            return profile(params, eta, *args)
+        except (SaturationError, CapError):  # over a cap: skip this start
+            return None
+
     order = np.argsort(-eta, kind="stable")
-    for m in range(1, k + 1):
-        starts.append(operating_point_powers(params, eta, order[:m]))
+    starts = [start_or_none(operating_point_powers), start_or_none(nash_powers)]
+    starts += [start_or_none(operating_point_powers, order[:m]) for m in range(1, k + 1)]
+    starts = [s for s in starts if s is not None] or [np.zeros(k)]
     best_p, best_w = None, -np.inf
     for start in starts:
         p = np.array([grids[i][np.argmin(np.abs(grids[i] - start[i]))] for i in range(k)])

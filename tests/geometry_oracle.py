@@ -1,0 +1,62 @@
+"""Reference implementations of ``convex_hull`` and ``minkowski_sum``.
+
+These are the kernels the package used before the Minkowski sum kept only
+the vertex pairs whose outward-normal arcs overlap and the hull ran over
+Python floats: the monotone chain over numpy scalars, and the sum of every
+vertex pair of the two polygons.  ``weighted_minkowski_sum_oracle`` is the
+same left fold over states built on them.  Tests compare
+``powergame.geometry`` against these bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def _cross(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def convex_hull_oracle(points) -> np.ndarray:
+    """Monotone-chain convex hull; strictly extreme vertices only, CCW."""
+    pts = np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
+    if pts.shape[0] <= 2:
+        return pts
+    lower: list[np.ndarray] = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[np.ndarray] = []
+    for p in pts[::-1]:
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = np.array(lower[:-1] + upper[:-1])
+    if hull.shape[0] == 2 and np.allclose(hull[0], hull[1]):
+        return hull[:1]
+    return hull
+
+
+def minkowski_sum_oracle(poly_a, poly_b) -> np.ndarray:
+    """Minkowski sum of two convex polygons (brute-force pair sums + hull).
+
+    Vertex counts here are tiny, so the O(|A| |B|) pair enumeration is
+    simpler than the rotating edge merge and just as exact.
+    """
+    a = np.asarray(poly_a, dtype=float).reshape(-1, 2)
+    b = np.asarray(poly_b, dtype=float).reshape(-1, 2)
+    sums = (a[:, None, :] + b[None, :, :]).reshape(-1, 2)
+    return convex_hull_oracle(sums)
+
+
+def weighted_minkowski_sum_oracle(polys, weights) -> np.ndarray:
+    """Hull of sum_j w_j P_j for convex polygons P_j and weights w_j."""
+    polys = list(polys)
+    weights = np.asarray(weights, dtype=float)
+    if len(polys) != weights.size or not polys:
+        raise ValueError("need one weight per polygon")
+    acc = np.asarray(polys[0], dtype=float) * weights[0]
+    for poly, w in zip(polys[1:], weights[1:]):
+        acc = minkowski_sum_oracle(acc, np.asarray(poly, dtype=float) * w)
+    return convex_hull_oracle(acc)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from powergame.cli import main
 from powergame.experiments import preset
@@ -40,6 +44,22 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
     assert not out.exists()
     assert "bad.json" in capsys.readouterr().err
+
+
+def test_module_entry_point_exits_2_on_a_malformed_config(tmp_path):
+    # ``python -m powergame`` from a checkout, with only src/ on the path
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    out = tmp_path / "out"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "powergame", "simulate", "--config", str(bad), "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert "bad.json" in done.stderr
+    assert not out.exists()
 
 
 def test_schema_violation_exits_2(tmp_path, capsys):

@@ -311,12 +311,16 @@ def _pinned_configs(directory):
         "markov_lambdamax": {
             "task": "lambdamax", "game": {"K": 2, "a": 0.15}, "channel": markov,
             "engine": {"horizon": 2000, "seed": 14, "replicates": 2}},
+        "rayleigh16_region": {
+            "task": "region", "game": {"K": 2, "a": 0.5, "sigma2": 1.0, "p_max": 20.0},
+            "channel": RAYLEIGH16, "engine": {"seed": 16}, "region": {"grid_size": 12}},
     }
 
 
 # sha256 of each artifact (config.json, which echoes the model path, aside),
 # computed before paired replicates shared one path and Markov chains were
-# stepped without a numpy call per stage
+# stepped without a numpy call per stage (the region, a 256-state Minkowski
+# fold, before Minkowski sums kept only candidate pairs)
 PINNED_ARTIFACTS = {
     "dominance": {
         "dominance.csv": "d6726365b99b845968df016bbf067b2deccf270cbf9ae067605c644663b40120"},
@@ -330,6 +334,11 @@ PINNED_ARTIFACTS = {
         "trace.csv": "4447338e3580eea0e1d06c8c1788cb75355ce166081d598d05c99585e9fe974a"},
     "markov_lambdamax": {
         "lambdamax.csv": "30af5b6197d9358b7aac7c8a28c2d92051d8410f36d5254dedea13d2cb8fd9b5"},
+    "rayleigh16_region": {
+        "region.csv": "e336a02af8e64280fcd9f3e5ca21263394342b4ee8e6a8d10742aac9072dcdd4",
+        "markers.csv": "8cd05c83c92b4c0f0d9dc3416feb1adb30a9c1bb23e4816a53c2a01d53d6320d",
+        "fstar.csv": "6dff0573e98676042ebd4cc786d2018d2bc8829e385057f0a8f9752905fb5f46",
+        "minmax.csv": "2d4dc7e45544f2e3be7ee0132b3ea0a0b43a1d658c71f32a672f0b883aa6ba3c"},
 }
 
 

@@ -39,6 +39,16 @@ class TestConvexHull:
         seg = convex_hull([(0, 0), (1, 1), (0.5, 0.5)])
         assert as_vertex_set(seg) == {(0, 0), (1, 1)}
 
+    def test_short_collinear_cloud_keeps_both_end_points(self):
+        hull = convex_hull([(0, 0), (1e-9, 0), (2e-9, 0)])
+        assert hull.tolist() == [[0.0, 0.0], [2e-9, 0.0]]
+
+    def test_midpoint_does_not_collapse_a_segment(self):
+        ends = [(1, 1), (1.000001, 1)]
+        assert convex_hull(ends).tolist() == [[1.0, 1.0], [1.000001, 1.0]]
+        hull = convex_hull(ends + [(1.0000005, 1)])
+        assert hull.tolist() == [[1.0, 1.0], [1.000001, 1.0]]
+
     def test_every_vertex_extreme(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(200, 2))

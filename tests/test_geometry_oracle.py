@@ -1,0 +1,139 @@
+"""``powergame.geometry`` against the reference kernels in ``geometry_oracle``.
+
+The Minkowski sum keeps only the vertex pairs whose normal arcs overlap
+and the hull runs over Python floats; both must give the reference's
+output bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geometry_oracle import (
+    convex_hull_oracle,
+    minkowski_sum_oracle,
+    weighted_minkowski_sum_oracle,
+)
+from powergame.analysis import feasible_region_2p
+from powergame.channels import TruncatedRayleighSpec, build_model
+from powergame.geometry import convex_hull, minkowski_sum, weighted_minkowski_sum
+from powergame.oneshot import GameParams, utility
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def region_and_state_hulls(bins, cap, grid_size, a=0.5, sigma2=1.0):
+    params = GameParams.symmetric(2, a=a, sigma2=sigma2, p_max=cap * sigma2)
+    model = build_model(TruncatedRayleighSpec(1.0, 0.1, 10.0, bins), 2)
+    region = feasible_region_2p(params, model, grid_size)
+    hulls = []
+    for eta, (g0, g1) in zip(region.state_gains, region.state_grids):
+        p0, p1 = np.meshgrid(g0, g1, indexing="ij")
+        hulls.append(convex_hull_oracle(utility(params, eta, np.stack([p0.ravel(), p1.ravel()], -1))))
+    return region, hulls
+
+
+@pytest.mark.parametrize("bins,cap,grid_size", [
+    (4, np.inf, 3), (4, np.inf, 12), (4, 50.0, 6), (4, 20.0, 12),
+    (8, np.inf, 6), (8, 20.0, 12),
+])
+def test_region_hull_matches_pair_enumeration(bins, cap, grid_size):
+    region, hulls = region_and_state_hulls(bins, cap, grid_size)
+    assert_bitwise(region.hull, weighted_minkowski_sum_oracle(hulls, region.state_probs))
+
+
+def test_rayleigh16_with_near_duplicate_vertices():
+    region, hulls = region_and_state_hulls(16, 20.0, 12)
+    # state 8 holds two vertices a few ulps apart, which share one arc
+    edges = np.diff(np.vstack([hulls[8], hulls[8][:1]]), axis=0)
+    assert np.hypot(edges[:, 0], edges[:, 1]).min() < 1e-15
+    assert_bitwise(region.hull, weighted_minkowski_sum_oracle(hulls, region.state_probs))
+    assert_bitwise(weighted_minkowski_sum(hulls, region.state_probs), region.hull)
+
+
+def regular_polygon(n, radius=1.0, phase=0.0, center=(0.0, 0.0)):
+    t = phase + 2.0 * np.pi * np.arange(n) / n
+    return convex_hull(np.c_[np.cos(t), np.sin(t)] * radius + np.asarray(center))
+
+
+@pytest.mark.parametrize("poly_a,poly_b", [
+    (np.array([(0, 0), (1, 0), (1, 1), (0, 1)], float),
+     np.array([(2, 3), (3, 3), (3, 4), (2, 4)], float)),
+    (regular_polygon(6), regular_polygon(6, center=(5.0, -2.0))),
+    (regular_polygon(6), regular_polygon(12)),
+    (regular_polygon(8, 3.0), regular_polygon(8, 3.0, phase=np.pi / 8)),
+    (convex_hull([(0, 0), (4, 0), (4, 1), (2, 3), (0, 1)]),
+     convex_hull([(0, 0), (4, 0), (4, 1), (2, 3), (0, 1)]) * 0.1),
+])
+def test_parallel_edges_of_equal_length(poly_a, poly_b):
+    assert_bitwise(minkowski_sum(poly_a, poly_b), minkowski_sum_oracle(poly_a, poly_b))
+    assert_bitwise(minkowski_sum(poly_b, poly_a), minkowski_sum_oracle(poly_b, poly_a))
+
+
+def circle_with_short_edges(rng, n):
+    # n points on a circle, each with a twin 1e-9 to 1e-5 rad further on
+    t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    t = np.concatenate([t, t + 10.0 ** rng.uniform(-9.0, -5.0, n)])
+    return convex_hull(np.c_[np.cos(t), np.sin(t)] * rng.uniform(0.1, 100.0)
+                       + rng.normal(size=2) * 100.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_short_edges_against_a_scaled_copy(seed):
+    # pair sums along short parallel edges lie within rounding of the
+    # boundary, more than 1e-9 rad outside each other's arcs
+    rng = np.random.default_rng(seed)
+    a = circle_with_short_edges(rng, 30)
+    b = a * rng.uniform(0.1, 2.0)
+    assert_bitwise(minkowski_sum(a, b), minkowski_sum_oracle(a, b))
+
+
+@pytest.mark.parametrize("small", [
+    np.array([(0.25, -1.5)]),
+    np.array([(0.0, 0.0), (2.0, 1.0)]),
+    np.array([(1.0, 1.0), (1.0, 3.0)]),
+])
+def test_one_and_two_vertex_polygons(small):
+    tri = np.array([(0, 0), (2, 0), (0, 2)], float)
+    for a, b in ((small, tri), (tri, small), (small, small)):
+        assert_bitwise(minkowski_sum(a, b), minkowski_sum_oracle(a, b))
+    polys = [tri, small, regular_polygon(5)]
+    weights = [0.2, 0.3, 0.5]
+    assert_bitwise(weighted_minkowski_sum(polys, weights),
+                   weighted_minkowski_sum_oracle(polys, weights))
+
+
+coordinates = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False),
+)
+clouds = st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=40)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(clouds, clouds, st.floats(1e-3, 1.0), st.floats(1e-3, 1.0))
+def test_minkowski_sum_matches_pair_enumeration(cloud_a, cloud_b, w_a, w_b):
+    a = convex_hull(cloud_a) * w_a
+    b = convex_hull(cloud_b) * w_b
+    assert_bitwise(minkowski_sum(a, b), minkowski_sum_oracle(a, b))
+    assert_bitwise(minkowski_sum(a, a * (w_b / w_a)), minkowski_sum_oracle(a, a * (w_b / w_a)))
+    # point clouds in any order, not convex polygons, are summed pair by pair
+    assert_bitwise(minkowski_sum(cloud_a, cloud_b), minkowski_sum_oracle(cloud_a, cloud_b))
+    assert_bitwise(weighted_minkowski_sum([a, b, a], [0.5, 0.25, 0.25]),
+                   weighted_minkowski_sum_oracle([a, b, a], [0.5, 0.25, 0.25]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(clouds)
+def test_convex_hull_matches_reference(cloud):
+    want = convex_hull_oracle(cloud)
+    got = convex_hull(cloud)
+    if want.shape[0] >= 3:
+        assert_bitwise(got, want)
+    else:  # a point or a segment: its distinct end points, in sorted order
+        ends = np.unique(np.asarray(cloud, float), axis=0)[[0, -1]]
+        assert_bitwise(got, np.unique(ends, axis=0))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -281,3 +282,38 @@ class TestSocialOptimum:
         profiles = np.array(list(itertools.product(*grids)))
         assert w == welfare(p, eta, profiles).max()
         assert w >= welfare(p, eta, [0.0, 0.0, p.nash_scale() / 5.0])
+
+    def test_start_profiles_over_the_cap_are_skipped(self):
+        # K >= 5 runs coordinate ascent; the all-player equal-received-power
+        # start needs 0.2 W from player 0, over the 0.09 W cap
+        p = GameParams.symmetric(5, a=0.1, p_max=0.09)
+        eta = np.array([0.5, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(CapError):
+            operating_point_powers(p, eta)
+        powers, w = social_optimum(p, eta)
+        assert np.all(powers <= p.p_max)
+        assert w == float(welfare(p, eta, powers))
+        order = np.argsort(-eta)
+        for m in (1, 2, 3, 4):
+            assert w >= welfare(p, eta, operating_point_powers(p, eta, order[:m]))
+
+    def test_zero_start_when_no_start_fits_the_cap(self):
+        p = GameParams.symmetric(5, a=0.1, p_max=1e-3)
+        eta = np.array([0.5, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(CapError):
+            operating_point_powers(p, eta, [4])
+        powers, w = social_optimum(p, eta)
+        assert np.all(powers <= p.p_max)
+        assert w > 0.0
+
+    @pytest.mark.parametrize("k,p_max,eta,digest", [
+        (5, np.inf, [0.5, 2, 3, 4, 5],
+         "922bde3595bc1641439e445482716e42623bda47785607a84de8771539ee0809"),
+        (6, 1.0, np.linspace(0.5, 3.0, 6),
+         "f3737c4ce039f80af34b321d27aec2de7cf771770c98ba951b5de03d57c46ff9"),
+    ])
+    def test_coordinate_ascent_bytes_are_pinned(self, k, p_max, eta, digest):
+        # sha256 of (powers, welfare) computed before capped starts were skipped
+        powers, w = social_optimum(GameParams.symmetric(k, a=0.1, p_max=p_max), eta)
+        got = hashlib.sha256(powers.tobytes() + np.float64(w).tobytes()).hexdigest()
+        assert got == digest
