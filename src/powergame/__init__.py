@@ -22,7 +22,6 @@ from .analysis import (
     feasible_region_2p,
     joint_state_table,
     lambda_max,
-    minmax_level,
     minmax_levels,
 )
 from .channels import (

@@ -102,10 +102,6 @@ def minmax_levels(params: GameParams, model, *, seed: int = 0,
         return _punished_utilities(params, gains).mean(axis=0)
 
 
-def minmax_level(params: GameParams, model, i: int, **kwargs) -> float:
-    return float(minmax_levels(params, model, **kwargs)[i])
-
-
 @dataclass
 class RegionResult:
     """Feasible expected-utility region of a 2-player game."""
@@ -209,12 +205,8 @@ def lambda_max(params: GameParams, model, *, horizon: int = 100_000,
     sel, eq = estimate_expected_utilities(
         params, model, [BEST_USERS, NASH], horizon, seed, replicates, spawn_prefix
     )
-    paired = sel.per_replicate - eq.per_replicate
-    delta = paired.mean(axis=0)
-    if replicates > 1:
-        delta_se = paired.std(axis=0, ddof=1) / np.sqrt(replicates)
-    else:
-        delta_se = np.zeros_like(delta)
+    paired = UtilityEstimate.from_replicates(sel.per_replicate - eq.per_replicate)
+    delta = paired.mean
     bs = params.beta_star
     penalty = rate * model.sup_gain * float(params.eff.value(bs)) / (params.sigma2 * bs)
     gain = np.clip(delta, 0.0, None)
@@ -223,7 +215,7 @@ def lambda_max(params: GameParams, model, *, horizon: int = 100_000,
         lambda_max=float(per_player.min()),
         per_player=per_player,
         delta=delta,
-        delta_stderr=delta_se,
+        delta_stderr=paired.stderr,
         penalty=penalty,
         selection=sel,
         equilibrium=eq,
@@ -260,11 +252,8 @@ def dominance_report(params: GameParams, model, *, horizon: int = 100_000,
     violations = []
     for label in ("nash", "operating_point", "time_sharing"):
         paired = sel.per_replicate - estimates[label].per_replicate
-        diff = paired.mean(axis=0)
-        if replicates > 1:
-            se = paired.std(axis=0, ddof=1) / np.sqrt(replicates)
-        else:
-            se = np.zeros_like(diff)
+        gap = UtilityEstimate.from_replicates(paired)
+        diff, se = gap.mean, gap.stderr
         bad = diff < -(2.0 * se + 1e-12)
         for i in np.nonzero(bad)[0]:
             violations.append(

@@ -38,7 +38,7 @@ def _check_probs(vec, what: str) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1 or vec.size == 0:
         raise ModelError(f"{what} must be a non-empty vector")
-    if np.any(vec < 0) or abs(vec.sum() - 1.0) > _ROW_SUM_TOL:
+    if not (np.all(vec >= 0) and abs(vec.sum() - 1.0) <= _ROW_SUM_TOL):  # NaN fails
         raise ModelError(f"{what} must be nonnegative and sum to 1")
     return vec
 
@@ -75,9 +75,6 @@ class IIDProductLaw:
             idx[0] = np.asarray(initial, dtype=np.int64)
         return idx
 
-    def stationary_marginals(self):
-        return [p.copy() for p in self.probs]
-
     def stationary_joint(self) -> np.ndarray:
         if self.joint_size > _JOINT_CAP:
             raise ModelError(
@@ -110,26 +107,15 @@ class IIDJointLaw:
     def joint_size(self) -> int:
         return self.mu.size
 
-    def _unravel(self, flat) -> np.ndarray:
-        return np.stack(np.unravel_index(flat, self.dims), axis=-1).astype(np.int64)
-
     def sample_path(self, horizon: int, rng, initial=None) -> np.ndarray:
         flat = np.searchsorted(self._cum, rng.random(horizon), side="right")
-        idx = self._unravel(flat)
+        idx = _unravel(flat, self.dims)
         if initial is not None:
             idx[0] = np.asarray(initial, dtype=np.int64)
         return idx
 
     def stationary_joint(self) -> np.ndarray:
         return self.mu.copy()
-
-    def stationary_marginals(self):
-        grid = self.mu.reshape(self.dims)
-        out = []
-        for i in range(self.n_players):
-            axes = tuple(j for j in range(self.n_players) if j != i)
-            out.append(grid.sum(axis=axes))
-        return out
 
 
 class MarkovJointLaw:
@@ -144,7 +130,8 @@ class MarkovJointLaw:
                 f"transition matrix shape {matrix.shape} does not match "
                 f"{size} joint states"
             )
-        if np.any(matrix < 0) or np.any(np.abs(matrix.sum(axis=1) - 1.0) > _ROW_SUM_TOL):
+        if not (np.all(matrix >= 0)
+                and np.all(np.abs(matrix.sum(axis=1) - 1.0) <= _ROW_SUM_TOL)):  # NaN fails
             raise ModelError("transition matrix rows must be nonnegative and sum to 1")
         if require_irreducible:
             _require_irreducible(matrix)
@@ -163,9 +150,6 @@ class MarkovJointLaw:
     def joint_size(self) -> int:
         return self.matrix.shape[0]
 
-    def _unravel(self, flat) -> np.ndarray:
-        return np.stack(np.unravel_index(flat, self.dims), axis=-1).astype(np.int64)
-
     def sample_path(self, horizon: int, rng, initial=None) -> np.ndarray:
         # bisect_right takes the same midpoints as searchsorted(side="right"),
         # so even a row whose sums pass 1.0 before its last entry maps every
@@ -182,7 +166,7 @@ class MarkovJointLaw:
         for x in u[1:].tolist():
             state = bisect_right(rows[state], x)
             flat.append(state)
-        return self._unravel(np.array(flat, dtype=np.int64))
+        return _unravel(np.array(flat, dtype=np.int64), self.dims)
 
     def stationary_joint(self) -> np.ndarray:
         _require_irreducible(self.matrix)
@@ -198,13 +182,10 @@ class MarkovJointLaw:
         mu = np.clip(mu, 0.0, None)
         return mu / mu.sum()
 
-    def stationary_marginals(self):
-        grid = self.stationary_joint().reshape(self.dims)
-        out = []
-        for i in range(self.n_players):
-            axes = tuple(j for j in range(self.n_players) if j != i)
-            out.append(grid.sum(axis=axes))
-        return out
+
+def _unravel(flat, dims) -> np.ndarray:
+    """(..., K) per-player indices of row-major flat joint-state indices."""
+    return np.stack(np.unravel_index(flat, dims), axis=-1).astype(np.int64)
 
 
 def _require_irreducible(matrix: np.ndarray) -> None:
@@ -213,9 +194,6 @@ def _require_irreducible(matrix: np.ndarray) -> None:
             "transition law has zero entries; irreducibility (all transition "
             "probabilities positive) is required"
         )
-
-
-TransitionLaw = IIDProductLaw | IIDJointLaw | MarkovJointLaw
 
 
 @dataclass(frozen=True)
@@ -247,8 +225,8 @@ class TruncatedRayleighSpec:
     bins: int = 16
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ModelError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ModelError("scale must be positive and finite")
         if not (0 <= self.eta_min < self.eta_max):
             raise ModelError("need 0 <= eta_min < eta_max")
         if self.bins < 2:
@@ -272,7 +250,7 @@ class ExplicitSpec:
 @dataclass(frozen=True, eq=False)
 class ChannelModel:
     gains: tuple  # per-player np.ndarray of gain values
-    law: TransitionLaw
+    law: IIDProductLaw | IIDJointLaw | MarkovJointLaw
 
     def __post_init__(self):
         gains = tuple(np.asarray(g, dtype=float) for g in self.gains)
@@ -281,8 +259,8 @@ class ChannelModel:
         for i, g in enumerate(gains):
             if g.size != self.law.dims[i]:
                 raise ModelError(f"player {i} gain set does not match the law dimension")
-            if np.any(g <= 0):
-                raise ModelError("all gains must be strictly positive")
+            if not np.all((g > 0) & (g < np.inf)):
+                raise ModelError("all gains must be strictly positive and finite")
         object.__setattr__(self, "gains", gains)
 
     @property
@@ -436,10 +414,10 @@ def load_model(path) -> ChannelModel:
     if "gains" not in doc:
         raise ModelError(f"{path}: missing gains")
     gains = tuple(np.asarray(g, dtype=float) for g in doc["gains"])
-    dims = [g.size for g in gains]
     if ("mu" in doc) == ("transition" in doc):
         raise ModelError(f"{path}: give exactly one of mu or transition")
-    values = np.asarray(doc["mu"] if "mu" in doc else doc["transition"], dtype=float)
+    key = "mu" if "mu" in doc else "transition"
+    values = np.asarray(doc[key], dtype=float)
     if fmt == MODEL_FILE_FORMAT:
         if doc.get("content_sha256") != _content_sha256(gains, values):
             raise ModelError(f"{path}: content checksum missing or mismatched")
@@ -447,5 +425,4 @@ def load_model(path) -> ChannelModel:
         expected = doc.get("row_sum_checksum")
         if expected is not None and _row_sum_checksum(np.atleast_2d(values)) != expected:
             raise ModelError(f"{path}: row-sum checksum mismatch")
-    law = IIDJointLaw(values, dims) if "mu" in doc else MarkovJointLaw(values, dims)
-    return ChannelModel(gains, law)
+    return build_model(ExplicitSpec(gains, **{key: values}), len(gains))

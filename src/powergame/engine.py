@@ -32,6 +32,7 @@ import numpy as np
 from .errors import PowerGameError
 from .oneshot import GameParams, _utility_from_sinr, best_response, sinr
 from .strategies import (  # noqa: F401  compliant_profile stays importable from here
+    MONITORED_KINDS,
     NASH,
     StrategyKind,
     check_caps,
@@ -73,15 +74,14 @@ class EngineConfig:
     deviation: DeviationSpec | None = None
     initial_state: tuple | None = None
     detection_tol: float = 1e-6
-    record_every: int | None = None
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not 0.0 < self.lam < 1.0:
             raise ValueError("discount factor must be in (0, 1)")
-        if self.detection_tol <= 0:
-            raise ValueError("detection_tol must be positive")
+        if not 0.0 < self.detection_tol < np.inf:  # NaN or inf would silence the alarm
+            raise ValueError("detection_tol must be positive and finite")
 
 
 @dataclass
@@ -119,8 +119,7 @@ def discount_weights(horizon: int, lam: float) -> np.ndarray:
 def discounted_utility(stage_utils, lam: float):
     """Discounted value of a stage-utility sequence (axis 0 is time)."""
     stage_utils = np.asarray(stage_utils, dtype=float)
-    w = discount_weights(stage_utils.shape[0], lam)
-    out = np.tensordot(w, stage_utils, axes=(0, 0))
+    out = discount_weights(stage_utils.shape[0], lam) @ stage_utils
     return out if np.ndim(out) else float(out)
 
 
@@ -153,9 +152,7 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
     punishing = np.zeros(eta.shape, dtype=bool)
     if punishment_stage is not None:
         punishing[punishment_stage:] = True
-    weights = discount_weights(horizon, cfg.lam)
-    discounted = weights @ util_all
-    every = cfg.record_every or (1 if horizon <= _FULL_TRACE_MAX else _THINNED_EVERY)
+    every = 1 if horizon <= _FULL_TRACE_MAX else _THINNED_EVERY
     keep = np.arange(0, horizon, every)
     trace = StageTrace(
         t=keep + 1,
@@ -167,7 +164,7 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
         punishing=punishing[keep],
     )
     return RunResult(
-        discounted=discounted,
+        discounted=discounted_utility(util_all, cfg.lam),
         time_average=util_all.mean(axis=0),
         weight_sum=float(-np.expm1(horizon * np.log1p(-cfg.lam))),
         remainder_bound=truncation_bound(util_all, cfg.lam),
@@ -260,16 +257,10 @@ def _plan(params, kinds, eta, deviation: bool):
     if len(rules) == 1 and not deviation:
         return powers, recommended, None, failure
 
-    k = params.n_players
-    gamma = np.array([np.nan] + [params.gamma_tilde(m) for m in range(1, k + 1)])
     expected = np.full(eta.shape, np.nan)
-    for rule, (rule_powers, _, k_active, _) in plans.items():
-        cols = [i for i, kind in enumerate(kinds) if kind == rule]
-        if rule.name == "operating_point":
-            expected[:, cols] = gamma[k]
-        elif rule.name in ("threshold", "best_users"):
-            expected[:, cols] = gamma[k_active][:, None]
-        elif rule.name == "social_optimum":
+    for rule, (rule_powers, *_) in plans.items():
+        if rule.name in MONITORED_KINDS:  # the alarm predicts the SINR of the rule's own plan
+            cols = [i for i, kind in enumerate(kinds) if kind == rule]
             expected[:, cols] = sinr(params, eta, rule_powers)[:, cols]
     return powers, recommended, expected, failure
 
@@ -290,6 +281,17 @@ class UtilityEstimate:
     mean: np.ndarray
     stderr: np.ndarray
     per_replicate: np.ndarray  # (replicates, K) time averages
+
+    @classmethod
+    def from_replicates(cls, per: np.ndarray) -> UtilityEstimate:
+        """Mean over axis 0 with its standard error (0 for one replicate)."""
+        replicates = per.shape[0]
+        mean = per.mean(axis=0)
+        if replicates > 1:
+            stderr = per.std(axis=0, ddof=1) / np.sqrt(replicates)
+        else:
+            stderr = np.zeros_like(mean)
+        return cls(mean=mean, stderr=stderr, per_replicate=per)
 
 
 def estimate_expected_utility(params: GameParams, model, kinds, horizon: int,
@@ -335,17 +337,7 @@ def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: 
             break
     if failure is not None:
         raise failure
-    return [_utility_estimate(np.array(per)) for per in rows]
-
-
-def _utility_estimate(per: np.ndarray) -> UtilityEstimate:
-    replicates = per.shape[0]
-    mean = per.mean(axis=0)
-    if replicates > 1:
-        stderr = per.std(axis=0, ddof=1) / np.sqrt(replicates)
-    else:
-        stderr = np.zeros_like(mean)
-    return UtilityEstimate(mean=mean, stderr=stderr, per_replicate=per)
+    return [UtilityEstimate.from_replicates(np.array(per)) for per in rows]
 
 
 def trace_csv(result: RunResult) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from .efficiency import ExponentialEfficiency
 from .engine import (
     DeviationSpec,
     EngineConfig,
+    UtilityEstimate,
     estimate_expected_utilities,
     run_game,
     trace_csv,
@@ -61,6 +63,11 @@ def _fmt(x: float) -> str:
 
 def _fail(path: str, message: str):
     raise ConfigError(f"config error at {path}: {message}")
+
+
+def _require_positive_finite(path: str, value) -> None:
+    if value is not None and not 0 < value < math.inf:  # NaN fails too
+        _fail(path, "must be positive and finite")
 
 
 def _get(cfg: dict, path: str, kind, required=True, default=None, defaults_used=None):
@@ -130,25 +137,22 @@ def parse_config(cfg: dict) -> Experiment:
         _fail("game", "give exactly one of a or rate")
     a = _get(cfg, "game.a", float, required=False)
     rate = _get(cfg, "game.rate", float, required=False)
-    if a is not None and a <= 0:
-        _fail("game.a", "must be positive")
-    if rate is not None and rate <= 0:
-        _fail("game.rate", "must be positive")
+    _require_positive_finite("game.a", a)
+    _require_positive_finite("game.rate", rate)
     if rate is None:
         rate = DEFAULTS["game.rate_when_a_given"]
         used.append("game.rate")
     sigma2 = _get(cfg, "game.sigma2", float, required=False,
                   default=DEFAULTS["game.sigma2"], defaults_used=used)
-    if sigma2 <= 0:
-        _fail("game.sigma2", "must be positive")
+    _require_positive_finite("game.sigma2", sigma2)
     p_max = _get(cfg, "game.p_max", None, required=False,
                  default=DEFAULTS["game.p_max"], defaults_used=used)
     if isinstance(p_max, list):
         if len(p_max) != n_players or any(
-            not isinstance(v, (int, float)) or v <= 0 for v in p_max
+            not isinstance(v, (int, float)) or not v > 0 for v in p_max
         ):
             _fail("game.p_max", f"must be {n_players} positive numbers")
-    elif not isinstance(p_max, (int, float)) or isinstance(p_max, bool) or p_max <= 0:
+    elif not isinstance(p_max, (int, float)) or isinstance(p_max, bool) or not p_max > 0:
         _fail("game.p_max", "must be a positive number or list")
 
     channel = _parse_channel(cfg, used)
@@ -169,8 +173,7 @@ def parse_config(cfg: dict) -> Experiment:
         _fail("engine.replicates", "must be >= 1")
     detection_tol = _get(cfg, "engine.detection_tol", float, required=False,
                          default=DEFAULTS["engine.detection_tol"], defaults_used=used)
-    if detection_tol <= 0:
-        _fail("engine.detection_tol", "must be positive")
+    _require_positive_finite("engine.detection_tol", detection_tol)
     trace = _get(cfg, "engine.trace", bool, required=False, default=False)
     deviation = None
     if isinstance(cfg.get("engine"), dict) and cfg["engine"].get("deviation") is not None:
@@ -195,9 +198,9 @@ def parse_config(cfg: dict) -> Experiment:
         if sweep_axis == "K" and any(not isinstance(v, int) or v < 1 for v in sweep_values):
             _fail("sweep.values", "K values must be integers >= 1")
         if sweep_axis == "ratio" and any(
-            not isinstance(v, (int, float)) or v < 1 for v in sweep_values
+            not isinstance(v, (int, float)) or not 1 <= v < math.inf for v in sweep_values
         ):
-            _fail("sweep.values", "ratio values must be numbers >= 1")
+            _fail("sweep.values", "ratio values must be finite numbers >= 1")
         if sweep_axis == "alpha" and any(
             not isinstance(v, (int, float)) or not 0 <= v <= 1 for v in sweep_values
         ):
@@ -241,8 +244,8 @@ def _parse_channel(cfg: dict, used: list) -> dict:
         eta_max = _get(cfg, "channel.eta_max", float)
         p_high = _get(cfg, "channel.p_high", float, required=False, default=0.5,
                       defaults_used=used)
-        if not 0 < eta_min <= eta_max:
-            _fail("channel.eta_max", "need 0 < eta_min <= eta_max")
+        if not 0 < eta_min <= eta_max < math.inf:
+            _fail("channel.eta_max", "need 0 < eta_min <= eta_max < inf")
         if not 0 < p_high < 1:
             _fail("channel.p_high", "must be in (0, 1)")
         return {"kind": kind, "eta_min": eta_min, "eta_max": eta_max, "p_high": p_high}
@@ -258,8 +261,7 @@ def _parse_channel(cfg: dict, used: list) -> dict:
             "bins": _get(cfg, "channel.bins", int, required=False,
                          default=DEFAULTS["channel.bins"], defaults_used=used),
         }
-        if out["scale"] <= 0:
-            _fail("channel.scale", "must be positive")
+        _require_positive_finite("channel.scale", out["scale"])
         if out["bins"] < 2:
             _fail("channel.bins", "must be >= 2")
         if not 0 <= out["eta_min"] < out["eta_max"]:
@@ -379,10 +381,7 @@ def _task_simulate(exp: Experiment) -> list:
                 trace_text = trace_csv(result)
         discounted = np.array(discounted)
         averages = np.array(averages)
-        if exp.replicates > 1:
-            se = averages.std(axis=0, ddof=1) / np.sqrt(exp.replicates)
-        else:
-            se = np.zeros(params.n_players)
+        se = UtilityEstimate.from_replicates(averages).stderr
         for i in range(params.n_players):
             row = (f"{i},{_fmt(discounted[:, i].mean())},"
                    f"{_fmt(averages[:, i].mean())},{_fmt(se[i])}")
@@ -401,10 +400,10 @@ def _task_dominance(exp: Experiment) -> list:
             params, model, kinds, exp.horizon, exp.seed, exp.replicates, spawn_prefix=(j,),
         )
         for kind, est in zip(kinds, estimates):
-            per_rep = est.per_replicate.mean(axis=1)  # player-averaged per replicate
-            mean = per_rep.mean()
-            se = per_rep.std(ddof=1) / np.sqrt(exp.replicates) if exp.replicates > 1 else 0.0
-            lines.append(f"{_axis_value(exp, value)},{kind.label},{_fmt(mean)},{_fmt(se)}")
+            # player-averaged per replicate
+            avg = UtilityEstimate.from_replicates(est.per_replicate.mean(axis=1))
+            lines.append(f"{_axis_value(exp, value)},{kind.label},{_fmt(avg.mean)},"
+                         f"{_fmt(avg.stderr)}")
     return [(exp.artifact, "\n".join(lines) + "\n")]
 
 

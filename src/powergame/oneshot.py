@@ -58,12 +58,13 @@ class GameParams:
         p_max = np.broadcast_to(
             np.asarray(np.inf if self.p_max is None else self.p_max, dtype=float), (k,)
         ).copy()
-        if np.any(rates <= 0):
-            raise ValueError("all rates must be positive")
-        if not (self.sigma2 > 0):
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if np.any(p_max <= 0):
-            raise ValueError("all power caps must be positive")
+        # written so that NaN fails every check
+        if not np.all((rates > 0) & (rates < np.inf)):
+            raise ValueError(f"all rates must be positive and finite, got {rates}")
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        if not np.all(p_max > 0):  # an infinite cap means no cap
+            raise ValueError(f"all power caps p_max must be positive, got {p_max}")
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "p_max", p_max)
 

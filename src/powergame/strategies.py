@@ -92,7 +92,6 @@ class SignalProfile:
     own_gain: float
     recommended: bool | None = None
     k_active: int | None = None
-    own_sinr_prev: float | None = None
     global_state: np.ndarray | None = None
 
 
@@ -104,17 +103,8 @@ def select_best_users(params: GameParams, eta) -> np.ndarray:
     (ties in gain broken by player index).  Returns ascending player
     indices.
     """
-    rate = params.require_equal_rates()
-    eta = np.asarray(eta, dtype=float)
-    order = np.argsort(-eta, kind="stable")
-    cums = np.cumsum(eta[order])
-    k = params.n_players
-    coeff = np.array(
-        [rate * params.eff.value(params.gamma_tilde(m)) / params.equal_power_coeff(m)
-         for m in range(1, k + 1)]
-    )
-    k_best = int(np.argmax(coeff * cums)) + 1  # first max: smallest k on ties
-    return np.sort(order[:k_best])
+    eta = np.atleast_2d(np.asarray(eta, dtype=float))
+    return np.nonzero(_best_users_mask(params, eta)[0])[0]
 
 
 def select_by_threshold(alpha: float, eta) -> np.ndarray:
@@ -125,15 +115,38 @@ def select_by_threshold(alpha: float, eta) -> np.ndarray:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    eta = np.asarray(eta, dtype=float)
-    return np.nonzero(eta >= alpha * eta.max())[0]
+    eta = np.atleast_2d(np.asarray(eta, dtype=float))
+    return np.nonzero(_threshold_mask(alpha, eta)[0])[0]
+
+
+def _best_users_mask(params: GameParams, eta: np.ndarray) -> np.ndarray:
+    """(N, K) best-user recommendations: per row, the prefix of the gain
+    ranking (stable) whose equal-received-power welfare is largest, the
+    shortest one on ties."""
+    rate = params.require_equal_rates()
+    n, k = eta.shape
+    order = np.argsort(-eta, axis=1, kind="stable")
+    cums = np.cumsum(np.take_along_axis(eta, order, axis=1), axis=1)
+    coeff = np.array(
+        [rate * params.eff.value(params.gamma_tilde(m)) / params.equal_power_coeff(m)
+         for m in range(1, params.n_players + 1)]
+    )
+    k_star = np.argmax(coeff * cums, axis=1) + 1
+    recommended = np.zeros((n, k), dtype=bool)
+    np.put_along_axis(recommended, order, np.arange(k) < k_star[:, None], axis=1)
+    return recommended
+
+
+def _threshold_mask(alpha: float, eta: np.ndarray) -> np.ndarray:
+    """(N, K) threshold recommendations: gains within alpha of the row's best."""
+    return eta >= alpha * eta.max(axis=1, keepdims=True)
 
 
 def detect_deviation(expected_sinr, observed_sinr, tol: float, floor: float = 1e-12):
     """Relative SINR mismatch test with an absolute floor; broadcasts over
     arrays, where a NaN expectation (nothing to monitor) never fires."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:  # NaN or inf would silence the alarm
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     gap = np.abs(np.subtract(observed_sinr, expected_sinr))
     hit = gap > tol * np.maximum(expected_sinr, floor)
     return hit if np.ndim(hit) else bool(hit)
@@ -252,22 +265,10 @@ def unchecked_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
         return powers, recommended, np.ones(n, dtype=int), None
 
     if name == "threshold":
-        recommended = eta >= kind.alpha * eta.max(axis=1, keepdims=True)
-        return _equal_power_rows(params, eta, recommended)
+        return _equal_power_rows(params, eta, _threshold_mask(kind.alpha, eta))
 
     if name == "best_users":
-        rate = params.require_equal_rates()
-        order = np.argsort(-eta, axis=1, kind="stable")
-        cums = np.cumsum(np.take_along_axis(eta, order, axis=1), axis=1)
-        coeff = np.array(
-            [rate * params.eff.value(params.gamma_tilde(m)) / params.equal_power_coeff(m)
-             for m in range(1, k + 1)]
-        )
-        k_star = np.argmax(coeff * cums, axis=1) + 1
-        recommended = np.zeros((n, k), dtype=bool)
-        in_prefix = np.arange(k) < k_star[:, None]
-        np.put_along_axis(recommended, order, in_prefix, axis=1)
-        return _equal_power_rows(params, eta, recommended)
+        return _equal_power_rows(params, eta, _best_users_mask(params, eta))
 
     if name == "social_optimum":
         powers = np.zeros((n, k))

@@ -6,7 +6,9 @@ evaluated over the whole horizon at once.  Every stage asks each player's
 alarm through ``detect_deviation``; detection at stage t switches every
 player to the selfish equilibrium from stage t+1 on.  Tests compare
 ``powergame.engine.run_game`` against ``run_game_oracle`` on seeded and
-generated runs.
+generated runs.  The scalar selectors it uses are private copies of the
+package's former ones, so the reference does not share the vectorized
+selection masks it checks.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ def _stage_plans(params, kinds, row, so_cache):
     a player sees the recommendation addressed to its rule.  Returns
     (recommended (K,) bool, k_active (K,) int, social profile or None).
     """
-    from powergame.strategies import select_best_users, select_by_threshold
     from powergame.oneshot import social_optimum as solve_social
 
     n = params.n_players
@@ -74,12 +75,12 @@ def _stage_plans(params, kinds, row, so_cache):
         key = (kind.name, kind.alpha)
         if key not in done:
             if kind.name == "best_users":
-                members = select_best_users(params, row)
+                members = _select_best_users(params, row)
                 mask = np.zeros(n, dtype=bool)
                 mask[members] = True
                 done[key] = (mask, members.size)
             elif kind.name == "threshold":
-                members = select_by_threshold(kind.alpha, row)
+                members = _select_by_threshold(kind.alpha, row)
                 mask = np.zeros(n, dtype=bool)
                 mask[members] = True
                 done[key] = (mask, members.size)
@@ -100,6 +101,39 @@ def _stage_plans(params, kinds, row, so_cache):
         recommended[i] = mask[i]
         k_active[i] = count
     return recommended, k_active, so_profile
+
+
+def _select_best_users(params, eta) -> np.ndarray:
+    """Welfare-maximizing subset under equal-received-power play.
+
+    At equal rates the optimum over all 2^K - 1 subsets is always a
+    prefix of the gain ranking, so only the K prefix sets are scored
+    (ties in gain broken by player index).  Returns ascending player
+    indices.
+    """
+    rate = params.require_equal_rates()
+    eta = np.asarray(eta, dtype=float)
+    order = np.argsort(-eta, kind="stable")
+    cums = np.cumsum(eta[order])
+    k = params.n_players
+    coeff = np.array(
+        [rate * params.eff.value(params.gamma_tilde(m)) / params.equal_power_coeff(m)
+         for m in range(1, k + 1)]
+    )
+    k_best = int(np.argmax(coeff * cums)) + 1  # first max: smallest k on ties
+    return np.sort(order[:k_best])
+
+
+def _select_by_threshold(alpha: float, eta) -> np.ndarray:
+    """Players whose gain is within a factor alpha of the stage's best gain.
+
+    Never empty: the best player always qualifies.  Returns ascending
+    player indices.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    eta = np.asarray(eta, dtype=float)
+    return np.nonzero(eta >= alpha * eta.max())[0]
 
 
 def _expected_sinr(params, kind, k_active, i, so_profile, row):
@@ -138,7 +172,6 @@ def _run_sequential(params, model, kinds, cfg, eta):
                 own_gain=float(row[i]),
                 recommended=bool(rec[i]),
                 k_active=int(k_act[i]),
-                own_sinr_prev=float(sinr_all[t - 1, i]) if t else None,
                 global_state=row if kind.name == "social_optimum" else None,
             )
             p_t[i] = stage_action(kind, params, signal, punish, i)

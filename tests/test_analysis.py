@@ -11,7 +11,6 @@ from powergame.analysis import (
     feasible_region_2p,
     joint_state_table,
     lambda_max,
-    minmax_level,
     minmax_levels,
 )
 from powergame.channels import (
@@ -24,7 +23,7 @@ from powergame.channels import (
 )
 from powergame.efficiency import ExponentialEfficiency
 from powergame.engine import estimate_expected_utilities, estimate_expected_utility
-from powergame.errors import ModelError
+from powergame.errors import ModelError, SaturationError
 from powergame.geometry import point_in_convex_polygon
 from powergame.oneshot import GameParams, utility
 from powergame.strategies import BEST_USERS, NASH, OPERATING_POINT
@@ -51,7 +50,7 @@ class TestMinmax:
     def test_single_player_is_solo_optimum(self):
         params = params_for(1, 0.1)
         model = single_state_model([1.0])
-        assert minmax_level(params, model, 0) == pytest.approx(
+        assert minmax_levels(params, model)[0] == pytest.approx(
             10 * math.exp(-1), abs=1e-12
         )
 
@@ -246,6 +245,16 @@ class TestRegion:
         )
         with pytest.raises(ValueError):
             feasible_region_2p(params_for(1, 0.1), markov)
+
+    def test_cap_binding_in_some_joint_states_is_refused(self):
+        # at p_max 5 the selfish equilibrium power is over the cap in 31 of
+        # 256 joint states: the region grid and the nash marker both refuse
+        params = params_for(2, 0.5, p_max=5.0)
+        model = build_model(TruncatedRayleighSpec(), 2)
+        with pytest.raises(SaturationError):
+            expected_utilities_exact(params, model, NASH)
+        with pytest.raises(SaturationError):
+            feasible_region_2p(params, model)
 
 
 class TestLambdaBound:

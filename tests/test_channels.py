@@ -28,7 +28,7 @@ class TestTwoState:
     def test_build(self):
         m = build_model(TwoStateSpec(1.0, 4.0, 0.5), 1)
         np.testing.assert_allclose(m.gains[0], [1.0, 4.0])
-        np.testing.assert_allclose(m.law.stationary_marginals()[0], [0.5, 0.5])
+        np.testing.assert_allclose(m.law.probs[0], [0.5, 0.5])
 
     def test_degenerate_equal_states(self):
         # ratio 1: both states carry the same gain
@@ -94,7 +94,7 @@ class TestTruncatedRayleigh:
 
     def test_bins_are_equiprobable_and_increasing(self):
         m = build_model(TruncatedRayleighSpec(1.0, 0.1, 10.0, bins=16), 3)
-        probs = m.law.stationary_marginals()[0]
+        probs = m.law.probs[0]
         np.testing.assert_allclose(probs, 1 / 16)
         assert np.all(np.diff(m.gains[0]) > 0)
         assert m.gains[0][0] > 0.1 and m.gains[0][-1] < 10.0
@@ -110,6 +110,9 @@ class TestTruncatedRayleigh:
             TruncatedRayleighSpec(bins=1)
         with pytest.raises(ModelError):
             TruncatedRayleighSpec(eta_min=5.0, eta_max=1.0)
+        for scale in (float("nan"), float("inf")):
+            with pytest.raises(ModelError, match="scale"):
+                TruncatedRayleighSpec(scale=scale)
 
 
 class TestSampling:
@@ -387,3 +390,19 @@ class TestExplicitAndFiles:
 def test_gain_must_be_positive():
     with pytest.raises(ModelError):
         ChannelModel((np.array([0.0, 1.0]),), IIDProductLaw([np.array([0.5, 0.5])]))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_gain_must_be_finite(bad):
+    with pytest.raises(ModelError, match="gains"):
+        ChannelModel((np.array([bad, 1.0]),), IIDProductLaw([np.array([0.5, 0.5])]))
+
+
+def test_nan_probabilities_rejected():
+    nan = float("nan")
+    with pytest.raises(ModelError):
+        IIDProductLaw([np.array([nan, 0.5])])
+    with pytest.raises(ModelError):
+        IIDJointLaw([nan, 0.5], dims=(2,))
+    with pytest.raises(ModelError):
+        MarkovJointLaw([[nan, 0.5], [0.5, 0.5]], dims=(2,))

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from powergame.cli import main
 from powergame.experiments import preset
 
@@ -126,3 +128,67 @@ def test_region_fallback_preset_runs(tmp_path):
     out = tmp_path / "out"
     assert main(["region", "--out", str(out), "--seed", "2"]) == 0
     assert (out / "region.csv").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _with(cfg, path, value):
+    section, key = path.split(".")
+    cfg[section][key] = value
+    return cfg
+
+
+def _rate_game(cfg):
+    del cfg["game"]["a"]
+    cfg["game"]["rate"] = 1.0
+    return cfg
+
+
+def _rayleigh_channel(cfg):
+    cfg["channel"] = {"kind": "truncated_rayleigh"}
+    return cfg
+
+
+@pytest.mark.parametrize("path, value, prepare", [
+    ("engine.detection_tol", NAN, None),
+    ("engine.detection_tol", INF, None),
+    ("game.a", NAN, None),
+    ("game.a", INF, None),
+    ("game.rate", NAN, _rate_game),
+    ("game.sigma2", NAN, None),
+    ("game.p_max", NAN, None),
+    ("game.p_max", [1.0, NAN], None),
+    ("channel.scale", NAN, _rayleigh_channel),
+])
+def test_nan_and_infinite_inputs_exit_2_naming_the_field(tmp_path, capsys, path, value,
+                                                         prepare):
+    # JSON parsing accepts NaN and Infinity, which slip past ``x <= 0`` checks
+    cfg = small_config() if prepare is None else prepare(small_config())
+    path_arg = write_config(tmp_path, _with(cfg, path, value))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path_arg, "--out", str(out)]) == 2
+    assert path in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p_max", [INF, [1.0, INF]])
+def test_infinite_power_cap_means_no_cap(tmp_path, p_max):
+    path = write_config(tmp_path, _with(small_config(), "game.p_max", p_max))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_region_cap_binding_in_some_states_exits_3(tmp_path, capsys):
+    # the cap of 5 is under the selfish equilibrium power in 31 of the 256
+    # joint states, which the region and its nash marker both need
+    cfg = {
+        "task": "region",
+        "game": {"K": 2, "a": 0.5, "sigma2": 1.0, "p_max": 5.0},
+        "channel": {"kind": "truncated_rayleigh", "scale": 1.0, "eta_min": 0.1,
+                    "eta_max": 10.0, "bins": 16},
+        "engine": {"seed": 1},
+    }
+    out = tmp_path / "out"
+    assert main(["region", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    assert "exceed caps" in capsys.readouterr().err
+    assert not out.exists()

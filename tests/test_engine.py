@@ -77,6 +77,11 @@ class TestDiscounting:
         with pytest.raises(ValueError):
             EngineConfig(horizon=10, lam=0.0, seed=1)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+    def test_detection_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="detection_tol"):
+            EngineConfig(horizon=10, lam=0.5, seed=1, detection_tol=tol)
+
 
 class TestRunGame:
     def test_single_stage_value(self):

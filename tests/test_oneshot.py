@@ -24,6 +24,17 @@ def params_for(k, a, sigma2=1.0, p_max=np.inf, rates=1.0):
     return GameParams(k, ExponentialEfficiency(a), rates=rates, sigma2=sigma2, p_max=p_max)
 
 
+class TestGameParamsValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("rates", np.nan), ("rates", [1.0, np.nan]), ("rates", np.inf),
+        ("sigma2", np.nan), ("sigma2", np.inf),
+        ("p_max", np.nan), ("p_max", [1.0, np.nan]), ("p_max", 0.0),
+    ])
+    def test_nan_and_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GameParams(2, ExponentialEfficiency(0.1), **{field: value})
+
+
 class TestSinr:
     def test_symmetric(self):
         p = params_for(2, 0.1)

@@ -1,0 +1,91 @@
+"""The shared selection masks against the reference scalar selectors.
+
+``select_best_users``, ``select_by_threshold`` and the recommendations of
+``compliant_profile`` all come from one mask per rule.  ``engine_oracle``
+keeps the former scalar selectors; the masks must reproduce them bit for
+bit, gain ties included.  Every monitored rule's alarm predicts the SINR of
+its own plan, which for the equal-received-power rules is
+gamma_tilde(k_active) up to rounding.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from engine_oracle import _select_best_users, _select_by_threshold
+from powergame.engine import _plan
+from powergame.oneshot import GameParams
+from powergame.strategies import (
+    BEST_USERS,
+    MONITORED_KINDS,
+    NASH,
+    OPERATING_POINT,
+    SOCIAL_OPTIMUM,
+    TIME_SHARING,
+    compliant_profile,
+    select_best_users,
+    select_by_threshold,
+    threshold,
+)
+
+# a few repeated values make gain ties common
+GAINS = st.sampled_from([0.25, 1.0, 1.0 + 2.0**-52, 2.0, 4.0]) | st.floats(0.1, 10.0)
+
+
+@st.composite
+def stages(draw):
+    k = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 4))
+    eta = np.array(draw(st.lists(st.lists(GAINS, min_size=k, max_size=k),
+                                 min_size=rows, max_size=rows)))
+    a = draw(st.sampled_from([0.05, 0.1, 0.3, 1.0]))
+    alpha = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return GameParams.symmetric(k, a=a), eta, alpha
+
+
+def assert_same_indices(got, ref):
+    assert got.dtype == ref.dtype
+    np.testing.assert_array_equal(got, ref)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(stages())
+@example((GameParams.symmetric(1, a=0.1), np.array([[0.7], [3.0]]), 1.0))
+@example((GameParams.symmetric(3, a=0.1), np.array([[2.0, 2.0, 2.0], [1.0, 4.0, 4.0]]), 0.0))
+@example((GameParams.symmetric(4, a=0.3), np.array([[4.0, 1.0, 4.0, 1.0]]), 1.0))
+def test_masks_match_the_reference_selectors(stage):
+    params, eta, alpha = stage
+    best = compliant_profile(params, BEST_USERS, eta)[1]
+    above = compliant_profile(params, threshold(alpha), eta)[1]
+    for t, row in enumerate(eta):
+        ref_best = _select_best_users(params, row)
+        ref_above = _select_by_threshold(alpha, row)
+        assert_same_indices(select_best_users(params, row), ref_best)
+        assert_same_indices(select_by_threshold(alpha, row), ref_above)
+        assert_same_indices(np.nonzero(best[t])[0], ref_best)
+        assert_same_indices(np.nonzero(above[t])[0], ref_above)
+
+
+@pytest.mark.parametrize("kind", [OPERATING_POINT, BEST_USERS, threshold(0.5)])
+def test_alarm_predicts_gamma_tilde_within_4_ulp(kind):
+    rng = np.random.default_rng(2024)
+    for k in (1, 2, 3, 5, 10):
+        for a, sigma2 in ((0.05, 1.0), (0.1, 0.3), (0.5, 2.0)):
+            params = GameParams.symmetric(k, a=a, sigma2=sigma2)
+            eta = rng.uniform(0.1, 10.0, (200, k))
+            _, recommended, k_active = compliant_profile(params, kind, eta)
+            expected = _plan(params, (kind,) * k, eta, True)[2]
+            gamma = np.array([np.nan] + [params.gamma_tilde(m) for m in range(1, k + 1)])
+            gamma = np.broadcast_to(gamma[k_active][:, None], eta.shape)
+            ulps = np.abs(expected - gamma)[recommended] / np.spacing(gamma[recommended])
+            assert ulps.max() <= 4, (k, a, sigma2)
+
+
+def test_only_monitored_rules_carry_an_alarm():
+    params = GameParams.symmetric(5, a=0.1)
+    kinds = (NASH, TIME_SHARING, OPERATING_POINT, BEST_USERS, SOCIAL_OPTIMUM)
+    eta = np.random.default_rng(5).uniform(0.1, 10.0, (6, 5))
+    expected = _plan(params, kinds, eta, False)[2]
+    for i, kind in enumerate(kinds):
+        assert np.isnan(expected[:, i]).all() == (kind.name not in MONITORED_KINDS)

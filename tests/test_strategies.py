@@ -190,6 +190,12 @@ class TestDeviationDetection:
         with pytest.raises(ValueError):
             detect_deviation(1.0, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_nan_or_infinite_tol_rejected(self, tol):
+        # either would make the alarm never fire
+        with pytest.raises(ValueError, match="tol"):
+            detect_deviation(1.0, 2.0, tol=tol)
+
 
 def test_grim_trigger_is_absorbing():
     state = PunishmentState()
