@@ -60,7 +60,6 @@ from .errors import (
     PowerGameError,
     ReducibleLawError,
     SaturationError,
-    SolverError,
 )
 from .experiments import PRESETS, load_config, parse_config, preset, run_experiment
 from .oneshot import (

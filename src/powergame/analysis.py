@@ -21,7 +21,7 @@ from .geometry import (
     convex_hull,
     weighted_minkowski_sum,
 )
-from .oneshot import GameParams, nash_powers, operating_point_powers, utility
+from .oneshot import GameParams, _power_grid, nash_powers, utility
 from .strategies import (
     BEST_USERS,
     NASH,
@@ -115,30 +115,15 @@ class RegionResult:
     state_grids: list  # per state, per player candidate power arrays
 
 
-def _region_power_grid(params: GameParams, eta_s: np.ndarray, i: int,
-                       grid_size: int) -> np.ndarray:
-    """Quantized actions for one player in one state: always contains 0,
-    the equilibrium power and the equal-received-power levels, padded with
-    a log-spaced fill up to ``grid_size`` points."""
-    seeds = {float(nash_powers(params, eta_s)[i])}
-    seeds.add(float(operating_point_powers(params, eta_s)[i]))
-    seeds.add(float(params.equal_power_coeff(1) / eta_s[i]))
-    seeds = sorted(s for s in seeds if s <= params.p_max[i])
-    hi = params.p_max[i]
-    if not np.isfinite(hi):
-        hi = 10.0 * max(seeds)
-    n_fill = grid_size - 1 - len(seeds)
-    fill = np.geomspace(min(seeds) / 10.0, hi, n_fill) if n_fill > 0 else np.empty(0)
-    return np.unique(np.concatenate([[0.0], seeds, fill]))
-
-
 def feasible_region_2p(params: GameParams, model, grid_size: int = 12) -> RegionResult:
     """Feasible set of expected utility pairs over stationary state-feedback
     strategies (with public randomization) on quantized action grids.
 
     Per joint state the achievable utility pairs form a finite cloud; the
     expected-utility set is the probability-weighted Minkowski sum of the
-    clouds' convex hulls.  Requires K = 2 and an i.i.d. state law.
+    clouds' convex hulls.  Each player's grid is ``oneshot._power_grid``.
+    Requires K = 2, an i.i.d. state law and, in every joint state, the
+    selfish equilibrium under the caps (else ``SaturationError``).
     """
     if params.n_players != 2:
         raise ValueError("the exact region is only computed for 2-player games")
@@ -150,10 +135,10 @@ def feasible_region_2p(params: GameParams, model, grid_size: int = 12) -> Region
     _, gains, probs = joint_state_table(model)
     hulls = []
     grids = []
-    for s in range(gains.shape[0]):
-        eta_s = gains[s]
-        g0 = _region_power_grid(params, eta_s, 0, grid_size)
-        g1 = _region_power_grid(params, eta_s, 1, grid_size)
+    for eta_s in gains:
+        nash_powers(params, eta_s)  # raises where the equilibrium exceeds a cap
+        g0 = _power_grid(params, eta_s, 0, grid_size)
+        g1 = _power_grid(params, eta_s, 1, grid_size)
         grids.append((g0, g1))
         p0, p1 = np.meshgrid(g0, g1, indexing="ij")
         profiles = np.stack([p0.ravel(), p1.ravel()], axis=-1)

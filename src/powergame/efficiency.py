@@ -1,4 +1,4 @@
-"""Block-success efficiency functions and their characteristic SINR roots.
+"""Block-success efficiency functions and their characteristic SINRs.
 
 The efficiency function maps a post-detection SINR to the probability that
 a data block is received correctly.  It must be sigmoidal: strictly
@@ -9,21 +9,17 @@ levels derived from it drive everything else in the package:
   selfish energy-efficiency maximizer targets.
 * ``gamma_tilde`` -- the root of x [1 - (k-1) x] f'(x) - f(x) = 0, the SINR
   every member of a k-player equal-received-power profile realizes.
+
+For f(x) = exp(-a/x), x f'(x) = (a/x) f(x), so both roots are closed
+forms: beta_star = a and gamma_tilde(k) = a / (1 + (k-1) a).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-
-from .errors import SolverError
-
-_MAX_BRACKET_STEPS = 2000
-_BISECT_ITERS = 200
-_RESIDUAL_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -56,108 +52,19 @@ class ExponentialEfficiency:
             out = np.where(x > 0, np.exp(-self.a / np.where(x > 0, x, 1.0)), 0.0)
         return out if out.ndim else float(out)
 
-    def derivative(self, x):
-        """f'(x) = (a / x^2) exp(-a / x), extended by f'(0) = 0."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
-            raise ValueError("SINR must be nonnegative")
-        xs = np.where(x > 0, x, 1.0)
-        out = np.where(x > 0, (self.a / xs**2) * np.exp(-self.a / xs), 0.0)
-        return out if out.ndim else float(out)
 
-    def second_derivative(self, x):
-        """f''(x); changes sign exactly once, at the inflection x = a/2."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
-            raise ValueError("SINR must be nonnegative")
-        xs = np.where(x > 0, x, 1.0)
-        out = np.where(
-            x > 0, (self.a / xs**3) * np.exp(-self.a / xs) * (self.a / xs - 2.0), 0.0
-        )
-        return out if out.ndim else float(out)
-
-
-def _equilibrium_equation(eff, k: int, x: float) -> float:
-    # h(x) = x [1 - (k-1) x] f'(x) - f(x); k = 1 gives x f'(x) - f(x).
-    return x * (1.0 - (k - 1) * x) * eff.derivative(x) - eff.value(x)
-
-
-def _equilibrium_equation_prime(eff, k: int, x: float) -> float:
-    return (-2.0 * (k - 1) * x) * eff.derivative(x) + x * (
-        1.0 - (k - 1) * x
-    ) * eff.second_derivative(x)
-
-
-def _solve_characteristic_root(eff, k: int) -> float:
-    """Unique positive root of the k-player characteristic equation.
-
-    Bracketed bisection (guaranteed for sigmoidal f) followed by a Newton
-    polish that is rejected whenever it steps outside the bracket.
-    """
-    h = lambda x: _equilibrium_equation(eff, k, x)
-
-    if k >= 2:
-        hi = (1.0 - 1e-12) / (k - 1)  # beyond 1/(k-1) the equation is negative
-    else:
-        hi = 1.0
-        for _ in range(_MAX_BRACKET_STEPS):
-            if h(hi) < 0:
-                break
-            hi *= 2.0
-        else:
-            raise SolverError("no sign change found while growing the upper bracket")
-    lo = hi / 2.0
-    for _ in range(_MAX_BRACKET_STEPS):
-        if h(lo) > 0:
-            break
-        lo /= 2.0
-    else:
-        raise SolverError("no strictly positive point found for the lower bracket")
-
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-
-    x = 0.5 * (lo + hi)
-    for _ in range(8):
-        hp = _equilibrium_equation_prime(eff, k, x)
-        if hp == 0:
-            break
-        step = h(x) / hp
-        cand = x - step
-        if not (lo <= cand <= hi):
-            break
-        x = cand
-        if abs(step) <= 1e-16 * x:
-            break
-
-    if abs(h(x)) > _RESIDUAL_RTOL * max(eff.value(x), 1e-300):
-        raise SolverError(f"characteristic root residual too large at x={x}")
-    return x
-
-
-@lru_cache(maxsize=None)
 def beta_star(eff) -> float:
-    """SINR target of a selfish energy-efficiency maximizer.
-
-    Root of x f'(x) - f(x) = 0.  For ``ExponentialEfficiency(a)`` this
-    equals ``a`` exactly; the solver does not use that fact.
-    """
-    return _solve_characteristic_root(eff, 1)
+    """SINR target of a selfish energy-efficiency maximizer: the root of
+    x f'(x) - f(x) = 0, which is ``a`` exactly."""
+    return float(eff.a)
 
 
-@lru_cache(maxsize=None)
 def gamma_tilde(eff, k: int) -> float:
     """Per-player SINR of the k-player equal-received-power profile.
 
-    Root of x [1 - (k-1) x] f'(x) - f(x) = 0.  Reduces to ``beta_star``
-    for k = 1, and is strictly decreasing in k.
+    Root of x [1 - (k-1) x] f'(x) - f(x) = 0, i.e. a / (1 + (k-1) a).
+    Reduces to ``beta_star`` for k = 1, and is strictly decreasing in k.
     """
     if k < 1:
         raise ValueError(f"player count must be >= 1, got {k}")
-    return _solve_characteristic_root(eff, int(k))
+    return eff.a / (1.0 + (int(k) - 1) * eff.a)

@@ -32,9 +32,5 @@ class ModelError(PowerGameError):
     """A channel model cannot be constructed as specified."""
 
 
-class SolverError(PowerGameError):
-    """A root solver failed to converge within its iteration cap."""
-
-
 class ConfigError(PowerGameError):
     """An experiment configuration is malformed or violates the schema."""

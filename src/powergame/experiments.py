@@ -379,12 +379,10 @@ def _task_simulate(exp: Experiment) -> list:
             averages.append(result.time_average)
             if r == 0 and exp.trace and exp.sweep_axis is None:
                 trace_text = trace_csv(result)
-        discounted = np.array(discounted)
-        averages = np.array(averages)
-        se = UtilityEstimate.from_replicates(averages).stderr
+        v = UtilityEstimate.from_replicates(np.array(discounted)).mean
+        u = UtilityEstimate.from_replicates(np.array(averages))
         for i in range(params.n_players):
-            row = (f"{i},{_fmt(discounted[:, i].mean())},"
-                   f"{_fmt(averages[:, i].mean())},{_fmt(se[i])}")
+            row = f"{i},{_fmt(v[i])},{_fmt(u.mean[i])},{_fmt(u.stderr[i])}"
             lines.append(row if exp.sweep_axis is None else f"{_axis_value(exp, value)},{row}")
         if trace_text is not None:
             artifacts.append(("trace.csv", trace_text))

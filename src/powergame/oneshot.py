@@ -88,10 +88,9 @@ class GameParams:
 
     def nash_scale(self) -> float:
         """sigma2 * beta_star / (1 - (K-1) beta_star), the common received
-        power at the selfish equilibrium; raises when it saturates."""
+        power at the selfish equilibrium; raises when (K-1) beta_star >= 1."""
         bs = beta_star(self.eff)
-        # the root solver is only exact to ~1e-13, hence the slack
-        if (self.n_players - 1) * bs >= 1.0 - 1e-9:
+        if (self.n_players - 1) * bs >= 1.0:
             raise SaturationError(
                 f"(K-1)*beta_star = {(self.n_players - 1) * bs:.6g} >= 1: the "
                 "selfish equilibrium saturates for this player count"
@@ -102,10 +101,13 @@ class GameParams:
         return gamma_tilde(self.eff, k)
 
     def equal_power_coeff(self, k: int) -> float:
-        """sigma2 * g / (1 - (k-1) g) with g = gamma_tilde(k): the common
-        received power of a k-player equal-received-power profile."""
-        g = self.gamma_tilde(k)
-        return self.sigma2 * g / (1.0 - (k - 1) * g)
+        """The common received power of a k-player equal-received-power
+        profile, sigma2 * g / (1 - (k-1) g) with g = gamma_tilde(k).  With
+        g = a / (1 + (k-1) a) this is sigma2 * a for every k, so it is
+        returned as that product."""
+        if k < 1:
+            raise ValueError(f"player count must be >= 1, got {k}")
+        return self.sigma2 * self.eff.a
 
     def require_equal_rates(self) -> float:
         if np.any(self.rates != self.rates[0]):
@@ -223,17 +225,17 @@ def operating_point_powers(params: GameParams, eta, active=None) -> np.ndarray:
 
 
 def _power_grid(params: GameParams, eta, i: int, grid_size: int) -> np.ndarray:
-    """Candidate powers for player i: 0, the equilibrium power (when it
-    exists), the equal-received-power powers for every group size, each
-    kept only under the cap, and a log fill from a tenth of the smallest
-    kept one (of the cap when none is kept) up to the cap (to ten times
-    the largest without one)."""
-    k = params.n_players
+    """``grid_size`` candidate powers for player i: 0, the equilibrium power
+    (when it exists) and the equal-received-power power, each seed kept
+    only under the cap and counted once, and a log fill from a tenth of the
+    smallest kept seed (of the cap when none is kept) up to the cap (to ten
+    times the largest seed without one).  A fill point that falls exactly
+    on a seed is kept once, which leaves the grid a point short."""
+    seeds = {params.equal_power_coeff(1) / eta[i]}
     try:
-        seeds = [params.nash_scale() / eta[i]]
+        seeds.add(params.nash_scale() / eta[i])
     except SaturationError:
-        seeds = []
-    seeds += [params.equal_power_coeff(m) / eta[i] for m in range(1, k + 1)]
+        pass
     seeds = [s for s in seeds if s <= params.p_max[i]]
     hi = params.p_max[i]
     if not np.isfinite(hi):
@@ -247,8 +249,8 @@ def _power_grid(params: GameParams, eta, i: int, grid_size: int) -> np.ndarray:
 def social_optimum(params: GameParams, eta, grid_size: int = 12):
     """Welfare-maximizing profile on a per-player power grid.
 
-    The grid always contains 0, the selfish equilibrium power and every
-    equal-received-power level, so the result weakly dominates those
+    The grid always contains 0, the selfish equilibrium power and the
+    equal-received-power power, so the result weakly dominates those
     profiles by construction.  Exhaustive for K <= 4; coordinate ascent
     from several starting profiles otherwise, skipping those over a cap
     (from all players silent when every one is).

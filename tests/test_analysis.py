@@ -25,7 +25,7 @@ from powergame.efficiency import ExponentialEfficiency
 from powergame.engine import estimate_expected_utilities, estimate_expected_utility
 from powergame.errors import ModelError, SaturationError
 from powergame.geometry import point_in_convex_polygon
-from powergame.oneshot import GameParams, utility
+from powergame.oneshot import GameParams, _power_grid, utility
 from powergame.strategies import BEST_USERS, NASH, OPERATING_POINT
 
 
@@ -245,6 +245,18 @@ class TestRegion:
         )
         with pytest.raises(ValueError):
             feasible_region_2p(params_for(1, 0.1), markov)
+
+    @pytest.mark.parametrize("p_max,grid_size", [
+        (np.inf, 12), (20.0, 12), (50.0, 6), (20.0, 3), (np.inf, 2),
+    ])
+    def test_state_grids_are_the_welfare_grids(self, p_max, grid_size):
+        params = params_for(2, 0.5, p_max=p_max)
+        model = build_model(TruncatedRayleighSpec(1.0, 0.1, 10.0, 4), 2)
+        region = feasible_region_2p(params, model, grid_size)
+        for eta, grids in zip(region.state_gains, region.state_grids):
+            for i in (0, 1):
+                np.testing.assert_array_equal(
+                    grids[i], _power_grid(params, eta, i, grid_size))
 
     def test_cap_binding_in_some_joint_states_is_refused(self):
         # at p_max 5 the selfish equilibrium power is over the cap in 31 of

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from powergame.efficiency import ExponentialEfficiency, beta_star, gamma_tilde
+from powergame.errors import SaturationError
+from powergame.oneshot import GameParams
 
 
 def oracle_root(a: float, k: int, iters: int = 240) -> float:
@@ -69,9 +71,10 @@ class TestEval:
 
     def test_sigmoid_inflection_at_half_a(self):
         # exactly one sign change of f'' on x > 0, at x = a/2
-        eff = ExponentialEfficiency(0.8)
+        a = 0.8
         xs = np.linspace(0.01, 10, 2000)
-        signs = np.sign(eff.second_derivative(xs))
+        fpp = (a / xs**3) * ExponentialEfficiency(a).value(xs) * (a / xs - 2.0)
+        signs = np.sign(fpp)
         changes = np.nonzero(np.diff(signs))[0]
         assert changes.size == 1
         assert abs(xs[changes[0]] - 0.4) < 0.01
@@ -87,9 +90,10 @@ class TestRoots:
 
     def test_beta_star_residual_over_grid(self):
         for a in np.linspace(0.01, 1.0, 23):
-            eff = ExponentialEfficiency(float(a))
-            x = beta_star(eff)
-            assert abs(x * eff.derivative(x) - eff.value(x)) <= 1e-10
+            a = float(a)
+            x = beta_star(ExponentialEfficiency(a))
+            fp = (a / x**2) * math.exp(-a / x)
+            assert abs(x * fp - math.exp(-a / x)) <= 1e-10
 
     @pytest.mark.parametrize(
         "a,k,closed",
@@ -121,10 +125,35 @@ class TestRoots:
             gamma_tilde(ExponentialEfficiency(0.1), 0)
 
 
-def test_derivative_matches_finite_differences():
-    for a in (0.05, 0.3, 1.0):
+class TestClosedForms:
+    A_VALUES = (0.01, 0.1, 0.15, 0.2, 1 / 3, 0.5, 0.7, 1.0, 2.0 ** 0.5 - 1.0)
+
+    @pytest.mark.parametrize("a", A_VALUES)
+    def test_roots_are_the_closed_forms_bitwise(self, a):
         eff = ExponentialEfficiency(a)
-        xs = np.linspace(a / 10, 10 * a, 40)
-        h = 1e-6 * xs
-        fd = (eff.value(xs + h) - eff.value(xs - h)) / (2 * h)
-        assert np.allclose(eff.derivative(xs), fd, rtol=1e-6)
+        assert beta_star(eff) == a
+        for k in range(1, 11):
+            assert gamma_tilde(eff, k) == a / (1 + (k - 1) * a)
+
+    @pytest.mark.parametrize("a", A_VALUES)
+    @pytest.mark.parametrize("sigma2", [1.0, 0.3, 2e-13])
+    def test_equal_power_coeff_is_sigma2_a(self, a, sigma2):
+        params = GameParams.symmetric(10, a=a, sigma2=sigma2)
+        for k in range(1, 11):
+            assert params.equal_power_coeff(k) == sigma2 * a
+            # the product it stands for, to rounding
+            g = a / (1 + (k - 1) * a)
+            assert params.equal_power_coeff(k) == pytest.approx(
+                sigma2 * g / (1 - (k - 1) * g), rel=1e-14)
+
+    @pytest.mark.parametrize("k,a", [(2, 1.0), (3, 0.5), (5, 0.25), (3, 0.75)])
+    def test_saturation_at_the_boundary(self, k, a):
+        with pytest.raises(SaturationError):
+            GameParams.symmetric(k, a=a).nash_scale()
+
+    def test_just_below_the_boundary_is_finite(self):
+        a = float(np.nextafter(0.5, 0))
+        assert 2 * a < 1
+        scale = GameParams.symmetric(3, a=a).nash_scale()
+        assert math.isfinite(scale)
+        assert scale == a / (1.0 - 2 * a)

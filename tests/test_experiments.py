@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from powergame import experiments
 from powergame.channels import ChannelModel, MarkovJointLaw, save_model
+from powergame.engine import EngineConfig, UtilityEstimate, run_game
 from powergame.errors import ConfigError
 from powergame.experiments import (
     PRESETS,
@@ -136,6 +138,27 @@ class TestRunExperiment:
             body = (out / name).read_text()
             assert hashlib.sha256(body.encode()).hexdigest() == digest
         assert "game.sigma2" in manifest["defaults_used"]
+
+    @pytest.mark.parametrize("replicates", [9, 12, 17])
+    def test_summary_means_are_the_replicate_statistic(self, tmp_path, monkeypatch,
+                                                       replicates):
+        # printed in full so that a last-bit difference shows: a column mean
+        # a[:, i].mean() sums pairwise and differs from the row-by-row sum
+        # of mean(axis=0) from 9 replicates on
+        monkeypatch.setattr(experiments, "_fmt", lambda x: repr(float(x)))
+        cfg = small_simulate_config(replicates=replicates)
+        run_experiment(cfg, tmp_path / "out")
+        params, model, kinds = experiments._build_point(parse_config(cfg), None)
+        runs = [run_game(params, model, kinds * 2,
+                         EngineConfig(horizon=300, lam=0.05, seed=11, spawn_key=(0, r)))
+                for r in range(replicates)]
+        v = UtilityEstimate.from_replicates(np.array([r.discounted for r in runs]))
+        u = UtilityEstimate.from_replicates(np.array([r.time_average for r in runs]))
+        want = ["player,v_discounted,u_avg,stderr"] + [
+            f"{i},{float(v.mean[i])!r},{float(u.mean[i])!r},{float(u.stderr[i])!r}"
+            for i in range(2)
+        ]
+        assert (tmp_path / "out" / "summary.csv").read_text().splitlines() == want
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -320,7 +343,8 @@ def _pinned_configs(directory):
 # sha256 of each artifact (config.json, which echoes the model path, aside),
 # computed before paired replicates shared one path and Markov chains were
 # stepped without a numpy call per stage (the region, a 256-state Minkowski
-# fold, before Minkowski sums kept only candidate pairs)
+# fold, before Minkowski sums kept only candidate pairs; its region.csv and
+# fstar.csv since the region grid is oneshot._power_grid)
 PINNED_ARTIFACTS = {
     "dominance": {
         "dominance.csv": "d6726365b99b845968df016bbf067b2deccf270cbf9ae067605c644663b40120"},
@@ -335,9 +359,9 @@ PINNED_ARTIFACTS = {
     "markov_lambdamax": {
         "lambdamax.csv": "30af5b6197d9358b7aac7c8a28c2d92051d8410f36d5254dedea13d2cb8fd9b5"},
     "rayleigh16_region": {
-        "region.csv": "e336a02af8e64280fcd9f3e5ca21263394342b4ee8e6a8d10742aac9072dcdd4",
+        "region.csv": "0a4e2bc661debe4174c35d8fea0dc40ac59c838c732360e1f30646312717068a",
         "markers.csv": "8cd05c83c92b4c0f0d9dc3416feb1adb30a9c1bb23e4816a53c2a01d53d6320d",
-        "fstar.csv": "6dff0573e98676042ebd4cc786d2018d2bc8829e385057f0a8f9752905fb5f46",
+        "fstar.csv": "706072c1b9066b4cfd8f113e51297c72d3caee0ad5fe3fc9502c92c66fc8df55",
         "minmax.csv": "2d4dc7e45544f2e3be7ee0132b3ea0a0b43a1d658c71f32a672f0b883aa6ba3c"},
 }
 

@@ -26,15 +26,23 @@ def assert_bitwise(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def state_clouds(params, region, nudge_ulps=0):
+    """Utility pairs over each state's grids; with ``nudge_ulps``, each
+    player's grid also holds its equal-received-power power raised by that
+    many ulps, beside the exact one."""
+    for eta, grids in zip(region.state_gains, region.state_grids):
+        if nudge_ulps:
+            level = params.equal_power_coeff(1) / eta * (1.0 + nudge_ulps * 2.0**-52)
+            grids = [np.union1d(g, level[i]) for i, g in enumerate(grids)]
+        p0, p1 = np.meshgrid(*grids, indexing="ij")
+        yield utility(params, eta, np.stack([p0.ravel(), p1.ravel()], -1))
+
+
 def region_and_state_hulls(bins, cap, grid_size, a=0.5, sigma2=1.0):
     params = GameParams.symmetric(2, a=a, sigma2=sigma2, p_max=cap * sigma2)
     model = build_model(TruncatedRayleighSpec(1.0, 0.1, 10.0, bins), 2)
     region = feasible_region_2p(params, model, grid_size)
-    hulls = []
-    for eta, (g0, g1) in zip(region.state_gains, region.state_grids):
-        p0, p1 = np.meshgrid(g0, g1, indexing="ij")
-        hulls.append(convex_hull_oracle(utility(params, eta, np.stack([p0.ravel(), p1.ravel()], -1))))
-    return region, hulls
+    return region, [convex_hull_oracle(c) for c in state_clouds(params, region)]
 
 
 @pytest.mark.parametrize("bins,cap,grid_size", [
@@ -47,12 +55,19 @@ def test_region_hull_matches_pair_enumeration(bins, cap, grid_size):
 
 
 def test_rayleigh16_with_near_duplicate_vertices():
-    region, hulls = region_and_state_hulls(16, 20.0, 12)
-    # state 8 holds two vertices a few ulps apart, which share one arc
+    # a second equal-received-power power 4 ulps above the first gives many
+    # state hulls two vertices a few ulps apart, which share one arc
+    params = GameParams.symmetric(2, a=0.5, p_max=20.0)
+    model = build_model(TruncatedRayleighSpec(1.0, 0.1, 10.0, 16), 2)
+    region = feasible_region_2p(params, model, 12)
+    clouds = list(state_clouds(params, region, nudge_ulps=4))
+    hulls = [convex_hull_oracle(c) for c in clouds]
     edges = np.diff(np.vstack([hulls[8], hulls[8][:1]]), axis=0)
     assert np.hypot(edges[:, 0], edges[:, 1]).min() < 1e-15
-    assert_bitwise(region.hull, weighted_minkowski_sum_oracle(hulls, region.state_probs))
-    assert_bitwise(weighted_minkowski_sum(hulls, region.state_probs), region.hull)
+    for cloud, hull in zip(clouds, hulls):
+        assert_bitwise(convex_hull(cloud), hull)
+    assert_bitwise(weighted_minkowski_sum(hulls, region.state_probs),
+                   weighted_minkowski_sum_oracle(hulls, region.state_probs))
 
 
 def regular_polygon(n, radius=1.0, phase=0.0, center=(0.0, 0.0)):

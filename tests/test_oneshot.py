@@ -278,6 +278,27 @@ class TestSocialOptimum:
         with pytest.raises(ValueError):
             social_optimum(p, [1.0, 1.0], grid_size=1)
 
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_uncapped_grid_has_grid_size_points(self, k):
+        # 0, the equilibrium power, one equal-received-power power and the fill
+        p = params_for(k, 0.1)
+        eta = np.linspace(0.5, 3.0, k)
+        for grid_size in (3, 6, 12):
+            for i in range(k):
+                grid = _power_grid(p, eta, i, grid_size)
+                assert grid.size == grid_size
+                assert p.nash_scale() / eta[i] in grid
+                assert p.equal_power_coeff(k) / eta[i] in grid
+
+    def test_fill_point_on_a_seed_is_counted_once(self):
+        # at K = 10, a = 0.1 the equilibrium power is 10 times the equal
+        # one; a 37-point fill over the three decades around them steps by
+        # 10**(1/12), so its 13th and 25th points round to or next to them
+        p = params_for(10, 0.1)
+        grid = _power_grid(p, np.ones(10), 0, 40)
+        assert 38 <= grid.size < 40
+        assert p.nash_scale() in grid and p.equal_power_coeff(10) in grid
+
     def test_every_candidate_over_the_cap(self):
         # players 0 and 1 need 0.5 W and more for any named profile; the
         # cap is 0.09 W, so their grids are 0 plus a log fill up to the cap
@@ -319,12 +340,13 @@ class TestSocialOptimum:
 
     @pytest.mark.parametrize("k,p_max,eta,digest", [
         (5, np.inf, [0.5, 2, 3, 4, 5],
-         "922bde3595bc1641439e445482716e42623bda47785607a84de8771539ee0809"),
+         "955a96c914affa52baeb91e1c09ee3840c52d75bb04f408764ec4baf2f017e06"),
         (6, 1.0, np.linspace(0.5, 3.0, 6),
-         "f3737c4ce039f80af34b321d27aec2de7cf771770c98ba951b5de03d57c46ff9"),
+         "d1fa1c4da66b5d3dc5c606bf052b681a5d08db5b20bc25da54901695c8f26738"),
     ])
     def test_coordinate_ascent_bytes_are_pinned(self, k, p_max, eta, digest):
-        # sha256 of (powers, welfare) computed before capped starts were skipped
+        # sha256 of (powers, welfare) on grids of grid_size points each,
+        # with the closed-form equal-received-power level
         powers, w = social_optimum(GameParams.symmetric(k, a=0.1, p_max=p_max), eta)
         got = hashlib.sha256(powers.tobytes() + np.float64(w).tobytes()).hexdigest()
         assert got == digest
