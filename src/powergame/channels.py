@@ -31,7 +31,6 @@ _ROW_SUM_TOL = 1e-12
 _JOINT_CAP = 1 << 17  # largest joint space materialized exactly
 
 MODEL_FILE_FORMAT = "powergame-channel-model-v2"
-_MODEL_FILE_FORMAT_V1 = "powergame-channel-model-v1"  # still loaded
 
 
 def _check_probs(vec, what: str) -> np.ndarray:
@@ -360,12 +359,6 @@ def stationary_distribution(law) -> np.ndarray:
     return law.stationary_joint()
 
 
-def _row_sum_checksum(rows) -> str:
-    # v1 files only: detects a changed row count, not changed entries
-    sums = np.asarray(rows, dtype=float).sum(axis=-1)
-    return hashlib.sha256(np.round(sums, 9).tobytes()).hexdigest()
-
-
 def _content_sha256(gains, law_values) -> str:
     """sha256 over the little-endian float64 bytes of the per-player state
     counts, every gain, and the law's ``mu`` or ``transition`` entries."""
@@ -401,15 +394,15 @@ def save_model(model: ChannelModel, path) -> None:
 
 
 def load_model(path) -> ChannelModel:
-    """Load a model written by ``save_model`` (or by hand, same schema);
-    v1 files load under their row-sum checksum."""
+    """Load a model written by ``save_model`` (or by hand, same schema).
+    Only the current format is read, so its content sha256 always holds."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelError(f"{path}: not valid JSON ({exc})") from exc
     fmt = doc.get("format")
-    if fmt not in (MODEL_FILE_FORMAT, _MODEL_FILE_FORMAT_V1):
+    if fmt != MODEL_FILE_FORMAT:
         raise ModelError(f"{path}: unknown format {fmt!r}")
     if "gains" not in doc:
         raise ModelError(f"{path}: missing gains")
@@ -418,11 +411,6 @@ def load_model(path) -> ChannelModel:
         raise ModelError(f"{path}: give exactly one of mu or transition")
     key = "mu" if "mu" in doc else "transition"
     values = np.asarray(doc[key], dtype=float)
-    if fmt == MODEL_FILE_FORMAT:
-        if doc.get("content_sha256") != _content_sha256(gains, values):
-            raise ModelError(f"{path}: content checksum missing or mismatched")
-    else:
-        expected = doc.get("row_sum_checksum")
-        if expected is not None and _row_sum_checksum(np.atleast_2d(values)) != expected:
-            raise ModelError(f"{path}: row-sum checksum mismatch")
+    if doc.get("content_sha256") != _content_sha256(gains, values):
+        raise ModelError(f"{path}: content checksum missing or mismatched")
     return build_model(ExplicitSpec(gains, **{key: values}), len(gains))

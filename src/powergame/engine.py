@@ -193,7 +193,7 @@ def _play(params: GameParams, kinds: tuple, eta: np.ndarray, cfg: EngineConfig):
         raise ValueError("deviation player index out of range")
     horizon = eta.shape[0]
 
-    planned, recommended, expected, failure = _plan(params, kinds, eta, dev is not None)
+    planned, recommended, expected = _plan(params, kinds, eta, dev is not None)
     deviating = slice(0, 0)
     if dev is not None:
         deviating = slice(dev.start - 1, None if dev.mode == "permanent" else dev.start)
@@ -218,15 +218,11 @@ def _play(params: GameParams, kinds: tuple, eta: np.ndarray, cfg: EngineConfig):
             deviating = slice(0, 0)  # caught before its deviation stage came
         powers = _deviate(params, eta, scheduled, dev, deviating)
         realized = None
-    # raise what the earliest failing stage raises: a rule that cannot plan
-    # it fails before anyone acts, then any scheduled power over its cap
-    # (the deviator's counts too, although it plays another one)
-    stop = horizon if failure is None else failure[0]
-    calm = stop if punishment_stage is None else min(punishment_stage, stop)
+    # raise what the earliest scheduled power over its cap raises (the
+    # deviator's counts too, although it plays another one)
+    calm = horizon if punishment_stage is None else punishment_stage
     check_caps(params, kinds, scheduled[:calm])
-    check_caps(params, NASH, scheduled[calm:stop])
-    if failure is not None:
-        raise failure[1]
+    check_caps(params, NASH, scheduled[calm:])
 
     if realized is None:
         realized = sinr(params, eta, powers)
@@ -237,15 +233,13 @@ def _play(params: GameParams, kinds: tuple, eta: np.ndarray, cfg: EngineConfig):
 def _plan(params, kinds, eta, deviation: bool):
     """Every player's unchecked compliant plan, one plan per distinct rule.
 
-    Returns ``(powers, recommended, expected, failure)``: ``expected`` is
-    the SINR each player's alarm predicts (NaN without an alarm), or None
-    when everyone follows one rule and nobody deviates; ``failure`` is
-    the earliest ``(row, error)`` a rule could not plan, or None.
+    Returns ``(powers, recommended, expected)``: ``expected`` is the SINR
+    each player's alarm predicts (NaN without an alarm), or None when
+    everyone follows one rule and nobody deviates.  Powers over their caps
+    are left for the caller to check.
     """
     rules = list(dict.fromkeys(kinds))
     plans = {rule: unchecked_profile(params, rule, eta) for rule in rules}
-    failure = min((p[3] for p in plans.values() if p[3] is not None),
-                  key=lambda f: f[0], default=None)
     if len(rules) == 1:  # no gathered copy: long compliant runs stay lean
         powers, recommended = plans[rules[0]][:2]
     else:
@@ -255,14 +249,14 @@ def _plan(params, kinds, eta, deviation: bool):
             powers[:, i] = plans[kind][0][:, i]
             recommended[:, i] = plans[kind][1][:, i]
     if len(rules) == 1 and not deviation:
-        return powers, recommended, None, failure
+        return powers, recommended, None
 
     expected = np.full(eta.shape, np.nan)
     for rule, (rule_powers, *_) in plans.items():
         if rule.name in MONITORED_KINDS:  # the alarm predicts the SINR of the rule's own plan
             cols = [i for i, kind in enumerate(kinds) if kind == rule]
             expected[:, cols] = sinr(params, eta, rule_powers)[:, cols]
-    return powers, recommended, expected, failure
+    return powers, recommended, expected
 
 
 def _deviate(params, eta, scheduled, dev, rows):
@@ -321,7 +315,7 @@ def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: 
         raise ValueError("replicates must be >= 1")
     kinds_list = list(kinds_list)
     rows = [[] for _ in kinds_list]
-    live, failure = len(rows), None  # entries from ``live`` on are not evaluated
+    live, error = len(rows), None  # entries from ``live`` on are not evaluated
     for r in range(replicates):
         cfg = EngineConfig(horizon=horizon, lam=0.5, seed=seed,
                            spawn_key=spawn_prefix + (r,))
@@ -330,13 +324,13 @@ def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: 
             try:
                 util = _play(params, _normalize_kinds(kinds, params.n_players), eta, cfg)[3]
             except (PowerGameError, ValueError) as exc:  # an earlier entry may still fail first
-                live, failure = j, exc
+                live, error = j, exc
                 break
             rows[j].append(util.mean(axis=0))
         if live == 0:
             break
-    if failure is not None:
-        raise failure
+    if error is not None:
+        raise error
     return [UtilityEstimate.from_replicates(np.array(per)) for per in rows]
 
 

@@ -14,13 +14,12 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import analysis
 from .channels import TruncatedRayleighSpec, TwoStateSpec, build_model, load_model
-from .efficiency import ExponentialEfficiency
 from .engine import (
     DeviationSpec,
     EngineConfig,
@@ -31,13 +30,10 @@ from .engine import (
 )
 from .errors import ConfigError
 from .oneshot import GameParams
-from .strategies import StrategyKind, threshold
+from .strategies import _VALID_KINDS, BEST_USERS, StrategyKind, threshold
 
 _TASKS = ("simulate", "dominance", "region", "lambdamax", "partition")
 _SWEEP_AXES = ("ratio", "K", "alpha")
-_STRATEGY_NAMES = (
-    "nash", "operating_point", "time_sharing", "best_users", "social_optimum",
-)
 
 DEFAULTS = {
     "game.rate_when_a_given": 1.0,
@@ -103,8 +99,8 @@ class Experiment:
     rate: float
     sigma2: float
     p_max: object
-    channel: dict
-    strategies: list
+    channel: TwoStateSpec | TruncatedRayleighSpec | str  # a str is a model file path
+    strategies: list[StrategyKind]
     horizon: int
     lam: float
     seed: int
@@ -205,12 +201,12 @@ def parse_config(cfg: dict) -> Experiment:
             not isinstance(v, (int, float)) or not 0 <= v <= 1 for v in sweep_values
         ):
             _fail("sweep.values", "alpha values must lie in [0, 1]")
-        if sweep_axis == "ratio" and channel["kind"] != "two_state":
+        if sweep_axis == "ratio" and not isinstance(channel, TwoStateSpec):
             _fail("sweep.axis", "ratio sweeps need a two_state channel")
-        if sweep_axis == "alpha" and not any(
-            s["kind"] == "threshold" for s in strategies
-        ):
+        if sweep_axis == "alpha" and not any(s.name == "threshold" for s in strategies):
             _fail("sweep.axis", "alpha sweeps need a threshold strategy")
+        if sweep_axis == "K" and isinstance(p_max, list):
+            _fail("game.p_max", "a per-player list cannot follow a K sweep")
         if sweep_axis == "K" and task == "simulate" and len(strategies) != 1:
             _fail("strategies", "sweeping K needs a single shared strategy")
 
@@ -236,7 +232,7 @@ def parse_config(cfg: dict) -> Experiment:
     return exp
 
 
-def _parse_channel(cfg: dict, used: list) -> dict:
+def _parse_channel(cfg: dict, used: list) -> TwoStateSpec | TruncatedRayleighSpec | str:
     kind = _get(cfg, "channel.kind", str)
     if kind == "two_state":
         eta_min = _get(cfg, "channel.eta_min", float, required=False,
@@ -248,34 +244,30 @@ def _parse_channel(cfg: dict, used: list) -> dict:
             _fail("channel.eta_max", "need 0 < eta_min <= eta_max < inf")
         if not 0 < p_high < 1:
             _fail("channel.p_high", "must be in (0, 1)")
-        return {"kind": kind, "eta_min": eta_min, "eta_max": eta_max, "p_high": p_high}
+        return TwoStateSpec(eta_min, eta_max, p_high)
     if kind == "truncated_rayleigh":
-        out = {
-            "kind": kind,
-            "scale": _get(cfg, "channel.scale", float, required=False,
-                          default=DEFAULTS["channel.scale"], defaults_used=used),
-            "eta_min": _get(cfg, "channel.eta_min", float, required=False,
-                            default=DEFAULTS["channel.eta_min(rayleigh)"], defaults_used=used),
-            "eta_max": _get(cfg, "channel.eta_max", float, required=False,
-                            default=DEFAULTS["channel.eta_max(rayleigh)"], defaults_used=used),
-            "bins": _get(cfg, "channel.bins", int, required=False,
-                         default=DEFAULTS["channel.bins"], defaults_used=used),
-        }
-        _require_positive_finite("channel.scale", out["scale"])
-        if out["bins"] < 2:
+        scale = _get(cfg, "channel.scale", float, required=False,
+                     default=DEFAULTS["channel.scale"], defaults_used=used)
+        eta_min = _get(cfg, "channel.eta_min", float, required=False,
+                       default=DEFAULTS["channel.eta_min(rayleigh)"], defaults_used=used)
+        eta_max = _get(cfg, "channel.eta_max", float, required=False,
+                       default=DEFAULTS["channel.eta_max(rayleigh)"], defaults_used=used)
+        bins = _get(cfg, "channel.bins", int, required=False,
+                    default=DEFAULTS["channel.bins"], defaults_used=used)
+        _require_positive_finite("channel.scale", scale)
+        if bins < 2:
             _fail("channel.bins", "must be >= 2")
-        if not 0 <= out["eta_min"] < out["eta_max"]:
+        if not 0 <= eta_min < eta_max:
             _fail("channel.eta_max", "need 0 <= eta_min < eta_max")
-        return out
+        return TruncatedRayleighSpec(scale, eta_min, eta_max, bins)
     if kind == "explicit":
-        path = _get(cfg, "channel.path", str)
-        return {"kind": kind, "path": path}
+        return _get(cfg, "channel.path", str)
     _fail("channel.kind", "must be two_state, truncated_rayleigh or explicit")
 
 
 def _parse_strategies(cfg: dict, task: str, n_players: int) -> list:
     if task in ("partition", "region", "lambdamax"):
-        return [{"kind": "best_users"}]  # fixed by the task
+        return [BEST_USERS]  # fixed by the task
     raw = _get(cfg, "strategies", list)
     if not raw:
         _fail("strategies", "must be non-empty")
@@ -290,9 +282,9 @@ def _parse_strategies(cfg: dict, task: str, n_players: int) -> list:
             alpha = item.get("alpha")
             if not isinstance(alpha, (int, float)) or not 0 <= alpha <= 1:
                 _fail(f"strategies[{j}].alpha", "threshold needs alpha in [0, 1]")
-            out.append({"kind": "threshold", "alpha": float(alpha)})
-        elif kind in _STRATEGY_NAMES:
-            out.append({"kind": kind})
+            out.append(threshold(alpha))
+        elif kind in _VALID_KINDS:
+            out.append(StrategyKind(kind))
         else:
             _fail(f"strategies[{j}].kind", f"unknown strategy {kind!r}")
     if task == "simulate" and len(out) not in (1, n_players):
@@ -305,48 +297,25 @@ def normalize_config(cfg: dict) -> dict:
     return json.loads(json.dumps(cfg, sort_keys=True))
 
 
-def _make_kind(spec: dict) -> StrategyKind:
-    if spec["kind"] == "threshold":
-        return threshold(spec["alpha"])
-    return StrategyKind(spec["kind"])
-
-
 def _build_point(exp: Experiment, value):
-    """Game and model for one sweep point (value is None without a sweep)."""
-    n_players = exp.n_players
-    channel = dict(exp.channel)
-    strategies = [dict(s) for s in exp.strategies]
+    """Game, model and strategy kinds for one sweep point (value is None
+    without a sweep)."""
+    n_players, channel, kinds = exp.n_players, exp.channel, exp.strategies
     if exp.sweep_axis == "K":
         n_players = int(value)
     elif exp.sweep_axis == "ratio":
-        channel["eta_max"] = channel["eta_min"] * float(value)
+        channel = replace(channel, eta_max=channel.eta_min * float(value))
     elif exp.sweep_axis == "alpha":
-        for s in strategies:
-            if s["kind"] == "threshold":
-                s["alpha"] = float(value)
-    if exp.a is not None:
-        eff_a = exp.a
-    else:
-        eff_a = 2.0 ** exp.rate - 1.0
-    params = GameParams(
-        n_players=n_players,
-        eff=ExponentialEfficiency(eff_a),
-        rates=exp.rate,
-        sigma2=exp.sigma2,
-        p_max=np.asarray(exp.p_max, dtype=float) if isinstance(exp.p_max, list) else exp.p_max,
-    )
-    if channel["kind"] == "two_state":
-        spec = TwoStateSpec(channel["eta_min"], channel["eta_max"], channel["p_high"])
-        model = build_model(spec, n_players)
-    elif channel["kind"] == "truncated_rayleigh":
-        spec = TruncatedRayleighSpec(channel["scale"], channel["eta_min"],
-                                     channel["eta_max"], channel["bins"])
-        model = build_model(spec, n_players)
-    else:
-        model = load_model(channel["path"])
+        kinds = [threshold(value) if s.name == "threshold" else s for s in kinds]
+    params = GameParams.symmetric(n_players, a=exp.a,
+                                  rate=exp.rate if exp.a is None else None,
+                                  sigma2=exp.sigma2, p_max=exp.p_max)
+    if isinstance(channel, str):
+        model = load_model(channel)
         if model.n_players != n_players:
             _fail("channel.path", f"model has {model.n_players} players, game has {n_players}")
-    kinds = [_make_kind(s) for s in strategies]
+    else:
+        model = build_model(channel, n_players)
     return params, model, kinds
 
 

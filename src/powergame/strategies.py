@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapError, InformationError, PowerGameError, SaturationError
+from .errors import CapError, InformationError, SaturationError
 from .oneshot import GameParams, social_optimum
 
 _VALID_KINDS = (
@@ -48,6 +48,8 @@ class StrategyKind:
     def __post_init__(self):
         if self.name not in _VALID_KINDS:
             raise ValueError(f"unknown strategy kind {self.name!r}; valid: {_VALID_KINDS}")
+        if not isinstance(self.grid_size, (int, np.integer)) or self.grid_size < 2:
+            raise ValueError(f"grid_size must be an integer >= 2, got {self.grid_size!r}")
         if self.name == "threshold":
             if self.alpha is None or not 0.0 <= self.alpha <= 1.0:
                 raise ValueError("threshold rule needs alpha in [0, 1]")
@@ -222,20 +224,19 @@ def compliant_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
 
     ``eta`` has shape (N, K).  Returns ``(powers, recommended, k_active)``
     with shapes (N, K), (N, K) bool and (N,) int.  Matches ``stage_action``
-    row by row when nobody is punishing, and raises what it raises.
+    row by row when nobody is punishing; the only thing that can fail is a
+    planned power over its player's cap, raised by ``check_caps``.
     """
-    powers, recommended, k_active, failure = unchecked_profile(params, kind, eta)
-    if failure is not None:
-        raise failure[1]
+    powers, recommended, k_active = unchecked_profile(params, kind, eta)
     check_caps(params, kind, powers)
     return powers, recommended, k_active
 
 
 def unchecked_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
-    """``compliant_profile`` before ``check_caps``, plus ``failure``: the
-    first ``(row, error)`` whose welfare search raised (later rows are left
-    silent), or None.  Selfish-equilibrium powers are NaN when the
-    equilibrium does not exist."""
+    """``compliant_profile`` before ``check_caps``: planned powers may
+    exceed their caps, and selfish-equilibrium powers are NaN when the
+    equilibrium does not exist.  A valid rule plans every row of positive,
+    finite gains."""
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
     n, k = eta.shape
     if k != params.n_players:
@@ -248,11 +249,11 @@ def unchecked_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
         except SaturationError:
             scale = np.nan  # no interior equilibrium: check_caps raises
         powers = scale / eta
-        return powers, np.ones_like(powers, dtype=bool), np.full(n, k), None
+        return powers, np.ones_like(powers, dtype=bool), np.full(n, k)
 
     if name == "operating_point":
         powers = params.equal_power_coeff(k) / eta
-        return powers, np.ones_like(powers, dtype=bool), np.full(n, k), None
+        return powers, np.ones_like(powers, dtype=bool), np.full(n, k)
 
     if name == "time_sharing":
         winner = np.argmax(eta, axis=1)  # first max: lowest index wins ties
@@ -262,7 +263,7 @@ def unchecked_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
         solo = np.minimum(solo, params.p_max[winner])
         powers = np.zeros((n, k))
         powers[np.arange(n), winner] = solo
-        return powers, recommended, np.ones(n, dtype=int), None
+        return powers, recommended, np.ones(n, dtype=int)
 
     if name == "threshold":
         return _equal_power_rows(params, eta, _threshold_mask(kind.alpha, eta))
@@ -272,26 +273,20 @@ def unchecked_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
 
     if name == "social_optimum":
         powers = np.zeros((n, k))
-        failure = None
         cache: dict[bytes, np.ndarray] = {}
         for row in range(n):
             key = eta[row].tobytes()
             if key not in cache:
-                try:
-                    cache[key], _ = social_optimum(params, eta[row], kind.grid_size)
-                except (PowerGameError, ValueError) as exc:
-                    failure = (row, exc)
-                    break
+                cache[key], _ = social_optimum(params, eta[row], kind.grid_size)
             powers[row] = cache[key]
         recommended = powers > 0
-        return powers, recommended, recommended.sum(axis=1).astype(int), failure
+        return powers, recommended, recommended.sum(axis=1).astype(int)
 
     raise ValueError(f"unknown strategy kind {name!r}")
 
 
 def _equal_power_rows(params: GameParams, eta, recommended):
-    n, k = eta.shape
-    k_active = recommended.sum(axis=1).astype(int)
-    coeffs = np.array([np.nan] + [params.equal_power_coeff(m) for m in range(1, k + 1)])
-    powers = np.where(recommended, coeffs[k_active][:, None] / eta, 0.0)
-    return powers, recommended, k_active, None
+    # every row recommends someone, and the common received power is the
+    # same for any number of recommended players
+    powers = np.where(recommended, params.equal_power_coeff(1) / eta, 0.0)
+    return powers, recommended, recommended.sum(axis=1).astype(int)

@@ -357,21 +357,15 @@ class TestExplicitAndFiles:
         with pytest.raises(ModelError, match="checksum"):
             load_model(path)
 
-    def test_v1_file_still_loads(self, tmp_path):
-        doc = {
-            "format": "powergame-channel-model-v1",
-            "gains": [[1.0, 2.0], [1.5]],
-            "transition": [[0.9, 0.1], [0.5, 0.5]],
-            "row_sum_checksum":
-                "5f07eef034c5a21fedede8ef2f970fefbcc8ea44c02fd970117dacbee5483005",
-        }
-        path = tmp_path / "model.json"
+    def test_v1_file_is_refused(self, tmp_path):
+        # a v1 label must not skip the content check: here it would hide a
+        # swapped transition matrix whose row sums still match
+        path, doc = self._saved_two_state_markov(tmp_path)
+        doc["transition"] = [[0.2, 0.8], [0.7, 0.3]]
+        doc["format"] = "powergame-channel-model-v1"
+        del doc["content_sha256"]
         path.write_text(json.dumps(doc))
-        loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.law.matrix, [[0.9, 0.1], [0.5, 0.5]])
-        doc["transition"] = [[0.9, 0.1], [0.5, 0.5], [0.5, 0.5]]  # a row more
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelError, match="checksum"):
+        with pytest.raises(ModelError, match="format"):
             load_model(path)
 
     def test_bad_json_reported(self, tmp_path):

@@ -172,6 +172,18 @@ def test_nan_and_infinite_inputs_exit_2_naming_the_field(tmp_path, capsys, path,
     assert not out.exists()
 
 
+def test_per_player_caps_with_a_k_sweep_exit_2(tmp_path, capsys):
+    # the list has K entries, which a sweep to another K cannot follow
+    cfg = small_config()
+    cfg["task"] = "dominance"
+    cfg["game"] = {"K": 3, "a": 0.1, "p_max": [1, 1, 1]}
+    cfg["sweep"] = {"axis": "K", "values": [2, 3]}
+    out = tmp_path / "out"
+    assert main(["dominance", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "game.p_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("p_max", [INF, [1.0, INF]])
 def test_infinite_power_cap_means_no_cap(tmp_path, p_max):
     path = write_config(tmp_path, _with(small_config(), "game.p_max", p_max))

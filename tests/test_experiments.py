@@ -96,6 +96,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="shared strategy"):
             parse_config(cfg)
 
+    def test_alpha_sweep_point_carries_the_swept_alpha(self):
+        cfg = small_simulate_config()
+        cfg["task"] = "dominance"
+        cfg["strategies"] = ["nash", {"kind": "threshold", "alpha": 0.5}]
+        cfg["sweep"] = {"axis": "alpha", "values": [0, 0.25]}
+        exp = parse_config(cfg)
+        for value in exp.sweep_values:
+            _, _, kinds = experiments._build_point(exp, value)
+            assert [k.label for k in kinds] == ["nash", f"threshold({value:g})"]
+
     def test_defaults_recorded(self):
         exp = parse_config(small_simulate_config())
         assert "game.sigma2" in exp.defaults_used
@@ -337,6 +347,17 @@ def _pinned_configs(directory):
         "rayleigh16_region": {
             "task": "region", "game": {"K": 2, "a": 0.5, "sigma2": 1.0, "p_max": 20.0},
             "channel": RAYLEIGH16, "engine": {"seed": 16}, "region": {"grid_size": 12}},
+        "alpha_sweep": {
+            "task": "dominance", "game": {"K": 3, "a": 0.1}, "channel": RAYLEIGH16,
+            "strategies": [{"kind": "threshold", "alpha": 0.5}, "best_users"],
+            "engine": {"horizon": 2000, "seed": 17, "replicates": 3},
+            "sweep": {"axis": "alpha", "values": [0, 0.5, 1]}},
+        "ratio_sweep": {
+            "task": "dominance", "game": {"K": 3, "a": 0.1},
+            "channel": {"kind": "two_state", "eta_min": 1.0, "eta_max": 1.0, "p_high": 0.3},
+            "strategies": ["best_users", "nash", "operating_point"],
+            "engine": {"horizon": 2000, "seed": 18, "replicates": 3},
+            "sweep": {"axis": "ratio", "values": [1, 2.5, 8]}},
     }
 
 
@@ -363,6 +384,11 @@ PINNED_ARTIFACTS = {
         "markers.csv": "8cd05c83c92b4c0f0d9dc3416feb1adb30a9c1bb23e4816a53c2a01d53d6320d",
         "fstar.csv": "706072c1b9066b4cfd8f113e51297c72d3caee0ad5fe3fc9502c92c66fc8df55",
         "minmax.csv": "2d4dc7e45544f2e3be7ee0132b3ea0a0b43a1d658c71f32a672f0b883aa6ba3c"},
+    # the two sweeps computed before configs were parsed into specs and kinds
+    "alpha_sweep": {
+        "dominance.csv": "58cc922518ce4e03c186e62ffce49da6794668d7213d8e1c251a090593bb2c87"},
+    "ratio_sweep": {
+        "dominance.csv": "f37126a361b51493c1a67e5ff60797de2e8f7a7634580cfb5b0424f16298ea6a"},
 }
 
 

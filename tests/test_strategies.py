@@ -160,6 +160,12 @@ class TestStageAction:
         with pytest.raises(ValueError):
             StrategyKind("nash", alpha=0.5)
 
+    @pytest.mark.parametrize("grid_size", [1, 12.0])
+    def test_grid_size_refused_when_the_rule_is_built(self, grid_size):
+        # a welfare search needs an integer grid of at least two powers
+        with pytest.raises(ValueError, match="grid_size"):
+            StrategyKind("social_optimum", grid_size=grid_size)
+
 
 class TestDeviationDetection:
     def test_exact_compliance(self):
