@@ -22,6 +22,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,11 @@ class IIDProductLaw:
         self._cums = [np.cumsum(p) for p in self.probs]
         for c in self._cums:
             c[-1] = 1.0
+        # a uniform law over n = 2^m bins has cumulative values exactly j/n,
+        # so floor(u * n) is the index searchsorted finds, bit for bit
+        bins = [p.size for p in self.probs]
+        exact = all(n & (n - 1) == 0 and np.all(p == 1.0 / n) for n, p in zip(bins, self.probs))
+        self._dyadic_bins = np.array(bins, dtype=float) if exact else None
 
     @property
     def n_players(self) -> int:
@@ -63,13 +69,17 @@ class IIDProductLaw:
 
     @property
     def joint_size(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def sample_path(self, horizon: int, rng, initial=None) -> np.ndarray:
         u = rng.random((horizon, self.n_players))
-        idx = np.empty((horizon, self.n_players), dtype=np.int64)
-        for i, cum in enumerate(self._cums):
-            idx[:, i] = np.searchsorted(cum, u[:, i], side="right")
+        if self._dyadic_bins is not None:
+            u *= self._dyadic_bins
+            idx = u.astype(np.int64)
+        else:
+            idx = np.empty((horizon, self.n_players), dtype=np.int64)
+            for i, cum in enumerate(self._cums):
+                idx[:, i] = np.searchsorted(cum, u[:, i], side="right")
         if initial is not None:
             idx[0] = np.asarray(initial, dtype=np.int64)
         return idx
@@ -91,7 +101,7 @@ class IIDJointLaw:
     def __init__(self, mu, dims):
         self.dims = tuple(int(d) for d in dims)
         self.mu = _check_probs(mu, "joint state distribution")
-        if self.mu.size != int(np.prod(self.dims)):
+        if self.mu.size != math.prod(self.dims):
             raise ModelError("joint distribution length does not match the state space")
         if np.any(self.mu <= 0):
             raise ReducibleLawError("i.i.d. law needs full support to be irreducible")
@@ -123,7 +133,7 @@ class MarkovJointLaw:
     def __init__(self, matrix, dims, require_irreducible: bool = True):
         self.dims = tuple(int(d) for d in dims)
         matrix = np.asarray(matrix, dtype=float)
-        size = int(np.prod(self.dims))
+        size = math.prod(self.dims)
         if matrix.shape != (size, size):
             raise ModelError(
                 f"transition matrix shape {matrix.shape} does not match "
@@ -155,9 +165,7 @@ class MarkovJointLaw:
         # uniform to the same state
         u = rng.random(horizon)
         if initial is None:
-            cum0 = np.cumsum(self.stationary_joint())
-            cum0[-1] = 1.0
-            state = int(np.searchsorted(cum0, u[0], side="right"))
+            state = int(np.searchsorted(self._start_cum, u[0], side="right"))
         else:
             state = int(np.ravel_multi_index(tuple(initial), self.dims))
         flat = [state]
@@ -166,6 +174,13 @@ class MarkovJointLaw:
             state = bisect_right(rows[state], x)
             flat.append(state)
         return _unravel(np.array(flat, dtype=np.int64), self.dims)
+
+    @cached_property
+    def _start_cum(self) -> np.ndarray:
+        """Cumulative stationary distribution, from which paths start."""
+        cum = np.cumsum(self.stationary_joint())
+        cum[-1] = 1.0
+        return cum
 
     def stationary_joint(self) -> np.ndarray:
         _require_irreducible(self.matrix)

@@ -44,12 +44,14 @@ class ExponentialEfficiency:
         return cls(a=2.0 ** rate - 1.0)
 
     def value(self, x):
-        """f(x); accepts scalars or arrays, x >= 0 (x = 0 maps to 0)."""
+        """f(x); accepts scalars or arrays, x >= 0 (x = 0 and NaN map to 0)."""
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
             raise ValueError("SINR must be nonnegative")
-        with np.errstate(divide="ignore"):
-            out = np.where(x > 0, np.exp(-self.a / np.where(x > 0, x, 1.0)), 0.0)
+        # one pass each: -a/x where x > 0, -inf (so exp gives 0) elsewhere
+        out = np.full(x.shape, -np.inf)
+        np.divide(-self.a, x, out=out, where=x > 0)
+        np.exp(out, out=out)
         return out if out.ndim else float(out)
 
 

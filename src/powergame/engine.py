@@ -7,7 +7,8 @@ seeded with ``(seed, spawn_key)``.  Channel evolution does not depend on
 actions, so the whole path is drawn up front; runs sharing a seed see
 identical channels regardless of strategy, which is what makes paired
 (common-random-number) comparisons work; ``estimate_expected_utilities``
-draws each such path once and plays every strategy on it.
+draws each such path once and plays every strategy on it, once per visited
+joint state where the joint space is no larger than the horizon.
 
 Every run is evaluated over the whole horizon at once: with the path
 fixed up front and punishment never ending once it starts, grim trigger
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import _unravel
 from .errors import PowerGameError
 from .oneshot import GameParams, _utility_from_sinr, best_response, sinr
 from .strategies import (  # noqa: F401  compliant_profile stays importable from here
@@ -146,7 +148,7 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
     Deterministic: identical inputs give an identical result.
     """
     kinds = _normalize_kinds(kinds, params.n_players)
-    eta = _draw_gains(params, model, cfg)
+    eta = model.gain_matrix(_draw_path(params, model, cfg))
     powers, recommended, sinr_all, util_all, punishment_stage = _play(params, kinds, eta, cfg)
     horizon = cfg.horizon
     punishing = np.zeros(eta.shape, dtype=bool)
@@ -175,12 +177,12 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
     )
 
 
-def _draw_gains(params: GameParams, model, cfg: EngineConfig) -> np.ndarray:
-    """The (horizon, K) channel gains of the path seeded by ``(seed, spawn_key)``."""
+def _draw_path(params: GameParams, model, cfg: EngineConfig) -> np.ndarray:
+    """The (horizon, K) state indices of the path seeded by ``(seed, spawn_key)``."""
     if model.n_players != params.n_players:
         raise ValueError("model and game disagree on the player count")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=cfg.spawn_key))
-    return model.gain_matrix(model.sample_path(cfg.horizon, rng, cfg.initial_state))
+    return model.sample_path(cfg.horizon, rng, cfg.initial_state)
 
 
 def _play(params: GameParams, kinds: tuple, eta: np.ndarray, cfg: EngineConfig):
@@ -310,19 +312,40 @@ def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: 
 
     Each estimate equals its own ``estimate_expected_utility`` call bit for
     bit.  If several entries fail, the error of the first listed is raised.
+
+    When the joint state space is no larger than the horizon, an entry
+    whose players all follow one rule is played once per distinct visited
+    state and its utility rows are gathered along the path: compliant play
+    of one rule depends on the stage's state only.  Should that table
+    fail, the replicate is played per stage, which raises the error of the
+    first failing stage.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     kinds_list = list(kinds_list)
+    tabulate = model.joint_size <= horizon
     rows = [[] for _ in kinds_list]
     live, error = len(rows), None  # entries from ``live`` on are not evaluated
     for r in range(replicates):
         cfg = EngineConfig(horizon=horizon, lam=0.5, seed=seed,
                            spawn_key=spawn_prefix + (r,))
-        eta = _draw_gains(params, model, cfg)
+        path = _draw_path(params, model, cfg)
+        eta = None  # the path's gains, looked up once an entry plays per stage
+        if tabulate:
+            table_eta, state_row = _visited_states(model, path)
         for j, kinds in enumerate(kinds_list[:live]):
             try:
-                util = _play(params, _normalize_kinds(kinds, params.n_players), eta, cfg)[3]
+                kinds = _normalize_kinds(kinds, params.n_players)
+                util = None
+                if tabulate and len(set(kinds)) == 1:
+                    try:
+                        util = _play(params, kinds, table_eta, cfg)[3][state_row]
+                    except (PowerGameError, ValueError):
+                        pass  # replayed per stage below, to raise the first stage's error
+                if util is None:
+                    if eta is None:
+                        eta = model.gain_matrix(path)
+                    util = _play(params, kinds, eta, cfg)[3]
             except (PowerGameError, ValueError) as exc:  # an earlier entry may still fail first
                 live, error = j, exc
                 break
@@ -332,6 +355,18 @@ def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: 
     if error is not None:
         raise error
     return [UtilityEstimate.from_replicates(np.array(per)) for per in rows]
+
+
+def _visited_states(model, path):
+    """Gains of the distinct joint states ``path`` visits, in flat-index
+    order, and each stage's row in that table."""
+    dims = model.law.dims
+    flat = np.ravel_multi_index(path.T, dims)
+    seen = np.zeros(model.joint_size, dtype=bool)
+    seen[flat] = True
+    visited = np.flatnonzero(seen)
+    row_of = np.cumsum(seen) - 1
+    return model.gain_matrix(_unravel(visited, dims)), row_of[flat]
 
 
 def trace_csv(result: RunResult) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis
-from .channels import TruncatedRayleighSpec, TwoStateSpec, build_model, load_model
+from .channels import ChannelModel, TruncatedRayleighSpec, TwoStateSpec, build_model, load_model
 from .engine import (
     DeviationSpec,
     EngineConfig,
@@ -99,7 +99,8 @@ class Experiment:
     rate: float
     sigma2: float
     p_max: object
-    channel: TwoStateSpec | TruncatedRayleighSpec | str  # a str is a model file path
+    # a str is a model file path, which run_experiment replaces by the model
+    channel: TwoStateSpec | TruncatedRayleighSpec | str | ChannelModel
     strategies: list[StrategyKind]
     horizon: int
     lam: float
@@ -310,13 +311,22 @@ def _build_point(exp: Experiment, value):
     params = GameParams.symmetric(n_players, a=exp.a,
                                   rate=exp.rate if exp.a is None else None,
                                   sigma2=exp.sigma2, p_max=exp.p_max)
-    if isinstance(channel, str):
-        model = load_model(channel)
+    model = channel if isinstance(channel, ChannelModel) else build_model(channel, n_players)
+    return params, model, kinds
+
+
+def _load_explicit(exp: Experiment) -> ChannelModel:
+    """The model file of an explicit channel, loaded once, with its player
+    count checked against every K the experiment plays."""
+    try:
+        model = load_model(exp.channel)
+    except OSError as exc:
+        _fail("channel.path", f"cannot read {exp.channel}: {exc.strerror}")
+    counts = exp.sweep_values if exp.sweep_axis == "K" else [exp.n_players]
+    for n_players in counts:
         if model.n_players != n_players:
             _fail("channel.path", f"model has {model.n_players} players, game has {n_players}")
-    else:
-        model = build_model(channel, n_players)
-    return params, model, kinds
+    return model
 
 
 def _axis_label(exp: Experiment) -> str:
@@ -450,6 +460,8 @@ def run_experiment(config, out_dir) -> dict:
     if not isinstance(config, dict):
         config = load_config(config)
     exp = parse_config(config)
+    if isinstance(exp.channel, str):
+        exp = replace(exp, channel=_load_explicit(exp))
     artifacts = _TASK_RUNNERS[exp.task](exp)
     artifacts.append(
         ("config.json", json.dumps(exp.config, sort_keys=True, indent=1) + "\n")

@@ -153,8 +153,8 @@ def utility(params: GameParams, eta, powers, i: int | None = None):
 
 def _utility_from_sinr(params: GameParams, powers: np.ndarray, s) -> np.ndarray:
     """Utilities of ``powers`` whose SINRs ``s`` are already known."""
-    p_safe = np.where(powers > 0, powers, 1.0)
-    return np.where(powers > 0, params.rates * np.asarray(params.eff.value(s)) / p_safe, 0.0)
+    gross = params.rates * np.asarray(params.eff.value(s))  # s is at least powers' shape
+    return np.divide(gross, powers, out=np.zeros(gross.shape), where=powers > 0)
 
 
 def welfare(params: GameParams, eta, powers):

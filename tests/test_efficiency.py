@@ -80,6 +80,26 @@ class TestEval:
         assert abs(xs[changes[0]] - 0.4) < 0.01
 
 
+    def test_one_pass_value_matches_the_masked_formula_bitwise(self):
+        # the former evaluation: where(x > 0, exp(-a / where(x > 0, x, 1)), 0)
+        x = np.random.default_rng(7).exponential(0.2, (20000, 8))
+        x[::97] = 0.0
+        x[1::89] = np.nan
+        x[2::83] = np.inf
+        eff = ExponentialEfficiency(0.1)
+        with np.errstate(divide="ignore"):
+            want = np.where(x > 0, np.exp(-eff.a / np.where(x > 0, x, 1.0)), 0.0)
+        assert eff.value(x).tobytes() == want.tobytes()
+
+    def test_nan_and_zero_map_to_zero(self):
+        eff = ExponentialEfficiency(0.3)
+        assert eff.value(np.nan) == 0.0
+        assert eff.value(0.0) == 0.0
+        assert eff.value(np.array([0.0, np.nan, 0.3])).tolist() == [0.0, 0.0, math.exp(-1.0)]
+        with pytest.raises(ValueError, match="nonnegative"):
+            eff.value(np.array([0.5, -1e-300]))
+
+
 class TestRoots:
     @pytest.mark.parametrize("a", [0.1, 0.2, 0.5, 1.0])
     def test_beta_star_matches_oracle(self, a):

@@ -1,0 +1,217 @@
+"""The Monte Carlo estimator's fast paths against their per-stage references.
+
+``estimate_expected_utilities`` plays a single-rule entry once per distinct
+visited joint state when the joint space is no larger than the horizon, and
+gathers the utility rows along the path; ``IIDProductLaw`` draws uniform
+laws over 2^m bins as ``floor(u * n)``.  Both must give the bits the
+per-stage play and ``searchsorted`` give.
+"""
+
+import numpy as np
+import pytest
+
+from powergame import analysis, engine
+from powergame.channels import (
+    ExplicitSpec,
+    MarkovJointLaw,
+    TruncatedRayleighSpec,
+    TwoStateSpec,
+    build_model,
+)
+from powergame.engine import EngineConfig, _normalize_kinds, _play, estimate_expected_utilities
+from powergame.errors import CapError, ModelError, SaturationError
+from powergame.oneshot import GameParams
+from powergame.strategies import (
+    BEST_USERS,
+    NASH,
+    OPERATING_POINT,
+    SOCIAL_OPTIMUM,
+    TIME_SHARING,
+    threshold,
+)
+
+SINGLE_RULES = [NASH, OPERATING_POINT, TIME_SHARING, threshold(0.5), BEST_USERS,
+                SOCIAL_OPTIMUM]
+
+
+def _markov_8_state():
+    rows = np.random.default_rng(808).uniform(0.1, 1.0, (8, 8))
+    rows /= rows.sum(axis=1, keepdims=True)
+    matrix = 0.6 * np.eye(8) + 0.4 * rows
+    gains = (np.array([0.4, 2.5]), np.array([0.3, 1.1, 1.9, 3.7]))
+    return build_model(ExplicitSpec(gains, transition=matrix), 2)
+
+
+MODELS = {
+    "two_state_k4": (lambda: build_model(TwoStateSpec(1.0, 4.0, 0.5), 4), 4, 2000),
+    "rayleigh16_k2": (lambda: build_model(TruncatedRayleighSpec(bins=16), 2), 2, 3000),
+    "markov_8_state": (_markov_8_state, 2, 2000),
+}
+
+
+def _per_stage(params, model, kinds, horizon, seed, replicates):
+    """Each replicate's time average from ``_play`` over the whole drawn path."""
+    out = []
+    for r in range(replicates):
+        cfg = EngineConfig(horizon=horizon, lam=0.5, seed=seed, spawn_key=(r,))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        eta = model.gain_matrix(model.sample_path(horizon, rng))
+        out.append(_play(params, _normalize_kinds(kinds, params.n_players), eta, cfg)[3]
+                   .mean(axis=0))
+    return np.array(out)
+
+
+@pytest.fixture
+def played_rows(monkeypatch):
+    """Row counts of every ``_play`` call the estimator makes."""
+    rows = []
+
+    def spy(params, kinds, eta, cfg):
+        rows.append(eta.shape[0])
+        return _play(params, kinds, eta, cfg)
+
+    monkeypatch.setattr(engine, "_play", spy)
+    return rows
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_tables_match_the_per_stage_play(name, played_rows):
+    make, k, horizon = MODELS[name]
+    model = make()
+    params = GameParams.symmetric(k, a=0.1)
+    mixed = (BEST_USERS,) + (NASH,) * (k - 1)
+    kinds_list = SINGLE_RULES + [mixed]
+    got = estimate_expected_utilities(params, model, kinds_list, horizon, seed=41,
+                                      replicates=3)
+    # every single rule is played on at most joint_size rows, the mixed entry per stage
+    per_replicate = np.array(played_rows).reshape(3, len(kinds_list))
+    assert np.all(per_replicate[:, :-1] <= model.joint_size)
+    assert np.all(per_replicate[:, -1] == horizon)
+    for kinds, est in zip(kinds_list, got):
+        want = _per_stage(params, model, kinds, horizon, 41, 3)
+        assert est.per_replicate.tobytes() == want.tobytes(), kinds
+
+
+def test_joint_spaces_larger_than_the_horizon_play_per_stage(played_rows):
+    model = build_model(TruncatedRayleighSpec(bins=16), 4)  # 65536 joint states
+    params = GameParams.symmetric(4, a=0.1)
+    (est,) = estimate_expected_utilities(params, model, [BEST_USERS], 2000, seed=3,
+                                         replicates=2)
+    assert played_rows == [2000, 2000]
+    want = _per_stage(params, model, BEST_USERS, 2000, 3, 2)
+    assert est.per_replicate.tobytes() == want.tobytes()
+
+
+def _rare_low_gain_model(low_mass):
+    """Two players, three gains each; the joint states where either player
+    has its lowest gain carry ``low_mass`` in total."""
+    gains = (np.array([0.01, 1.0, 2.0]), np.array([0.02, 1.0, 2.0]))
+    low = np.zeros((3, 3), dtype=bool)
+    low[0, :] = low[:, 0] = True
+    mu = np.where(low, low_mass / low.sum(), (1.0 - low_mass) / (~low).sum())
+    return build_model(ExplicitSpec(gains, mu=mu.ravel()), 2)
+
+
+@pytest.mark.parametrize("kind", [NASH, OPERATING_POINT])
+def test_a_cap_binding_only_in_unvisited_states_never_raises(kind, played_rows):
+    # at p_max 1 only the lowest gains (0.01, 0.02) need more power than the cap
+    model = _rare_low_gain_model(1e-12)
+    params = GameParams.symmetric(2, a=0.1, p_max=1.0)
+    (est,) = estimate_expected_utilities(params, model, [kind], 200, seed=5, replicates=3)
+    assert played_rows == [4, 4, 4]  # the four states without a lowest gain, no replay
+    assert est.per_replicate.tobytes() == _per_stage(params, model, kind, 200, 5, 3).tobytes()
+
+
+@pytest.mark.parametrize("kind, error", [(NASH, SaturationError), (OPERATING_POINT, CapError)])
+def test_a_cap_binding_in_a_visited_state_raises_the_first_stage_error(kind, error):
+    model = _rare_low_gain_model(5 / 9)
+    params = GameParams.symmetric(2, a=0.1, p_max=1.0)
+    horizon, seed = 40, 1
+    with pytest.raises(error) as per_stage:
+        _per_stage(params, model, kind, horizon, seed, 1)
+    # the table's first failing state is not the first failing stage's, so
+    # the table's own error would name another player and power
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    table_eta, _ = engine._visited_states(model, model.sample_path(horizon, rng))
+    cfg = EngineConfig(horizon=horizon, lam=0.5, seed=seed)
+    with pytest.raises(error) as table:
+        _play(params, (kind, kind), table_eta, cfg)
+    assert str(table.value) != str(per_stage.value)
+    with pytest.raises(error) as got:
+        estimate_expected_utilities(params, model, [kind], horizon, seed=seed, replicates=1)
+    assert str(got.value) == str(per_stage.value)
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose ``random`` returns given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        return self.u.reshape(size).copy()  # a fresh array, as a generator gives
+
+
+def _searchsorted_path(law, u):
+    return np.stack([np.searchsorted(cum, u[:, i], side="right")
+                     for i, cum in enumerate(law._cums)], axis=-1)
+
+
+@pytest.mark.parametrize("bins", [2, 8, 16])
+def test_dyadic_bin_draws_equal_searchsorted(bins):
+    model = build_model(TruncatedRayleighSpec(bins=bins), 2)
+    law = model.law
+    assert law._dyadic_bins is not None
+    u = np.random.default_rng(bins).random((500_000, 2))  # 1e6 uniforms
+    got = model.sample_path(500_000, _FixedUniforms(u))
+    assert got.tobytes() == _searchsorted_path(law, u).astype(np.int64).tobytes()
+    # every bin edge j/n and the largest double below it
+    edges = np.arange(bins) / bins
+    below = np.nextafter(edges[1:], 0.0)
+    u = np.concatenate([edges, below, [np.nextafter(1.0, 0.0)]])
+    u = np.stack([u, u[::-1]], axis=-1)
+    got = model.sample_path(u.shape[0], _FixedUniforms(u))
+    assert got.tobytes() == _searchsorted_path(law, u).astype(np.int64).tobytes()
+
+
+def test_non_dyadic_laws_keep_searchsorted():
+    for law in (build_model(TruncatedRayleighSpec(bins=12), 2).law,
+                build_model(TwoStateSpec(1.0, 4.0, 0.3), 2).law):
+        assert law._dyadic_bins is None
+    model = build_model(TruncatedRayleighSpec(bins=12), 2)
+    u = np.random.default_rng(12).random((100_000, 2))
+    got = model.sample_path(100_000, _FixedUniforms(u))
+    assert got.tobytes() == _searchsorted_path(model.law, u).astype(np.int64).tobytes()
+
+
+def test_markov_paths_solve_for_the_start_distribution_once(monkeypatch):
+    model = _markov_8_state()
+    law = model.law
+    assert isinstance(law, MarkovJointLaw)
+    cum = np.cumsum(law.stationary_joint())  # what every path used to solve for
+    cum[-1] = 1.0
+    solves = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    for seed in range(4):
+        path = model.sample_path(300, np.random.default_rng(seed))
+        u0 = np.random.default_rng(seed).random(300)[0]
+        start = np.unravel_index(np.searchsorted(cum, u0, side="right"), law.dims)
+        given = model.sample_path(300, np.random.default_rng(seed), initial=start)
+        assert path.tobytes() == given.tobytes()
+    assert len(solves) == 1
+
+
+def test_joint_size_does_not_wrap():
+    model = build_model(TruncatedRayleighSpec(bins=16), 16)
+    assert model.joint_size == 16**16 == 2**64
+    with pytest.raises(ModelError, match="too large to enumerate"):
+        model.joint_states()
+    params = GameParams.symmetric(16, a=0.05)
+    floors = analysis.minmax_levels(params, model, samples=2000)
+    assert floors.shape == (16,) and np.all(np.isfinite(floors))

@@ -6,6 +6,7 @@ import pytest
 
 from powergame import experiments
 from powergame.channels import ChannelModel, MarkovJointLaw, save_model
+from powergame.cli import main
 from powergame.engine import EngineConfig, UtilityEstimate, run_game
 from powergame.errors import ConfigError
 from powergame.experiments import (
@@ -398,3 +399,61 @@ def test_artifact_bytes_are_pinned(name, tmp_path):
     manifest = run_experiment(config, tmp_path / name)
     got = {k: v for k, v in manifest["artifacts"].items() if k != "config.json"}
     assert got == PINNED_ARTIFACTS[name]
+
+
+def _two_player_model_file(directory):
+    rows = np.random.default_rng(3).uniform(0.1, 1.0, (4, 4))
+    matrix = rows / rows.sum(axis=1, keepdims=True)
+    path = directory / "two_player.json"
+    gains = (np.array([0.5, 2.0]), np.array([0.7, 1.5]))
+    save_model(ChannelModel(gains, MarkovJointLaw(matrix, (2, 2))), path)
+    return str(path)
+
+
+def test_explicit_model_player_count_is_checked_before_any_point_plays(tmp_path,
+                                                                       monkeypatch, capsys):
+    cfg = {"task": "dominance", "game": {"K": 2, "a": 0.1},
+           "channel": {"kind": "explicit", "path": _two_player_model_file(tmp_path)},
+           "strategies": ["best_users", "nash"],
+           "engine": {"horizon": 100, "seed": 1, "replicates": 2},
+           "sweep": {"axis": "K", "values": [2, 3]}}
+    played = []
+    monkeypatch.setattr(experiments, "estimate_expected_utilities",
+                        lambda *args, **kw: played.append(args))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["dominance", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "channel.path" in err and "model has 2 players, game has 3" in err
+    assert played == [] and not out.exists()
+
+
+def test_missing_explicit_model_file_exits_2(tmp_path, capsys):
+    cfg = {"task": "dominance", "game": {"K": 2, "a": 0.1},
+           "channel": {"kind": "explicit", "path": str(tmp_path / "absent.json")},
+           "strategies": ["nash"], "engine": {"horizon": 100, "seed": 1}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["dominance", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "config error at channel.path: cannot read" in capsys.readouterr().err
+
+
+def test_explicit_model_is_loaded_once_per_experiment(tmp_path, monkeypatch):
+    loads = []
+    load_model = experiments.load_model
+
+    def counting(path):
+        loads.append(path)
+        return load_model(path)
+
+    monkeypatch.setattr(experiments, "load_model", counting)
+    cfg = {"task": "dominance", "game": {"K": 2, "a": 0.1},
+           "channel": {"kind": "explicit", "path": _two_player_model_file(tmp_path)},
+           "strategies": [{"kind": "threshold", "alpha": 0.5}, "best_users"],
+           "engine": {"horizon": 200, "seed": 4, "replicates": 2},
+           "sweep": {"axis": "alpha", "values": [0, 0.5, 1]}}
+    run_experiment(cfg, tmp_path / "out")
+    assert len(loads) == 1
+    rows = (tmp_path / "out" / "dominance.csv").read_text().splitlines()
+    assert len(rows) == 1 + 3 * 2  # header, then two rules at each alpha
