@@ -303,8 +303,7 @@ class ChannelModel:
             raise ModelError(
                 f"joint state space has {self.joint_size} states; too large to enumerate"
             )
-        grids = np.meshgrid(*[np.arange(d) for d in self.law.dims], indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1).astype(np.int64)
+        return _unravel(np.arange(self.joint_size), self.law.dims)
 
     def sample_path(self, horizon: int, rng, initial=None) -> np.ndarray:
         if initial is not None:

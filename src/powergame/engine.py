@@ -7,8 +7,8 @@ seeded with ``(seed, spawn_key)``.  Channel evolution does not depend on
 actions, so the whole path is drawn up front; runs sharing a seed see
 identical channels regardless of strategy, which is what makes paired
 (common-random-number) comparisons work; ``estimate_expected_utilities``
-draws each such path once and plays every strategy on it, once per visited
-joint state where the joint space is no larger than the horizon.
+draws each such path once and plays every strategy on it.  Rules plan once
+per visited joint state where the joint space is no larger than the horizon.
 
 Every run is evaluated over the whole horizon at once: with the path
 fixed up front and punishment never ending once it starts, grim trigger
@@ -148,22 +148,23 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
     Deterministic: identical inputs give an identical result.
     """
     kinds = _normalize_kinds(kinds, params.n_players)
-    eta = model.gain_matrix(_draw_path(params, model, cfg))
-    powers, recommended, sinr_all, util_all, punishment_stage = _play(params, kinds, eta, cfg)
+    eta, powers, recommended, sinr_all, util_all, punishment_stage, rows = _play(
+        params, kinds, *_draw_states(params, model, cfg), cfg)
     horizon = cfg.horizon
-    punishing = np.zeros(eta.shape, dtype=bool)
-    if punishment_stage is not None:
-        punishing[punishment_stage:] = True
-    every = 1 if horizon <= _FULL_TRACE_MAX else _THINNED_EVERY
-    keep = np.arange(0, horizon, every)
+    keep = np.arange(0, horizon, 1 if horizon <= _FULL_TRACE_MAX else _THINNED_EVERY)
+    kept = keep  # the kept stages' rows
+    if rows is not None:  # one row per visited state: gather along the path
+        util_all, kept = util_all[rows], rows[keep]
+    calm = horizon if punishment_stage is None else punishment_stage
+    punishing = np.repeat((keep >= calm)[:, None], params.n_players, axis=1)
     trace = StageTrace(
         t=keep + 1,
-        eta=eta[keep],
-        powers=powers[keep],
-        sinr=sinr_all[keep],
+        eta=eta[kept],
+        powers=powers[kept],
+        sinr=sinr_all[kept],
         utility=util_all[keep],
-        recommended=recommended[keep],
-        punishing=punishing[keep],
+        recommended=recommended[kept],
+        punishing=punishing,
     )
     return RunResult(
         discounted=discounted_utility(util_all, cfg.lam),
@@ -177,25 +178,49 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
     )
 
 
-def _draw_path(params: GameParams, model, cfg: EngineConfig) -> np.ndarray:
-    """The (horizon, K) state indices of the path seeded by ``(seed, spawn_key)``."""
+def _draw_states(params: GameParams, model, cfg: EngineConfig):
+    """Gains of the path seeded by ``(seed, spawn_key)`` and each stage's row
+    in them: the distinct joint states the path visits, in flat-index order,
+    when the joint space is no larger than the horizon, else one row per
+    stage and the map None."""
     if model.n_players != params.n_players:
         raise ValueError("model and game disagree on the player count")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=cfg.spawn_key))
-    return model.sample_path(cfg.horizon, rng, cfg.initial_state)
+    path = model.sample_path(cfg.horizon, rng, cfg.initial_state)
+    if model.joint_size > cfg.horizon:
+        return model.gain_matrix(path), None
+    dims = model.law.dims
+    flat = np.ravel_multi_index(path.T, dims)
+    seen = np.zeros(model.joint_size, dtype=bool)
+    seen[flat] = True
+    row_of = np.cumsum(seen) - 1
+    return model.gain_matrix(_unravel(np.flatnonzero(seen), dims)), row_of[flat]
 
 
-def _play(params: GameParams, kinds: tuple, eta: np.ndarray, cfg: EngineConfig):
-    """Grim-trigger play of per-player ``kinds`` on the gains ``eta``.
+def _play(params: GameParams, kinds: tuple, eta: np.ndarray, rows, cfg: EngineConfig):
+    """Grim-trigger play of per-player ``kinds`` on the gains ``eta``; stage
+    t+1 plays row ``rows[t]`` (``rows`` None: row t).
 
-    Returns ``(powers, recommended, sinr, utility, punishment_stage)``.
+    Every rule plans each row once.  A run with no alarm whose plan is under
+    every cap stays on the rows; any other run gathers its plan along the
+    path and plays per stage, which finds the punishment stage or raises the
+    first failing stage's error.  Returns ``(eta, powers, recommended, sinr,
+    utility, punishment_stage, rows)``, the arrays indexed by the returned
+    ``rows`` map (None: by stage).
     """
     dev = cfg.deviation
     if dev is not None and dev.player >= params.n_players:
         raise ValueError("deviation player index out of range")
+    planned, recommended, expected = _plan(params, kinds, eta, dev is not None)
+    if expected is None and np.all(planned <= params.p_max):
+        realized = sinr(params, eta, planned)
+        util_all = _utility_from_sinr(params, planned, realized)
+        return eta, planned, recommended, realized, util_all, None, rows
+    if rows is not None:
+        eta, planned, recommended = eta[rows], planned[rows], recommended[rows]
+        expected = None if expected is None else expected[rows]
     horizon = eta.shape[0]
 
-    planned, recommended, expected = _plan(params, kinds, eta, dev is not None)
     deviating = slice(0, 0)
     if dev is not None:
         deviating = slice(dev.start - 1, None if dev.mode == "permanent" else dev.start)
@@ -229,7 +254,7 @@ def _play(params: GameParams, kinds: tuple, eta: np.ndarray, cfg: EngineConfig):
     if realized is None:
         realized = sinr(params, eta, powers)
     util_all = _utility_from_sinr(params, powers, realized)
-    return powers, recommended, realized, util_all, punishment_stage
+    return eta, powers, recommended, realized, util_all, punishment_stage, None
 
 
 def _plan(params, kinds, eta, deviation: bool):
@@ -244,12 +269,9 @@ def _plan(params, kinds, eta, deviation: bool):
     plans = {rule: unchecked_profile(params, rule, eta) for rule in rules}
     if len(rules) == 1:  # no gathered copy: long compliant runs stay lean
         powers, recommended = plans[rules[0]][:2]
-    else:
-        powers = np.empty(eta.shape)
-        recommended = np.empty(eta.shape, dtype=bool)
-        for i, kind in enumerate(kinds):
-            powers[:, i] = plans[kind][0][:, i]
-            recommended[:, i] = plans[kind][1][:, i]
+    else:  # each player takes its own rule's column
+        powers = np.stack([plans[kind][0][:, i] for i, kind in enumerate(kinds)], axis=1)
+        recommended = np.stack([plans[kind][1][:, i] for i, kind in enumerate(kinds)], axis=1)
     if len(rules) == 1 and not deviation:
         return powers, recommended, None
 
@@ -261,12 +283,13 @@ def _plan(params, kinds, eta, deviation: bool):
     return powers, recommended, expected
 
 
-def _deviate(params, eta, scheduled, dev, rows):
-    """``scheduled`` with the deviator best-responding to it on ``rows``."""
+def _deviate(params, eta, scheduled, dev, stages):
+    """``scheduled`` with the deviator best-responding to it on ``stages``."""
     if dev is None:
         return scheduled
     powers = scheduled.copy()
-    powers[rows, dev.player] = best_response(params, eta[rows], scheduled[rows], dev.player)
+    powers[stages, dev.player] = best_response(params, eta[stages], scheduled[stages],
+                                               dev.player)
     return powers
 
 
@@ -312,61 +335,29 @@ def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: 
 
     Each estimate equals its own ``estimate_expected_utility`` call bit for
     bit.  If several entries fail, the error of the first listed is raised.
-
-    When the joint state space is no larger than the horizon, an entry
-    whose players all follow one rule is played once per distinct visited
-    state and its utility rows are gathered along the path: compliant play
-    of one rule depends on the stage's state only.  Should that table
-    fail, the replicate is played per stage, which raises the error of the
-    first failing stage.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     kinds_list = list(kinds_list)
-    tabulate = model.joint_size <= horizon
-    rows = [[] for _ in kinds_list]
-    live, error = len(rows), None  # entries from ``live`` on are not evaluated
+    means = [[] for _ in kinds_list]
+    live, error = len(means), None  # entries from ``live`` on are not evaluated
     for r in range(replicates):
         cfg = EngineConfig(horizon=horizon, lam=0.5, seed=seed,
                            spawn_key=spawn_prefix + (r,))
-        path = _draw_path(params, model, cfg)
-        eta = None  # the path's gains, looked up once an entry plays per stage
-        if tabulate:
-            table_eta, state_row = _visited_states(model, path)
+        eta, rows = _draw_states(params, model, cfg)
         for j, kinds in enumerate(kinds_list[:live]):
             try:
                 kinds = _normalize_kinds(kinds, params.n_players)
-                util = None
-                if tabulate and len(set(kinds)) == 1:
-                    try:
-                        util = _play(params, kinds, table_eta, cfg)[3][state_row]
-                    except (PowerGameError, ValueError):
-                        pass  # replayed per stage below, to raise the first stage's error
-                if util is None:
-                    if eta is None:
-                        eta = model.gain_matrix(path)
-                    util = _play(params, kinds, eta, cfg)[3]
+                *_, util, _, at = _play(params, kinds, eta, rows, cfg)
             except (PowerGameError, ValueError) as exc:  # an earlier entry may still fail first
                 live, error = j, exc
                 break
-            rows[j].append(util.mean(axis=0))
+            means[j].append((util if at is None else util[at]).mean(axis=0))
         if live == 0:
             break
     if error is not None:
         raise error
-    return [UtilityEstimate.from_replicates(np.array(per)) for per in rows]
-
-
-def _visited_states(model, path):
-    """Gains of the distinct joint states ``path`` visits, in flat-index
-    order, and each stage's row in that table."""
-    dims = model.law.dims
-    flat = np.ravel_multi_index(path.T, dims)
-    seen = np.zeros(model.joint_size, dtype=bool)
-    seen[flat] = True
-    visited = np.flatnonzero(seen)
-    row_of = np.cumsum(seen) - 1
-    return model.gain_matrix(_unravel(visited, dims)), row_of[flat]
+    return [UtilityEstimate.from_replicates(np.array(per)) for per in means]
 
 
 def trace_csv(result: RunResult) -> str:

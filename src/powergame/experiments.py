@@ -114,6 +114,11 @@ class Experiment:
     grid_size: int
     artifact: str
 
+    @property
+    def player_counts(self) -> list:
+        """Every K the experiment plays."""
+        return self.sweep_values if self.sweep_axis == "K" else [self.n_players]
+
 
 def parse_config(cfg: dict) -> Experiment:
     """Validate a config dict; raises ConfigError naming the bad field."""
@@ -173,13 +178,16 @@ def parse_config(cfg: dict) -> Experiment:
     _require_positive_finite("engine.detection_tol", detection_tol)
     trace = _get(cfg, "engine.trace", bool, required=False, default=False)
     deviation = None
-    if isinstance(cfg.get("engine"), dict) and cfg["engine"].get("deviation") is not None:
-        dv = cfg["engine"]["deviation"]
+    dv = _get(cfg, "engine.deviation", None, required=False)
+    if dv is not None:
+        if not isinstance(dv, dict):
+            _fail("engine.deviation", "must be an object")
         try:
             deviation = DeviationSpec(
-                player=_get({"d": dv}, "d.player", int),
-                start=_get({"d": dv}, "d.start", int, required=False, default=1),
-                mode=_get({"d": dv}, "d.mode", str, required=False, default="one_shot"),
+                player=_get(cfg, "engine.deviation.player", int),
+                start=_get(cfg, "engine.deviation.start", int, required=False, default=1),
+                mode=_get(cfg, "engine.deviation.mode", str, required=False,
+                          default="one_shot"),
             )
         except ValueError as exc:
             _fail("engine.deviation", str(exc))
@@ -210,6 +218,8 @@ def parse_config(cfg: dict) -> Experiment:
             _fail("game.p_max", "a per-player list cannot follow a K sweep")
         if sweep_axis == "K" and task == "simulate" and len(strategies) != 1:
             _fail("strategies", "sweeping K needs a single shared strategy")
+        if trace:
+            _fail("engine.trace", "a trace is kept only for a run without a sweep")
 
     grid_size = _get(cfg, "region.grid_size", int, required=False,
                      default=DEFAULTS["region.grid_size"],
@@ -230,6 +240,8 @@ def parse_config(cfg: dict) -> Experiment:
         deviation=deviation, trace=trace, sweep_axis=sweep_axis,
         sweep_values=list(sweep_values), grid_size=grid_size, artifact=artifact,
     )
+    if deviation is not None and deviation.player >= min(exp.player_counts):
+        _fail("engine.deviation.player", f"must be below every K played ({exp.player_counts})")
     return exp
 
 
@@ -322,8 +334,7 @@ def _load_explicit(exp: Experiment) -> ChannelModel:
         model = load_model(exp.channel)
     except OSError as exc:
         _fail("channel.path", f"cannot read {exp.channel}: {exc.strerror}")
-    counts = exp.sweep_values if exp.sweep_axis == "K" else [exp.n_players]
-    for n_players in counts:
+    for n_players in exp.player_counts:
         if model.n_players != n_players:
             _fail("channel.path", f"model has {model.n_players} players, game has {n_players}")
     return model
@@ -347,7 +358,6 @@ def _task_simulate(exp: Experiment) -> list:
         params, model, kinds = _build_point(exp, value)
         kinds_full = kinds if len(kinds) == params.n_players else kinds * params.n_players
         discounted, averages = [], []
-        trace_text = None
         for r in range(exp.replicates):
             cfg = EngineConfig(
                 horizon=exp.horizon, lam=exp.lam, seed=exp.seed, spawn_key=(j, r),
@@ -356,15 +366,13 @@ def _task_simulate(exp: Experiment) -> list:
             result = run_game(params, model, kinds_full, cfg)
             discounted.append(result.discounted)
             averages.append(result.time_average)
-            if r == 0 and exp.trace and exp.sweep_axis is None:
-                trace_text = trace_csv(result)
+            if r == 0 and exp.trace:  # parse_config refuses a trace with a sweep
+                artifacts.append(("trace.csv", trace_csv(result)))
         v = UtilityEstimate.from_replicates(np.array(discounted)).mean
         u = UtilityEstimate.from_replicates(np.array(averages))
         for i in range(params.n_players):
             row = f"{i},{_fmt(v[i])},{_fmt(u.mean[i])},{_fmt(u.stderr[i])}"
             lines.append(row if exp.sweep_axis is None else f"{_axis_value(exp, value)},{row}")
-        if trace_text is not None:
-            artifacts.append(("trace.csv", trace_text))
     artifacts.insert(0, (exp.artifact, "\n".join(lines) + "\n"))
     return artifacts
 

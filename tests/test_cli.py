@@ -204,3 +204,43 @@ def test_region_cap_binding_in_some_states_exits_3(tmp_path, capsys):
     assert main(["region", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
     assert "exceed caps" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("game_k, sweep", [(2, None), (3, [3, 2])])
+def test_deviation_player_outside_a_played_k_exits_2(tmp_path, capsys, game_k, sweep):
+    # in the sweep, the K = 3 point would play before K = 2 fails
+    cfg = small_config()
+    cfg["game"]["K"] = game_k
+    cfg["engine"]["deviation"] = {"player": 2}
+    if sweep is not None:
+        cfg["sweep"] = {"axis": "K", "values": sweep}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "engine.deviation.player" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("deviation, message", [
+    ({"start": 2}, "engine.deviation.player: missing required field"),
+    ({"player": 0, "start": "2"}, "engine.deviation.start: expected int"),
+    ({"player": 0, "mode": 1}, "engine.deviation.mode: expected str"),
+    ("oops", "engine.deviation: must be an object"),
+])
+def test_deviation_errors_name_the_field(tmp_path, capsys, deviation, message):
+    cfg = small_config()
+    cfg["engine"]["deviation"] = deviation
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trace_with_a_sweep_exits_2(tmp_path, capsys):
+    # a sweep writes no trace.csv, so asking for one is refused
+    cfg = small_config()
+    cfg["engine"]["trace"] = True
+    cfg["sweep"] = {"axis": "ratio", "values": [1, 2]}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "engine.trace" in capsys.readouterr().err
+    assert not out.exists()

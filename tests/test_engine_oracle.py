@@ -1,8 +1,11 @@
 """``run_game`` against the per-stage reference loop in ``engine_oracle``.
 
 Agreement means the same punishment stage, the same recorded trace and
-payoffs within 1e-12, and the same exception class wherever the reference
-raises.
+payoffs within 1e-12, and the same exception, class and message, wherever
+the reference raises.  Rayleigh-16 joint spaces are larger than every
+horizon here, so those runs play one row per stage; the two-state models
+(4 and 8 joint states) plan on the visited states and, where an alarm or a
+cap needs it, gather that plan along the path.
 """
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engine_oracle import run_game_oracle
-from powergame.channels import TruncatedRayleighSpec, build_model
+from powergame.channels import TruncatedRayleighSpec, TwoStateSpec, build_model
 from powergame.efficiency import ExponentialEfficiency
 from powergame.engine import DeviationSpec, EngineConfig, run_game
 from powergame.errors import SaturationError
@@ -42,6 +45,7 @@ def assert_agrees(params, model, kinds, cfg):
     want = _outcome(run_game_oracle, params, model, kinds, cfg)
     if isinstance(want, Exception) or isinstance(got, Exception):
         assert type(got) is type(want), (got, want)
+        assert str(got) == str(want)
         return
     assert got.punishment_stage == want.punishment_stage
     for name in ("eta", "powers", "sinr", "utility"):
@@ -63,32 +67,39 @@ def _assignments(k):
     yield (social,) + (BEST_USERS,) * (k - 1)
 
 
+# at cap 0.09 the selfish equilibrium binds in the low state (gain 1.2) and
+# the equal-received-power levels never do
+TWO_STATE = TwoStateSpec(1.2, 4.0, 0.5)
+
+
 def _matrix():
-    for k in (2, 3, 5):
-        for p_max in (np.inf, 0.09):
-            for kinds in _assignments(k):
-                social = any(r.name == "social_optimum"
-                             for r in (kinds if isinstance(kinds, tuple) else (kinds,)))
-                horizon, seeds = (4, (4,)) if social and k == 5 else (10, (4, 5))
-                devs = [None] + [DeviationSpec(k - 1, start, mode)
-                                 for start in (1, horizon // 2, horizon + 1)
-                                 for mode in ("one_shot", "permanent")]
-                for dev in devs:
-                    yield k, p_max, kinds, dev, horizon, seeds
+    for spec, counts in ((TruncatedRayleighSpec(), (2, 3, 5)), (TWO_STATE, (2, 3))):
+        for k in counts:
+            for p_max in (np.inf, 0.09):
+                for kinds in _assignments(k):
+                    social = any(r.name == "social_optimum"
+                                 for r in (kinds if isinstance(kinds, tuple) else (kinds,)))
+                    horizon, seeds = (4, (4,)) if social and k == 5 else (10, (4, 5))
+                    devs = [None] + [DeviationSpec(k - 1, start, mode)
+                                     for start in (1, horizon // 2, horizon + 1)
+                                     for mode in ("one_shot", "permanent")]
+                    for dev in devs:
+                        yield spec, k, p_max, kinds, dev, horizon, seeds
 
 
 def _label(case):
-    k, p_max, kinds, dev, _, _ = case
+    spec, k, p_max, kinds, dev, _, _ = case
     rules = kinds.label if not isinstance(kinds, tuple) else "+".join(r.label for r in kinds)
     d = "none" if dev is None else f"{dev.mode}@{dev.start}"
-    return f"K{k}-cap{p_max:g}-{rules}-{d}"
+    model = "two_state-" if spec is TWO_STATE else ""
+    return f"{model}K{k}-cap{p_max:g}-{rules}-{d}"
 
 
 @pytest.mark.parametrize("case", list(_matrix()), ids=_label)
 def test_matches_reference_on_seeded_matrix(case):
-    k, p_max, kinds, dev, horizon, seeds = case
+    spec, k, p_max, kinds, dev, horizon, seeds = case
     params = GameParams.symmetric(k, a=0.1, p_max=p_max)
-    model = build_model(TruncatedRayleighSpec(), k)
+    model = build_model(spec, k)
     for seed in seeds:
         cfg = EngineConfig(horizon=horizon, lam=0.2, seed=seed, deviation=dev)
         assert_agrees(params, model, kinds, cfg)

@@ -1,14 +1,17 @@
 """The Monte Carlo estimator's fast paths against their per-stage references.
 
-``estimate_expected_utilities`` plays a single-rule entry once per distinct
-visited joint state when the joint space is no larger than the horizon, and
-gathers the utility rows along the path; ``IIDProductLaw`` draws uniform
-laws over 2^m bins as ``floor(u * n)``.  Both must give the bits the
-per-stage play and ``searchsorted`` give.
+When the joint space is no larger than the horizon, ``estimate_expected_utilities``
+plans every entry once per distinct visited joint state; a single-rule entry
+under its caps is evaluated there and its utility rows are gathered along
+the path, any other entry gathers its plan and plays per stage.
+``run_game`` takes the same path.  ``IIDProductLaw`` draws uniform laws
+over 2^m bins as ``floor(u * n)``.  Both must give the bits the per-stage
+play and ``searchsorted`` give.
 """
 
 import numpy as np
 import pytest
+from engine_oracle import run_game_oracle
 
 from powergame import analysis, engine
 from powergame.channels import (
@@ -18,7 +21,14 @@ from powergame.channels import (
     TwoStateSpec,
     build_model,
 )
-from powergame.engine import EngineConfig, _normalize_kinds, _play, estimate_expected_utilities
+from powergame.engine import (
+    EngineConfig,
+    _draw_states,
+    _normalize_kinds,
+    _play,
+    estimate_expected_utilities,
+    run_game,
+)
 from powergame.errors import CapError, ModelError, SaturationError
 from powergame.oneshot import GameParams
 from powergame.strategies import (
@@ -56,7 +66,7 @@ def _per_stage(params, model, kinds, horizon, seed, replicates):
         cfg = EngineConfig(horizon=horizon, lam=0.5, seed=seed, spawn_key=(r,))
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
         eta = model.gain_matrix(model.sample_path(horizon, rng))
-        out.append(_play(params, _normalize_kinds(kinds, params.n_players), eta, cfg)[3]
+        out.append(_play(params, _normalize_kinds(kinds, params.n_players), eta, None, cfg)[4]
                    .mean(axis=0))
     return np.array(out)
 
@@ -66,9 +76,9 @@ def played_rows(monkeypatch):
     """Row counts of every ``_play`` call the estimator makes."""
     rows = []
 
-    def spy(params, kinds, eta, cfg):
+    def spy(params, kinds, eta, stage_rows, cfg):
         rows.append(eta.shape[0])
-        return _play(params, kinds, eta, cfg)
+        return _play(params, kinds, eta, stage_rows, cfg)
 
     monkeypatch.setattr(engine, "_play", spy)
     return rows
@@ -83,10 +93,9 @@ def test_tables_match_the_per_stage_play(name, played_rows):
     kinds_list = SINGLE_RULES + [mixed]
     got = estimate_expected_utilities(params, model, kinds_list, horizon, seed=41,
                                       replicates=3)
-    # every single rule is played on at most joint_size rows, the mixed entry per stage
-    per_replicate = np.array(played_rows).reshape(3, len(kinds_list))
-    assert np.all(per_replicate[:, :-1] <= model.joint_size)
-    assert np.all(per_replicate[:, -1] == horizon)
+    # every entry, the mixed one too, is planned on at most joint_size rows
+    assert len(played_rows) == 3 * len(kinds_list)
+    assert max(played_rows) <= model.joint_size
     for kinds, est in zip(kinds_list, got):
         want = _per_stage(params, model, kinds, horizon, 41, 3)
         assert est.per_replicate.tobytes() == want.tobytes(), kinds
@@ -131,15 +140,46 @@ def test_a_cap_binding_in_a_visited_state_raises_the_first_stage_error(kind, err
         _per_stage(params, model, kind, horizon, seed, 1)
     # the table's first failing state is not the first failing stage's, so
     # the table's own error would name another player and power
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    table_eta, _ = engine._visited_states(model, model.sample_path(horizon, rng))
-    cfg = EngineConfig(horizon=horizon, lam=0.5, seed=seed)
+    cfg = EngineConfig(horizon=horizon, lam=0.5, seed=seed, spawn_key=(0,))
+    table_eta, _ = _draw_states(params, model, cfg)
     with pytest.raises(error) as table:
-        _play(params, (kind, kind), table_eta, cfg)
+        _play(params, (kind, kind), table_eta, None, cfg)
     assert str(table.value) != str(per_stage.value)
     with pytest.raises(error) as got:
         estimate_expected_utilities(params, model, [kind], horizon, seed=seed, replicates=1)
     assert str(got.value) == str(per_stage.value)
+
+
+@pytest.mark.parametrize("kind", [NASH, OPERATING_POINT])
+def test_run_game_ignores_a_cap_binding_only_in_unvisited_states(kind, played_rows):
+    model = _rare_low_gain_model(1e-12)
+    params = GameParams.symmetric(2, a=0.1, p_max=1.0)
+    cfg = EngineConfig(horizon=200, lam=0.2, seed=5)
+    got = run_game(params, model, kind, cfg)
+    assert played_rows == [4]
+    want = run_game_oracle(params, model, kind, cfg)
+    for name in ("eta", "powers", "sinr", "utility"):
+        np.testing.assert_allclose(getattr(got.trace, name), getattr(want.trace, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+    np.testing.assert_allclose(got.discounted, want.discounted, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, error", [(NASH, SaturationError), (OPERATING_POINT, CapError)])
+def test_run_game_raises_the_first_failing_stage_error(kind, error):
+    model = _rare_low_gain_model(5 / 9)
+    params = GameParams.symmetric(2, a=0.1, p_max=1.0)
+    # the path of the estimator test above: its first failing state and
+    # first failing stage name different powers
+    cfg = EngineConfig(horizon=40, lam=0.2, seed=1, spawn_key=(0,))
+    with pytest.raises(error) as want:
+        run_game_oracle(params, model, kind, cfg)
+    table_eta, _ = _draw_states(params, model, cfg)
+    with pytest.raises(error) as table:
+        _play(params, (kind, kind), table_eta, None, cfg)
+    assert str(table.value) != str(want.value)
+    with pytest.raises(error) as got:
+        run_game(params, model, kind, cfg)
+    assert str(got.value) == str(want.value)
 
 
 class _FixedUniforms:
