@@ -41,7 +41,10 @@ class ExponentialEfficiency:
     def from_rate(cls, rate: float) -> "ExponentialEfficiency":
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
-        return cls(a=2.0 ** rate - 1.0)
+        try:
+            return cls(a=2.0 ** rate - 1.0)
+        except OverflowError:
+            raise ValueError(f"2**rate - 1 is not a finite float for rate {rate}") from None
 
     def value(self, x):
         """f(x); accepts scalars or arrays, x >= 0 (x = 0 and NaN map to 0)."""

@@ -30,7 +30,7 @@ from .engine import (
 )
 from .errors import ConfigError
 from .oneshot import GameParams
-from .strategies import _VALID_KINDS, BEST_USERS, StrategyKind, threshold
+from .strategies import _VALID_KINDS, StrategyKind, threshold
 
 _TASKS = ("simulate", "dominance", "region", "lambdamax", "partition")
 _SWEEP_AXES = ("ratio", "K", "alpha")
@@ -89,39 +89,25 @@ def _get(cfg: dict, path: str, kind, required=True, default=None, defaults_used=
 
 @dataclass
 class Experiment:
-    """A validated configuration, ready to run."""
+    """A validated configuration, ready to run.  ``points`` holds one
+    (axis value as written in the CSV, game, channel model, rule kinds)
+    tuple per sweep point, or the single point of a run without a sweep."""
 
     task: str
     config: dict  # normalized echo
     defaults_used: list
-    n_players: int
-    a: float | None
-    rate: float
-    sigma2: float
-    p_max: object
-    # a str is a model file path, which run_experiment replaces by the model
-    channel: TwoStateSpec | TruncatedRayleighSpec | str | ChannelModel
-    strategies: list[StrategyKind]
-    horizon: int
-    lam: float
-    seed: int
+    points: list[tuple[str, GameParams, ChannelModel, list[StrategyKind]]]
+    engine: EngineConfig  # each run replaces its spawn_key
     replicates: int
-    detection_tol: float
-    deviation: DeviationSpec | None
     trace: bool
     sweep_axis: str | None
-    sweep_values: list
     grid_size: int
     artifact: str
 
-    @property
-    def player_counts(self) -> list:
-        """Every K the experiment plays."""
-        return self.sweep_values if self.sweep_axis == "K" else [self.n_players]
-
 
 def parse_config(cfg: dict) -> Experiment:
-    """Validate a config dict; raises ConfigError naming the bad field."""
+    """Validate a config dict and build its sweep points; raises
+    ConfigError naming the bad field."""
     if not isinstance(cfg, dict):
         raise ConfigError("config error at <root>: document must be a JSON object")
     used: list = []
@@ -142,8 +128,7 @@ def parse_config(cfg: dict) -> Experiment:
     _require_positive_finite("game.a", a)
     _require_positive_finite("game.rate", rate)
     if rate is None:
-        rate = DEFAULTS["game.rate_when_a_given"]
-        used.append("game.rate")
+        used.append("game.rate")  # given a, GameParams.symmetric plays at rate 1
     sigma2 = _get(cfg, "game.sigma2", float, required=False,
                   default=DEFAULTS["game.sigma2"], defaults_used=used)
     _require_positive_finite("game.sigma2", sigma2)
@@ -177,8 +162,12 @@ def parse_config(cfg: dict) -> Experiment:
                          default=DEFAULTS["engine.detection_tol"], defaults_used=used)
     _require_positive_finite("engine.detection_tol", detection_tol)
     trace = _get(cfg, "engine.trace", bool, required=False, default=False)
-    deviation = None
     dv = _get(cfg, "engine.deviation", None, required=False)
+    if task != "simulate":
+        for path, given in (("engine.trace", trace), ("engine.deviation", dv is not None)):
+            if given:
+                _fail(path, f"only the simulate task reads it, not {task}")
+    deviation = None
     if dv is not None:
         if not isinstance(dv, dict):
             _fail("engine.deviation", "must be an object")
@@ -194,6 +183,8 @@ def parse_config(cfg: dict) -> Experiment:
 
     sweep_axis, sweep_values = None, [None]
     if cfg.get("sweep") is not None:
+        if task in ("region", "partition"):
+            _fail("sweep", f"the {task} task plays a single point")
         sweep_axis = _get(cfg, "sweep.axis", str)
         if sweep_axis not in _SWEEP_AXES:
             _fail("sweep.axis", f"must be one of {_SWEEP_AXES}")
@@ -232,17 +223,41 @@ def parse_config(cfg: dict) -> Experiment:
                              "region": "region.csv", "lambdamax": "lambdamax.csv",
                              "partition": "partition.csv"}[task])
 
-    exp = Experiment(
+    played = sweep_values if sweep_axis == "K" else [n_players]
+    if deviation is not None and deviation.player >= min(played):
+        _fail("engine.deviation.player", f"must be below every K played ({played})")
+    if isinstance(channel, str):
+        try:
+            channel = load_model(channel)
+        except OSError as exc:
+            _fail("channel.path", f"cannot read {channel}: {exc.strerror}")
+    points = []
+    for value in sweep_values:
+        k, spec, kinds = n_players, channel, strategies
+        if sweep_axis == "K":
+            k = int(value)
+        elif sweep_axis == "ratio":
+            spec = replace(channel, eta_max=channel.eta_min * float(value))
+        elif sweep_axis == "alpha":
+            kinds = [threshold(value) if s.name == "threshold" else s for s in strategies]
+        if isinstance(spec, ChannelModel) and spec.n_players != k:
+            _fail("channel.path", f"model has {spec.n_players} players, game has {k}")
+        try:
+            params = GameParams.symmetric(k, a=a, rate=rate, sigma2=sigma2, p_max=p_max)
+        except ValueError as exc:  # a, sigma2 and p_max are checked above
+            _fail("game.rate", str(exc))
+        model = spec if isinstance(spec, ChannelModel) else build_model(spec, k)
+        label = str(k) if sweep_axis in (None, "K") else _fmt(float(value))
+        points.append((label, params, model, kinds))
+
+    return Experiment(
         task=task, config=normalize_config(cfg), defaults_used=sorted(set(used)),
-        n_players=n_players, a=a, rate=rate, sigma2=sigma2, p_max=p_max,
-        channel=channel, strategies=strategies, horizon=horizon, lam=lam,
-        seed=seed, replicates=replicates, detection_tol=detection_tol,
-        deviation=deviation, trace=trace, sweep_axis=sweep_axis,
-        sweep_values=list(sweep_values), grid_size=grid_size, artifact=artifact,
+        points=points,
+        engine=EngineConfig(horizon=horizon, lam=lam, seed=seed, deviation=deviation,
+                            detection_tol=detection_tol),
+        replicates=replicates, trace=trace, sweep_axis=sweep_axis, grid_size=grid_size,
+        artifact=artifact,
     )
-    if deviation is not None and deviation.player >= min(exp.player_counts):
-        _fail("engine.deviation.player", f"must be below every K played ({exp.player_counts})")
-    return exp
 
 
 def _parse_channel(cfg: dict, used: list) -> TwoStateSpec | TruncatedRayleighSpec | str:
@@ -280,7 +295,9 @@ def _parse_channel(cfg: dict, used: list) -> TwoStateSpec | TruncatedRayleighSpe
 
 def _parse_strategies(cfg: dict, task: str, n_players: int) -> list:
     if task in ("partition", "region", "lambdamax"):
-        return [BEST_USERS]  # fixed by the task
+        if "strategies" in cfg:
+            _fail("strategies", f"the {task} task fixes its own rules")
+        return []
     raw = _get(cfg, "strategies", list)
     if not raw:
         _fail("strategies", "must be non-empty")
@@ -310,60 +327,15 @@ def normalize_config(cfg: dict) -> dict:
     return json.loads(json.dumps(cfg, sort_keys=True))
 
 
-def _build_point(exp: Experiment, value):
-    """Game, model and strategy kinds for one sweep point (value is None
-    without a sweep)."""
-    n_players, channel, kinds = exp.n_players, exp.channel, exp.strategies
-    if exp.sweep_axis == "K":
-        n_players = int(value)
-    elif exp.sweep_axis == "ratio":
-        channel = replace(channel, eta_max=channel.eta_min * float(value))
-    elif exp.sweep_axis == "alpha":
-        kinds = [threshold(value) if s.name == "threshold" else s for s in kinds]
-    params = GameParams.symmetric(n_players, a=exp.a,
-                                  rate=exp.rate if exp.a is None else None,
-                                  sigma2=exp.sigma2, p_max=exp.p_max)
-    model = channel if isinstance(channel, ChannelModel) else build_model(channel, n_players)
-    return params, model, kinds
-
-
-def _load_explicit(exp: Experiment) -> ChannelModel:
-    """The model file of an explicit channel, loaded once, with its player
-    count checked against every K the experiment plays."""
-    try:
-        model = load_model(exp.channel)
-    except OSError as exc:
-        _fail("channel.path", f"cannot read {exp.channel}: {exc.strerror}")
-    for n_players in exp.player_counts:
-        if model.n_players != n_players:
-            _fail("channel.path", f"model has {model.n_players} players, game has {n_players}")
-    return model
-
-
-def _axis_label(exp: Experiment) -> str:
-    return exp.sweep_axis or "K"
-
-
-def _axis_value(exp: Experiment, value) -> str:
-    if exp.sweep_axis is None:
-        return str(exp.n_players)
-    return _fmt(float(value)) if exp.sweep_axis != "K" else str(int(value))
-
-
 def _task_simulate(exp: Experiment) -> list:
     header = "player,v_discounted,u_avg,stderr"
-    lines = [header if exp.sweep_axis is None else f"{_axis_label(exp)},{header}"]
+    lines = [header if exp.sweep_axis is None else f"{exp.sweep_axis},{header}"]
     artifacts = []
-    for j, value in enumerate(exp.sweep_values):
-        params, model, kinds = _build_point(exp, value)
+    for j, (label, params, model, kinds) in enumerate(exp.points):
         kinds_full = kinds if len(kinds) == params.n_players else kinds * params.n_players
         discounted, averages = [], []
         for r in range(exp.replicates):
-            cfg = EngineConfig(
-                horizon=exp.horizon, lam=exp.lam, seed=exp.seed, spawn_key=(j, r),
-                deviation=exp.deviation, detection_tol=exp.detection_tol,
-            )
-            result = run_game(params, model, kinds_full, cfg)
+            result = run_game(params, model, kinds_full, replace(exp.engine, spawn_key=(j, r)))
             discounted.append(result.discounted)
             averages.append(result.time_average)
             if r == 0 and exp.trace:  # parse_config refuses a trace with a sweep
@@ -372,28 +344,27 @@ def _task_simulate(exp: Experiment) -> list:
         u = UtilityEstimate.from_replicates(np.array(averages))
         for i in range(params.n_players):
             row = f"{i},{_fmt(v[i])},{_fmt(u.mean[i])},{_fmt(u.stderr[i])}"
-            lines.append(row if exp.sweep_axis is None else f"{_axis_value(exp, value)},{row}")
+            lines.append(row if exp.sweep_axis is None else f"{label},{row}")
     artifacts.insert(0, (exp.artifact, "\n".join(lines) + "\n"))
     return artifacts
 
 
 def _task_dominance(exp: Experiment) -> list:
-    lines = [f"{_axis_label(exp)},strategy,mean,stderr"]
-    for j, value in enumerate(exp.sweep_values):
-        params, model, kinds = _build_point(exp, value)
+    lines = [f"{exp.sweep_axis or 'K'},strategy,mean,stderr"]
+    for j, (label, params, model, kinds) in enumerate(exp.points):
         estimates = estimate_expected_utilities(
-            params, model, kinds, exp.horizon, exp.seed, exp.replicates, spawn_prefix=(j,),
+            params, model, kinds, exp.engine.horizon, exp.engine.seed, exp.replicates,
+            spawn_prefix=(j,),
         )
         for kind, est in zip(kinds, estimates):
             # player-averaged per replicate
             avg = UtilityEstimate.from_replicates(est.per_replicate.mean(axis=1))
-            lines.append(f"{_axis_value(exp, value)},{kind.label},{_fmt(avg.mean)},"
-                         f"{_fmt(avg.stderr)}")
+            lines.append(f"{label},{kind.label},{_fmt(avg.mean)},{_fmt(avg.stderr)}")
     return [(exp.artifact, "\n".join(lines) + "\n")]
 
 
 def _task_region(exp: Experiment) -> list:
-    params, model, _ = _build_point(exp, exp.sweep_values[0])
+    _, params, model, _ = exp.points[0]  # parse_config refuses a sweep
     region = analysis.feasible_region_2p(params, model, exp.grid_size)
     hull_lines = ["x,y"] + [f"{_fmt(x)},{_fmt(y)}" for x, y in region.hull]
     marker_lines = ["name,u1,u2"] + [
@@ -412,16 +383,15 @@ def _task_region(exp: Experiment) -> list:
 
 
 def _task_lambdamax(exp: Experiment) -> list:
-    lines = [f"{_axis_label(exp)},lambda_max,delta,delta_stderr,penalty"]
-    for j, value in enumerate(exp.sweep_values):
-        params, model, _ = _build_point(exp, value)
+    lines = [f"{exp.sweep_axis or 'K'},lambda_max,delta,delta_stderr,penalty"]
+    for j, (label, params, model, _) in enumerate(exp.points):
         bound = analysis.lambda_max(
-            params, model, horizon=exp.horizon, replicates=exp.replicates,
-            seed=exp.seed, spawn_prefix=(j,),
+            params, model, horizon=exp.engine.horizon, replicates=exp.replicates,
+            seed=exp.engine.seed, spawn_prefix=(j,),
         )
         binding = int(np.argmin(bound.per_player))
         lines.append(
-            f"{_axis_value(exp, value)},{_fmt(bound.lambda_max)},"
+            f"{label},{_fmt(bound.lambda_max)},"
             f"{_fmt(bound.delta[binding])},{_fmt(bound.delta_stderr[binding])},"
             f"{_fmt(bound.penalty)}"
         )
@@ -429,9 +399,9 @@ def _task_lambdamax(exp: Experiment) -> list:
 
 
 def _task_partition(exp: Experiment) -> list:
-    params, model, _ = _build_point(exp, exp.sweep_values[0])
+    _, params, model, _ = exp.points[0]  # parse_config refuses a sweep
     part = analysis.config_partition(
-        params, model, horizon=exp.horizon, seed=exp.seed
+        params, model, horizon=exp.engine.horizon, seed=exp.engine.seed
     )
     lines = ["k,H1_freq,H2_freq"] + [
         f"{k},{_fmt(h1)},{_fmt(h2)}"
@@ -468,8 +438,6 @@ def run_experiment(config, out_dir) -> dict:
     if not isinstance(config, dict):
         config = load_config(config)
     exp = parse_config(config)
-    if isinstance(exp.channel, str):
-        exp = replace(exp, channel=_load_explicit(exp))
     artifacts = _TASK_RUNNERS[exp.task](exp)
     artifacts.append(
         ("config.json", json.dumps(exp.config, sort_keys=True, indent=1) + "\n")
@@ -478,7 +446,7 @@ def run_experiment(config, out_dir) -> dict:
     manifest = {
         "format": "powergame-manifest-v1",
         "config": exp.config,
-        "seed": exp.seed,
+        "seed": exp.engine.seed,
         "defaults_used": sorted(set(exp.defaults_used) | set(preset_prov.get("default", []))),
         "artifacts": {
             name: hashlib.sha256(text.encode()).hexdigest() for name, text in artifacts

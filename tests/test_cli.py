@@ -156,6 +156,8 @@ def _rayleigh_channel(cfg):
     ("game.a", NAN, None),
     ("game.a", INF, None),
     ("game.rate", NAN, _rate_game),
+    ("game.rate", 1030, _rate_game),  # a = 2**1030 - 1 overflows
+    ("game.rate", 2000, _rate_game),
     ("game.sigma2", NAN, None),
     ("game.p_max", NAN, None),
     ("game.p_max", [1.0, NAN], None),
@@ -243,4 +245,33 @@ def test_trace_with_a_sweep_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert "engine.trace" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task, field, value", [
+    ("dominance", "engine.trace", True),
+    ("dominance", "engine.deviation", {"player": 0}),
+    ("lambdamax", "engine.trace", True),
+    ("region", "engine.deviation", {"player": 0}),
+    ("partition", "engine.trace", True),
+    ("lambdamax", "strategies", ["bogus"]),
+    ("region", "strategies", ["nash"]),
+    ("partition", "strategies", ["best_users"]),
+    ("region", "sweep", {"axis": "ratio", "values": [2, 4]}),
+    ("partition", "sweep", {"axis": "K", "values": [2, 3, 4]}),
+])
+def test_a_field_the_task_would_drop_exits_2(tmp_path, capsys, task, field, value):
+    # only simulate traces or deviates, region, lambdamax and partition fix
+    # their own rules, and region and partition write a single point
+    cfg = small_config()
+    cfg["task"] = task
+    if task != "dominance":
+        del cfg["strategies"]
+    if "." in field:
+        _with(cfg, field, value)
+    else:
+        cfg[field] = value
+    out = tmp_path / "out"
+    assert main([task, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"config error at {field}:" in capsys.readouterr().err
     assert not out.exists()

@@ -69,6 +69,12 @@ class TestEval:
         assert ExponentialEfficiency.from_rate(1.0).a == pytest.approx(1.0)
         assert ExponentialEfficiency.from_rate(0.5).a == pytest.approx(2**0.5 - 1)
 
+    @pytest.mark.parametrize("rate", [1024, 1030, 2000])
+    def test_from_rate_refuses_a_rate_whose_a_is_not_a_finite_float(self, rate):
+        # 2.0 ** rate overflows a double from rate 1024 on
+        with pytest.raises(ValueError, match="not a finite float"):
+            ExponentialEfficiency.from_rate(rate)
+
     def test_sigmoid_inflection_at_half_a(self):
         # exactly one sign change of f'' on x > 0, at x = a/2
         a = 0.8

@@ -43,8 +43,8 @@ class TestValidation:
         with pytest.raises(ConfigError, match="exactly one"):
             parse_config(cfg)
         del cfg["game"]["a"]
-        exp = parse_config(cfg)  # rate alone is fine; a = 2**R - 1
-        assert exp.a is None and exp.rate == 1.0
+        (_, params, _, _), = parse_config(cfg).points  # rate alone is fine; a = 2**R - 1
+        assert params.eff.a == 1.0 and params.rates.tolist() == [1.0, 1.0]
 
     def test_unknown_task_and_strategy(self):
         cfg = small_simulate_config()
@@ -102,10 +102,10 @@ class TestValidation:
         cfg["task"] = "dominance"
         cfg["strategies"] = ["nash", {"kind": "threshold", "alpha": 0.5}]
         cfg["sweep"] = {"axis": "alpha", "values": [0, 0.25]}
-        exp = parse_config(cfg)
-        for value in exp.sweep_values:
-            _, _, kinds = experiments._build_point(exp, value)
-            assert [k.label for k in kinds] == ["nash", f"threshold({value:g})"]
+        points = parse_config(cfg).points
+        assert [label for label, _, _, _ in points] == ["0", "0.25"]
+        for label, _, _, kinds in points:
+            assert [k.label for k in kinds] == ["nash", f"threshold({label})"]
 
     def test_defaults_recorded(self):
         exp = parse_config(small_simulate_config())
@@ -159,7 +159,7 @@ class TestRunExperiment:
         monkeypatch.setattr(experiments, "_fmt", lambda x: repr(float(x)))
         cfg = small_simulate_config(replicates=replicates)
         run_experiment(cfg, tmp_path / "out")
-        params, model, kinds = experiments._build_point(parse_config(cfg), None)
+        (_, params, model, kinds), = parse_config(cfg).points
         runs = [run_game(params, model, kinds * 2,
                          EngineConfig(horizon=300, lam=0.05, seed=11, spawn_key=(0, r)))
                 for r in range(replicates)]
@@ -277,7 +277,7 @@ class TestPresets:
     @pytest.mark.parametrize("name", PRESETS)
     def test_all_presets_parse(self, name):
         exp = parse_config(preset(name))
-        assert exp.seed == 987654321
+        assert exp.engine.seed == 987654321
 
     def test_unknown_preset_lists_names(self):
         with pytest.raises(ConfigError) as err:
@@ -293,8 +293,8 @@ class TestPresets:
     def test_stated_fields_not_overridden_by_defaults(self):
         cfg = preset("fig4")
         exp = parse_config(cfg)
-        assert exp.a == 0.1
-        assert exp.horizon == 100_000
+        assert all(params.eff.a == 0.1 for _, params, _, _ in exp.points)
+        assert exp.engine.horizon == 100_000
         stated = set(cfg["provenance"]["stated"])
         assert not stated & set(exp.defaults_used)
 
@@ -359,6 +359,21 @@ def _pinned_configs(directory):
             "strategies": ["best_users", "nash", "operating_point"],
             "engine": {"horizon": 2000, "seed": 18, "replicates": 3},
             "sweep": {"axis": "ratio", "values": [1, 2.5, 8]}},
+        "k_sweep_simulate": {
+            "task": "simulate", "game": {"K": 4, "a": 0.1}, "channel": RAYLEIGH16,
+            "strategies": ["best_users"],
+            "engine": {"horizon": 2000, "seed": 19, "replicates": 3,
+                       "deviation": {"player": 1, "start": 30, "mode": "one_shot"}},
+            "sweep": {"axis": "K", "values": [3, 2, 5]}},
+        "ratio_sweep_simulate": {
+            "task": "simulate", "game": {"K": 2, "a": 0.15},
+            "channel": {"kind": "two_state", "eta_min": 0.5, "eta_max": 0.5, "p_high": 0.4},
+            "strategies": ["nash", "best_users"],
+            "engine": {"horizon": 2000, "lam": 0.2, "seed": 20, "replicates": 3},
+            "sweep": {"axis": "ratio", "values": [1, 2.5, 6]}},
+        "partition": {
+            "task": "partition", "game": {"K": 3, "a": 0.2}, "channel": RAYLEIGH16,
+            "engine": {"horizon": 3000, "seed": 21}},
     }
 
 
@@ -390,6 +405,14 @@ PINNED_ARTIFACTS = {
         "dominance.csv": "58cc922518ce4e03c186e62ffce49da6794668d7213d8e1c251a090593bb2c87"},
     "ratio_sweep": {
         "dominance.csv": "f37126a361b51493c1a67e5ff60797de2e8f7a7634580cfb5b0424f16298ea6a"},
+    # the axis column of a swept simulate and the partition task, computed
+    # before each sweep point was built once, in parse_config
+    "k_sweep_simulate": {
+        "summary.csv": "e8d7b68294d25f4034b174d994a7f6799477d213bf447ac8215f24769bc975aa"},
+    "ratio_sweep_simulate": {
+        "summary.csv": "c5e014ddcd073cb712cda3248ac836aaf6f0125c0f9ca5824bf9634fb4b170ae"},
+    "partition": {
+        "partition.csv": "6f89330b4f84c80a18ebb6f6aa069a1a19a21d16ec14ff52fb0aa7d6ffdf8028"},
 }
 
 
