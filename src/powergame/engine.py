@@ -22,6 +22,15 @@ stage to the selfish equilibrium, to which a permanent deviator keeps
 best-responding.  Monitoring is skipped when everyone follows one rule and
 nobody deviates; monitoring from the total received power alone is not
 supported.
+
+Such a run, when its plan is under every cap, needs no SINR pass either:
+each transmitter realizes the SINR its rule predicts (beta_star under the
+selfish equilibrium, gamma_tilde(k) in a k-player equal-received-power
+group, p eta / sigma2 for the lone time-sharing winner), so its utility is
+R f(s) / p with one s per row.  These utilities agree with the SINR route
+to within rounding (bit for bit under time sharing); the social optimum
+keeps the SINR route.  ``run_game`` then computes SINR only for the stages
+its trace keeps.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from .strategies import (  # noqa: F401  compliant_profile stays importable from
     check_caps,
     compliant_profile,
     detect_deviation,
+    group_gross_rates,
     unchecked_profile,
 )
 
@@ -155,13 +165,16 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
     kept = keep  # the kept stages' rows
     if rows is not None:  # one row per visited state: gather along the path
         util_all, kept = util_all[rows], rows[keep]
+    eta, powers = eta[kept], powers[kept]
+    # closed-form utilities come without SINR: compute it for the kept rows only
+    sinr_kept = sinr(params, eta, powers) if sinr_all is None else sinr_all[kept]
     calm = horizon if punishment_stage is None else punishment_stage
     punishing = np.repeat((keep >= calm)[:, None], params.n_players, axis=1)
     trace = StageTrace(
         t=keep + 1,
-        eta=eta[kept],
-        powers=powers[kept],
-        sinr=sinr_all[kept],
+        eta=eta,
+        powers=powers,
+        sinr=sinr_kept,
         utility=util_all[keep],
         recommended=recommended[kept],
         punishing=punishing,
@@ -202,17 +215,22 @@ def _play(params: GameParams, kinds: tuple, eta: np.ndarray, rows, cfg: EngineCo
     t+1 plays row ``rows[t]`` (``rows`` None: row t).
 
     Every rule plans each row once.  A run with no alarm whose plan is under
-    every cap stays on the rows; any other run gathers its plan along the
-    path and plays per stage, which finds the punishment stage or raises the
+    every cap stays on the rows and, unless its rule is the social optimum,
+    takes its utilities from the SINR the rule gives each transmitter,
+    without computing SINR.  Any other run gathers its plan along the path
+    and plays per stage, which finds the punishment stage or raises the
     first failing stage's error.  Returns ``(eta, powers, recommended, sinr,
     utility, punishment_stage, rows)``, the arrays indexed by the returned
-    ``rows`` map (None: by stage).
+    ``rows`` map (None: by stage); ``sinr`` is None when it was not computed.
     """
     dev = cfg.deviation
     if dev is not None and dev.player >= params.n_players:
         raise ValueError("deviation player index out of range")
-    planned, recommended, expected = _plan(params, kinds, eta, dev is not None)
+    planned, recommended, expected, k_active = _plan(params, kinds, eta, dev is not None)
     if expected is None and np.all(planned <= params.p_max):
+        if kinds[0].name != "social_optimum":
+            util_all = _compliant_utility(params, kinds[0], eta, planned, k_active)
+            return eta, planned, recommended, None, util_all, None, rows
         realized = sinr(params, eta, planned)
         util_all = _utility_from_sinr(params, planned, realized)
         return eta, planned, recommended, realized, util_all, None, rows
@@ -260,27 +278,50 @@ def _play(params: GameParams, kinds: tuple, eta: np.ndarray, rows, cfg: EngineCo
 def _plan(params, kinds, eta, deviation: bool):
     """Every player's unchecked compliant plan, one plan per distinct rule.
 
-    Returns ``(powers, recommended, expected)``: ``expected`` is the SINR
-    each player's alarm predicts (NaN without an alarm), or None when
-    everyone follows one rule and nobody deviates.  Powers over their caps
-    are left for the caller to check.
+    Returns ``(powers, recommended, expected, k_active)``: ``expected`` is
+    the SINR each player's alarm predicts (NaN without an alarm), or None
+    when everyone follows one rule and nobody deviates; ``k_active`` is the
+    single rule's recommended count per row (None for mixed rules).  Powers
+    over their caps are left for the caller to check.
     """
     rules = list(dict.fromkeys(kinds))
     plans = {rule: unchecked_profile(params, rule, eta) for rule in rules}
+    k_active = None
     if len(rules) == 1:  # no gathered copy: long compliant runs stay lean
-        powers, recommended = plans[rules[0]][:2]
+        powers, recommended, k_active = plans[rules[0]]
     else:  # each player takes its own rule's column
         powers = np.stack([plans[kind][0][:, i] for i, kind in enumerate(kinds)], axis=1)
         recommended = np.stack([plans[kind][1][:, i] for i, kind in enumerate(kinds)], axis=1)
     if len(rules) == 1 and not deviation:
-        return powers, recommended, None
+        return powers, recommended, None, k_active
 
     expected = np.full(eta.shape, np.nan)
     for rule, (rule_powers, *_) in plans.items():
         if rule.name in MONITORED_KINDS:  # the alarm predicts the SINR of the rule's own plan
             cols = [i for i, kind in enumerate(kinds) if kind == rule]
             expected[:, cols] = sinr(params, eta, rule_powers)[:, cols]
-    return powers, recommended, expected
+    return powers, recommended, expected, k_active
+
+
+def _compliant_utility(params, kind, eta, powers, k_active):
+    """Utilities R_i f(s_i) / p_i of one rule's plan ``powers`` (under every
+    cap, nobody deviating), from the SINR s_i the rule gives each
+    transmitter: beta_star under ``nash``, gamma_tilde of the group size
+    under the equal-received-power rules, and p eta / sigma2 for the lone
+    ``time_sharing`` winner.  Not for ``social_optimum``."""
+    if kind.name == "time_sharing":
+        stages = np.arange(powers.shape[0])
+        winner = np.argmax(powers, axis=1)  # the only positive power of its row
+        gross = np.zeros(powers.shape)
+        gross[stages, winner] = params.rates[winner] * params.eff.value(
+            powers[stages, winner] * eta[stages, winner] / params.sigma2)
+    elif kind.name == "nash":
+        gross = group_gross_rates(params)[0]
+    elif kind.name == "operating_point":
+        gross = group_gross_rates(params)[-1]
+    else:  # threshold, best_users: each row's recommended group
+        gross = group_gross_rates(params)[k_active - 1]
+    return np.divide(gross, powers, out=np.zeros(powers.shape), where=powers > 0)
 
 
 def _deviate(params, eta, scheduled, dev, stages):

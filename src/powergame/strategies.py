@@ -125,18 +125,25 @@ def _best_users_mask(params: GameParams, eta: np.ndarray) -> np.ndarray:
     """(N, K) best-user recommendations: per row, the prefix of the gain
     ranking (stable) whose equal-received-power welfare is largest, the
     shortest one on ties."""
-    rate = params.require_equal_rates()
+    params.require_equal_rates()
     n, k = eta.shape
     order = np.argsort(-eta, axis=1, kind="stable")
     cums = np.cumsum(np.take_along_axis(eta, order, axis=1), axis=1)
-    coeff = np.array(
-        [rate * params.eff.value(params.gamma_tilde(m)) / params.equal_power_coeff(m)
-         for m in range(1, params.n_players + 1)]
-    )
+    # the common received power equal_power_coeff(m) is the same for every m
+    coeff = group_gross_rates(params)[:, 0] / params.equal_power_coeff(1)
     k_star = np.argmax(coeff * cums, axis=1) + 1
     recommended = np.zeros((n, k), dtype=bool)
     np.put_along_axis(recommended, order, np.arange(k) < k_star[:, None], axis=1)
     return recommended
+
+
+def group_gross_rates(params: GameParams) -> np.ndarray:
+    """(K, K) gross rates of equal-received-power groups: row m - 1 holds
+    every player's R_i f(gamma_tilde(m)), the goodput of each member of an
+    m-player group (its utility times its power).  Row 0 is also the
+    selfish equilibrium's, since gamma_tilde(1) = beta_star."""
+    gamma = np.array([params.gamma_tilde(m) for m in range(1, params.n_players + 1)])
+    return params.eff.value(gamma)[:, None] * params.rates
 
 
 def _threshold_mask(alpha: float, eta: np.ndarray) -> np.ndarray:

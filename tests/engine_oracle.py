@@ -9,6 +9,10 @@ player to the selfish equilibrium from stage t+1 on.  Tests compare
 generated runs.  The scalar selectors it uses are private copies of the
 package's former ones, so the reference does not share the vectorized
 selection masks it checks.
+
+``compliant_utility_oracle`` is the SINR route for one rule's compliant
+plan, which the engine replaces by the SINR the rule gives each
+transmitter.
 """
 
 from __future__ import annotations
@@ -29,7 +33,14 @@ from powergame.strategies import (
     SignalProfile,
     detect_deviation,
     stage_action,
+    unchecked_profile,
 )
+
+
+def compliant_utility_oracle(params, kind, eta):
+    """Utilities of ``kind``'s plan on the (N, K) gains ``eta`` by the SINR
+    route: ``oneshot.utility`` of the ``unchecked_profile`` powers."""
+    return utility(params, eta, unchecked_profile(params, kind, eta)[0])
 
 
 def run_game_oracle(params, model, kinds, cfg) -> RunResult:

@@ -23,7 +23,7 @@ from powergame.engine import (
     truncation_bound,
 )
 from powergame.errors import CapError, SaturationError
-from powergame.oneshot import GameParams
+from powergame.oneshot import GameParams, sinr, utility
 from engine_oracle import run_game_oracle
 from powergame.strategies import (
     BEST_USERS,
@@ -141,6 +141,34 @@ class TestRunGame:
                 tr.powers > 0, np.exp(-0.2 / np.where(sinr_oracle > 0, sinr_oracle, 1.0)) / np.where(tr.powers > 0, tr.powers, 1.0), 0.0
             )
         np.testing.assert_allclose(tr.utility, util_oracle, atol=1e-12)
+
+    # Rayleigh-16: 256 joint states at K = 2 and 4096 at K = 3 play on the
+    # visited states, K = 5 one row per stage; 12 000 stages are thinned
+    TRACE_RUNS = {
+        "table": (2, 3000, None),
+        "per_stage": (5, 2000, None),
+        "thinned": (3, 12_000, None),
+        "deviating": (2, 3000, DeviationSpec(1, 500, "permanent")),
+    }
+
+    @pytest.mark.parametrize("kind", [NASH, OPERATING_POINT, TIME_SHARING, threshold(0.5),
+                                      BEST_USERS], ids=lambda kind: kind.label)
+    @pytest.mark.parametrize("run", list(TRACE_RUNS))
+    def test_trace_recomputes_from_its_powers(self, run, kind):
+        k, horizon, dev = self.TRACE_RUNS[run]
+        params = params_for(k, 0.1, sigma2=1.3)
+        model = build_model(TruncatedRayleighSpec(bins=16), k)
+        cfg = EngineConfig(horizon=horizon, lam=0.05, seed=8, deviation=dev)
+        res = run_game(params, model, kind, cfg)
+        tr = res.trace
+        assert tr.t.size == (120 if run == "thinned" else horizon)
+        assert tr.sinr.tobytes() == sinr(params, tr.eta, tr.powers).tobytes()
+        want = utility(params, tr.eta, tr.powers)
+        if dev is None:  # closed-form utilities
+            np.testing.assert_allclose(tr.utility, want, rtol=1e-13, atol=0)
+        else:  # the SINR route, as before utilities had a closed form
+            assert tr.utility.tobytes() == want.tobytes()
+            assert res.discounted.tobytes() == discounted_utility(want, cfg.lam).tobytes()
 
     def test_discounted_below_max_stage_utility(self):
         params = params_for(2, 0.1)

@@ -7,11 +7,16 @@ the path, any other entry gathers its plan and plays per stage.
 ``run_game`` takes the same path.  ``IIDProductLaw`` draws uniform laws
 over 2^m bins as ``floor(u * n)``.  Both must give the bits the per-stage
 play and ``searchsorted`` give.
+
+A single rule other than the social optimum takes its compliant utilities
+from the SINR the rule gives each transmitter, on the table and per stage
+alike.  Against the SINR route (``engine_oracle.compliant_utility_oracle``)
+they agree within 1e-13 relative, and bit for bit under time sharing.
 """
 
 import numpy as np
 import pytest
-from engine_oracle import run_game_oracle
+from engine_oracle import compliant_utility_oracle, run_game_oracle
 
 from powergame import analysis, engine
 from powergame.channels import (
@@ -29,6 +34,7 @@ from powergame.engine import (
     estimate_expected_utilities,
     run_game,
 )
+from powergame.efficiency import ExponentialEfficiency
 from powergame.errors import CapError, ModelError, SaturationError
 from powergame.oneshot import GameParams
 from powergame.strategies import (
@@ -40,8 +46,10 @@ from powergame.strategies import (
     threshold,
 )
 
-SINGLE_RULES = [NASH, OPERATING_POINT, TIME_SHARING, threshold(0.5), BEST_USERS,
-                SOCIAL_OPTIMUM]
+CLOSED_FORM_RULES = [NASH, OPERATING_POINT, TIME_SHARING, threshold(0.5), BEST_USERS]
+SINGLE_RULES = CLOSED_FORM_RULES + [SOCIAL_OPTIMUM]
+# closed-form utilities against the SINR route (time sharing: bit for bit)
+SINR_ROUTE_RTOL = 1e-13
 
 
 def _markov_8_state():
@@ -59,16 +67,27 @@ MODELS = {
 }
 
 
+def _path_gains(model, horizon, seed, r):
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+    return model.gain_matrix(model.sample_path(horizon, rng))
+
+
 def _per_stage(params, model, kinds, horizon, seed, replicates):
     """Each replicate's time average from ``_play`` over the whole drawn path."""
     out = []
     for r in range(replicates):
         cfg = EngineConfig(horizon=horizon, lam=0.5, seed=seed, spawn_key=(r,))
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        eta = model.gain_matrix(model.sample_path(horizon, rng))
+        eta = _path_gains(model, horizon, seed, r)
         out.append(_play(params, _normalize_kinds(kinds, params.n_players), eta, None, cfg)[4]
                    .mean(axis=0))
     return np.array(out)
+
+
+def _sinr_route(params, model, kind, horizon, seed, replicates):
+    """``_per_stage`` with utilities from ``compliant_utility_oracle``."""
+    return np.array([
+        compliant_utility_oracle(params, kind, _path_gains(model, horizon, seed, r)).mean(axis=0)
+        for r in range(replicates)])
 
 
 @pytest.fixture
@@ -99,6 +118,47 @@ def test_tables_match_the_per_stage_play(name, played_rows):
     for kinds, est in zip(kinds_list, got):
         want = _per_stage(params, model, kinds, horizon, 41, 3)
         assert est.per_replicate.tobytes() == want.tobytes(), kinds
+        if kinds in CLOSED_FORM_RULES:
+            np.testing.assert_allclose(
+                want, _sinr_route(params, model, kinds, horizon, 41, 3),
+                rtol=SINR_ROUTE_RTOL, atol=0, err_msg=kinds.label)
+
+
+LAWS = {
+    "two_state": TwoStateSpec(1.0, 4.0, 0.5),
+    "rayleigh12": TruncatedRayleighSpec(bins=12),
+    "rayleigh16": TruncatedRayleighSpec(bins=16),
+}
+KERNEL_CASES = [(law, k) for law in LAWS for k in (1, 2, 5, 10)] + [("markov_8_state", 2)]
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORM_RULES, ids=lambda kind: kind.label)
+@pytest.mark.parametrize("law, k", KERNEL_CASES, ids=[f"{law}-K{k}" for law, k in KERNEL_CASES])
+def test_closed_form_utilities_match_the_sinr_route(law, k, kind):
+    model = _markov_8_state() if law == "markov_8_state" else build_model(LAWS[law], k)
+    eta = _path_gains(model, 400, k, 0)
+    cfg = EngineConfig(horizon=400, lam=0.5, seed=0)
+    unequal = np.linspace(0.5, 2.0, k)
+    for a in (0.02, 0.1, 0.37, 1.5):
+        if kind == NASH and (k - 1) * a >= 1.0:
+            continue  # no selfish equilibrium
+        for sigma2 in (0.3, 1.0, 2.9):
+            rates = [1.0] if kind == BEST_USERS else [1.0, unequal]  # best users: equal only
+            caps = [np.inf]
+            if kind == TIME_SHARING:  # caps near the median solo power bind on some rows
+                caps.append(a * sigma2 / np.median(eta.max(axis=1)) * np.linspace(0.8, 1.2, k))
+            for rate in rates:
+                for p_max in caps:
+                    params = GameParams(k, ExponentialEfficiency(a), rates=rate,
+                                        sigma2=sigma2, p_max=p_max)
+                    _, powers, _, realized, got, *_ = _play(params, (kind,) * k, eta, None, cfg)
+                    assert realized is None  # no SINR pass
+                    want = compliant_utility_oracle(params, kind, eta)
+                    if kind == TIME_SHARING:
+                        assert np.isinf(p_max).all() or (powers == p_max).any()
+                        assert got.tobytes() == want.tobytes()
+                    else:
+                        np.testing.assert_allclose(got, want, rtol=SINR_ROUTE_RTOL, atol=0)
 
 
 def test_joint_spaces_larger_than_the_horizon_play_per_stage(played_rows):

@@ -17,6 +17,7 @@ from powergame.strategies import (
     StrategyKind,
     compliant_profile,
     detect_deviation,
+    group_gross_rates,
     select_best_users,
     select_by_threshold,
     stage_action,
@@ -81,6 +82,23 @@ class TestBestUserSelection:
         p = GameParams(2, ExponentialEfficiency(0.1), rates=[1.0, 2.0])
         with pytest.raises(ValueError):
             select_best_users(p, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("a", [0.01, 0.05, 0.1, 1 / 9, 1.5, 7.0])
+@pytest.mark.parametrize("rates", [1.0, 2.5, [0.5, 1.0, 1.7, 3.0, 0.2, 1.1, 2.2, 0.9, 1.3, 4.0]])
+def test_group_gross_rates_fall_with_group_size(a, rates):
+    # f(gamma_tilde(m)) = exp(-a / gamma_tilde(m)) = exp(-(1 + (m - 1) a))
+    params = GameParams(10, ExponentialEfficiency(a), rates=rates)
+    got = group_gross_rates(params)
+    m = np.arange(1, 11)[:, None]
+    want = params.rates * np.exp(-(1.0 + (m - 1) * a))
+    assert got.shape == (10, 10)
+    assert np.all(np.diff(got, axis=0) < 0)
+    # exp scales the rounding of a / gamma_tilde(m) by that exponent, so the
+    # bound holds while it stays at most 2: everywhere the selfish
+    # equilibrium of 10 players exists
+    if 9 * a <= 1.0:
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
 
 class TestThresholdSelection:
