@@ -17,6 +17,7 @@ the model file format.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -31,7 +32,7 @@ from .errors import ModelError, ReducibleLawError
 _ROW_SUM_TOL = 1e-12
 _JOINT_CAP = 1 << 17  # largest joint space materialized exactly
 
-MODEL_FILE_FORMAT = "powergame-channel-model-v2"
+MODEL_FILE_FORMAT = "powergame-channel-model-v3"
 
 
 def _check_probs(vec, what: str) -> np.ndarray:
@@ -373,21 +374,25 @@ def stationary_distribution(law) -> np.ndarray:
     return law.stationary_joint()
 
 
-def _content_sha256(gains, law_values) -> str:
+def _content_sha256(gains, law_bytes: bytes) -> str:
     """sha256 over the little-endian float64 bytes of the per-player state
-    counts, every gain, and the law's ``mu`` or ``transition`` entries."""
+    counts, every gain, and the law's ``mu`` or ``transition`` entries
+    (``law_bytes``, as a model file stores them)."""
     digest = hashlib.sha256(np.array([len(g) for g in gains], dtype="<f8").tobytes())
-    for values in (*gains, law_values):
-        digest.update(np.asarray(values, dtype="<f8").tobytes())
+    for g in gains:
+        digest.update(np.asarray(g, dtype="<f8").tobytes())
+    digest.update(law_bytes)
     return digest.hexdigest()
 
 
 def save_model(model: ChannelModel, path) -> None:
     """Write a model to the documented JSON file format.
 
-    The file stores per-player gain values plus either ``mu`` (i.i.d.) or
-    a row-major ``transition`` matrix over joint states, with a sha256 of
-    that content (JSON floats round-trip exactly) that the loader verifies.
+    The file stores per-player gain values as JSON number lists, plus
+    either ``mu`` (i.i.d.) or a row-major ``transition`` matrix over joint
+    states as a base64 string of its little-endian float64 bytes, and a
+    sha256 of that content that the loader verifies.  The output depends
+    only on the model, so saving one model twice gives identical bytes.
     """
     law = model.law
     if isinstance(law, (IIDProductLaw, IIDJointLaw)):
@@ -396,35 +401,71 @@ def save_model(model: ChannelModel, path) -> None:
         key, values = "transition", law.matrix
     else:
         raise ModelError(f"cannot serialize law {type(law).__name__}")
+    law_bytes = np.ascontiguousarray(values, dtype="<f8").tobytes()
     doc = {
         "format": MODEL_FILE_FORMAT,
         "gains": [g.tolist() for g in model.gains],
-        key: values.tolist(),
-        "content_sha256": _content_sha256(model.gains, values),
+        key: base64.b64encode(law_bytes).decode("ascii"),
+        "content_sha256": _content_sha256(model.gains, law_bytes),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_model(path) -> ChannelModel:
     """Load a model written by ``save_model`` (or by hand, same schema).
-    Only the current format is read, so its content sha256 always holds."""
+
+    Only the current format is read.  Before the law is built, the loader
+    checks in turn the format, the gain lists, that the law payload is a
+    base64 string holding 8 bytes per ``mu`` entry (size S, the product of
+    the gain-list lengths) or per ``transition`` entry (S x S), and the
+    content sha256 over the decoded bytes.  Any failure raises
+    ``ModelError`` naming what is wrong.
+    """
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ModelError(f"{path}: top level must be a JSON object, "
+                         f"not {type(doc).__name__}")
     fmt = doc.get("format")
     if fmt != MODEL_FILE_FORMAT:
         raise ModelError(f"{path}: unknown format {fmt!r}")
-    if "gains" not in doc:
-        raise ModelError(f"{path}: missing gains")
-    gains = tuple(np.asarray(g, dtype=float) for g in doc["gains"])
+    gains = doc.get("gains")
+    if not (isinstance(gains, list) and gains
+            and all(isinstance(g, list) and g and all(map(_is_number, g)) for g in gains)):
+        raise ModelError(f"{path}: gains must be a non-empty list of non-empty "
+                         "lists of numbers")
+    try:
+        gains = tuple(np.array(g, dtype=float) for g in gains)
+    except OverflowError as exc:
+        raise ModelError(f"{path}: gains hold a number too large for float64") from exc
     if ("mu" in doc) == ("transition" in doc):
         raise ModelError(f"{path}: give exactly one of mu or transition")
     key = "mu" if "mu" in doc else "transition"
-    values = np.asarray(doc[key], dtype=float)
-    if doc.get("content_sha256") != _content_sha256(gains, values):
+    payload = doc[key]
+    if not isinstance(payload, str):
+        raise ModelError(f"{path}: {key} must be a base64 string, "
+                         f"not {type(payload).__name__}")
+    try:
+        law_bytes = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ModelError(f"{path}: {key} is not valid base64 ({exc})") from exc
+    size = math.prod(g.size for g in gains)
+    count = size if key == "mu" else size * size
+    if len(law_bytes) != 8 * count:
+        raise ModelError(f"{path}: {key} holds {len(law_bytes)} bytes, expected "
+                         f"{8 * count} ({count} float64 entries for {size} joint states)")
+    if doc.get("content_sha256") != _content_sha256(gains, law_bytes):
         raise ModelError(f"{path}: content checksum missing or mismatched")
+    values = np.frombuffer(law_bytes, dtype="<f8").astype(float)
+    if key == "transition":
+        values = values.reshape(size, size)
     return build_model(ExplicitSpec(gains, **{key: values}), len(gains))

@@ -1,3 +1,5 @@
+import base64
+import hashlib
 import json
 import math
 
@@ -326,14 +328,45 @@ class TestExplicitAndFiles:
             loaded.law.stationary_joint(), m.law.stationary_joint()
         )
 
+    @pytest.mark.parametrize("kind", ["markov16", "iid_joint", "rayleigh16"])
+    def test_round_trip_is_bitwise(self, tmp_path, kind):
+        rng = rng_of(77)
+        if kind == "markov16":
+            rows = rng.uniform(0.1, 1.0, (16, 16))
+            rows /= rows.sum(axis=1, keepdims=True)
+            gains = (np.sort(rng.uniform(0.2, 5.0, 4)), np.sort(rng.uniform(0.2, 5.0, 4)))
+            m = ChannelModel(gains, MarkovJointLaw(rows, (4, 4)))
+            law_values = m.law.matrix
+        elif kind == "iid_joint":
+            mu = rng.uniform(0.1, 1.0, 6)
+            m = ChannelModel(([0.3, 1.7], [0.5, 1.1, 2.9]), IIDJointLaw(mu / mu.sum(), (2, 3)))
+            law_values = m.law.mu
+        else:
+            m = build_model(TruncatedRayleighSpec(bins=16), 2)
+            assert isinstance(m.law, IIDProductLaw)
+            law_values = m.law.stationary_joint()
+        path = tmp_path / "model.json"
+        save_model(m, path)
+        loaded = load_model(path)
+        assert [g.tobytes() for g in loaded.gains] == [g.tobytes() for g in m.gains]
+        got = loaded.law.matrix if kind == "markov16" else loaded.law.stationary_joint()
+        assert got.shape == law_values.shape
+        assert got.tobytes() == law_values.tobytes()
+        assert got.flags.writeable and got.dtype == np.float64
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        # save_model output is a pure function of the model
+        path, _ = self._saved_two_state_markov(tmp_path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SMALL_MODEL_FILE_SHA256
+
     def test_checksum_mismatch_detected(self, tmp_path):
         m = build_model(TwoStateSpec(1.0, 4.0), 1)
         path = tmp_path / "model.json"
         save_model(m, path)
         doc = json.loads(path.read_text())
-        doc["mu"] = [0.4, 0.7]  # corrupted row: sum no longer matches
+        doc["mu"] = _b64([0.4, 0.7])  # well-formed payload, wrong content
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelError, match="checksum"):
+        with pytest.raises(ModelError, match="content checksum"):
             load_model(path)
 
     def _saved_two_state_markov(self, tmp_path):
@@ -345,16 +378,16 @@ class TestExplicitAndFiles:
     def test_swapped_transition_matrix_detected(self, tmp_path):
         # same size, same row sums: the v1 row-sum checksum accepted this
         path, doc = self._saved_two_state_markov(tmp_path)
-        doc["transition"] = [[0.2, 0.8], [0.7, 0.3]]
+        doc["transition"] = _b64([[0.2, 0.8], [0.7, 0.3]])
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelError, match="checksum"):
+        with pytest.raises(ModelError, match="content checksum"):
             load_model(path)
 
     def test_edited_gain_detected(self, tmp_path):
         path, doc = self._saved_two_state_markov(tmp_path)
         doc["gains"][0][1] = 2.5
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelError, match="checksum"):
+        with pytest.raises(ModelError, match="content checksum"):
             load_model(path)
 
     def test_v1_file_is_refused(self, tmp_path):
@@ -368,6 +401,52 @@ class TestExplicitAndFiles:
         with pytest.raises(ModelError, match="format"):
             load_model(path)
 
+    def test_v2_file_is_refused(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(SMALL_MODEL_V2))
+        with pytest.raises(ModelError, match="unknown format 'powergame-channel-model-v2'"):
+            load_model(path)
+
+    def test_v2_file_migrates_to_the_same_content_hash(self, tmp_path):
+        # the migration that README "Channel model files" gives for v2 files
+        doc = SMALL_MODEL_V2
+        law = {key: doc[key] for key in ("mu", "transition") if key in doc}
+        spec = ExplicitSpec(tuple(doc["gains"]), **law)
+        path = tmp_path / "model.json"
+        save_model(build_model(spec, len(doc["gains"])), path)
+        assert json.loads(path.read_text())["content_sha256"] == doc["content_sha256"]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SMALL_MODEL_FILE_SHA256
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [], "top level must be a JSON object, not list"),
+        (lambda doc: dict(doc, gains=5), "gains must be a non-empty list"),
+        (lambda doc: dict(doc, gains=[]), "gains must be a non-empty list"),
+        (lambda doc: dict(doc, gains=[[1.0, 2.0], []]), "gains must be a non-empty list"),
+        (lambda doc: dict(doc, gains=[[1.0, "2"], [1.5]]), "gains must be a non-empty list"),
+        (lambda doc: dict(doc, gains=[[1.0, True], [1.5]]), "gains must be a non-empty list"),
+        (lambda doc: dict(doc, gains=[[1.0, 10 ** 400], [1.5]]), "gains hold a number too large"),
+        (lambda doc: dict(doc, mu=_b64([0.5, 0.5])), "exactly one of mu or transition"),
+        (lambda doc: dict(doc, transition=[[0.9, 0.1], [0.5, 0.5]]),
+         "transition must be a base64 string, not list"),
+        (lambda doc: dict(doc, transition=None), "transition must be a base64 string, not NoneType"),
+        (lambda doc: dict(doc, transition=doc["transition"][:-1]), "transition is not valid base64"),
+        (lambda doc: dict(doc, transition="*" + doc["transition"][1:]),
+         "transition is not valid base64"),
+        (lambda doc: dict(doc, transition="\u00e9" + doc["transition"][1:]),
+         "transition is not valid base64"),
+        (lambda doc: dict(doc, transition=_b64([0.9, 0.1, 0.5])),
+         "transition holds 24 bytes, expected 32"),
+        (lambda doc: dict(doc, transition=_b64(np.full((3, 3), 1 / 3))),
+         "transition holds 72 bytes, expected 32"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "content_sha256"},
+         "content checksum"),
+    ])
+    def test_malformed_file_raises_model_error(self, tmp_path, edit, message):
+        path, doc = self._saved_two_state_markov(tmp_path)
+        path.write_text(json.dumps(edit(doc)))
+        with pytest.raises(ModelError, match=message):
+            load_model(path)
+
     def test_bad_json_reported(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json")
@@ -379,6 +458,22 @@ class TestExplicitAndFiles:
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(ModelError, match="format"):
             load_model(path)
+
+
+def _b64(values) -> str:
+    """A ``mu``/``transition`` payload as a model file stores it."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+# the file that ``_saved_two_state_markov`` writes, and the same model as
+# the v2 format's ``save_model`` wrote it (the content hash is unchanged)
+SMALL_MODEL_FILE_SHA256 = "a40e1ea41b02d6e5ceaede06029a22ae7a0a23167c2e9b1adea7dee1d9575ead"
+SMALL_MODEL_V2 = {
+    "content_sha256": "676e24726d0d859797891f6d69d9dcfd583163ce945879dc855ba02e63911893",
+    "format": "powergame-channel-model-v2",
+    "gains": [[1.0, 2.0], [1.5]],
+    "transition": [[0.9, 0.1], [0.5, 0.5]],
+}
 
 
 def test_gain_must_be_positive():

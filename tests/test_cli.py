@@ -275,3 +275,20 @@ def test_a_field_the_task_would_drop_exits_2(tmp_path, capsys, task, field, valu
     assert main([task, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert f"config error at {field}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model, message", [
+    ([], "top level must be a JSON object"),
+    ({"format": "powergame-channel-model-v3", "gains": 5}, "gains must be a non-empty list"),
+])
+def test_malformed_model_file_exits_3(tmp_path, capsys, model, message):
+    # a model file that is valid JSON but not a model is a ModelError, not a
+    # traceback
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model))
+    cfg = small_config()
+    cfg["channel"] = {"kind": "explicit", "path": str(model_path)}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
