@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import IIDJointLaw, IIDProductLaw, stationary_distribution
+from .channels import stationary_distribution
 from .engine import UtilityEstimate, estimate_expected_utilities
 from .errors import ModelError
 from .geometry import (
@@ -120,15 +120,15 @@ def feasible_region_2p(params: GameParams, model, grid_size: int = 12) -> Region
     strategies (with public randomization) on quantized action grids.
 
     Per joint state the achievable utility pairs form a finite cloud; the
-    expected-utility set is the probability-weighted Minkowski sum of the
-    clouds' convex hulls.  Each player's grid is ``oneshot._power_grid``.
-    Requires K = 2, an i.i.d. state law and, in every joint state, the
-    selfish equilibrium under the caps (else ``SaturationError``).
+    expected-utility set is the Minkowski sum of the clouds' convex hulls,
+    weighted by the stationary probabilities.  The channel law does not
+    depend on actions, so this holds for any irreducible law, Markov laws
+    included.  Each player's grid is ``oneshot._power_grid``.  Requires
+    K = 2 and, in every joint state, the selfish equilibrium under the caps
+    (else ``SaturationError``).
     """
     if params.n_players != 2:
         raise ValueError("the exact region is only computed for 2-player games")
-    if not isinstance(model.law, (IIDProductLaw, IIDJointLaw)):
-        raise ValueError("the exact region needs an i.i.d. state law")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
 

@@ -64,21 +64,13 @@ class IIDProductLaw:
         exact = all(n & (n - 1) == 0 and np.all(p == 1.0 / n) for n, p in zip(bins, self.probs))
         self._dyadic_bins = np.array(bins, dtype=float) if exact else None
 
-    @property
-    def n_players(self) -> int:
-        return len(self.probs)
-
-    @property
-    def joint_size(self) -> int:
-        return math.prod(self.dims)
-
     def sample_path(self, horizon: int, rng, initial=None) -> np.ndarray:
-        u = rng.random((horizon, self.n_players))
+        u = rng.random((horizon, len(self.dims)))
         if self._dyadic_bins is not None:
             u *= self._dyadic_bins
             idx = u.astype(np.int64)
         else:
-            idx = np.empty((horizon, self.n_players), dtype=np.int64)
+            idx = np.empty(u.shape, dtype=np.int64)
             for i, cum in enumerate(self._cums):
                 idx[:, i] = np.searchsorted(cum, u[:, i], side="right")
         if initial is not None:
@@ -86,9 +78,9 @@ class IIDProductLaw:
         return idx
 
     def stationary_joint(self) -> np.ndarray:
-        if self.joint_size > _JOINT_CAP:
+        if math.prod(self.dims) > _JOINT_CAP:
             raise ModelError(
-                f"joint state space has {self.joint_size} states; too large to enumerate"
+                f"joint state space has {math.prod(self.dims)} states; too large to enumerate"
             )
         mu = self.probs[0]
         for p in self.probs[1:]:
@@ -108,14 +100,6 @@ class IIDJointLaw:
             raise ReducibleLawError("i.i.d. law needs full support to be irreducible")
         self._cum = np.cumsum(self.mu)
         self._cum[-1] = 1.0
-
-    @property
-    def n_players(self) -> int:
-        return len(self.dims)
-
-    @property
-    def joint_size(self) -> int:
-        return self.mu.size
 
     def sample_path(self, horizon: int, rng, initial=None) -> np.ndarray:
         flat = np.searchsorted(self._cum, rng.random(horizon), side="right")
@@ -151,14 +135,6 @@ class MarkovJointLaw:
         # zero-copy views of the rows: stepping the chain bisects one of
         # them per stage without a numpy call
         self._rows = [memoryview(row) for row in self._cum]
-
-    @property
-    def n_players(self) -> int:
-        return len(self.dims)
-
-    @property
-    def joint_size(self) -> int:
-        return self.matrix.shape[0]
 
     def sample_path(self, horizon: int, rng, initial=None) -> np.ndarray:
         # bisect_right takes the same midpoints as searchsorted(side="right"),
@@ -269,7 +245,7 @@ class ChannelModel:
 
     def __post_init__(self):
         gains = tuple(np.asarray(g, dtype=float) for g in self.gains)
-        if len(gains) != self.law.n_players:
+        if len(gains) != self.n_players:
             raise ModelError("gain sets and law disagree on the player count")
         for i, g in enumerate(gains):
             if g.size != self.law.dims[i]:
@@ -280,11 +256,11 @@ class ChannelModel:
 
     @property
     def n_players(self) -> int:
-        return self.law.n_players
+        return len(self.law.dims)
 
     @property
     def joint_size(self) -> int:
-        return self.law.joint_size
+        return math.prod(self.law.dims)
 
     @property
     def sup_gain(self) -> float:

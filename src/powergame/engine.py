@@ -28,9 +28,10 @@ each transmitter realizes the SINR its rule predicts (beta_star under the
 selfish equilibrium, gamma_tilde(k) in a k-player equal-received-power
 group, p eta / sigma2 for the lone time-sharing winner), so its utility is
 R f(s) / p with one s per row.  These utilities agree with the SINR route
-to within rounding (bit for bit under time sharing); the social optimum
-keeps the SINR route.  ``run_game`` then computes SINR only for the stages
-its trace keeps.
+to within rounding (bit for bit under time sharing).  A social-optimum
+run, like any run with an alarm or a plan over its cap, gathers its
+plan along the path and computes SINR stage by stage.  ``run_game``
+computes the SINR its trace records, for the kept stages only.
 """
 
 from __future__ import annotations
@@ -158,23 +159,19 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
     Deterministic: identical inputs give an identical result.
     """
     kinds = _normalize_kinds(kinds, params.n_players)
-    eta, powers, recommended, sinr_all, util_all, punishment_stage, rows = _play(
+    eta, powers, recommended, rows, util_all, punishment_stage = _play(
         params, kinds, *_draw_states(params, model, cfg), cfg)
     horizon = cfg.horizon
     keep = np.arange(0, horizon, 1 if horizon <= _FULL_TRACE_MAX else _THINNED_EVERY)
-    kept = keep  # the kept stages' rows
-    if rows is not None:  # one row per visited state: gather along the path
-        util_all, kept = util_all[rows], rows[keep]
+    kept = keep if rows is None else rows[keep]  # the kept stages' rows
     eta, powers = eta[kept], powers[kept]
-    # closed-form utilities come without SINR: compute it for the kept rows only
-    sinr_kept = sinr(params, eta, powers) if sinr_all is None else sinr_all[kept]
     calm = horizon if punishment_stage is None else punishment_stage
     punishing = np.repeat((keep >= calm)[:, None], params.n_players, axis=1)
     trace = StageTrace(
         t=keep + 1,
         eta=eta,
         powers=powers,
-        sinr=sinr_kept,
+        sinr=sinr(params, eta, powers),
         utility=util_all[keep],
         recommended=recommended[kept],
         punishing=punishing,
@@ -214,26 +211,23 @@ def _play(params: GameParams, kinds: tuple, eta: np.ndarray, rows, cfg: EngineCo
     """Grim-trigger play of per-player ``kinds`` on the gains ``eta``; stage
     t+1 plays row ``rows[t]`` (``rows`` None: row t).
 
-    Every rule plans each row once.  A run with no alarm whose plan is under
-    every cap stays on the rows and, unless its rule is the social optimum,
-    takes its utilities from the SINR the rule gives each transmitter,
+    Every rule plans each row once.  A single rule other than the social
+    optimum, with no alarm and its plan under every cap, stays on the rows
+    and takes its utilities from the SINR the rule gives each transmitter,
     without computing SINR.  Any other run gathers its plan along the path
     and plays per stage, which finds the punishment stage or raises the
-    first failing stage's error.  Returns ``(eta, powers, recommended, sinr,
-    utility, punishment_stage, rows)``, the arrays indexed by the returned
-    ``rows`` map (None: by stage); ``sinr`` is None when it was not computed.
+    first failing stage's error.  Returns ``(eta, powers, recommended, rows,
+    utility, punishment_stage)``: ``utility`` per stage, the other arrays
+    indexed by the returned ``rows`` map (None: by stage).
     """
     dev = cfg.deviation
     if dev is not None and dev.player >= params.n_players:
         raise ValueError("deviation player index out of range")
     planned, recommended, expected, k_active = _plan(params, kinds, eta, dev is not None)
-    if expected is None and np.all(planned <= params.p_max):
-        if kinds[0].name != "social_optimum":
-            util_all = _compliant_utility(params, kinds[0], eta, planned, k_active)
-            return eta, planned, recommended, None, util_all, None, rows
-        realized = sinr(params, eta, planned)
-        util_all = _utility_from_sinr(params, planned, realized)
-        return eta, planned, recommended, realized, util_all, None, rows
+    if (expected is None and kinds[0].name != "social_optimum"
+            and np.all(planned <= params.p_max)):
+        utility = _compliant_utility(params, kinds[0], eta, planned, k_active)
+        return eta, planned, recommended, rows, utility if rows is None else utility[rows], None
     if rows is not None:
         eta, planned, recommended = eta[rows], planned[rows], recommended[rows]
         expected = None if expected is None else expected[rows]
@@ -272,7 +266,7 @@ def _play(params: GameParams, kinds: tuple, eta: np.ndarray, rows, cfg: EngineCo
     if realized is None:
         realized = sinr(params, eta, powers)
     util_all = _utility_from_sinr(params, powers, realized)
-    return eta, powers, recommended, realized, util_all, punishment_stage, None
+    return eta, powers, recommended, None, util_all, punishment_stage
 
 
 def _plan(params, kinds, eta, deviation: bool):
@@ -317,9 +311,7 @@ def _compliant_utility(params, kind, eta, powers, k_active):
             powers[stages, winner] * eta[stages, winner] / params.sigma2)
     elif kind.name == "nash":
         gross = group_gross_rates(params)[0]
-    elif kind.name == "operating_point":
-        gross = group_gross_rates(params)[-1]
-    else:  # threshold, best_users: each row's recommended group
+    else:  # each row's recommended group: all K players under operating_point
         gross = group_gross_rates(params)[k_active - 1]
     return np.divide(gross, powers, out=np.zeros(powers.shape), where=powers > 0)
 
@@ -389,11 +381,11 @@ def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: 
         for j, kinds in enumerate(kinds_list[:live]):
             try:
                 kinds = _normalize_kinds(kinds, params.n_players)
-                *_, util, _, at = _play(params, kinds, eta, rows, cfg)
+                *_, util, _ = _play(params, kinds, eta, rows, cfg)
             except (PowerGameError, ValueError) as exc:  # an earlier entry may still fail first
                 live, error = j, exc
                 break
-            means[j].append((util if at is None else util[at]).mean(axis=0))
+            means[j].append(util.mean(axis=0))
         if live == 0:
             break
     if error is not None:

@@ -66,6 +66,12 @@ def _require_positive_finite(path: str, value) -> None:
         _fail(path, "must be positive and finite")
 
 
+def _is_number(value, kind=float) -> bool:
+    """Whether ``value`` is a JSON number (an integer when ``kind`` is int);
+    JSON booleans are not, although Python counts them as integers."""
+    return isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
+
+
 def _get(cfg: dict, path: str, kind, required=True, default=None, defaults_used=None):
     node = cfg
     parts = path.split(".")
@@ -78,9 +84,9 @@ def _get(cfg: dict, path: str, kind, required=True, default=None, defaults_used=
             defaults_used.append(path)
         return default
     value = node[parts[-1]]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+    if kind is float and _is_number(value):
         return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
+    if kind is int and _is_number(value, int):
         return value
     if kind is not None and not isinstance(value, kind):
         _fail(path, f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}")
@@ -135,17 +141,17 @@ def parse_config(cfg: dict) -> Experiment:
     p_max = _get(cfg, "game.p_max", None, required=False,
                  default=DEFAULTS["game.p_max"], defaults_used=used)
     if isinstance(p_max, list):
-        if len(p_max) != n_players or any(
-            not isinstance(v, (int, float)) or not v > 0 for v in p_max
-        ):
+        if len(p_max) != n_players or any(not _is_number(v) or not v > 0 for v in p_max):
             _fail("game.p_max", f"must be {n_players} positive numbers")
-    elif not isinstance(p_max, (int, float)) or isinstance(p_max, bool) or not p_max > 0:
+    elif not _is_number(p_max) or not p_max > 0:
         _fail("game.p_max", "must be a positive number or list")
 
     channel = _parse_channel(cfg, used)
     strategies = _parse_strategies(cfg, task, n_players)
 
     seed = _get(cfg, "engine.seed", int)
+    if seed < 0:
+        _fail("engine.seed", "must be >= 0")
     horizon = _get(cfg, "engine.horizon", int, required=False, default=100_000,
                    defaults_used=used)
     if horizon < 1:
@@ -180,6 +186,8 @@ def parse_config(cfg: dict) -> Experiment:
             )
         except ValueError as exc:
             _fail("engine.deviation", str(exc))
+        if deviation.start > horizon:  # the run would play no deviation
+            _fail("engine.deviation.start", f"must be <= engine.horizon ({horizon})")
 
     sweep_axis, sweep_values = None, [None]
     if cfg.get("sweep") is not None:
@@ -191,14 +199,14 @@ def parse_config(cfg: dict) -> Experiment:
         sweep_values = _get(cfg, "sweep.values", list)
         if not sweep_values:
             _fail("sweep.values", "must be non-empty")
-        if sweep_axis == "K" and any(not isinstance(v, int) or v < 1 for v in sweep_values):
+        if sweep_axis == "K" and any(not _is_number(v, int) or v < 1 for v in sweep_values):
             _fail("sweep.values", "K values must be integers >= 1")
         if sweep_axis == "ratio" and any(
-            not isinstance(v, (int, float)) or not 1 <= v < math.inf for v in sweep_values
+            not _is_number(v) or not 1 <= v < math.inf for v in sweep_values
         ):
             _fail("sweep.values", "ratio values must be finite numbers >= 1")
         if sweep_axis == "alpha" and any(
-            not isinstance(v, (int, float)) or not 0 <= v <= 1 for v in sweep_values
+            not _is_number(v) or not 0 <= v <= 1 for v in sweep_values
         ):
             _fail("sweep.values", "alpha values must lie in [0, 1]")
         if sweep_axis == "ratio" and not isinstance(channel, TwoStateSpec):
@@ -310,7 +318,7 @@ def _parse_strategies(cfg: dict, task: str, n_players: int) -> list:
         kind = item["kind"]
         if kind == "threshold":
             alpha = item.get("alpha")
-            if not isinstance(alpha, (int, float)) or not 0 <= alpha <= 1:
+            if not _is_number(alpha) or not 0 <= alpha <= 1:
                 _fail(f"strategies[{j}].alpha", "threshold needs alpha in [0, 1]")
             out.append(threshold(alpha))
         elif kind in _VALID_KINDS:

@@ -35,6 +35,8 @@ _VALID_KINDS = (
 MONITORED_KINDS = frozenset(
     {"operating_point", "threshold", "best_users", "social_optimum"}
 )
+# the alarm scales its tolerance by the expected SINR, but by no less than this
+_DETECTION_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -151,13 +153,13 @@ def _threshold_mask(alpha: float, eta: np.ndarray) -> np.ndarray:
     return eta >= alpha * eta.max(axis=1, keepdims=True)
 
 
-def detect_deviation(expected_sinr, observed_sinr, tol: float, floor: float = 1e-12):
+def detect_deviation(expected_sinr, observed_sinr, tol: float):
     """Relative SINR mismatch test with an absolute floor; broadcasts over
     arrays, where a NaN expectation (nothing to monitor) never fires."""
     if not 0.0 < tol < np.inf:  # NaN or inf would silence the alarm
         raise ValueError(f"tol must be positive and finite, got {tol}")
     gap = np.abs(np.subtract(observed_sinr, expected_sinr))
-    hit = gap > tol * np.maximum(expected_sinr, floor)
+    hit = gap > tol * np.maximum(expected_sinr, _DETECTION_FLOOR)
     return hit if np.ndim(hit) else bool(hit)
 
 

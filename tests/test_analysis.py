@@ -15,11 +15,13 @@ from powergame.analysis import (
 )
 from powergame.channels import (
     ExplicitSpec,
+    IIDJointLaw,
     MarkovJointLaw,
     ChannelModel,
     TruncatedRayleighSpec,
     TwoStateSpec,
     build_model,
+    stationary_distribution,
 )
 from powergame.efficiency import ExponentialEfficiency
 from powergame.engine import estimate_expected_utilities, estimate_expected_utility
@@ -234,7 +236,7 @@ class TestRegion:
             assert point_in_convex_polygon(v, region.hull, tol=1e-9)
             assert np.all(v >= region.minmax - 1e-9)
 
-    def test_requires_two_players_and_iid(self):
+    def test_requires_two_players(self):
         params = params_for(3, 0.1)
         model = build_model(TwoStateSpec(1.0, 4.0), 3)
         with pytest.raises(ValueError):
@@ -245,6 +247,23 @@ class TestRegion:
         )
         with pytest.raises(ValueError):
             feasible_region_2p(params_for(1, 0.1), markov)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_markov_region_is_its_stationary_iid_region(self, seed):
+        # the law does not depend on actions: only the stationary weights count
+        rows = np.random.default_rng(seed).uniform(0.1, 1.0, (4, 4))
+        matrix = rows / rows.sum(axis=1, keepdims=True)
+        gains = (np.array([0.5, 2.0]), np.array([0.7, 1.5]))
+        markov_law = MarkovJointLaw(matrix, (2, 2))
+        iid_law = IIDJointLaw(stationary_distribution(markov_law), (2, 2))
+        params = params_for(2, 0.5, p_max=5.0)
+        got = feasible_region_2p(params, ChannelModel(gains, markov_law))
+        want = feasible_region_2p(params, ChannelModel(gains, iid_law))
+        for name in ("hull", "fstar", "minmax"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.markers.keys() == want.markers.keys()
+        for name, point in got.markers.items():
+            assert point.tobytes() == want.markers[name].tobytes(), name
 
     @pytest.mark.parametrize("p_max,grid_size", [
         (np.inf, 12), (20.0, 12), (50.0, 6), (20.0, 3), (np.inf, 2),

@@ -4,8 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from powergame.channels import ChannelModel, MarkovJointLaw, save_model
 from powergame.cli import main
 from powergame.experiments import preset
 
@@ -208,6 +210,18 @@ def test_region_cap_binding_in_some_states_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_region_on_a_markov_model_file_exits_0(tmp_path):
+    rows = np.random.default_rng(3).uniform(0.1, 1.0, (4, 4))
+    law = MarkovJointLaw(rows / rows.sum(axis=1, keepdims=True), (2, 2))
+    model_path = tmp_path / "markov.json"
+    save_model(ChannelModel((np.array([0.5, 2.0]), np.array([0.7, 1.5])), law), model_path)
+    cfg = {"task": "region", "game": {"K": 2, "a": 0.5, "p_max": 5.0},
+           "channel": {"kind": "explicit", "path": str(model_path)}, "engine": {"seed": 1}}
+    out = tmp_path / "out"
+    assert main(["region", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert (out / "region.csv").read_text().count("\n") > 3
+
+
 @pytest.mark.parametrize("game_k, sweep", [(2, None), (3, [3, 2])])
 def test_deviation_player_outside_a_played_k_exits_2(tmp_path, capsys, game_k, sweep):
     # in the sweep, the K = 3 point would play before K = 2 fails
@@ -235,6 +249,42 @@ def test_deviation_errors_name_the_field(tmp_path, capsys, deviation, message):
     assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("sweep.values", lambda cfg: {**cfg, "sweep": {"axis": "K", "values": [True, 2]}}),
+    ("sweep.values", lambda cfg: {**cfg, "sweep": {"axis": "ratio", "values": [True]}}),
+    ("game.p_max", lambda cfg: _with(cfg, "game.p_max", [True, 5.0])),
+    ("strategies[0].alpha",
+     lambda cfg: {**cfg, "strategies": [{"kind": "threshold", "alpha": True}]}),
+], ids=["k_sweep", "ratio_sweep", "p_max", "alpha"])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, field, edit):
+    # Python counts true as the integer 1: K = 1, a cap of 1, ratio or alpha 1
+    out = tmp_path / "out"
+    path = write_config(tmp_path, edit(small_config()))
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert f"config error at {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path, value, field", [
+    # numpy's seed sequence would refuse it as a broken invariant (exit 3)
+    ("engine.seed", -1, "engine.seed"),
+    # past the horizon of 200: the run would play no deviation
+    ("engine.deviation", {"player": 0, "start": 201}, "engine.deviation.start"),
+])
+def test_seed_and_deviation_start_out_of_range_exit_2(tmp_path, capsys, path, value, field):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, _with(small_config(), path, value))
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+    assert f"config error at {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_deviation_at_the_last_stage_runs(tmp_path):
+    cfg = _with(small_config(), "engine.deviation", {"player": 0, "start": 200})
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_trace_with_a_sweep_exits_2(tmp_path, capsys):

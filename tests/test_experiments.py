@@ -374,6 +374,11 @@ def _pinned_configs(directory):
         "partition": {
             "task": "partition", "game": {"K": 3, "a": 0.2}, "channel": RAYLEIGH16,
             "engine": {"horizon": 3000, "seed": 21}},
+        "social_optimum_simulate": {  # 8 joint states: planned once per visited state
+            "task": "simulate", "game": {"K": 3, "a": 0.1},
+            "channel": {"kind": "two_state", "eta_min": 1.0, "eta_max": 4.0, "p_high": 0.5},
+            "strategies": ["social_optimum"],
+            "engine": {"horizon": 300, "seed": 22, "replicates": 2, "trace": True}},
     }
 
 
@@ -413,6 +418,11 @@ PINNED_ARTIFACTS = {
         "summary.csv": "c5e014ddcd073cb712cda3248ac836aaf6f0125c0f9ca5824bf9634fb4b170ae"},
     "partition": {
         "partition.csv": "6f89330b4f84c80a18ebb6f6aa069a1a19a21d16ec14ff52fb0aa7d6ffdf8028"},
+    # compliant social optimum with its trace, computed while it still took
+    # its own SINR route on the visited-state rows
+    "social_optimum_simulate": {
+        "summary.csv": "69ae71802fbcf0ddf539f1021f525ee0dbac0e51b04ac95a9fe2435ce0c82684",
+        "trace.csv": "2fc97797cd439855603e9ac3d38bf50df55f9b62ae8f9871df058e872182c3cf"},
 }
 
 
