@@ -21,7 +21,7 @@ from .geometry import (
     convex_hull,
     weighted_minkowski_sum,
 )
-from .oneshot import GameParams, _power_grid, nash_powers, utility
+from .oneshot import GameParams, _power_grid, check_grid_size, nash_powers, utility
 from .strategies import (
     BEST_USERS,
     NASH,
@@ -129,8 +129,7 @@ def feasible_region_2p(params: GameParams, model, grid_size: int = 12) -> Region
     """
     if params.n_players != 2:
         raise ValueError("the exact region is only computed for 2-player games")
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
+    check_grid_size(grid_size)
 
     _, gains, probs = joint_state_table(model)
     hulls = []

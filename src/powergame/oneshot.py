@@ -22,6 +22,10 @@ import numpy as np
 from .efficiency import ExponentialEfficiency, beta_star, gamma_tilde
 from .errors import CapError, SaturationError
 
+# rows per lockstep coordinate-ascent block in ``social_optimum``: bounds its
+# candidate arrays, about rows * (K + 2) * grid_size * K floats, at any N
+_ASCENT_BLOCK_ROWS = 128
+
 
 @dataclass(frozen=True)
 class GameParams:
@@ -121,9 +125,15 @@ def _check_realization(params: GameParams, eta) -> np.ndarray:
         raise ValueError(
             f"expected {params.n_players} channel gains, got shape {eta.shape}"
         )
-    if np.any(eta <= 0):
-        raise ValueError("channel gains must be positive")
+    if not np.all((eta > 0) & (eta < np.inf)):  # written so that NaN fails it
+        raise ValueError("channel gains must be positive and finite")
     return eta
+
+
+def check_grid_size(grid_size) -> None:
+    """Refuse a welfare-grid size that is not an integer >= 2."""
+    if not isinstance(grid_size, (int, np.integer)) or grid_size < 2:
+        raise ValueError(f"grid_size must be an integer >= 2, got {grid_size!r}")
 
 
 def sinr(params: GameParams, eta, powers, i: int | None = None):
@@ -253,50 +263,105 @@ def social_optimum(params: GameParams, eta, grid_size: int = 12):
     equal-received-power power, so the result weakly dominates those
     profiles by construction.  Exhaustive for K <= 4; coordinate ascent
     from several starting profiles otherwise, skipping those over a cap
-    (from all players silent when every one is).
+    (from all players silent when every one is), and keeping the first
+    start that reaches the largest welfare.
 
-    Returns (powers, welfare).
+    ``eta`` is one realization (K,) or N of them (N, K), each solved on its
+    own.  Returns (powers, welfare): a (K,) profile and a float, or (N, K)
+    profiles and (N,) welfare.
     """
     eta = _check_realization(params, eta)
-    if eta.ndim != 1:
-        raise ValueError("social_optimum expects a single realization")
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    k = params.n_players
-    grids = [_power_grid(params, eta, i, grid_size) for i in range(k)]
+    if eta.ndim not in (1, 2):
+        raise ValueError(f"social_optimum expects (K,) or (N, K) gains, got shape {eta.shape}")
+    check_grid_size(grid_size)
+    rows = np.atleast_2d(eta)
+    powers = np.empty(rows.shape)
+    totals = np.empty(rows.shape[0])
+    if params.n_players <= 4:
+        for r, row in enumerate(rows):
+            grids = [_power_grid(params, row, i, grid_size) for i in range(params.n_players)]
+            profiles = np.array(list(itertools.product(*grids)))
+            row_totals = welfare(params, row, profiles)
+            best = int(np.argmax(row_totals))
+            powers[r], totals[r] = profiles[best], row_totals[best]
+    else:
+        for lo in range(0, rows.shape[0], _ASCENT_BLOCK_ROWS):
+            block = slice(lo, lo + _ASCENT_BLOCK_ROWS)
+            powers[block], totals[block] = _lockstep_ascent(params, rows[block], grid_size)
+    if eta.ndim == 1:
+        return powers[0], float(totals[0])
+    return powers, totals
 
-    if k <= 4:
-        profiles = np.array(list(itertools.product(*grids)))
-        totals = welfare(params, eta, profiles)
-        best = int(np.argmax(totals))
-        return profiles[best].copy(), float(totals[best])
 
-    def start_or_none(profile, *args):
-        try:
-            return profile(params, eta, *args)
-        except (SaturationError, CapError):  # over a cap: skip this start
-            return None
+def _ascent_starts(params: GameParams, eta: np.ndarray):
+    """(N, K+2, K) coordinate-ascent starts per row: the all-player
+    equal-received-power profile, the selfish equilibrium, then the
+    equal-received-power profiles of the m best players (stable gain
+    order), m = 1..K; and the (N, K+2) mask of those under every cap.  A
+    row with none under the caps starts once, from all players silent."""
+    n, k = eta.shape
+    equal = params.equal_power_coeff(1) / eta
+    try:
+        nash = params.nash_scale() / eta
+    except SaturationError:
+        nash = np.full(eta.shape, np.nan)  # no interior equilibrium: never valid
+    rank = np.empty((n, k), dtype=int)
+    np.put_along_axis(rank, np.argsort(-eta, axis=1, kind="stable"), np.arange(k), axis=1)
+    best_m = np.where(rank[:, None, :] < np.arange(1, k + 1)[:, None], equal[:, None, :], 0.0)
+    starts = np.concatenate([equal[:, None], nash[:, None], best_m], axis=1)
+    valid = np.all(starts <= params.p_max, axis=2)
+    stuck = ~valid.any(axis=1)
+    starts[stuck, 0] = 0.0
+    valid[stuck, 0] = True
+    return starts, valid
 
-    order = np.argsort(-eta, kind="stable")
-    starts = [start_or_none(operating_point_powers), start_or_none(nash_powers)]
-    starts += [start_or_none(operating_point_powers, order[:m]) for m in range(1, k + 1)]
-    starts = [s for s in starts if s is not None] or [np.zeros(k)]
-    best_p, best_w = None, -np.inf
-    for start in starts:
-        p = np.array([grids[i][np.argmin(np.abs(grids[i] - start[i]))] for i in range(k)])
-        w = float(welfare(params, eta, p))
-        improved = True
-        while improved:
-            improved = False
-            for i in range(k):
-                cand = np.tile(p, (grids[i].size, 1))
-                cand[:, i] = grids[i]
-                totals = welfare(params, eta, cand)
-                j = int(np.argmax(totals))
-                if totals[j] > w + 1e-15:
-                    w = float(totals[j])
-                    p = cand[j].copy()
-                    improved = True
-        if w > best_w:
-            best_p, best_w = p, w
-    return best_p, best_w
+
+def _lockstep_ascent(params: GameParams, eta: np.ndarray, grid_size: int):
+    """Coordinate ascent of every (row, valid start) pair of the (N, K)
+    gains ``eta`` at once.
+
+    Each pair snaps its start to the nearest grid points, then sweeps the
+    players in order, moving to a player's best grid point when that
+    raises welfare by more than 1e-15; it stops after a sweep that moves
+    nobody.  Each coordinate scores every live pair's candidates in one
+    ``welfare`` call.  Grids are padded to one length by repeating their
+    last point, which never wins an argmin or argmax since it follows the
+    original.  Returns each row's best (powers, welfare), first start on
+    ties.
+    """
+    n, k = eta.shape
+    grids = [[_power_grid(params, row, i, grid_size) for i in range(k)] for row in eta]
+    size = max(g.size for row_grids in grids for g in row_grids)
+    points = np.arange(size)
+    padded = np.array([[g[np.minimum(points, g.size - 1)] for g in row_grids]
+                       for row_grids in grids])  # (N, K, size)
+    starts, valid = _ascent_starts(params, eta)
+    row = np.nonzero(valid)[0]  # pairs in row-major (row, start) order
+    pair_grids = padded[row]  # (M, K, size)
+    pair_eta = eta[row]
+    nearest = np.abs(pair_grids - starts[valid][:, :, None]).argmin(axis=2)
+    p = np.take_along_axis(pair_grids, nearest[:, :, None], axis=2)[:, :, 0]
+    w = welfare(params, pair_eta, p)
+
+    live = np.arange(row.size)
+    while live.size:
+        moved = np.zeros(live.size, dtype=bool)
+        live_eta = pair_eta[live, None, :]
+        for i in range(k):
+            cand = np.repeat(p[live, None, :], size, axis=1)  # (L, size, K)
+            cand[:, :, i] = pair_grids[live, i]
+            totals = welfare(params, live_eta, cand)
+            j = np.argmax(totals, axis=1)
+            best = totals[np.arange(live.size), j]
+            up = best > w[live] + 1e-15
+            w[live[up]] = best[up]
+            p[live[up], i] = cand[up, j[up], i]
+            moved |= up
+        live = live[moved]
+
+    final = np.full(valid.shape, -np.inf)
+    final[valid] = w
+    pair_of = np.zeros(valid.shape, dtype=int)
+    pair_of[valid] = np.arange(row.size)
+    chosen = pair_of[np.arange(n), np.argmax(final, axis=1)]
+    return p[chosen], w[chosen]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapError, InformationError, SaturationError
-from .oneshot import GameParams, social_optimum
+from .oneshot import GameParams, check_grid_size, social_optimum
 
 _VALID_KINDS = (
     "nash",
@@ -50,8 +50,7 @@ class StrategyKind:
     def __post_init__(self):
         if self.name not in _VALID_KINDS:
             raise ValueError(f"unknown strategy kind {self.name!r}; valid: {_VALID_KINDS}")
-        if not isinstance(self.grid_size, (int, np.integer)) or self.grid_size < 2:
-            raise ValueError(f"grid_size must be an integer >= 2, got {self.grid_size!r}")
+        check_grid_size(self.grid_size)
         if self.name == "threshold":
             if self.alpha is None or not 0.0 <= self.alpha <= 1.0:
                 raise ValueError("threshold rule needs alpha in [0, 1]")
@@ -281,13 +280,11 @@ def unchecked_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
         return _equal_power_rows(params, eta, _best_users_mask(params, eta))
 
     if name == "social_optimum":
-        powers = np.zeros((n, k))
-        cache: dict[bytes, np.ndarray] = {}
-        for row in range(n):
-            key = eta[row].tobytes()
-            if key not in cache:
-                cache[key], _ = social_optimum(params, eta[row], kind.grid_size)
-            powers[row] = cache[key]
+        # one search over the distinct rows, in first-seen order
+        slot: dict[bytes, int] = {}
+        index = np.array([slot.setdefault(row.tobytes(), len(slot)) for row in eta], dtype=int)
+        distinct = np.unique(index, return_index=True)[1]
+        powers = social_optimum(params, eta[distinct], kind.grid_size)[0][index]
         recommended = powers > 0
         return powers, recommended, recommended.sum(axis=1).astype(int)
 

@@ -7,8 +7,9 @@ alarm through ``detect_deviation``; detection at stage t switches every
 player to the selfish equilibrium from stage t+1 on.  Tests compare
 ``powergame.engine.run_game`` against ``run_game_oracle`` on seeded and
 generated runs.  The scalar selectors it uses are private copies of the
-package's former ones, so the reference does not share the vectorized
-selection masks it checks.
+package's former ones, and it plans the social optimum with the scalar
+search in ``oneshot_oracle``, so the reference does not share the
+vectorized selection masks or the lockstep welfare search it checks.
 
 ``compliant_utility_oracle`` is the SINR route for one rule's compliant
 plan, which the engine replaces by the SINR the rule gives each
@@ -18,6 +19,7 @@ transmitter.
 from __future__ import annotations
 
 import numpy as np
+from oneshot_oracle import social_optimum_oracle
 
 from powergame.engine import (
     RunResult,
@@ -75,8 +77,6 @@ def _stage_plans(params, kinds, row, so_cache):
     a player sees the recommendation addressed to its rule.  Returns
     (recommended (K,) bool, k_active (K,) int, social profile or None).
     """
-    from powergame.oneshot import social_optimum as solve_social
-
     n = params.n_players
     recommended = np.ones(n, dtype=bool)
     k_active = np.full(n, n)
@@ -102,7 +102,7 @@ def _stage_plans(params, kinds, row, so_cache):
             elif kind.name == "social_optimum":
                 state = row.tobytes()
                 if state not in so_cache:
-                    so_cache[state], _ = solve_social(params, row, kind.grid_size)
+                    so_cache[state], _ = social_optimum_oracle(params, row, kind.grid_size)
                 so_profile = so_cache[state]
                 mask = so_profile > 0
                 done[key] = (mask, int(mask.sum()))

@@ -1,0 +1,78 @@
+"""Reference implementation of ``oneshot.social_optimum``: the scalar search.
+
+This is the one-realization welfare search the package used before every
+(row, start) pair climbed in lockstep.  Tests compare
+``powergame.oneshot.social_optimum`` against ``social_optimum_oracle`` by
+bytes, and the per-stage engine reference plans the social optimum with it.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from powergame.errors import CapError, SaturationError
+from powergame.oneshot import (
+    _check_realization,
+    _power_grid,
+    nash_powers,
+    operating_point_powers,
+    welfare,
+)
+
+
+def social_optimum_oracle(params, eta, grid_size: int = 12):
+    """Welfare-maximizing profile on a per-player power grid.
+
+    The grid always contains 0, the selfish equilibrium power and the
+    equal-received-power power, so the result weakly dominates those
+    profiles by construction.  Exhaustive for K <= 4; coordinate ascent
+    from several starting profiles otherwise, skipping those over a cap
+    (from all players silent when every one is).
+
+    Returns (powers, welfare).
+    """
+    eta = _check_realization(params, eta)
+    if eta.ndim != 1:
+        raise ValueError("social_optimum expects a single realization")
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
+    k = params.n_players
+    grids = [_power_grid(params, eta, i, grid_size) for i in range(k)]
+
+    if k <= 4:
+        profiles = np.array(list(itertools.product(*grids)))
+        totals = welfare(params, eta, profiles)
+        best = int(np.argmax(totals))
+        return profiles[best].copy(), float(totals[best])
+
+    def start_or_none(profile, *args):
+        try:
+            return profile(params, eta, *args)
+        except (SaturationError, CapError):  # over a cap: skip this start
+            return None
+
+    order = np.argsort(-eta, kind="stable")
+    starts = [start_or_none(operating_point_powers), start_or_none(nash_powers)]
+    starts += [start_or_none(operating_point_powers, order[:m]) for m in range(1, k + 1)]
+    starts = [s for s in starts if s is not None] or [np.zeros(k)]
+    best_p, best_w = None, -np.inf
+    for start in starts:
+        p = np.array([grids[i][np.argmin(np.abs(grids[i] - start[i]))] for i in range(k)])
+        w = float(welfare(params, eta, p))
+        improved = True
+        while improved:
+            improved = False
+            for i in range(k):
+                cand = np.tile(p, (grids[i].size, 1))
+                cand[:, i] = grids[i]
+                totals = welfare(params, eta, cand)
+                j = int(np.argmax(totals))
+                if totals[j] > w + 1e-15:
+                    w = float(totals[j])
+                    p = cand[j].copy()
+                    improved = True
+        if w > best_w:
+            best_p, best_w = p, w
+    return best_p, best_w

@@ -287,25 +287,36 @@ class TestPunishment:
         assert res.trace.utility.sum() > 0
 
     def test_social_optimum_solved_once_per_joint_state(self, monkeypatch):
+        # K = 3 plans on the 8 joint states the path visits
+        self._assert_each_state_solved_once(monkeypatch, 3)
+
+    def test_social_optimum_solved_once_per_repeated_row(self, monkeypatch):
+        # K = 5 (32 joint states, more than the horizon) plans on the path,
+        # whose rows repeat
+        self._assert_each_state_solved_once(monkeypatch, 5)
+
+    @staticmethod
+    def _assert_each_state_solved_once(monkeypatch, k):
         from powergame import oneshot, strategies
         from powergame.strategies import SOCIAL_OPTIMUM
 
-        calls = []
+        solved = []  # one entry per row passed in, whatever the number of calls
 
         def counted(params, eta, grid_size=12):
-            calls.append(np.asarray(eta).tobytes())
+            solved.extend(row.tobytes() for row in np.atleast_2d(eta))
             return solve(params, eta, grid_size)
 
         solve = oneshot.social_optimum
         monkeypatch.setattr(strategies, "social_optimum", counted)
         monkeypatch.setattr(oneshot, "social_optimum", counted)
-        params = params_for(3, 0.2)
-        model = build_model(TwoStateSpec(1.0, 4.0), 3)
+        params = params_for(k, 0.2)
+        model = build_model(TwoStateSpec(1.0, 4.0), k)
         cfg = EngineConfig(horizon=30, lam=0.2, seed=5,
                            deviation=DeviationSpec(1, start=10, mode="one_shot"))
         res = run_game(params, model, SOCIAL_OPTIMUM, cfg)
         states = {row.tobytes() for row in res.trace.eta}
-        assert len(calls) == len(set(calls)) == len(states)
+        assert len(states) < cfg.horizon
+        assert sorted(solved) == sorted(states)  # each visited state exactly once
 
     def test_punishing_flags_monotone(self):
         params = params_for(2, 0.5)

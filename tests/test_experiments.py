@@ -379,6 +379,11 @@ def _pinned_configs(directory):
             "channel": {"kind": "two_state", "eta_min": 1.0, "eta_max": 4.0, "p_high": 0.5},
             "strategies": ["social_optimum"],
             "engine": {"horizon": 300, "seed": 22, "replicates": 2, "trace": True}},
+        "social_optimum_ascent": {  # K = 5: the coordinate-ascent search, one row per stage
+            "task": "simulate", "game": {"K": 5, "a": 0.1}, "channel": RAYLEIGH16,
+            "strategies": ["social_optimum"],
+            "engine": {"horizon": 40, "seed": 23, "replicates": 2, "trace": True,
+                       "deviation": {"player": 2, "start": 15, "mode": "permanent"}}},
     }
 
 
@@ -423,6 +428,10 @@ PINNED_ARTIFACTS = {
     "social_optimum_simulate": {
         "summary.csv": "69ae71802fbcf0ddf539f1021f525ee0dbac0e51b04ac95a9fe2435ce0c82684",
         "trace.csv": "2fc97797cd439855603e9ac3d38bf50df55f9b62ae8f9871df058e872182c3cf"},
+    # computed with the scalar search, one social_optimum call per row
+    "social_optimum_ascent": {
+        "summary.csv": "f656d2f4ecee5c061f640fa3cc17a9f3c482db55e6ddeef9409d2444e2fcaea1",
+        "trace.csv": "afa9314c380f9aa41e7a70c0bd984ae87e1cbed9fdb9987d633d60364a235ed4"},
 }
 
 

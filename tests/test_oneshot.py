@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oneshot_oracle import social_optimum_oracle
 
 from powergame.efficiency import ExponentialEfficiency
 from powergame.errors import CapError, SaturationError
@@ -33,6 +34,25 @@ class TestGameParamsValidation:
     def test_nan_and_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             GameParams(2, ExponentialEfficiency(0.1), **{field: value})
+
+
+class TestGainValidation:
+    # each public function of a realization; best_response needs a player
+    FUNCTIONS = {
+        "sinr": lambda p, eta: sinr(p, eta, [1.0, 1.0]),
+        "utility": lambda p, eta: utility(p, eta, [1.0, 1.0]),
+        "welfare": lambda p, eta: welfare(p, eta, [1.0, 1.0]),
+        "best_response": lambda p, eta: best_response(p, eta, [1.0, 1.0], 0),
+        "nash_powers": nash_powers,
+        "operating_point_powers": operating_point_powers,
+        "social_optimum": social_optimum,
+    }
+
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    @pytest.mark.parametrize("gain", [np.nan, np.inf, -np.inf, 0.0])
+    def test_gains_must_be_positive_and_finite(self, name, gain):
+        with pytest.raises(ValueError, match="channel gains must be positive and finite"):
+            self.FUNCTIONS[name](params_for(2, 0.1), [gain, 2.0])
 
 
 class TestSinr:
@@ -278,6 +298,26 @@ class TestSocialOptimum:
         with pytest.raises(ValueError):
             social_optimum(p, [1.0, 1.0], grid_size=1)
 
+    @pytest.mark.parametrize("grid_size", [12.0, "12", None])
+    def test_grid_size_must_be_an_integer(self, grid_size):
+        # refused with the rule's own message, not numpy's TypeError
+        with pytest.raises(ValueError, match="grid_size must be an integer >= 2"):
+            social_optimum(params_for(5, 0.1), np.linspace(0.5, 3.0, 5), grid_size=grid_size)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_rows_are_solved_on_their_own(self, k):
+        p = params_for(k, 0.1)
+        eta = np.random.default_rng(k).uniform(0.5, 3.0, (3, k))
+        powers, w = social_optimum(p, eta)
+        assert powers.shape == (3, k) and w.shape == (3,)
+        for row, row_powers, row_w in zip(eta, powers, w):
+            one_powers, one_w = social_optimum(p, row)
+            assert type(one_w) is float
+            assert one_powers.tobytes() == row_powers.tobytes()
+            assert np.float64(one_w).tobytes() == row_w.tobytes()
+        empty_powers, empty_w = social_optimum(p, np.empty((0, k)))
+        assert empty_powers.shape == (0, k) and empty_w.shape == (0,)
+
     @pytest.mark.parametrize("k", range(2, 11))
     def test_uncapped_grid_has_grid_size_points(self, k):
         # 0, the equilibrium power, one equal-received-power power and the fill
@@ -350,3 +390,28 @@ class TestSocialOptimum:
         powers, w = social_optimum(GameParams.symmetric(k, a=0.1, p_max=p_max), eta)
         got = hashlib.sha256(powers.tobytes() + np.float64(w).tobytes()).hexdigest()
         assert got == digest
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+@pytest.mark.parametrize("p_max", [np.inf, 5.0, 1.0, 0.09, 1e-3])
+def test_coordinate_ascent_matches_the_scalar_search(k, p_max):
+    # every row of an (N, K) call and every 1-row call equals the scalar
+    # search's bytes; rows repeat and hold tied gains, and at p_max 1e-3
+    # every start is over a cap (the ascent starts from all players silent)
+    rng = np.random.default_rng([k, int(1 / p_max)])
+    for a, grid_size in itertools.product((0.05, 0.1, 0.3), (3, 6, 12)):
+        p = GameParams.symmetric(k, a=a, p_max=p_max)
+        eta = rng.uniform(0.05, 6.0, (2, k))
+        eta[1, : k // 2] = eta[1, -1]  # tied gains
+        eta = eta[[0, 1, 0]]
+        if p_max == 1e-3:
+            assert np.all(p.equal_power_coeff(1) / eta.max(axis=1) > p_max)
+        powers, w = social_optimum(p, eta, grid_size)
+        wants = [social_optimum_oracle(p, row, grid_size) for row in eta[:2]]
+        for row, (want_p, want_w) in zip((0, 1, 2), wants + wants[:1]):
+            one_p, one_w = social_optimum(p, eta[row], grid_size)
+            assert powers[row].tobytes() == one_p.tobytes() == want_p.tobytes()
+            assert w[row].tobytes() == np.float64(one_w).tobytes() == np.float64(want_w).tobytes()
+        one_p, one_w = social_optimum(p, eta[:1], grid_size)
+        assert one_p.shape == (1, k) and one_p.tobytes() == powers[0].tobytes()
+        assert one_w.tobytes() == w[:1].tobytes()
