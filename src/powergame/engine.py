@@ -302,18 +302,28 @@ def _compliant_utility(params, kind, eta, powers, k_active):
     cap, nobody deviating), from the SINR s_i the rule gives each
     transmitter: beta_star under ``nash``, gamma_tilde of the group size
     under the equal-received-power rules, and p eta / sigma2 for the lone
-    ``time_sharing`` winner.  Not for ``social_optimum``."""
+    ``time_sharing`` winner.  Silent players get 0.  Not for
+    ``social_optimum``."""
     if kind.name == "time_sharing":
-        stages = np.arange(powers.shape[0])
-        winner = np.argmax(powers, axis=1)  # the only positive power of its row
-        gross = np.zeros(powers.shape)
-        gross[stages, winner] = params.rates[winner] * params.eff.value(
-            powers[stages, winner] * eta[stages, winner] / params.sigma2)
-    elif kind.name == "nash":
-        gross = group_gross_rates(params)[0]
-    else:  # each row's recommended group: all K players under operating_point
-        gross = group_gross_rates(params)[k_active - 1]
-    return np.divide(gross, powers, out=np.zeros(powers.shape), where=powers > 0)
+        flat = np.flatnonzero(powers)  # each row's one transmitter, as a flat index
+        p = np.take(powers, flat)
+        solo = params.rates[flat % powers.shape[1]] * params.eff.value(
+            p * np.take(eta, flat) / params.sigma2) / p
+        utility = np.zeros(powers.shape)
+        np.put(utility, flat, solo)
+        return utility
+    # each row's group: all K players under operating_point, and row 0 of
+    # the table under nash, whose SINR is gamma_tilde(1) = beta_star
+    utility = np.take(group_gross_rates(params),
+                      np.zeros_like(k_active) if kind.name == "nash" else k_active - 1, axis=0)
+    transmits = powers > 0
+    if transmits.all():
+        utility /= powers
+    else:  # (gross * 1) / (p + 0) is exactly gross / p, and (gross * 0) / (0 + 1) is 0
+        utility *= transmits
+        silent = np.logical_not(transmits, out=transmits)
+        utility /= powers + silent
+    return utility
 
 
 def _deviate(params, eta, scheduled, dev, stages):

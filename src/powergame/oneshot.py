@@ -125,9 +125,39 @@ def _check_realization(params: GameParams, eta) -> np.ndarray:
         raise ValueError(
             f"expected {params.n_players} channel gains, got shape {eta.shape}"
         )
+    return check_gains(eta)
+
+
+def check_gains(eta) -> np.ndarray:
+    """``eta`` as a float array; refused unless every gain is positive and
+    finite."""
+    eta = np.asarray(eta, dtype=float)
     if not np.all((eta > 0) & (eta < np.inf)):  # written so that NaN fails it
         raise ValueError("channel gains must be positive and finite")
     return eta
+
+
+def stable_top(eta: np.ndarray, desc: np.ndarray, m) -> np.ndarray:
+    """(N, K) mask of each row's ``m`` best players in the stable gain
+    ranking (larger gain first, lower index first among equal gains), given
+    ``desc``, each row of ``eta`` sorted descending; ``m`` in 1..K is one
+    count for every row or one per row.
+
+    The m-th largest gain is the row's cutoff: every larger gain is in, and
+    the gains equal to it are taken in index order until m players are in.
+    """
+    n, k = eta.shape
+    cut = desc[np.arange(n), m - 1]
+    left = np.full(n, m)  # places left for the gains equal to the cutoff
+    for j in range(k - 1):  # the smallest gain is never above a cutoff
+        left -= desc[:, j] > cut
+    top = eta > cut[:, None]
+    tie = eta == cut[:, None]
+    for j in range(k):
+        take = tie[:, j] & (left > 0)
+        left -= take
+        top[:, j] |= take
+    return top
 
 
 def check_grid_size(grid_size) -> None:
@@ -299,15 +329,15 @@ def _ascent_starts(params: GameParams, eta: np.ndarray):
     equal-received-power profiles of the m best players (stable gain
     order), m = 1..K; and the (N, K+2) mask of those under every cap.  A
     row with none under the caps starts once, from all players silent."""
-    n, k = eta.shape
+    k = eta.shape[1]
     equal = params.equal_power_coeff(1) / eta
     try:
         nash = params.nash_scale() / eta
     except SaturationError:
         nash = np.full(eta.shape, np.nan)  # no interior equilibrium: never valid
-    rank = np.empty((n, k), dtype=int)
-    np.put_along_axis(rank, np.argsort(-eta, axis=1, kind="stable"), np.arange(k), axis=1)
-    best_m = np.where(rank[:, None, :] < np.arange(1, k + 1)[:, None], equal[:, None, :], 0.0)
+    desc = np.sort(eta, axis=1)[:, ::-1]
+    in_best_m = np.stack([stable_top(eta, desc, m) for m in range(1, k + 1)], axis=1)
+    best_m = np.where(in_best_m, equal[:, None, :], 0.0)
     starts = np.concatenate([equal[:, None], nash[:, None], best_m], axis=1)
     valid = np.all(starts <= params.p_max, axis=2)
     stuck = ~valid.any(axis=1)
@@ -340,7 +370,7 @@ def _lockstep_ascent(params: GameParams, eta: np.ndarray, grid_size: int):
     pair_grids = padded[row]  # (M, K, size)
     pair_eta = eta[row]
     nearest = np.abs(pair_grids - starts[valid][:, :, None]).argmin(axis=2)
-    p = np.take_along_axis(pair_grids, nearest[:, :, None], axis=2)[:, :, 0]
+    p = pair_grids[np.arange(row.size)[:, None], np.arange(k), nearest]
     w = welfare(params, pair_eta, p)
 
     live = np.arange(row.size)

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapError, InformationError, SaturationError
-from .oneshot import GameParams, check_grid_size, social_optimum
+from .oneshot import (
+    GameParams,
+    _check_realization,
+    check_gains,
+    check_grid_size,
+    social_optimum,
+    stable_top,
+)
 
 _VALID_KINDS = (
     "nash",
@@ -104,38 +111,45 @@ def select_best_users(params: GameParams, eta) -> np.ndarray:
     At equal rates the optimum over all 2^K - 1 subsets is always a
     prefix of the gain ranking, so only the K prefix sets are scored
     (ties in gain broken by player index).  Returns ascending player
-    indices.
+    indices; gains must be positive and finite, one per player.
     """
-    eta = np.atleast_2d(np.asarray(eta, dtype=float))
-    return np.nonzero(_best_users_mask(params, eta)[0])[0]
+    eta = _check_realization(params, np.atleast_2d(np.asarray(eta, dtype=float)))
+    return np.nonzero(_best_users_mask(params, eta)[0][0])[0]
 
 
 def select_by_threshold(alpha: float, eta) -> np.ndarray:
     """Players whose gain is within a factor alpha of the stage's best gain.
 
     Never empty: the best player always qualifies.  Returns ascending
-    player indices.
+    player indices; gains must be positive and finite.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    eta = np.atleast_2d(np.asarray(eta, dtype=float))
+    eta = np.atleast_2d(check_gains(eta))
     return np.nonzero(_threshold_mask(alpha, eta)[0])[0]
 
 
-def _best_users_mask(params: GameParams, eta: np.ndarray) -> np.ndarray:
-    """(N, K) best-user recommendations: per row, the prefix of the gain
-    ranking (stable) whose equal-received-power welfare is largest, the
-    shortest one on ties."""
+# The selection kernels sweep the K player columns one at a time: with K
+# small, a per-row index sort, gather or reduction along the player axis
+# costs several times an elementwise pass over the whole (N, K) array.
+
+def _best_users_mask(params: GameParams, eta: np.ndarray):
+    """(N, K) best-user recommendations and their (N,) counts: per row, the
+    prefix of the stable gain ranking whose equal-received-power welfare is
+    largest, the shortest one on ties."""
     params.require_equal_rates()
-    n, k = eta.shape
-    order = np.argsort(-eta, axis=1, kind="stable")
-    cums = np.cumsum(np.take_along_axis(eta, order, axis=1), axis=1)
+    desc = np.sort(eta, axis=1)[:, ::-1]  # the ranking's gains: tied gains are equal floats
     # the common received power equal_power_coeff(m) is the same for every m
     coeff = group_gross_rates(params)[:, 0] / params.equal_power_coeff(1)
-    k_star = np.argmax(coeff * cums, axis=1) + 1
-    recommended = np.zeros((n, k), dtype=bool)
-    np.put_along_axis(recommended, order, np.arange(k) < k_star[:, None], axis=1)
-    return recommended
+    prefix = desc[:, 0]  # the sum of the m best gains, added in ranking order
+    best = coeff[0] * prefix
+    k_star = np.ones(eta.shape[0], dtype=int)
+    for m in range(2, eta.shape[1] + 1):
+        prefix = prefix + desc[:, m - 1]
+        score = coeff[m - 1] * prefix
+        k_star = np.maximum(k_star, m * (score > best))  # the first of equal scores stays
+        best = np.maximum(best, score)
+    return stable_top(eta, desc, k_star), k_star
 
 
 def group_gross_rates(params: GameParams) -> np.ndarray:
@@ -149,7 +163,35 @@ def group_gross_rates(params: GameParams) -> np.ndarray:
 
 def _threshold_mask(alpha: float, eta: np.ndarray) -> np.ndarray:
     """(N, K) threshold recommendations: gains within alpha of the row's best."""
-    return eta >= alpha * eta.max(axis=1, keepdims=True)
+    return eta >= alpha * _row_max(eta)[:, None]
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Each row's largest entry."""
+    top = x[:, 0]
+    for j in range(1, x.shape[1]):
+        top = np.maximum(top, x[:, j])
+    return top
+
+
+def _first_max(x: np.ndarray):
+    """Each row's largest entry and the column of its first occurrence (a
+    strict rise at column j moves it to j, and j only grows)."""
+    top = x[:, 0]
+    first = np.zeros(x.shape[0], dtype=int)
+    for j in range(1, x.shape[1]):
+        col = x[:, j]
+        first = np.maximum(first, j * (col > top))
+        top = np.maximum(top, col)
+    return top, first
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """The number of True entries in each row of an (N, K) mask."""
+    count = mask[:, 0].astype(int)
+    for j in range(1, mask.shape[1]):
+        count += mask[:, j]
+    return count
 
 
 def detect_deviation(expected_sinr, observed_sinr, tol: float):
@@ -230,12 +272,13 @@ def check_caps(params: GameParams, kinds, powers) -> None:
 def compliant_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
     """Vectorized compliant play of one rule over many realizations.
 
-    ``eta`` has shape (N, K).  Returns ``(powers, recommended, k_active)``
-    with shapes (N, K), (N, K) bool and (N,) int.  Matches ``stage_action``
-    row by row when nobody is punishing; the only thing that can fail is a
-    planned power over its player's cap, raised by ``check_caps``.
+    ``eta`` has shape (N, K) and must hold positive, finite gains.  Returns
+    ``(powers, recommended, k_active)`` with shapes (N, K), (N, K) bool and
+    (N,) int.  Matches ``stage_action`` row by row when nobody is punishing;
+    past the gain check, the only thing that can fail is a planned power
+    over its player's cap, raised by ``check_caps``.
     """
-    powers, recommended, k_active = unchecked_profile(params, kind, eta)
+    powers, recommended, k_active = unchecked_profile(params, kind, check_gains(eta))
     check_caps(params, kind, powers)
     return powers, recommended, k_active
 
@@ -264,20 +307,18 @@ def unchecked_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
         return powers, np.ones_like(powers, dtype=bool), np.full(n, k)
 
     if name == "time_sharing":
-        winner = np.argmax(eta, axis=1)  # first max: lowest index wins ties
-        recommended = np.zeros((n, k), dtype=bool)
-        recommended[np.arange(n), winner] = True
-        solo = params.beta_star * params.sigma2 / eta[np.arange(n), winner]
-        solo = np.minimum(solo, params.p_max[winner])
+        top, winner = _first_max(eta)  # lowest index wins ties
         powers = np.zeros((n, k))
-        powers[np.arange(n), winner] = solo
-        return powers, recommended, np.ones(n, dtype=int)
+        powers[np.arange(n), winner] = np.minimum(params.beta_star * params.sigma2 / top,
+                                                  params.p_max[winner])
+        return powers, winner[:, None] == np.arange(k), np.ones(n, dtype=int)
 
     if name == "threshold":
-        return _equal_power_rows(params, eta, _threshold_mask(kind.alpha, eta))
+        recommended = _threshold_mask(kind.alpha, eta)
+        return _equal_power_rows(params, eta, recommended, _row_counts(recommended))
 
     if name == "best_users":
-        return _equal_power_rows(params, eta, _best_users_mask(params, eta))
+        return _equal_power_rows(params, eta, *_best_users_mask(params, eta))
 
     if name == "social_optimum":
         # one search over the distinct rows, in first-seen order
@@ -286,13 +327,14 @@ def unchecked_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
         distinct = np.unique(index, return_index=True)[1]
         powers = social_optimum(params, eta[distinct], kind.grid_size)[0][index]
         recommended = powers > 0
-        return powers, recommended, recommended.sum(axis=1).astype(int)
+        return powers, recommended, _row_counts(recommended)
 
     raise ValueError(f"unknown strategy kind {name!r}")
 
 
-def _equal_power_rows(params: GameParams, eta, recommended):
-    # every row recommends someone, and the common received power is the
-    # same for any number of recommended players
-    powers = np.where(recommended, params.equal_power_coeff(1) / eta, 0.0)
-    return powers, recommended, recommended.sum(axis=1).astype(int)
+def _equal_power_rows(params: GameParams, eta, recommended, k_active):
+    # every row recommends someone, and the common received power c is the
+    # same for any number of recommended players; (c * 1) / eta is exactly
+    # c / eta and (c * 0) / eta is 0, with no branch per entry
+    powers = params.equal_power_coeff(1) * recommended / eta
+    return powers, recommended, k_active

@@ -14,6 +14,13 @@ vectorized selection masks or the lockstep welfare search it checks.
 ``compliant_utility_oracle`` is the SINR route for one rule's compliant
 plan, which the engine replaces by the SINR the rule gives each
 transmitter.
+
+``unchecked_profile_oracle`` and ``closed_form_utility_oracle`` are the
+former vectorized kernels of the five closed-form rules: a stable argsort
+for best users, row reductions along the player axis for the threshold
+rule, the time-sharing winner and the recommended counts, and a masked
+divide for the utilities.  The package now computes these with column
+sweeps, which must agree with them bit for bit.
 """
 
 from __future__ import annotations
@@ -28,12 +35,14 @@ from powergame.engine import (
     discount_weights,
     truncation_bound,
 )
-from powergame.oneshot import best_response, sinr, utility
+from powergame.errors import SaturationError
+from powergame.oneshot import GameParams, best_response, sinr, utility
 from powergame.strategies import (
     MONITORED_KINDS,
     PunishmentState,
     SignalProfile,
     detect_deviation,
+    group_gross_rates,
     stage_action,
     unchecked_profile,
 )
@@ -43,6 +52,93 @@ def compliant_utility_oracle(params, kind, eta):
     """Utilities of ``kind``'s plan on the (N, K) gains ``eta`` by the SINR
     route: ``oneshot.utility`` of the ``unchecked_profile`` powers."""
     return utility(params, eta, unchecked_profile(params, kind, eta)[0])
+
+
+def unchecked_profile_oracle(params: GameParams, kind, eta: np.ndarray):
+    """``strategies.unchecked_profile`` of every rule but the social
+    optimum, by the former vectorized kernels."""
+    eta = np.atleast_2d(np.asarray(eta, dtype=float))
+    n, k = eta.shape
+    if k != params.n_players:
+        raise ValueError(f"expected {params.n_players} columns, got {k}")
+    name = kind.name
+
+    if name == "nash":
+        try:
+            scale = params.nash_scale()
+        except SaturationError:
+            scale = np.nan  # no interior equilibrium: check_caps raises
+        powers = scale / eta
+        return powers, np.ones_like(powers, dtype=bool), np.full(n, k)
+
+    if name == "operating_point":
+        powers = params.equal_power_coeff(k) / eta
+        return powers, np.ones_like(powers, dtype=bool), np.full(n, k)
+
+    if name == "time_sharing":
+        winner = np.argmax(eta, axis=1)  # first max: lowest index wins ties
+        recommended = np.zeros((n, k), dtype=bool)
+        recommended[np.arange(n), winner] = True
+        solo = params.beta_star * params.sigma2 / eta[np.arange(n), winner]
+        solo = np.minimum(solo, params.p_max[winner])
+        powers = np.zeros((n, k))
+        powers[np.arange(n), winner] = solo
+        return powers, recommended, np.ones(n, dtype=int)
+
+    if name == "threshold":
+        return _equal_power_rows(params, eta, _threshold_mask(kind.alpha, eta))
+
+    if name == "best_users":
+        return _equal_power_rows(params, eta, _best_users_mask(params, eta))
+
+    raise ValueError(f"unknown strategy kind {name!r}")
+
+
+def _best_users_mask(params: GameParams, eta: np.ndarray) -> np.ndarray:
+    """(N, K) best-user recommendations: per row, the prefix of the gain
+    ranking (stable) whose equal-received-power welfare is largest, the
+    shortest one on ties."""
+    params.require_equal_rates()
+    n, k = eta.shape
+    order = np.argsort(-eta, axis=1, kind="stable")
+    cums = np.cumsum(np.take_along_axis(eta, order, axis=1), axis=1)
+    # the common received power equal_power_coeff(m) is the same for every m
+    coeff = group_gross_rates(params)[:, 0] / params.equal_power_coeff(1)
+    k_star = np.argmax(coeff * cums, axis=1) + 1
+    recommended = np.zeros((n, k), dtype=bool)
+    np.put_along_axis(recommended, order, np.arange(k) < k_star[:, None], axis=1)
+    return recommended
+
+
+def _threshold_mask(alpha: float, eta: np.ndarray) -> np.ndarray:
+    """(N, K) threshold recommendations: gains within alpha of the row's best."""
+    return eta >= alpha * eta.max(axis=1, keepdims=True)
+
+
+def _equal_power_rows(params, eta, recommended):
+    # every row recommends someone, and the common received power is the
+    # same for any number of recommended players
+    powers = np.where(recommended, params.equal_power_coeff(1) / eta, 0.0)
+    return powers, recommended, recommended.sum(axis=1).astype(int)
+
+
+def closed_form_utility_oracle(params, kind, eta, powers, k_active):
+    """Utilities R_i f(s_i) / p_i of one rule's plan ``powers`` (under every
+    cap, nobody deviating), from the SINR s_i the rule gives each
+    transmitter: beta_star under ``nash``, gamma_tilde of the group size
+    under the equal-received-power rules, and p eta / sigma2 for the lone
+    ``time_sharing`` winner.  Not for ``social_optimum``."""
+    if kind.name == "time_sharing":
+        stages = np.arange(powers.shape[0])
+        winner = np.argmax(powers, axis=1)  # the only positive power of its row
+        gross = np.zeros(powers.shape)
+        gross[stages, winner] = params.rates[winner] * params.eff.value(
+            powers[stages, winner] * eta[stages, winner] / params.sigma2)
+    elif kind.name == "nash":
+        gross = group_gross_rates(params)[0]
+    else:  # each row's recommended group: all K players under operating_point
+        gross = group_gross_rates(params)[k_active - 1]
+    return np.divide(gross, powers, out=np.zeros(powers.shape), where=powers > 0)
 
 
 def run_game_oracle(params, model, kinds, cfg) -> RunResult:

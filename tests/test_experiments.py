@@ -384,6 +384,17 @@ def _pinned_configs(directory):
             "strategies": ["social_optimum"],
             "engine": {"horizon": 40, "seed": 23, "replicates": 2, "trace": True,
                        "deviation": {"player": 2, "start": 15, "mode": "permanent"}}},
+        "dominance_large_k": {  # 16^K joint states: every rule plans one row per stage
+            "task": "dominance", "game": {"K": 8, "a": 0.1}, "channel": RAYLEIGH16,
+            "strategies": ["nash", "time_sharing", "operating_point",
+                           {"kind": "threshold", "alpha": 0.5}, "best_users"],
+            "engine": {"horizon": 2000, "seed": 24, "replicates": 2},
+            "sweep": {"axis": "K", "values": [8, 10]}},
+        "time_sharing_capped": {  # the winner's cap binds in 15-25% of the stages
+            "task": "dominance", "game": {"K": 4, "a": 0.1, "p_max": 0.05},
+            "channel": RAYLEIGH16, "strategies": ["time_sharing"],
+            "engine": {"horizon": 2000, "seed": 25, "replicates": 2},
+            "sweep": {"axis": "K", "values": [3, 4]}},
     }
 
 
@@ -432,6 +443,12 @@ PINNED_ARTIFACTS = {
     "social_optimum_ascent": {
         "summary.csv": "f656d2f4ecee5c061f640fa3cc17a9f3c482db55e6ddeef9409d2444e2fcaea1",
         "trace.csv": "afa9314c380f9aa41e7a70c0bd984ae87e1cbed9fdb9987d633d60364a235ed4"},
+    # computed with the argsort best-user mask, the row-reduction selectors
+    # and the masked-divide utilities
+    "dominance_large_k": {
+        "dominance.csv": "9f5dbf4c4bc187ac67a167a523cbe1b56f3afb32c957506200a28f6f481bf4a3"},
+    "time_sharing_capped": {
+        "dominance.csv": "481a0828602a7a623208f65c58cf6b934b707c7d82205370acc07e9abe83e78d"},
 }
 
 

@@ -1,11 +1,13 @@
-"""The shared selection masks against the reference scalar selectors.
+"""The shared selection masks against the reference selectors.
 
 ``select_best_users``, ``select_by_threshold`` and the recommendations of
 ``compliant_profile`` all come from one mask per rule.  ``engine_oracle``
-keeps the former scalar selectors; the masks must reproduce them bit for
-bit, gain ties included.  Every monitored rule's alarm predicts the SINR of
-its own plan, which for the equal-received-power rules is
-gamma_tilde(k_active) up to rounding.
+keeps the former scalar selectors and the former vectorized kernels (a
+stable argsort, row reductions along the player axis and a masked divide);
+the column sweeps that replace them must reproduce them bit for bit, gain
+ties included.  Every monitored rule's alarm predicts the SINR of its own
+plan, which for the equal-received-power rules is gamma_tilde(k_active) up
+to rounding.
 """
 
 import numpy as np
@@ -13,8 +15,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from engine_oracle import _select_best_users, _select_by_threshold
-from powergame.engine import _plan
+from engine_oracle import (
+    _select_best_users,
+    _select_by_threshold,
+    closed_form_utility_oracle,
+    unchecked_profile_oracle,
+)
+from powergame.efficiency import ExponentialEfficiency
+from powergame.engine import _compliant_utility, _plan
 from powergame.oneshot import GameParams
 from powergame.strategies import (
     BEST_USERS,
@@ -27,6 +35,7 @@ from powergame.strategies import (
     select_best_users,
     select_by_threshold,
     threshold,
+    unchecked_profile,
 )
 
 # a few repeated values make gain ties common
@@ -35,7 +44,7 @@ GAINS = st.sampled_from([0.25, 1.0, 1.0 + 2.0**-52, 2.0, 4.0]) | st.floats(0.1, 
 
 @st.composite
 def stages(draw):
-    k = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 10))
     rows = draw(st.integers(1, 4))
     eta = np.array(draw(st.lists(st.lists(GAINS, min_size=k, max_size=k),
                                  min_size=rows, max_size=rows)))
@@ -89,3 +98,41 @@ def test_only_monitored_rules_carry_an_alarm():
     expected = _plan(params, kinds, eta, False)[2]
     for i, kind in enumerate(kinds):
         assert np.isnan(expected[:, i]).all() == (kind.name not in MONITORED_KINDS)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("levels", [2, 3, 16, None], ids=["2", "3", "16", "continuous"])
+def test_column_sweeps_match_the_former_kernels_bit_for_bit(levels):
+    """Masks, counts, powers and closed-form utilities of the five
+    closed-form rules, against the argsort, row-reduction and masked-divide
+    kernels; the 0.05 W cap binds the time-sharing winner whenever its best
+    gain is below 2."""
+    rng = np.random.default_rng(1515 + (levels or 0))
+    capped_winners = 0
+    for k in range(1, 11):
+        games = [GameParams.symmetric(k, a=0.1), GameParams.symmetric(k, a=0.1, p_max=0.05),
+                 GameParams(k, ExponentialEfficiency(0.1), rates=rng.uniform(0.5, 2.0, k))]
+        for n in (0, 1, 4096):
+            if levels is None:
+                eta = rng.uniform(0.1, 10.0, (n, k))
+            else:
+                eta = rng.choice(np.geomspace(0.1, 10.0, levels), (n, k))
+            for params in games:
+                for kind in (NASH, OPERATING_POINT, TIME_SHARING, threshold(0.5), BEST_USERS):
+                    if kind == BEST_USERS and params is games[2]:
+                        continue  # best users needs equal rates
+                    got = unchecked_profile(params, kind, eta)
+                    want = unchecked_profile_oracle(params, kind, eta)
+                    for got_part, want_part in zip(got, want):
+                        assert_same_bits(got_part, want_part)
+                    powers, _, k_active = want
+                    assert_same_bits(_compliant_utility(params, kind, eta, *got[::2]),
+                                     closed_form_utility_oracle(params, kind, eta, powers,
+                                                                k_active))
+                    if kind == TIME_SHARING:
+                        capped_winners += np.count_nonzero(powers == params.p_max)
+    assert capped_winners > 0

@@ -238,6 +238,28 @@ def test_threshold_edge_cases_match_other_rules():
         assert set(select_by_threshold(1.0, eta)) == {winner}
 
 
+BAD_GAINS = [float("nan"), 0.0, -1.0, float("inf")]
+SELECTORS = {
+    "select_best_users": lambda eta: select_best_users(params_for(3, 0.1), eta),
+    "select_by_threshold": lambda eta: select_by_threshold(0.5, eta),
+    "compliant_profile": lambda eta: compliant_profile(params_for(3, 0.1), BEST_USERS, eta),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_GAINS, ids=["nan", "zero", "negative", "inf"])
+@pytest.mark.parametrize("name", list(SELECTORS))
+def test_selectors_refuse_gains_that_are_not_positive_and_finite(name, bad):
+    # a NaN used to select nobody (threshold) or everybody (best users), and
+    # compliant_profile planned a zero gain with a divide-by-zero warning
+    with pytest.raises(ValueError, match="channel gains must be positive and finite"):
+        SELECTORS[name]([bad, 1.0, 2.0])
+
+
+def test_best_users_needs_one_gain_per_player():
+    with pytest.raises(ValueError, match="expected 3 channel gains"):
+        select_best_users(params_for(3, 0.1), [4.0, 2.0])
+
+
 class TestCompliantProfile:
     @pytest.mark.parametrize(
         "kind",
