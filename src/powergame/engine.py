@@ -317,7 +317,7 @@ def _compliant_utility(params, kind, eta, powers, k_active):
     utility = np.take(group_gross_rates(params),
                       np.zeros_like(k_active) if kind.name == "nash" else k_active - 1, axis=0)
     transmits = powers > 0
-    if transmits.all():
+    if transmits.all():  # nash and operating_point: no mask arithmetic needed
         utility /= powers
     else:  # (gross * 1) / (p + 0) is exactly gross / p, and (gross * 0) / (0 + 1) is 0
         utility *= transmits

