@@ -21,7 +21,7 @@ from .geometry import (
     convex_hull,
     weighted_minkowski_sum,
 )
-from .oneshot import GameParams, _power_grid, check_grid_size, nash_powers, utility
+from .oneshot import GameParams, _power_grid, best_response, check_grid_size, nash_powers, utility
 from .strategies import (
     BEST_USERS,
     NASH,
@@ -53,34 +53,20 @@ def expected_utilities_exact(params: GameParams, model, kind: StrategyKind) -> n
 
 
 def _punished_utilities(params: GameParams, gains: np.ndarray) -> np.ndarray:
-    """Best utility each player can reach while everyone else jams at the cap.
-
-    Utility falls in the interference, so the opponents' minimizing play is
-    the cap; the inner maximum is the usual best response in closed form.
-    An unbounded opponent cap drives the level to 0.  ``gains`` has shape
-    (S, K); returns (S, K).
-    """
-    bs = params.beta_star
-    k = params.n_players
-    received_cap = params.p_max * gains  # may contain inf
-    interference = np.zeros_like(gains)
-    for i in range(k):
-        others = [j for j in range(k) if j != i]
-        interference[:, i] = received_cap[:, others].sum(axis=1)
-    noise_plus = interference + params.sigma2
-    want = bs * noise_plus / gains
-    capped = want > params.p_max
-    with np.errstate(invalid="ignore", divide="ignore"):
-        u_free = params.rates * params.eff.value(bs) * gains / (bs * noise_plus)
-        u_free = np.where(np.isfinite(u_free), u_free, 0.0)
-        if np.any(capped):
-            sinr_cap = np.where(
-                np.isfinite(noise_plus), received_cap / noise_plus, 0.0
-            )
-            u_cap = params.rates * np.asarray(params.eff.value(sinr_cap)) / params.p_max
-            u_cap = np.where(np.isfinite(u_cap), u_cap, 0.0)
-            return np.where(capped, u_cap, u_free)
-    return u_free
+    """Each player's utility from its best response to every other player
+    transmitting at its cap: utility falls in the interference, so the cap
+    is the opponents' minimizing play.  An unbounded opponent cap drives the
+    level to 0.  ``gains`` has shape (S, K); returns (S, K)."""
+    out = np.zeros(gains.shape)
+    for i in range(params.n_players):
+        jam = params.p_max.copy()
+        jam[i] = 0.0  # best_response ignores it, but an inf would reach its sum
+        if np.isinf(jam).any():
+            continue
+        powers = np.tile(jam, (gains.shape[0], 1))
+        powers[:, i] = best_response(params, gains, jam, i)
+        out[:, i] = utility(params, gains, powers, i)
+    return out
 
 
 def minmax_levels(params: GameParams, model, *, seed: int = 0,

@@ -90,27 +90,33 @@ class GameParams:
     def beta_star(self) -> float:
         return beta_star(self.eff)
 
-    def nash_scale(self) -> float:
+    @property
+    def nash_received(self) -> float:
         """sigma2 * beta_star / (1 - (K-1) beta_star), the common received
-        power at the selfish equilibrium; raises when (K-1) beta_star >= 1."""
+        power at the selfish equilibrium; NaN when (K-1) beta_star >= 1,
+        where no interior equilibrium exists (NaN fails every cap test)."""
         bs = beta_star(self.eff)
         if (self.n_players - 1) * bs >= 1.0:
-            raise SaturationError(
-                f"(K-1)*beta_star = {(self.n_players - 1) * bs:.6g} >= 1: the "
-                "selfish equilibrium saturates for this player count"
-            )
+            return np.nan
         return self.sigma2 * bs / (1.0 - (self.n_players - 1) * bs)
+
+    def nash_scale(self) -> float:
+        """``nash_received``, raising ``SaturationError`` where it is NaN."""
+        if np.isnan(self.nash_received):
+            raise SaturationError(
+                f"(K-1)*beta_star = {(self.n_players - 1) * self.beta_star:.6g} >= 1: "
+                "the selfish equilibrium saturates for this player count"
+            )
+        return self.nash_received
 
     def gamma_tilde(self, k: int) -> float:
         return gamma_tilde(self.eff, k)
 
-    def equal_power_coeff(self, k: int) -> float:
+    @property
+    def equal_received(self) -> float:
         """The common received power of a k-player equal-received-power
-        profile, sigma2 * g / (1 - (k-1) g) with g = gamma_tilde(k).  With
-        g = a / (1 + (k-1) a) this is sigma2 * a for every k, so it is
-        returned as that product."""
-        if k < 1:
-            raise ValueError(f"player count must be >= 1, got {k}")
+        profile, sigma2 * g / (1 - (k-1) g) with g = gamma_tilde(k): with
+        g = a / (1 + (k-1) a) it is sigma2 * a for every k."""
         return self.sigma2 * self.eff.a
 
     def require_equal_rates(self) -> float:
@@ -252,9 +258,8 @@ def operating_point_powers(params: GameParams, eta, active=None) -> np.ndarray:
     active = np.asarray(active, dtype=int)
     if active.size == 0:
         raise ValueError("active set must be non-empty")
-    coeff = params.equal_power_coeff(active.size)
     p = np.zeros(params.n_players)
-    p[active] = coeff / eta[active]
+    p[active] = params.equal_received / eta[active]
     over = np.nonzero(p > params.p_max)[0]
     if over.size:
         raise CapError(
@@ -271,12 +276,8 @@ def _power_grid(params: GameParams, eta, i: int, grid_size: int) -> np.ndarray:
     smallest kept seed (of the cap when none is kept) up to the cap (to ten
     times the largest seed without one).  A fill point that falls exactly
     on a seed is kept once, which leaves the grid a point short."""
-    seeds = {params.equal_power_coeff(1) / eta[i]}
-    try:
-        seeds.add(params.nash_scale() / eta[i])
-    except SaturationError:
-        pass
-    seeds = [s for s in seeds if s <= params.p_max[i]]
+    seeds = {params.equal_received / eta[i], params.nash_received / eta[i]}
+    seeds = [s for s in seeds if s <= params.p_max[i]]  # drops a NaN equilibrium
     hi = params.p_max[i]
     if not np.isfinite(hi):
         hi = 10.0 * max(seeds)
@@ -330,11 +331,8 @@ def _ascent_starts(params: GameParams, eta: np.ndarray):
     order), m = 1..K; and the (N, K+2) mask of those under every cap.  A
     row with none under the caps starts once, from all players silent."""
     k = eta.shape[1]
-    equal = params.equal_power_coeff(1) / eta
-    try:
-        nash = params.nash_scale() / eta
-    except SaturationError:
-        nash = np.full(eta.shape, np.nan)  # no interior equilibrium: never valid
+    equal = params.equal_received / eta
+    nash = params.nash_received / eta  # NaN without an interior equilibrium: never valid
     desc = np.sort(eta, axis=1)[:, ::-1]
     in_best_m = np.stack([stable_top(eta, desc, m) for m in range(1, k + 1)], axis=1)
     best_m = np.where(in_best_m, equal[:, None, :], 0.0)

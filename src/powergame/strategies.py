@@ -142,8 +142,8 @@ def _best_users_mask(params: GameParams, eta: np.ndarray):
     largest, the shortest one on ties."""
     params.require_equal_rates()
     desc = np.sort(eta, axis=1)[:, ::-1]  # the ranking's gains: tied gains are equal floats
-    # the common received power equal_power_coeff(m) is the same for every m
-    coeff = group_gross_rates(params)[:, 0] / params.equal_power_coeff(1)
+    # equal_received is the common received power of every group size
+    coeff = group_gross_rates(params)[:, 0] / params.equal_received
     prefixes = accumulate(desc.T)  # the sums of the m best gains, added in ranking order
     k_star = _first_max(map(np.multiply, coeff, prefixes))[1] + 1
     return stable_top(eta, desc, k_star), k_star
@@ -197,13 +197,11 @@ def detect_deviation(expected_sinr, observed_sinr, tol: float):
 def stage_action(kind: StrategyKind, params: GameParams, signal: SignalProfile,
                  punish: PunishmentState, i: int) -> float:
     """Power chosen by player i given its signals and punishment state."""
-    if punish.triggered:
-        return _nash_power(params, signal.own_gain, i)
     name = kind.name
-    if name == "nash":
-        return _nash_power(params, signal.own_gain, i)
+    if punish.triggered or name == "nash":
+        return _stage_power(params, True, signal.own_gain, i)
     if name == "operating_point":
-        return _equal_power(params, params.n_players, signal.own_gain, i)
+        return _stage_power(params, False, signal.own_gain, i)
     if name == "time_sharing":
         if signal.recommended is None:
             raise InformationError("time sharing needs the recommendation signal")
@@ -219,7 +217,7 @@ def stage_action(kind: StrategyKind, params: GameParams, signal: SignalProfile,
             return 0.0
         if signal.k_active is None or signal.k_active < 1:
             raise InformationError(f"{name} needs the recommended player count")
-        return _equal_power(params, signal.k_active, signal.own_gain, i)
+        return _stage_power(params, False, signal.own_gain, i)
     if name == "social_optimum":
         if signal.global_state is None:
             raise InformationError("social optimum needs the full gain vector")
@@ -228,20 +226,21 @@ def stage_action(kind: StrategyKind, params: GameParams, signal: SignalProfile,
     raise ValueError(f"unknown strategy kind {name!r}")
 
 
-def _nash_power(params: GameParams, gain: float, i: int) -> float:
-    p = params.nash_scale() / gain
-    if p > params.p_max[i]:
-        raise SaturationError(f"equilibrium power {p:.6g} exceeds player {i}'s cap")
+def _stage_power(params: GameParams, nash: bool, gain: float, i: int) -> float:
+    """Player i's equilibrium (``nash``) or equal-received power; raises as ``check_caps``."""
+    p = (params.nash_received if nash else params.equal_received) / gain
+    if not p <= params.p_max[i]:  # a NaN equilibrium fails it too
+        raise _cap_error(params, nash, p, i)
     return float(p)
 
 
-def _equal_power(params: GameParams, k_active: int, gain: float, i: int) -> float:
-    p = params.equal_power_coeff(k_active) / gain
-    if p > params.p_max[i]:
-        raise CapError(
-            f"equal-received-power level {p:.6g} exceeds player {i}'s cap"
-        )
-    return float(p)
+def _cap_error(params: GameParams, nash: bool, p: float, i: int) -> Exception:
+    """What compliant play raises for player i's planned power ``p`` over its
+    cap or undefined (NaN: the selfish equilibrium does not exist)."""
+    if nash:
+        params.nash_scale()  # raises first when no interior equilibrium exists
+        return SaturationError(f"equilibrium power {p:.6g} exceeds player {i}'s cap")
+    return CapError(f"equal-received-power level {p:.6g} exceeds player {i}'s cap")
 
 
 def check_caps(params: GameParams, kinds, powers) -> None:
@@ -253,10 +252,7 @@ def check_caps(params: GameParams, kinds, powers) -> None:
         return
     t, i = np.argwhere(~ok)[0]
     kind = kinds if isinstance(kinds, StrategyKind) else kinds[i]
-    if kind.name == "nash":
-        params.nash_scale()  # raises first when no interior equilibrium exists
-        raise SaturationError(f"equilibrium power {powers[t, i]:.6g} exceeds player {i}'s cap")
-    raise CapError(f"equal-received-power level {powers[t, i]:.6g} exceeds player {i}'s cap")
+    raise _cap_error(params, kind.name == "nash", powers[t, i], i)
 
 
 def compliant_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
@@ -285,15 +281,11 @@ def unchecked_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
     name = kind.name
 
     if name == "nash":
-        try:
-            scale = params.nash_scale()
-        except SaturationError:
-            scale = np.nan  # no interior equilibrium: check_caps raises
-        powers = scale / eta
+        powers = params.nash_received / eta  # NaN without an equilibrium: check_caps raises
         return powers, np.ones_like(powers, dtype=bool), np.full(n, k)
 
     if name == "operating_point":
-        powers = params.equal_power_coeff(k) / eta
+        powers = params.equal_received / eta
         return powers, np.ones_like(powers, dtype=bool), np.full(n, k)
 
     if name == "time_sharing":
@@ -312,11 +304,10 @@ def unchecked_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
         return _equal_powers(params, eta, recommended), recommended, k_active
 
     if name == "social_optimum":
-        # one search over the distinct rows, in first-seen order
-        slot: dict[bytes, int] = {}
-        index = np.array([slot.setdefault(row.tobytes(), len(slot)) for row in eta], dtype=int)
-        distinct = np.unique(index, return_index=True)[1]
-        powers = social_optimum(params, eta[distinct], kind.grid_size)[0][index]
+        # one search over the distinct rows, in sorted order; each row's
+        # search is its own, so the order does not change its powers
+        distinct, index = np.unique(eta, axis=0, return_inverse=True)
+        powers = social_optimum(params, distinct, kind.grid_size)[0][index.reshape(-1)]
         recommended = powers > 0
         return powers, recommended, _row_counts(recommended)
 
@@ -327,4 +318,4 @@ def _equal_powers(params: GameParams, eta, recommended):
     # every row recommends someone, and the common received power c is the
     # same for any number of recommended players; (c * 1) / eta is exactly
     # c / eta and (c * 0) / eta is 0, with no branch per entry
-    return params.equal_power_coeff(1) * recommended / eta
+    return params.equal_received * recommended / eta

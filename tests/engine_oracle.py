@@ -90,8 +90,8 @@ def _best_users_mask(params: GameParams, eta: np.ndarray) -> np.ndarray:
     n, k = eta.shape
     order = np.argsort(-eta, axis=1, kind="stable")
     cums = np.cumsum(np.take_along_axis(eta, order, axis=1), axis=1)
-    # the common received power equal_power_coeff(m) is the same for every m
-    coeff = group_gross_rates(params)[:, 0] / params.equal_power_coeff(1)
+    # equal_received, the common received power, is the same for every m
+    coeff = group_gross_rates(params)[:, 0] / params.equal_received
     k_star = np.argmax(coeff * cums, axis=1) + 1
     recommended = np.zeros((n, k), dtype=bool)
     np.put_along_axis(recommended, order, np.arange(k) < k_star[:, None], axis=1)
@@ -106,7 +106,7 @@ def _threshold_mask(alpha: float, eta: np.ndarray) -> np.ndarray:
 def _equal_power_rows(params, eta, recommended):
     # every row recommends someone, and the common received power is the
     # same for any number of recommended players
-    powers = np.where(recommended, params.equal_power_coeff(1) / eta, 0.0)
+    powers = np.where(recommended, params.equal_received / eta, 0.0)
     return powers, recommended, recommended.sum(axis=1).astype(int)
 
 
@@ -212,7 +212,7 @@ def _select_best_users(params, eta) -> np.ndarray:
     cums = np.cumsum(eta[order])
     k = params.n_players
     coeff = np.array(
-        [rate * params.eff.value(params.gamma_tilde(m)) / params.equal_power_coeff(m)
+        [rate * params.eff.value(params.gamma_tilde(m)) / params.equal_received
          for m in range(1, k + 1)]
     )
     k_best = int(np.argmax(coeff * cums)) + 1  # first max: smallest k on ties

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from analysis_oracle import punished_utilities_oracle
 from powergame.analysis import (
     config_partition,
     dominance_report,
@@ -123,6 +124,43 @@ class TestMinmax:
         levels = minmax_levels(params, model, seed=3, samples=4000)
         assert levels.shape == (5,)
         assert np.all(levels > 0) and np.all(np.isfinite(levels))
+
+    @pytest.mark.parametrize(
+        "params,model",
+        [pytest.param(params_for(2, a, p_max=cap), build_model(TruncatedRayleighSpec(bins=16), 2),
+                      id=f"rayleigh16-K2-a{a}-cap{cap}")
+         for a in (0.1, 0.3, 0.5) for cap in (5.0, 20.0, np.inf)]
+        + [pytest.param(*fig3_like(), id="fig3"),
+           pytest.param(params_for(3, 0.1, p_max=2.0), build_model(TruncatedRayleighSpec(bins=6), 3),
+                        id="rayleigh6-K3-cap2"),
+           pytest.param(params_for(5, 0.1, p_max=2.0), build_model(TruncatedRayleighSpec(bins=6), 5),
+                        id="rayleigh6-K5-cap2"),
+           pytest.param(params_for(3, 0.2, p_max=[2.0, np.inf, 5.0]),
+                        build_model(TruncatedRayleighSpec(bins=6), 3), id="one-infinite-cap")],
+    )
+    def test_matches_the_closed_form_oracle(self, params, model):
+        _, gains, probs = joint_state_table(model)
+        expected = probs @ punished_utilities_oracle(params, gains)
+        # atol=0: a floor the oracle puts at 0 (an infinite opponent cap) must be exactly 0
+        np.testing.assert_allclose(minmax_levels(params, model), expected, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_own_cap_binds_in_deep_fades(self, k):
+        # the premise of the Rayleigh-6 oracle cases: the own cap binds in some
+        # joint states and not in others
+        params = params_for(k, 0.1, p_max=2.0)
+        _, gains, _ = joint_state_table(build_model(TruncatedRayleighSpec(bins=6), k))
+        want = 0.1 * (2.0 * (gains.sum(axis=1, keepdims=True) - gains) + 1.0) / gains
+        assert np.any(want > 2.0) and np.any(want <= 2.0)
+
+    def test_monte_carlo_path_matches_the_oracle_on_the_same_gains(self):
+        params = params_for(5, 0.1, p_max=10.0)
+        model = build_model(TruncatedRayleighSpec(bins=16), 5)  # 16^5 > 2^17 joint states
+        rng = np.random.default_rng(np.random.SeedSequence(7))
+        gains = model.gain_matrix(model.sample_path(2000, rng))
+        expected = punished_utilities_oracle(params, gains).mean(axis=0)
+        levels = minmax_levels(params, model, seed=7, samples=2000)
+        np.testing.assert_allclose(levels, expected, rtol=1e-15, atol=0)
 
     def test_below_equilibrium_play(self):
         # punishment is at least as harsh as equilibrium play

@@ -163,13 +163,13 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("a", A_VALUES)
     @pytest.mark.parametrize("sigma2", [1.0, 0.3, 2e-13])
-    def test_equal_power_coeff_is_sigma2_a(self, a, sigma2):
+    def test_equal_received_is_sigma2_a(self, a, sigma2):
         params = GameParams.symmetric(10, a=a, sigma2=sigma2)
+        assert params.equal_received == sigma2 * a
+        # the k-player received power it stands for, to rounding, at every k
         for k in range(1, 11):
-            assert params.equal_power_coeff(k) == sigma2 * a
-            # the product it stands for, to rounding
-            g = a / (1 + (k - 1) * a)
-            assert params.equal_power_coeff(k) == pytest.approx(
+            g = params.gamma_tilde(k)
+            assert params.equal_received == pytest.approx(
                 sigma2 * g / (1 - (k - 1) * g), rel=1e-14)
 
     @pytest.mark.parametrize("k,a", [(2, 1.0), (3, 0.5), (5, 0.25), (3, 0.75)])
@@ -183,3 +183,15 @@ class TestClosedForms:
         scale = GameParams.symmetric(3, a=a).nash_scale()
         assert math.isfinite(scale)
         assert scale == a / (1.0 - 2 * a)
+
+    @pytest.mark.parametrize("a", A_VALUES + (0.25, float(np.nextafter(0.5, 0)), 3.0))
+    @pytest.mark.parametrize("sigma2", [1.0, 0.3])
+    def test_nash_received_is_nan_exactly_where_nash_scale_raises(self, a, sigma2):
+        for k in range(1, 12):
+            params = GameParams.symmetric(k, a=a, sigma2=sigma2)
+            try:
+                scale = params.nash_scale()
+            except SaturationError:
+                assert math.isnan(params.nash_received)
+            else:
+                assert params.nash_received == scale

@@ -32,7 +32,7 @@ def state_clouds(params, region, nudge_ulps=0):
     many ulps, beside the exact one."""
     for eta, grids in zip(region.state_gains, region.state_grids):
         if nudge_ulps:
-            level = params.equal_power_coeff(1) / eta * (1.0 + nudge_ulps * 2.0**-52)
+            level = params.equal_received / eta * (1.0 + nudge_ulps * 2.0**-52)
             grids = [np.union1d(g, level[i]) for i, g in enumerate(grids)]
         p0, p1 = np.meshgrid(*grids, indexing="ij")
         yield utility(params, eta, np.stack([p0.ravel(), p1.ravel()], -1))

@@ -328,7 +328,7 @@ class TestSocialOptimum:
                 grid = _power_grid(p, eta, i, grid_size)
                 assert grid.size == grid_size
                 assert p.nash_scale() / eta[i] in grid
-                assert p.equal_power_coeff(k) / eta[i] in grid
+                assert p.equal_received / eta[i] in grid
 
     def test_fill_point_on_a_seed_is_counted_once(self):
         # at K = 10, a = 0.1 the equilibrium power is 10 times the equal
@@ -337,7 +337,7 @@ class TestSocialOptimum:
         p = params_for(10, 0.1)
         grid = _power_grid(p, np.ones(10), 0, 40)
         assert 38 <= grid.size < 40
-        assert p.nash_scale() in grid and p.equal_power_coeff(10) in grid
+        assert p.nash_scale() in grid and p.equal_received in grid
 
     def test_every_candidate_over_the_cap(self):
         # players 0 and 1 need 0.5 W and more for any named profile; the
@@ -405,7 +405,7 @@ def test_coordinate_ascent_matches_the_scalar_search(k, p_max):
         eta[1, : k // 2] = eta[1, -1]  # tied gains
         eta = eta[[0, 1, 0]]
         if p_max == 1e-3:
-            assert np.all(p.equal_power_coeff(1) / eta.max(axis=1) > p_max)
+            assert np.all(p.equal_received / eta.max(axis=1) > p_max)
         powers, w = social_optimum(p, eta, grid_size)
         wants = [social_optimum_oracle(p, row, grid_size) for row in eta[:2]]
         for row, (want_p, want_w) in zip((0, 1, 2), wants + wants[:1]):

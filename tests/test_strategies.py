@@ -1,10 +1,11 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from powergame.efficiency import ExponentialEfficiency
-from powergame.errors import InformationError
+from powergame.errors import InformationError, PowerGameError
 from powergame.oneshot import GameParams, operating_point_powers, utility
 from powergame.strategies import (
     BEST_USERS,
@@ -22,6 +23,7 @@ from powergame.strategies import (
     select_by_threshold,
     stage_action,
     threshold,
+    unchecked_profile,
 )
 
 
@@ -287,6 +289,29 @@ class TestCompliantProfile:
                 )
                 expected = stage_action(kind, p, sig, PunishmentState(), i)
                 assert powers[t, i] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind,a",
+        [(NASH, 0.5),  # (K-1) a = 1: no interior equilibrium
+         (NASH, 0.1), (OPERATING_POINT, 0.1), (BEST_USERS, 0.1), (threshold(0.1), 0.1)],
+    )
+    def test_cap_errors_match_stage_action(self, kind, a):
+        # player 0's planned power is over its cap (or undefined); per-stage play
+        # raises the same exception with the same message as the vectorized plan
+        p = params_for(3, a, p_max=[0.05, np.inf, np.inf])
+        eta = np.array([[0.5, 0.6, 0.7]])
+        with pytest.raises(PowerGameError) as planned:
+            compliant_profile(p, kind, eta)
+        _, recommended, k_active = unchecked_profile(p, kind, eta)
+        assert recommended[0, 0]
+        sig = SignalProfile(own_gain=0.5, recommended=True, k_active=int(k_active[0]))
+        expected = dict(expected_exception=type(planned.value),
+                        match=f"^{re.escape(str(planned.value))}$")
+        with pytest.raises(**expected):
+            stage_action(kind, p, sig, PunishmentState(), 0)
+        if kind.name == "nash":  # punishment plays the selfish equilibrium
+            with pytest.raises(**expected):
+                stage_action(BEST_USERS, p, sig, PunishmentState(True, 0), 0)
 
     def test_selection_k_active_consistency(self):
         p = params_for(5, 0.15)
