@@ -21,7 +21,8 @@ from .geometry import (
     convex_hull,
     weighted_minkowski_sum,
 )
-from .oneshot import GameParams, _power_grid, best_response, check_grid_size, nash_powers, utility
+from .oneshot import (GameParams, _grid_profiles, best_response, check_grid_size, nash_powers,
+                      utility)
 from .strategies import (
     BEST_USERS,
     NASH,
@@ -60,7 +61,7 @@ def _punished_utilities(params: GameParams, gains: np.ndarray) -> np.ndarray:
     out = np.zeros(gains.shape)
     for i in range(params.n_players):
         jam = params.p_max.copy()
-        jam[i] = 0.0  # best_response ignores it, but an inf would reach its sum
+        jam[i] = 0.0  # the player's own cap, even an infinite one, keeps its floor
         if np.isinf(jam).any():
             continue
         powers = np.tile(jam, (gains.shape[0], 1))
@@ -109,7 +110,8 @@ def feasible_region_2p(params: GameParams, model, grid_size: int = 12) -> Region
     expected-utility set is the Minkowski sum of the clouds' convex hulls,
     weighted by the stationary probabilities.  The channel law does not
     depend on actions, so this holds for any irreducible law, Markov laws
-    included.  Each player's grid is ``oneshot._power_grid``.  Requires
+    included.  Each player's grid is ``oneshot._power_grid``, and each
+    state's profiles are ``oneshot._grid_profiles``.  Requires
     K = 2 and, in every joint state, the selfish equilibrium under the caps
     (else ``SaturationError``).
     """
@@ -122,13 +124,9 @@ def feasible_region_2p(params: GameParams, model, grid_size: int = 12) -> Region
     grids = []
     for eta_s in gains:
         nash_powers(params, eta_s)  # raises where the equilibrium exceeds a cap
-        g0 = _power_grid(params, eta_s, 0, grid_size)
-        g1 = _power_grid(params, eta_s, 1, grid_size)
-        grids.append((g0, g1))
-        p0, p1 = np.meshgrid(g0, g1, indexing="ij")
-        profiles = np.stack([p0.ravel(), p1.ravel()], axis=-1)
-        points = utility(params, eta_s, profiles)
-        hulls.append(convex_hull(points))
+        state_grids, profiles = _grid_profiles(params, eta_s, grid_size)
+        grids.append(state_grids)
+        hulls.append(convex_hull(utility(params, eta_s, profiles)))
     region = weighted_minkowski_sum(hulls, probs)
     floors = minmax_levels(params, model)
     markers = {

@@ -389,8 +389,10 @@ def save_model(model: ChannelModel, path) -> None:
         fh.write("\n")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_number(value, kind=float) -> bool:
+    """Whether ``value`` is a JSON number (an integer when ``kind`` is int);
+    JSON booleans are not, although Python counts them as integers."""
+    return isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
 
 
 def load_model(path) -> ChannelModel:

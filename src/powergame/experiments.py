@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis
-from .channels import ChannelModel, TruncatedRayleighSpec, TwoStateSpec, build_model, load_model
+from .channels import (ChannelModel, TruncatedRayleighSpec, TwoStateSpec, _is_number, build_model,
+                       load_model)
 from .engine import (
     DeviationSpec,
     EngineConfig,
@@ -36,7 +37,6 @@ _TASKS = ("simulate", "dominance", "region", "lambdamax", "partition")
 _SWEEP_AXES = ("ratio", "K", "alpha")
 
 DEFAULTS = {
-    "game.rate_when_a_given": 1.0,
     "game.sigma2": 1.0,
     "game.p_max": 1e6,
     "channel.eta_min(two_state)": 1.0,
@@ -64,12 +64,6 @@ def _fail(path: str, message: str):
 def _require_positive_finite(path: str, value) -> None:
     if value is not None and not 0 < value < math.inf:  # NaN fails too
         _fail(path, "must be positive and finite")
-
-
-def _is_number(value, kind=float) -> bool:
-    """Whether ``value`` is a JSON number (an integer when ``kind`` is int);
-    JSON booleans are not, although Python counts them as integers."""
-    return isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
 
 
 def _get(cfg: dict, path: str, kind, required=True, default=None, defaults_used=None):

@@ -10,22 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 
-# Minkowski candidate pairs: an edge shorter than _TINY_EDGE times the
-# coordinate scale gives no direction (its end points share one arc).
-# Every arc is widened on each side by _ARC_SLACK radians, so that pairs
-# along parallel edges of the two polygons are kept, or, next to a short
-# edge of length L, by _ROUND_SLACK * scale / L: within that angle a pair
-# sum lies less than a few ulps of the scale inside the sum, where the
-# rounding of the sums and of the hull's cross products can still make
-# it a vertex.
-_TINY_EDGE = 1e-9
+# Minkowski candidate pairs: every arc is widened on each side by _ARC_SLACK
+# radians, so that pairs along parallel edges are kept, or, next to an edge of
+# length L, by _ROUND_SLACK * scale / L, within which a pair sum lies a few
+# ulps of the scale inside the sum, where rounding can still make it a vertex.
+# The slack stops at half a turn, past which an arc meets every other arc (so
+# an edge of subnormal length cannot overflow it).
 _ARC_SLACK = 1e-9
 _ROUND_SLACK = 64 * np.finfo(float).eps
 _TWO_PI = 2.0 * np.pi
-
-
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _half_chain(pts: list) -> list:
@@ -57,9 +50,9 @@ def convex_hull(points) -> np.ndarray:
 
 def _vertex_arcs(poly: np.ndarray, scale: float):
     """Arc of edge directions (start, CCW width) at each vertex of a CCW
-    convex polygon, or None when the polygon gives no usable arcs (fewer
-    than 2 edges longer than the tiny-edge length, or edges that do not
-    turn once around CCW).
+    convex polygon, or None when the polygon gives no usable arcs (an edge
+    of zero length, which only a point cloud with a repeated point has, or
+    edges that do not turn once around CCW).
 
     A vertex is extreme for exactly the directions whose outward normals
     lie between the normals of its incoming and outgoing edges; rotating
@@ -67,25 +60,24 @@ def _vertex_arcs(poly: np.ndarray, scale: float):
     the outgoing edge direction stands for that normal arc.
     """
     m = poly.shape[0]
-    edges = np.roll(poly, -1, axis=0) - poly  # edge k runs from vertex k to k+1
+    # vertex k leaves along edge k, which runs to vertex k + 1, and arrives
+    # along edge k - 1 (negative indices wrap around)
+    nxt, prev = np.arange(1 - m, 1), np.arange(-1, m - 1)
+    edges = poly[nxt] - poly
     length = np.hypot(edges[:, 0], edges[:, 1])
-    long = np.flatnonzero(length > _TINY_EDGE * scale)
-    if long.size < 2:
+    if not length.all():
         return None
-    angle = np.arctan2(edges[long, 1], edges[long, 0])
-    slack = np.maximum(_ARC_SLACK, _ROUND_SLACK * scale / length[long])
-    turn = np.remainder(np.roll(angle, -1) - angle + np.pi, _TWO_PI) - np.pi
+    angle = np.arctan2(edges[:, 1], edges[:, 0])
+    round_slack = _ROUND_SLACK * scale
+    slack = np.maximum(_ARC_SLACK, round_slack / np.maximum(length, round_slack / np.pi))
+    turn = np.remainder(angle[nxt] - angle + np.pi, _TWO_PI) - np.pi
     # a convex CCW polygon turns left once around; rounding may leave a
     # nearly collinear vertex turning right by a hair (NaN fails the test)
     if not (turn.min() >= -1e-6 and abs(turn.sum() - _TWO_PI) <= 1e-6):
         return None
-    # vertex i leaves along the first long edge at or after i and arrives
-    # along the last long edge before i (cyclically)
-    out_pos = np.searchsorted(long, np.arange(m)) % long.size
-    in_pos = (out_pos - 1) % long.size
-    vturn = turn[in_pos]
-    vslack = slack[in_pos] + slack[out_pos]
-    start = angle[in_pos] + np.minimum(vturn, 0.0) - vslack
+    vturn = turn[prev]
+    vslack = slack[prev] + slack
+    start = angle[prev] + np.minimum(vturn, 0.0) - vslack
     return start, np.abs(vturn) + 2.0 * vslack
 
 
@@ -132,22 +124,12 @@ def clip_to_lower_bounds(poly, bounds) -> np.ndarray:
     """Intersect a convex polygon with {x >= bounds[0]} and {y >= bounds[1]}."""
     verts = np.asarray(poly, dtype=float).reshape(-1, 2)
     for dim, bound in enumerate(bounds):
-        if verts.shape[0] == 0:
-            return verts
-        clipped: list[np.ndarray] = []
-        m = verts.shape[0]
-        for j in range(m):
-            cur, nxt = verts[j], verts[(j + 1) % m]
-            cur_in = cur[dim] >= bound
-            nxt_in = nxt[dim] >= bound
-            if cur_in:
-                clipped.append(cur)
-            if cur_in != nxt_in and m > 1:
-                span = nxt[dim] - cur[dim]
-                if span != 0:
-                    frac = (bound - cur[dim]) / span
-                    clipped.append(cur + frac * (nxt - cur))
-        verts = convex_hull(clipped) if clipped else np.empty((0, 2))
+        nxt = np.roll(verts, -1, axis=0)
+        inside = verts[:, dim] >= bound
+        crossing = inside != (nxt[:, dim] >= bound)
+        cur, nxt = verts[crossing], nxt[crossing]
+        frac = (bound - cur[:, dim]) / (nxt[:, dim] - cur[:, dim])
+        verts = convex_hull(np.concatenate([verts[inside], cur + frac[:, None] * (nxt - cur)]))
     return verts
 
 
@@ -164,11 +146,8 @@ def point_in_convex_polygon(point, poly, tol: float = 1e-9) -> bool:
         t = np.dot(p - verts[0], d) / np.dot(d, d)
         t = min(max(t, 0.0), 1.0)
         return bool(np.linalg.norm(p - (verts[0] + t * d)) <= tol)
-    m = verts.shape[0]
     scale = max(1.0, float(np.abs(verts).max()))
-    for j in range(m):
-        edge = verts[(j + 1) % m] - verts[j]
-        norm = np.linalg.norm(edge)
-        if _cross(verts[j], verts[(j + 1) % m], p) < -tol * scale * max(norm, 1.0):
-            return False
-    return True
+    edges = np.roll(verts, -1, axis=0) - verts
+    cross = edges[:, 0] * (p[1] - verts[:, 1]) - edges[:, 1] * (p[0] - verts[:, 0])
+    norm = np.hypot(edges[:, 0], edges[:, 1])
+    return not np.any(cross < -tol * scale * np.maximum(norm, 1.0))

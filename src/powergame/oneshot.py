@@ -14,7 +14,6 @@ All vector quantities are numpy arrays of length K.  ``sinr``,
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,7 +215,8 @@ def best_response(params: GameParams, eta, p_others, i: int):
     eta = _check_realization(params, eta)
     p_others = np.asarray(p_others, dtype=float)
     received = p_others * eta
-    interference = received.sum(axis=-1) - received[..., i]
+    received[..., i] = 0.0
+    interference = received.sum(axis=-1)
     want = params.beta_star * (interference + params.sigma2) / eta[..., i]
     out = np.minimum(want, params.p_max[i])
     return out if np.ndim(out) else float(out)
@@ -287,6 +287,14 @@ def _power_grid(params: GameParams, eta, i: int, grid_size: int) -> np.ndarray:
     return np.unique(np.concatenate([[0.0], seeds, fill]))
 
 
+def _grid_profiles(params: GameParams, eta, grid_size: int):
+    """Each player's ``_power_grid`` at the gains ``eta`` (K,), and the
+    (M, K) profiles of their points, the last player's varying fastest."""
+    grids = [_power_grid(params, eta, i, grid_size) for i in range(params.n_players)]
+    mesh = np.meshgrid(*grids, indexing="ij")
+    return grids, np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def social_optimum(params: GameParams, eta, grid_size: int = 12):
     """Welfare-maximizing profile on a per-player power grid.
 
@@ -310,8 +318,7 @@ def social_optimum(params: GameParams, eta, grid_size: int = 12):
     totals = np.empty(rows.shape[0])
     if params.n_players <= 4:
         for r, row in enumerate(rows):
-            grids = [_power_grid(params, row, i, grid_size) for i in range(params.n_players)]
-            profiles = np.array(list(itertools.product(*grids)))
+            _, profiles = _grid_profiles(params, row, grid_size)
             row_totals = welfare(params, row, profiles)
             best = int(np.argmax(row_totals))
             powers[r], totals[r] = profiles[best], row_totals[best]

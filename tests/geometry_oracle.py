@@ -1,16 +1,22 @@
-"""Reference implementations of ``convex_hull`` and ``minkowski_sum``.
+"""Reference implementations of the ``powergame.geometry`` kernels.
 
-These are the kernels the package used before the Minkowski sum kept only
-the vertex pairs whose outward-normal arcs overlap and the hull ran over
-Python floats: the monotone chain over numpy scalars, and the sum of every
-vertex pair of the two polygons.  ``weighted_minkowski_sum_oracle`` is the
-same left fold over states built on them.  Tests compare
+``convex_hull_oracle`` and ``minkowski_sum_oracle`` are the kernels the
+package used before the Minkowski sum kept only the vertex pairs whose
+outward-normal arcs overlap and the hull ran over Python floats: the
+monotone chain over numpy scalars, and the sum of every vertex pair of the
+two polygons.  ``weighted_minkowski_sum_oracle`` is the same left fold over
+states built on them.  ``clip_to_lower_bounds_oracle`` and
+``point_in_convex_polygon_oracle`` are the edge-by-edge loops the package
+used before it treated every edge at once; the clip hulls its points with
+the package's ``convex_hull``, as it did then.  Tests compare
 ``powergame.geometry`` against these bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from powergame.geometry import convex_hull
 
 
 def _cross(o, a, b) -> float:
@@ -60,3 +66,49 @@ def weighted_minkowski_sum_oracle(polys, weights) -> np.ndarray:
     for poly, w in zip(polys[1:], weights[1:]):
         acc = minkowski_sum_oracle(acc, np.asarray(poly, dtype=float) * w)
     return convex_hull_oracle(acc)
+
+
+def clip_to_lower_bounds_oracle(poly, bounds) -> np.ndarray:
+    """Intersect a convex polygon with {x >= bounds[0]} and {y >= bounds[1]}."""
+    verts = np.asarray(poly, dtype=float).reshape(-1, 2)
+    for dim, bound in enumerate(bounds):
+        if verts.shape[0] == 0:
+            return verts
+        clipped: list[np.ndarray] = []
+        m = verts.shape[0]
+        for j in range(m):
+            cur, nxt = verts[j], verts[(j + 1) % m]
+            cur_in = cur[dim] >= bound
+            nxt_in = nxt[dim] >= bound
+            if cur_in:
+                clipped.append(cur)
+            if cur_in != nxt_in and m > 1:
+                span = nxt[dim] - cur[dim]
+                if span != 0:
+                    frac = (bound - cur[dim]) / span
+                    clipped.append(cur + frac * (nxt - cur))
+        verts = convex_hull(clipped) if clipped else np.empty((0, 2))
+    return verts
+
+
+def point_in_convex_polygon_oracle(point, poly, tol: float = 1e-9) -> bool:
+    """Membership test allowing ``tol`` of slack outside each edge."""
+    p = np.asarray(point, dtype=float)
+    verts = np.asarray(poly, dtype=float).reshape(-1, 2)
+    if verts.shape[0] == 0:
+        return False
+    if verts.shape[0] == 1:
+        return bool(np.all(np.abs(p - verts[0]) <= tol))
+    if verts.shape[0] == 2:
+        d = verts[1] - verts[0]
+        t = np.dot(p - verts[0], d) / np.dot(d, d)
+        t = min(max(t, 0.0), 1.0)
+        return bool(np.linalg.norm(p - (verts[0] + t * d)) <= tol)
+    m = verts.shape[0]
+    scale = max(1.0, float(np.abs(verts).max()))
+    for j in range(m):
+        edge = verts[(j + 1) % m] - verts[j]
+        norm = np.linalg.norm(edge)
+        if _cross(verts[j], verts[(j + 1) % m], p) < -tol * scale * max(norm, 1.0):
+            return False
+    return True

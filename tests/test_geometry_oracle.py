@@ -2,22 +2,32 @@
 
 The Minkowski sum keeps only the vertex pairs whose normal arcs overlap
 and the hull runs over Python floats; both must give the reference's
-output bit for bit.
+output bit for bit.  The half-plane clip and the membership test treat
+every edge at once; they must give the edge-by-edge loops' hulls bit for
+bit and their booleans exactly.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geometry_oracle import (
+    clip_to_lower_bounds_oracle,
     convex_hull_oracle,
     minkowski_sum_oracle,
+    point_in_convex_polygon_oracle,
     weighted_minkowski_sum_oracle,
 )
 from powergame.analysis import feasible_region_2p
 from powergame.channels import TruncatedRayleighSpec, build_model
-from powergame.geometry import convex_hull, minkowski_sum, weighted_minkowski_sum
+from powergame.geometry import (
+    clip_to_lower_bounds,
+    convex_hull,
+    minkowski_sum,
+    point_in_convex_polygon,
+    weighted_minkowski_sum,
+)
 from powergame.oneshot import GameParams, utility
 
 
@@ -131,6 +141,9 @@ clouds = st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=40)
 
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(clouds, clouds, st.floats(1e-3, 1.0), st.floats(1e-3, 1.0))
+# a repeated point is a zero-length edge, which gives no direction
+@example([(0.0, 0.0)] * 3, [(0.0, 0.0)] * 3, 1.0, 1.0)
+@example([(0.0, 0.0)] * 3, [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)], 1.0, 1.0)
 def test_minkowski_sum_matches_pair_enumeration(cloud_a, cloud_b, w_a, w_b):
     a = convex_hull(cloud_a) * w_a
     b = convex_hull(cloud_b) * w_b
@@ -140,6 +153,16 @@ def test_minkowski_sum_matches_pair_enumeration(cloud_a, cloud_b, w_a, w_b):
     assert_bitwise(minkowski_sum(cloud_a, cloud_b), minkowski_sum_oracle(cloud_a, cloud_b))
     assert_bitwise(weighted_minkowski_sum([a, b, a], [0.5, 0.25, 0.25]),
                    weighted_minkowski_sum_oracle([a, b, a], [0.5, 0.25, 0.25]))
+
+
+def test_subnormal_edge():
+    # an edge of 5e-324 takes its arcs' slack up to half a turn, not past
+    # what a float holds
+    a = convex_hull([(0.0, 0.0), (5e-324, 0.0), (0.0, 1.0)])
+    assert a.shape == (3, 2)
+    b = np.array([(0, 0), (2, 0), (0, 2)], float)
+    for x, y in ((a, b), (b, a), (a, a), (a, b * 1e-300)):
+        assert_bitwise(minkowski_sum(x, y), minkowski_sum_oracle(x, y))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -152,3 +175,54 @@ def test_convex_hull_matches_reference(cloud):
     else:  # a point or a segment: its distinct end points, in sorted order
         ends = np.unique(np.asarray(cloud, float), axis=0)[[0, -1]]
         assert_bitwise(got, np.unique(ends, axis=0))
+
+
+def pick_bound(coords, pick, u, which):
+    """A lower bound on one coordinate of a polygon's vertices ``coords``."""
+    lo, hi = coords.min(), coords.max()
+    if pick == "below":  # keeps everything
+        return lo - 1.0
+    if pick == "above":  # keeps nothing
+        return hi + 1.0
+    if pick == "vertex":  # passes through a vertex
+        return coords[which % coords.size]
+    return lo + u * (hi - lo)
+
+
+bound_picks = st.sampled_from(["inside", "below", "above", "vertex"])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(clouds, bound_picks, bound_picks, st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.integers(0, 1000))
+def test_clip_matches_edge_loop(cloud, pick_x, pick_y, u_x, u_y, which):
+    poly = convex_hull(cloud)
+    bounds = (pick_bound(poly[:, 0], pick_x, u_x, which),
+              pick_bound(poly[:, 1], pick_y, u_y, which + 1))
+    assert_bitwise(clip_to_lower_bounds(poly, bounds), clip_to_lower_bounds_oracle(poly, bounds))
+
+
+@pytest.mark.parametrize("poly", [
+    np.array([(0.25, -1.5)]),
+    np.array([(0.0, 0.0), (2.0, 1.0)]),
+    np.array([(1.0, 1.0), (1.0, 3.0)]),
+    np.empty((0, 2)),
+])
+@pytest.mark.parametrize("bounds", [
+    (-10.0, -10.0), (10.0, 10.0), (0.0, 0.0), (1.0, 1.0), (1.0, 2.0), (0.25, -1.5),
+])
+def test_clip_of_one_and_two_vertex_polygons(poly, bounds):
+    assert_bitwise(clip_to_lower_bounds(poly, bounds), clip_to_lower_bounds_oracle(poly, bounds))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(clouds, st.lists(st.tuples(coordinates, coordinates), max_size=10),
+       st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]))
+def test_membership_matches_edge_loop(cloud, others, tol):
+    poly = convex_hull(cloud)
+    mids = (poly + np.roll(poly, -1, axis=0)) / 2.0
+    points = np.concatenate([np.asarray(others, float).reshape(-1, 2), poly, mids,
+                             mids * (1.0 + 1e-10), mids * (1.0 - 1e-10)])
+    for point in points:
+        assert (point_in_convex_polygon(point, poly, tol)
+                == point_in_convex_polygon_oracle(point, poly, tol))

@@ -116,6 +116,12 @@ class TestBestResponse:
         p = params_for(2, 0.1, p_max=1.0)
         assert best_response(p, [1.0, 1.0], [0.0, 100.0], 0) == pytest.approx(1.0)
 
+    def test_own_entry_is_ignored_even_when_infinite(self):
+        p = GameParams.symmetric(2, a=0.1)
+        got = best_response(p, [1.0, 2.0], [np.inf, 5.0], 0)
+        assert got == best_response(p, [1.0, 2.0], [0.0, 5.0], 0)
+        assert got == pytest.approx(1.1)
+
     def test_is_grid_argmax(self):
         # oracle: dense grid search of u_i against fixed opponents
         p = params_for(3, 0.2)
