@@ -21,8 +21,8 @@ from .geometry import (
     convex_hull,
     weighted_minkowski_sum,
 )
-from .oneshot import (GameParams, _grid_profiles, best_response, check_grid_size, nash_powers,
-                      utility)
+from .oneshot import (GameParams, _grid_profiles, _power_grids, best_response, check_grid_size,
+                      nash_powers, utility)
 from .strategies import (
     BEST_USERS,
     NASH,
@@ -34,6 +34,10 @@ from .strategies import (
 )
 
 _MC_STATE_SAMPLES = 20_000
+# joint states per utility call in ``feasible_region_2p``: its cloud arrays,
+# about states * grid_size**2 * 2 floats, stay small enough that they do not
+# raise the peak memory of a region run (32 states did, by 0.25 MB)
+_REGION_BLOCK_STATES = 16
 
 
 def joint_state_table(model):
@@ -110,23 +114,27 @@ def feasible_region_2p(params: GameParams, model, grid_size: int = 12) -> Region
     expected-utility set is the Minkowski sum of the clouds' convex hulls,
     weighted by the stationary probabilities.  The channel law does not
     depend on actions, so this holds for any irreducible law, Markov laws
-    included.  Each player's grid is ``oneshot._power_grid``, and each
-    state's profiles are ``oneshot._grid_profiles``.  Requires
-    K = 2 and, in every joint state, the selfish equilibrium under the caps
-    (else ``SaturationError``).
+    included.  Each state's grids are ``oneshot._power_grids``, and its
+    profiles ``oneshot._grid_profiles``; the padding of the grids only
+    repeats profiles, which the hull drops.  Requires K = 2 and, in every
+    joint state, the selfish equilibrium under the caps (else
+    ``SaturationError``).
     """
     if params.n_players != 2:
         raise ValueError("the exact region is only computed for 2-player games")
     check_grid_size(grid_size)
 
     _, gains, probs = joint_state_table(model)
+    nash_powers(params, gains)  # raises where the equilibrium exceeds a cap
+    padded, sizes = _power_grids(params, gains, grid_size)
     hulls = []
-    grids = []
-    for eta_s in gains:
-        nash_powers(params, eta_s)  # raises where the equilibrium exceeds a cap
-        state_grids, profiles = _grid_profiles(params, eta_s, grid_size)
-        grids.append(state_grids)
-        hulls.append(convex_hull(utility(params, eta_s, profiles)))
+    for lo in range(0, gains.shape[0], _REGION_BLOCK_STATES):
+        block = slice(lo, lo + _REGION_BLOCK_STATES)
+        profiles = _grid_profiles([padded[block, 0], padded[block, 1]])
+        clouds = utility(params, gains[block, None, :], profiles)
+        hulls.extend(convex_hull(cloud) for cloud in clouds)
+    grids = [[g[:n] for g, n in zip(state, state_sizes)]
+             for state, state_sizes in zip(padded, sizes)]
     region = weighted_minkowski_sum(hulls, probs)
     floors = minmax_levels(params, model)
     markers = {

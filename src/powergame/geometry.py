@@ -40,8 +40,13 @@ def convex_hull(points) -> np.ndarray:
     """Monotone-chain convex hull; strictly extreme vertices only, CCW.
 
     Collinear inputs give the segment between their two extreme points.
+    Of float-equal points (repeats, or 0.0 and -0.0 in a coordinate) the
+    first in input order is kept.
     """
-    pts = np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]  # by x, then y; stable
+    if pts.shape[0] > 1:
+        pts = pts[np.concatenate([[True], (pts[1:] != pts[:-1]).any(axis=1)])]
     if pts.shape[0] <= 2:
         return pts
     xy = pts.tolist()
@@ -143,8 +148,10 @@ def point_in_convex_polygon(point, poly, tol: float = 1e-9) -> bool:
         return bool(np.all(np.abs(p - verts[0]) <= tol))
     if verts.shape[0] == 2:
         d = verts[1] - verts[0]
-        t = np.dot(p - verts[0], d) / np.dot(d, d)
-        t = min(max(t, 0.0), 1.0)
+        along, dd = np.dot(p - verts[0], d), np.dot(d, d)
+        # clamped before dividing: dd underflows to 0 for a segment shorter
+        # than about 1e-154, and along / dd can overflow
+        t = 0.0 if along <= 0.0 else 1.0 if along >= dd else along / dd
         return bool(np.linalg.norm(p - (verts[0] + t * d)) <= tol)
     scale = max(1.0, float(np.abs(verts).max()))
     edges = np.roll(verts, -1, axis=0) - verts

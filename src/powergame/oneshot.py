@@ -227,16 +227,19 @@ def nash_powers(params: GameParams, eta) -> np.ndarray:
 
     p_i = (sigma2 / eta_i) * beta_star / (1 - (K-1) beta_star); every
     player realizes SINR beta_star and all received powers p_i eta_i are
-    equal.  Raises ``SaturationError`` if any cap binds.
+    equal.  ``eta`` is one realization (K,) or N of them (N, K), giving
+    profiles of the same shape.  Raises ``SaturationError`` if any cap
+    binds, naming the players of the first row where one does.
     """
     eta = _check_realization(params, eta)
-    if eta.ndim != 1:
-        raise ValueError("nash_powers expects a single realization")
+    if eta.ndim not in (1, 2):
+        raise ValueError(f"nash_powers expects (K,) or (N, K) gains, got shape {eta.shape}")
     p = params.nash_scale() / eta
-    if np.any(p > params.p_max):
+    over = np.atleast_2d(p > params.p_max)
+    if over.any():
         raise SaturationError(
             "equilibrium powers exceed caps for players "
-            f"{np.nonzero(p > params.p_max)[0].tolist()}"
+            f"{np.nonzero(over[over.any(axis=1)][0])[0].tolist()}"
         )
     return p
 
@@ -269,30 +272,60 @@ def operating_point_powers(params: GameParams, eta, active=None) -> np.ndarray:
     return p
 
 
-def _power_grid(params: GameParams, eta, i: int, grid_size: int) -> np.ndarray:
-    """``grid_size`` candidate powers for player i: 0, the equilibrium power
+def _power_grids(params: GameParams, eta: np.ndarray, grid_size: int):
+    """Every player's candidate powers at each row of the (N, K) gains
+    ``eta``: (N, K, size) grids, each padded to the longest by repeating
+    its last point, and their (N, K) sizes.
+
+    A grid holds ``grid_size`` sorted points: 0, the equilibrium power
     (when it exists) and the equal-received-power power, each seed kept
-    only under the cap and counted once, and a log fill from a tenth of the
-    smallest kept seed (of the cap when none is kept) up to the cap (to ten
-    times the largest seed without one).  A fill point that falls exactly
-    on a seed is kept once, which leaves the grid a point short."""
-    seeds = {params.equal_received / eta[i], params.nash_received / eta[i]}
-    seeds = [s for s in seeds if s <= params.p_max[i]]  # drops a NaN equilibrium
-    hi = params.p_max[i]
-    if not np.isfinite(hi):
-        hi = 10.0 * max(seeds)
-    lo = min(seeds, default=hi) / 10.0
-    n_fill = max(grid_size - len(seeds) - 1, 0)
-    fill = np.geomspace(lo, hi, n_fill) if n_fill else np.empty(0)
-    return np.unique(np.concatenate([[0.0], seeds, fill]))
+    only under the cap and counted once, and a log fill from a tenth of
+    the smallest kept seed (of the cap when none is kept) up to the cap
+    (to ten times the largest seed without one).  A fill point that falls
+    exactly on a seed is kept once, which leaves the grid a point short.
+    The fill is one ``np.geomspace`` call per distinct fill length.
+    """
+    cap = params.p_max
+    equal = params.equal_received / eta
+    nash = params.nash_received / eta  # NaN without an interior equilibrium: never kept
+    keep_equal = equal <= cap
+    keep_nash = (nash <= cap) & (nash != equal)
+    # a dropped seed is 0 here, below every kept one, and hi above them all
+    seed_equal = np.where(keep_equal, equal, 0.0)
+    seed_nash = np.where(keep_nash, nash, 0.0)
+    hi = np.where(np.isfinite(cap), cap, 10.0 * np.maximum(seed_equal, seed_nash))
+    lo = np.minimum(np.where(keep_equal, equal, hi), np.where(keep_nash, nash, hi)) / 10.0
+    n_fill = np.maximum(grid_size - 1 - keep_equal - keep_nash, 0)
+    # 0, both seeds and the fill (0 after it), sorted; each repeated value
+    # then becomes inf, and a second sort moves those last
+    points = np.zeros(eta.shape + (grid_size + 2,))
+    points[..., 1] = seed_equal
+    points[..., 2] = seed_nash
+    for m in np.unique(n_fill[n_fill > 0]):
+        at = n_fill == m
+        points[at, 3:3 + m] = np.geomspace(lo[at], hi[at], m, axis=-1)
+    points.sort(axis=-1)
+    repeat = points[..., 1:] == points[..., :-1]
+    points[..., 1:][repeat] = np.inf
+    points.sort(axis=-1)
+    sizes = points.shape[-1] - repeat.sum(axis=-1)
+    size = int(sizes.max(initial=1))
+    last = np.minimum(np.arange(size), sizes[..., None] - 1)
+    n, k = eta.shape
+    return points[np.arange(n)[:, None, None], np.arange(k)[:, None], last], sizes
 
 
-def _grid_profiles(params: GameParams, eta, grid_size: int):
-    """Each player's ``_power_grid`` at the gains ``eta`` (K,), and the
-    (M, K) profiles of their points, the last player's varying fastest."""
-    grids = [_power_grid(params, eta, i, grid_size) for i in range(params.n_players)]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    return grids, np.stack([m.ravel() for m in mesh], axis=-1)
+def _grid_profiles(grids) -> np.ndarray:
+    """(..., M, K) profiles of the K players' grids (..., size_i), which
+    share their leading axes, the last player varying fastest."""
+    lead = grids[0].shape[:-1]
+    sizes = [g.shape[-1] for g in grids]
+    profiles = np.empty(lead + tuple(sizes) + (len(grids),))
+    for i, g in enumerate(grids):
+        axes = [1] * len(sizes)
+        axes[i] = sizes[i]
+        profiles[..., i] = g.reshape(lead + tuple(axes))
+    return profiles.reshape(lead + (-1, len(grids)))
 
 
 def social_optimum(params: GameParams, eta, grid_size: int = 12):
@@ -317,8 +350,9 @@ def social_optimum(params: GameParams, eta, grid_size: int = 12):
     powers = np.empty(rows.shape)
     totals = np.empty(rows.shape[0])
     if params.n_players <= 4:
+        grids, sizes = _power_grids(params, rows, grid_size)
         for r, row in enumerate(rows):
-            _, profiles = _grid_profiles(params, row, grid_size)
+            profiles = _grid_profiles([g[:n] for g, n in zip(grids[r], sizes[r])])
             row_totals = welfare(params, row, profiles)
             best = int(np.argmax(row_totals))
             powers[r], totals[r] = profiles[best], row_totals[best]
@@ -365,11 +399,8 @@ def _lockstep_ascent(params: GameParams, eta: np.ndarray, grid_size: int):
     ties.
     """
     n, k = eta.shape
-    grids = [[_power_grid(params, row, i, grid_size) for i in range(k)] for row in eta]
-    size = max(g.size for row_grids in grids for g in row_grids)
-    points = np.arange(size)
-    padded = np.array([[g[np.minimum(points, g.size - 1)] for g in row_grids]
-                       for row_grids in grids])  # (N, K, size)
+    padded, _ = _power_grids(params, eta, grid_size)  # (N, K, size)
+    size = padded.shape[2]
     starts, valid = _ascent_starts(params, eta)
     row = np.nonzero(valid)[0]  # pairs in row-major (row, start) order
     pair_grids = padded[row]  # (M, K, size)

@@ -1,9 +1,12 @@
-"""Reference implementation of ``oneshot.social_optimum``: the scalar search.
+"""Reference implementations of ``oneshot.social_optimum`` and its grids.
 
-This is the one-realization welfare search the package used before every
-(row, start) pair climbed in lockstep.  Tests compare
-``powergame.oneshot.social_optimum`` against ``social_optimum_oracle`` by
-bytes, and the per-stage engine reference plans the social optimum with it.
+``social_optimum_oracle`` is the one-realization welfare search the package
+used before every (row, start) pair climbed in lockstep, and
+``power_grid_oracle`` the one-(row, player) grid it searches, which the
+package used before it built every row's grids at once.  Tests compare
+``powergame.oneshot.social_optimum`` and ``oneshot._power_grids`` against
+them by bytes, and the per-stage engine reference plans the social optimum
+with them.
 """
 
 from __future__ import annotations
@@ -14,12 +17,30 @@ import numpy as np
 
 from powergame.errors import CapError, SaturationError
 from powergame.oneshot import (
+    GameParams,
     _check_realization,
-    _power_grid,
     nash_powers,
     operating_point_powers,
     welfare,
 )
+
+
+def power_grid_oracle(params: GameParams, eta, i: int, grid_size: int) -> np.ndarray:
+    """``grid_size`` candidate powers for player i: 0, the equilibrium power
+    (when it exists) and the equal-received-power power, each seed kept
+    only under the cap and counted once, and a log fill from a tenth of the
+    smallest kept seed (of the cap when none is kept) up to the cap (to ten
+    times the largest seed without one).  A fill point that falls exactly
+    on a seed is kept once, which leaves the grid a point short."""
+    seeds = {params.equal_received / eta[i], params.nash_received / eta[i]}
+    seeds = [s for s in seeds if s <= params.p_max[i]]  # drops a NaN equilibrium
+    hi = params.p_max[i]
+    if not np.isfinite(hi):
+        hi = 10.0 * max(seeds)
+    lo = min(seeds, default=hi) / 10.0
+    n_fill = max(grid_size - len(seeds) - 1, 0)
+    fill = np.geomspace(lo, hi, n_fill) if n_fill else np.empty(0)
+    return np.unique(np.concatenate([[0.0], seeds, fill]))
 
 
 def social_optimum_oracle(params, eta, grid_size: int = 12):
@@ -39,7 +60,7 @@ def social_optimum_oracle(params, eta, grid_size: int = 12):
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     k = params.n_players
-    grids = [_power_grid(params, eta, i, grid_size) for i in range(k)]
+    grids = [power_grid_oracle(params, eta, i, grid_size) for i in range(k)]
 
     if k <= 4:
         profiles = np.array(list(itertools.product(*grids)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from analysis_oracle import punished_utilities_oracle
+from oneshot_oracle import power_grid_oracle
 from powergame.analysis import (
     config_partition,
     dominance_report,
@@ -28,7 +29,7 @@ from powergame.efficiency import ExponentialEfficiency
 from powergame.engine import estimate_expected_utilities, estimate_expected_utility
 from powergame.errors import ModelError, SaturationError
 from powergame.geometry import point_in_convex_polygon
-from powergame.oneshot import GameParams, _power_grid, utility
+from powergame.oneshot import GameParams, utility
 from powergame.strategies import BEST_USERS, NASH, OPERATING_POINT
 
 
@@ -313,7 +314,7 @@ class TestRegion:
         for eta, grids in zip(region.state_gains, region.state_grids):
             for i in (0, 1):
                 np.testing.assert_array_equal(
-                    grids[i], _power_grid(params, eta, i, grid_size))
+                    grids[i], power_grid_oracle(params, eta, i, grid_size))
 
     def test_cap_binding_in_some_joint_states_is_refused(self):
         # at p_max 5 the selfish equilibrium power is over the cap in 31 of
@@ -324,6 +325,25 @@ class TestRegion:
             expected_utilities_exact(params, model, NASH)
         with pytest.raises(SaturationError):
             feasible_region_2p(params, model)
+
+    @pytest.mark.parametrize("p_max,players", [(5.0, "[0, 1]"), ([50.0, 5.0], "[1]")])
+    def test_capped_rayleigh16_refusal_names_the_players(self, p_max, players):
+        # the first joint state has both players' weakest gains, so it names
+        # every player whose cap binds anywhere
+        params = params_for(2, 0.5, p_max=p_max)
+        model = build_model(TruncatedRayleighSpec(), 2)
+        with pytest.raises(SaturationError) as err:
+            feasible_region_2p(params, model)
+        assert str(err.value) == f"equilibrium powers exceed caps for players {players}"
+
+    def test_refusal_names_the_first_capped_state(self):
+        # the cap binds for player 1 in joint state (0, 0) and for both
+        # players in (1, 0); states run row-major, so (0, 0) is named
+        gains = (np.array([2.0, 0.1]), np.array([0.1, 2.0]))
+        model = ChannelModel(gains, IIDJointLaw(np.full(4, 0.25), (2, 2)))
+        with pytest.raises(SaturationError) as err:
+            feasible_region_2p(params_for(2, 0.5, p_max=5.0), model)
+        assert str(err.value) == "equilibrium powers exceed caps for players [1]"
 
 
 class TestLambdaBound:

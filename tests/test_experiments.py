@@ -402,7 +402,7 @@ def _pinned_configs(directory):
 # computed before paired replicates shared one path and Markov chains were
 # stepped without a numpy call per stage (the region, a 256-state Minkowski
 # fold, before Minkowski sums kept only candidate pairs; its region.csv and
-# fstar.csv since the region grid is oneshot._power_grid)
+# fstar.csv since the region grid is the welfare search's grid)
 PINNED_ARTIFACTS = {
     "dominance": {
         "dominance.csv": "d6726365b99b845968df016bbf067b2deccf270cbf9ae067605c644663b40120"},

@@ -117,6 +117,15 @@ class TestMembership:
         assert point_in_convex_polygon((1.0 + 1e-12, 0.5), sq, tol=1e-9)
         assert not point_in_convex_polygon((1.0 + 1e-6, 0.5), sq, tol=1e-9)
 
+    def test_segment_too_short_for_its_squared_length(self):
+        # the squared length underflows to 0 (and would divide 0 by 0), or is
+        # so small that the projection would overflow
+        tiny = [(0.0, 0.0), (1e-170, 0.0)]
+        assert point_in_convex_polygon((0.0, 0.0), tiny)
+        assert point_in_convex_polygon((1e-10, 0.0), tiny)
+        assert not point_in_convex_polygon((1.0, 0.0), tiny)
+        assert not point_in_convex_polygon((1e150, 0.0), [(0.0, 0.0), (1e-160, 0.0)])
+
     def test_segment_membership(self):
         seg = np.array([(0, 0), (1, 1)], dtype=float)
         assert point_in_convex_polygon((0.5, 0.5), seg)

@@ -177,6 +177,32 @@ def test_convex_hull_matches_reference(cloud):
         assert_bitwise(got, np.unique(ends, axis=0))
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_hull_dedupe_matches_np_unique(seed):
+    # repeated rows, and 0.0 and -0.0 in one coordinate; at most 16 rows,
+    # which np.unique(axis=0) sorts by insertion, keeping the first of
+    # float-equal rows as the hull's stable sort does
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, -0.0, 1.0, 2.0])
+    cloud = values[rng.integers(0, 4, (int(rng.integers(1, 17)), 2))]
+    assert_bitwise(convex_hull(cloud), convex_hull_oracle(cloud))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_hull_keeps_the_first_of_float_equal_points(seed):
+    # 60 corners of the unit square, each zero signed at random: every
+    # vertex has the bytes of the first input point equal to it
+    rng = np.random.default_rng(seed)
+    corners = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    cloud = corners[rng.integers(0, 4, 60)]
+    cloud[(cloud == 0.0) & (rng.random(cloud.shape) < 0.5)] = -0.0
+    hull = convex_hull(cloud)
+    np.testing.assert_array_equal(hull, corners)
+    for vertex in hull:
+        first = cloud[np.all(cloud == vertex, axis=1)][0]
+        assert vertex.tobytes() == first.tobytes()
+
+
 def pick_bound(coords, pick, u, which):
     """A lower bound on one coordinate of a polygon's vertices ``coords``."""
     lo, hi = coords.min(), coords.max()

@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from oneshot_oracle import social_optimum_oracle
+from oneshot_oracle import power_grid_oracle, social_optimum_oracle
 
 from powergame.efficiency import ExponentialEfficiency
 from powergame.errors import CapError, SaturationError
 from powergame.oneshot import (
     GameParams,
-    _power_grid,
+    _power_grids,
     best_response,
     nash_powers,
     operating_point_powers,
@@ -183,6 +183,20 @@ class TestNashPowers:
         with pytest.raises(SaturationError):
             nash_powers(p, [1.0, 1.0])
 
+    def test_rows_match_one_row_calls(self):
+        p = params_for(3, 0.15, p_max=[np.inf, 2.0, 0.5])
+        eta = np.random.default_rng(4).uniform(0.5, 5.0, (6, 3))
+        out = nash_powers(p, eta)
+        assert out.shape == (6, 3)
+        for row, row_out in zip(eta, out):
+            assert nash_powers(p, row).tobytes() == row_out.tobytes()
+
+    def test_rows_name_the_first_capped_row(self):
+        # row 1 is over player 1's cap, row 2 over both players' caps
+        p = params_for(2, 0.5, p_max=5.0)  # equilibrium power 1 / gain
+        with pytest.raises(SaturationError, match=r"for players \[1\]$"):
+            nash_powers(p, [[2.0, 2.0], [2.0, 0.1], [0.1, 0.1]])
+
 
 class TestOperatingPoint:
     def test_two_player_example(self):
@@ -331,17 +345,46 @@ class TestSocialOptimum:
         eta = np.linspace(0.5, 3.0, k)
         for grid_size in (3, 6, 12):
             for i in range(k):
-                grid = _power_grid(p, eta, i, grid_size)
+                grid = power_grid_oracle(p, eta, i, grid_size)
                 assert grid.size == grid_size
                 assert p.nash_scale() / eta[i] in grid
                 assert p.equal_received / eta[i] in grid
+
+    @pytest.mark.parametrize("k,a,p_max,grid_sizes", [
+        (1, 0.1, np.inf, (2, 3, 12)),  # one player: both seeds are one power
+        (3, 0.1, np.inf, (2, 3, 12)),  # uncapped
+        (4, 0.1, 0.3, (2, 3, 12)),  # one cap, binding in some rows
+        (3, 0.1, [np.inf, 0.5, 0.05], (2, 3, 12)),  # capped and uncapped players
+        (3, 0.5, np.inf, (2, 3, 12)),  # (K-1) beta_star = 1: no equilibrium
+        (3, 0.5, 0.4, (2, 3, 12)),  # no equilibrium, capped
+        (3, 0.1, 0.02, (2, 3, 12)),  # both seeds over the cap in most rows
+        (10, 0.1, np.inf, (40,)),  # a fill point on a seed (a point short)
+    ])
+    def test_batched_grids_are_the_one_row_grids(self, k, a, p_max, grid_sizes):
+        # every (row, player) grid of one call equals the scalar grid's bytes,
+        # then repeats its last point up to the longest grid
+        p = params_for(k, a, p_max=p_max)
+        eta = np.random.default_rng(k).uniform(0.05, 6.0, (8, k))
+        eta[0] = 1.0  # equal gains; at K = 10 a fill point lands on a seed
+        eta[1, -1] = eta[1, 0]
+        for grid_size in grid_sizes:
+            grids, sizes = _power_grids(p, eta, grid_size)
+            assert grids.shape == (8, k, sizes.max())
+            for row, row_grids, row_sizes in zip(eta, grids, sizes):
+                for i in range(k):
+                    want = power_grid_oracle(p, row, i, grid_size)
+                    assert row_sizes[i] == want.size
+                    assert row_grids[i, :want.size].tobytes() == want.tobytes()
+                    assert np.all(row_grids[i, want.size:] == want[-1])
+            if k == 10:
+                assert sizes[0, 0] == grid_size - 1
 
     def test_fill_point_on_a_seed_is_counted_once(self):
         # at K = 10, a = 0.1 the equilibrium power is 10 times the equal
         # one; a 37-point fill over the three decades around them steps by
         # 10**(1/12), so its 13th and 25th points round to or next to them
         p = params_for(10, 0.1)
-        grid = _power_grid(p, np.ones(10), 0, 40)
+        grid = power_grid_oracle(p, np.ones(10), 0, 40)
         assert 38 <= grid.size < 40
         assert p.nash_scale() in grid and p.equal_received in grid
 
@@ -353,10 +396,10 @@ class TestSocialOptimum:
         powers, w = social_optimum(p, eta)
         fill = np.geomspace(0.009, 0.09, 11)
         for i in (0, 1):
-            np.testing.assert_array_equal(_power_grid(p, eta, i, 12),
+            np.testing.assert_array_equal(power_grid_oracle(p, eta, i, 12),
                                           np.concatenate([[0.0], fill]))
         assert np.all(powers <= p.p_max)
-        grids = [_power_grid(p, eta, i, 12) for i in range(3)]
+        grids = [power_grid_oracle(p, eta, i, 12) for i in range(3)]
         profiles = np.array(list(itertools.product(*grids)))
         assert w == welfare(p, eta, profiles).max()
         assert w >= welfare(p, eta, [0.0, 0.0, p.nash_scale() / 5.0])
