@@ -26,7 +26,6 @@ from .analysis import (
 )
 from .channels import (
     ChannelModel,
-    ExplicitSpec,
     IIDJointLaw,
     IIDProductLaw,
     MarkovJointLaw,

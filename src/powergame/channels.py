@@ -8,8 +8,8 @@ law families are supported:
 * ``IIDJointLaw``     -- fresh draws of the joint state from one vector;
 * ``MarkovJointLaw``  -- a row-stochastic matrix over joint states.
 
-Irreducibility here means every transition probability is strictly
-positive, which i.i.d. laws with full support satisfy automatically.
+Every law must be irreducible in the strict sense: every transition
+probability positive, which for an i.i.d. law means full support.
 Joint states are tuples of per-player indices; flat indices enumerate
 them in row-major (lexicographic) order, which is also the order used by
 the model file format.
@@ -35,13 +35,43 @@ _JOINT_CAP = 1 << 17  # largest joint space materialized exactly
 MODEL_FILE_FORMAT = "powergame-channel-model-v3"
 
 
-def _check_probs(vec, what: str) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    if vec.ndim != 1 or vec.size == 0:
-        raise ModelError(f"{what} must be a non-empty vector")
-    if not (np.all(vec >= 0) and abs(vec.sum() - 1.0) <= _ROW_SUM_TOL):  # NaN fails
+def _probabilities(values, shape: tuple, what: str) -> np.ndarray:
+    """``values`` as a float array of ``shape`` whose rows (last axis) are
+    probability vectors with every entry positive.
+
+    A wrong shape, or a negative, NaN or non-normalized entry, raises
+    ``ModelError``; a zero entry raises ``ReducibleLawError``.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ModelError(f"{what} has shape {values.shape}, expected {shape}")
+    if not (np.all(values >= 0)
+            and np.all(np.abs(values.sum(axis=-1) - 1.0) <= _ROW_SUM_TOL)):  # NaN fails
         raise ModelError(f"{what} must be nonnegative and sum to 1")
-    return vec
+    if not np.all(values > 0):
+        raise ReducibleLawError(f"{what} has zero entries; irreducibility (every "
+                                "transition probability positive) is required")
+    return values
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, the last one pinned to 1.0.
+
+    Rounding can leave a row's total just below 1; pinned, every uniform
+    draw in [0, 1) is below the last entry, so a right-side search of the
+    row always returns a state index.
+    """
+    cum = np.cumsum(probs, axis=-1)
+    cum[..., -1] = 1.0
+    return cum
+
+
+def _enumerable_size(dims) -> int:
+    """The joint state count, refused above ``_JOINT_CAP``."""
+    size = math.prod(dims)
+    if size > _JOINT_CAP:
+        raise ModelError(f"joint state space has {size} states; too large to enumerate")
+    return size
 
 
 class IIDProductLaw:
@@ -49,15 +79,11 @@ class IIDProductLaw:
 
     def __init__(self, per_player_probs):
         self.probs = tuple(
-            _check_probs(p, f"player {i} probability vector")
+            _probabilities(p, (np.size(p),), f"player {i} probability vector")
             for i, p in enumerate(per_player_probs)
         )
-        if any(np.any(p <= 0) for p in self.probs):
-            raise ReducibleLawError("i.i.d. law needs full support to be irreducible")
         self.dims = tuple(p.size for p in self.probs)
-        self._cums = [np.cumsum(p) for p in self.probs]
-        for c in self._cums:
-            c[-1] = 1.0
+        self._cums = [_cdf(p) for p in self.probs]
         # a uniform law over n = 2^m bins has cumulative values exactly j/n,
         # so floor(u * n) is the index searchsorted finds, bit for bit
         bins = [p.size for p in self.probs]
@@ -78,10 +104,7 @@ class IIDProductLaw:
         return idx
 
     def stationary_joint(self) -> np.ndarray:
-        if math.prod(self.dims) > _JOINT_CAP:
-            raise ModelError(
-                f"joint state space has {math.prod(self.dims)} states; too large to enumerate"
-            )
+        _enumerable_size(self.dims)
         mu = self.probs[0]
         for p in self.probs[1:]:
             mu = np.outer(mu, p).ravel()
@@ -93,13 +116,8 @@ class IIDJointLaw:
 
     def __init__(self, mu, dims):
         self.dims = tuple(int(d) for d in dims)
-        self.mu = _check_probs(mu, "joint state distribution")
-        if self.mu.size != math.prod(self.dims):
-            raise ModelError("joint distribution length does not match the state space")
-        if np.any(self.mu <= 0):
-            raise ReducibleLawError("i.i.d. law needs full support to be irreducible")
-        self._cum = np.cumsum(self.mu)
-        self._cum[-1] = 1.0
+        self.mu = _probabilities(mu, (math.prod(self.dims),), "joint state distribution")
+        self._cum = _cdf(self.mu)
 
     def sample_path(self, horizon: int, rng, initial=None) -> np.ndarray:
         flat = np.searchsorted(self._cum, rng.random(horizon), side="right")
@@ -115,23 +133,11 @@ class IIDJointLaw:
 class MarkovJointLaw:
     """Row-stochastic transition matrix over the joint state space."""
 
-    def __init__(self, matrix, dims, require_irreducible: bool = True):
+    def __init__(self, matrix, dims):
         self.dims = tuple(int(d) for d in dims)
-        matrix = np.asarray(matrix, dtype=float)
         size = math.prod(self.dims)
-        if matrix.shape != (size, size):
-            raise ModelError(
-                f"transition matrix shape {matrix.shape} does not match "
-                f"{size} joint states"
-            )
-        if not (np.all(matrix >= 0)
-                and np.all(np.abs(matrix.sum(axis=1) - 1.0) <= _ROW_SUM_TOL)):  # NaN fails
-            raise ModelError("transition matrix rows must be nonnegative and sum to 1")
-        if require_irreducible:
-            _require_irreducible(matrix)
-        self.matrix = matrix
-        self._cum = np.cumsum(matrix, axis=1)
-        self._cum[:, -1] = 1.0
+        self.matrix = _probabilities(matrix, (size, size), "transition matrix")
+        self._cum = _cdf(self.matrix)
         # zero-copy views of the rows: stepping the chain bisects one of
         # them per stage without a numpy call
         self._rows = [memoryview(row) for row in self._cum]
@@ -155,12 +161,9 @@ class MarkovJointLaw:
     @cached_property
     def _start_cum(self) -> np.ndarray:
         """Cumulative stationary distribution, from which paths start."""
-        cum = np.cumsum(self.stationary_joint())
-        cum[-1] = 1.0
-        return cum
+        return _cdf(self.stationary_joint())
 
     def stationary_joint(self) -> np.ndarray:
-        _require_irreducible(self.matrix)
         n = self.matrix.shape[0]
         a = self.matrix.T - np.eye(n)
         a[-1, :] = 1.0
@@ -177,14 +180,6 @@ class MarkovJointLaw:
 def _unravel(flat, dims) -> np.ndarray:
     """(..., K) per-player indices of row-major flat joint-state indices."""
     return np.stack(np.unravel_index(flat, dims), axis=-1).astype(np.int64)
-
-
-def _require_irreducible(matrix: np.ndarray) -> None:
-    if np.any(matrix <= 0):
-        raise ReducibleLawError(
-            "transition law has zero entries; irreducibility (all transition "
-            "probabilities positive) is required"
-        )
 
 
 @dataclass(frozen=True)
@@ -222,20 +217,6 @@ class TruncatedRayleighSpec:
             raise ModelError("need 0 <= eta_min < eta_max")
         if self.bins < 2:
             raise ModelError("bins must be >= 2")
-
-
-@dataclass(frozen=True)
-class ExplicitSpec:
-    """Fully specified model: per-player gain values plus either a joint
-    i.i.d. distribution ``mu`` or a joint transition matrix."""
-
-    gains: tuple
-    mu: tuple | None = None
-    transition: tuple | None = None
-
-    def __post_init__(self):
-        if (self.mu is None) == (self.transition is None):
-            raise ModelError("give exactly one of mu or transition")
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,20 +257,19 @@ class ChannelModel:
 
     def joint_states(self) -> np.ndarray:
         """(S, K) matrix of all joint index tuples in row-major order."""
-        if self.joint_size > _JOINT_CAP:
-            raise ModelError(
-                f"joint state space has {self.joint_size} states; too large to enumerate"
-            )
-        return _unravel(np.arange(self.joint_size), self.law.dims)
+        return _unravel(np.arange(_enumerable_size(self.law.dims)), self.law.dims)
 
     def sample_path(self, horizon: int, rng, initial=None) -> np.ndarray:
+        horizon = int(horizon)
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
         if initial is not None:
             initial = tuple(int(v) for v in initial)
             if len(initial) != self.n_players or any(
                 not 0 <= v < d for v, d in zip(initial, self.law.dims)
             ):
                 raise ValueError(f"invalid initial state {initial}")
-        return self.law.sample_path(int(horizon), rng, initial)
+        return self.law.sample_path(horizon, rng, initial)
 
 
 def _rayleigh_gain_bins(spec: TruncatedRayleighSpec) -> np.ndarray:
@@ -330,18 +310,6 @@ def build_model(spec, n_players: int) -> ChannelModel:
         gains = [bins.copy() for _ in range(n_players)]
         probs = [np.full(spec.bins, 1.0 / spec.bins) for _ in range(n_players)]
         return ChannelModel(tuple(gains), IIDProductLaw(probs))
-    if isinstance(spec, ExplicitSpec):
-        gains = tuple(np.asarray(g, dtype=float) for g in spec.gains)
-        if len(gains) != n_players:
-            raise ModelError(
-                f"explicit spec has {len(gains)} gain sets but n_players={n_players}"
-            )
-        dims = [g.size for g in gains]
-        if spec.mu is not None:
-            law = IIDJointLaw(np.asarray(spec.mu, dtype=float), dims)
-        else:
-            law = MarkovJointLaw(np.asarray(spec.transition, dtype=float), dims)
-        return ChannelModel(gains, law)
     raise ModelError(f"unknown channel spec {type(spec).__name__}")
 
 
@@ -402,14 +370,14 @@ def load_model(path) -> ChannelModel:
     checks in turn the format, the gain lists, that the law payload is a
     base64 string holding 8 bytes per ``mu`` entry (size S, the product of
     the gain-list lengths) or per ``transition`` entry (S x S), and the
-    content sha256 over the decoded bytes.  Any failure raises
-    ``ModelError`` naming what is wrong.
+    content sha256 over the decoded bytes.  Any failure, a file that is
+    not UTF-8 JSON included, raises ``ModelError`` naming what is wrong.
     """
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"{path}: not valid JSON ({exc})") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ModelError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ModelError(f"{path}: top level must be a JSON object, "
                          f"not {type(doc).__name__}")
@@ -444,6 +412,7 @@ def load_model(path) -> ChannelModel:
     if doc.get("content_sha256") != _content_sha256(gains, law_bytes):
         raise ModelError(f"{path}: content checksum missing or mismatched")
     values = np.frombuffer(law_bytes, dtype="<f8").astype(float)
-    if key == "transition":
-        values = values.reshape(size, size)
-    return build_model(ExplicitSpec(gains, **{key: values}), len(gains))
+    dims = [g.size for g in gains]
+    if key == "mu":
+        return ChannelModel(gains, IIDJointLaw(values, dims))
+    return ChannelModel(gains, MarkovJointLaw(values.reshape(size, size), dims))

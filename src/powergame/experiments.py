@@ -423,10 +423,14 @@ _TASK_RUNNERS = {
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config error at {path}: file not found") from exc
+    except OSError as exc:  # a directory, no permission
+        raise ConfigError(f"config error at {path}: cannot read ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config error at {path}: not UTF-8 ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config error at {path}:{exc.lineno}:{exc.colno}: {exc.msg}"

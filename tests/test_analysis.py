@@ -16,7 +16,6 @@ from powergame.analysis import (
     minmax_levels,
 )
 from powergame.channels import (
-    ExplicitSpec,
     IIDJointLaw,
     MarkovJointLaw,
     ChannelModel,
@@ -38,10 +37,7 @@ def params_for(k, a, sigma2=1.0, p_max=np.inf, rates=1.0):
 
 
 def single_state_model(gains):
-    return build_model(
-        ExplicitSpec(gains=tuple((float(g),) for g in gains), mu=(1.0,)),
-        len(gains),
-    )
+    return ChannelModel(tuple((float(g),) for g in gains), IIDJointLaw([1.0], (1,) * len(gains)))
 
 
 def fig3_like():
@@ -125,6 +121,8 @@ class TestMinmax:
         levels = minmax_levels(params, model, seed=3, samples=4000)
         assert levels.shape == (5,)
         assert np.all(levels > 0) and np.all(np.isfinite(levels))
+        with pytest.raises(ValueError, match="horizon"):
+            minmax_levels(params, model, seed=3, samples=0)
 
     @pytest.mark.parametrize(
         "params,model",

@@ -2,13 +2,14 @@ import base64
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from powergame.channels import (
     ChannelModel,
-    ExplicitSpec,
     IIDJointLaw,
     IIDProductLaw,
     MarkovJointLaw,
@@ -130,6 +131,16 @@ class TestSampling:
         b = law.sample_path(500, rng_of(7))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("law", ["product", "markov"])
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_is_refused(self, law, horizon):
+        if law == "product":
+            m = build_model(TwoStateSpec(1.0, 4.0), 2)
+        else:
+            m = ChannelModel(([1.0, 4.0],), MarkovJointLaw([[0.9, 0.1], [0.2, 0.8]], (2,)))
+        with pytest.raises(ValueError, match="horizon"):
+            m.sample_path(horizon, rng_of(3))
+
     def test_forced_initial_state(self):
         m = build_model(TwoStateSpec(1.0, 4.0), 2)
         path = m.sample_path(10, rng_of(3), initial=(1, 0))
@@ -190,10 +201,13 @@ def _random_markov(dims, seed):
 
 
 def _zero_entry_markov():
-    # zero entries repeat cumulative values inside a row
-    matrix = [[0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0],
-              [0.25, 0.0, 0.0, 0.75], [0.3, 0.2, 0.0, 0.5]]
-    return MarkovJointLaw(matrix, (4,), require_irreducible=False)
+    # entries of 1e-20 leave the running sum as it was, as zeros would, so
+    # cumulative values repeat inside a row (a law refuses exact zeros)
+    matrix = [[0.5, 1e-20, 0.5, 1e-20], [1e-20, 1e-20, 1e-20, 1.0],
+              [0.25, 1e-20, 1e-20, 0.75], [0.3, 0.2, 1e-20, 0.5]]
+    law = MarkovJointLaw(matrix, (4,))
+    assert np.count_nonzero(np.diff(law._cum, axis=1) == 0) == 5
+    return law
 
 
 def _overshooting_markov():
@@ -219,7 +233,6 @@ class TestMarkovStepper:
     @pytest.mark.parametrize("horizon", [1, 2, 1000])
     @pytest.mark.parametrize("name,initial", [
         (name, initial) for name in MARKOV_LAWS for initial in (None, "last")
-        if (name, initial) != ("zero_entries", None)  # no stationary start
     ])
     def test_matches_per_stage_searchsorted(self, name, initial, horizon):
         law = MARKOV_LAWS[name]()
@@ -273,13 +286,6 @@ class TestStationary:
         with pytest.raises(ReducibleLawError):
             MarkovJointLaw([[1.0, 0.0], [0.0, 1.0]], dims=(2,))
 
-    def test_reducible_rejected_by_stationary(self):
-        law = MarkovJointLaw(
-            [[1.0, 0.0], [0.5, 0.5]], dims=(2,), require_irreducible=False
-        )
-        with pytest.raises(ReducibleLawError):
-            law.stationary_joint()
-
     def test_rows_must_be_stochastic(self):
         with pytest.raises(ModelError):
             MarkovJointLaw([[0.9, 0.2], [0.1, 0.9]], dims=(2,))
@@ -287,31 +293,12 @@ class TestStationary:
 
 class TestExplicitAndFiles:
     def test_explicit_markov_model(self):
-        spec = ExplicitSpec(
-            gains=((1.0, 4.0),),
-            transition=((0.9, 0.1), (0.2, 0.8)),
-        )
-        m = build_model(spec, 1)
+        m = ChannelModel(((1.0, 4.0),), MarkovJointLaw(((0.9, 0.1), (0.2, 0.8)), (2,)))
         assert m.joint_size == 2
         assert m.sup_gain == 4.0
 
-    def test_explicit_spec_validation(self):
-        with pytest.raises(ModelError):
-            ExplicitSpec(gains=((1.0,),))
-        with pytest.raises(ModelError):
-            ExplicitSpec(gains=((1.0,),), mu=(1.0,), transition=((1.0,),))
-
-    def test_player_count_mismatch(self):
-        spec = ExplicitSpec(gains=((1.0, 2.0),), mu=(0.5, 0.5))
-        with pytest.raises(ModelError):
-            build_model(spec, 2)
-
     def test_round_trip_markov(self, tmp_path):
-        spec = ExplicitSpec(
-            gains=((1.0, 4.0), (2.0, 3.0)),
-            transition=tuple(tuple(row) for row in np.full((4, 4), 0.25)),
-        )
-        m = build_model(spec, 2)
+        m = ChannelModel(((1.0, 4.0), (2.0, 3.0)), MarkovJointLaw(np.full((4, 4), 0.25), (2, 2)))
         path = tmp_path / "model.json"
         save_model(m, path)
         loaded = load_model(path)
@@ -407,15 +394,25 @@ class TestExplicitAndFiles:
         with pytest.raises(ModelError, match="unknown format 'powergame-channel-model-v2'"):
             load_model(path)
 
-    def test_v2_file_migrates_to_the_same_content_hash(self, tmp_path):
-        # the migration that README "Channel model files" gives for v2 files
-        doc = SMALL_MODEL_V2
-        law = {key: doc[key] for key in ("mu", "transition") if key in doc}
-        spec = ExplicitSpec(tuple(doc["gains"]), **law)
-        path = tmp_path / "model.json"
-        save_model(build_model(spec, len(doc["gains"])), path)
-        assert json.loads(path.read_text())["content_sha256"] == doc["content_sha256"]
+    def test_v2_file_migrates_to_the_same_content_hash(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "model_v2.json").write_text(json.dumps(SMALL_MODEL_V2))
+        exec(_readme_v2_migration(), {})
+        path = tmp_path / "model_v3.json"
+        assert json.loads(path.read_text())["content_sha256"] == SMALL_MODEL_V2["content_sha256"]
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SMALL_MODEL_FILE_SHA256
+
+    def test_v2_iid_file_migrates_to_the_same_bytes(self, tmp_path, monkeypatch):
+        # the README migration on an i.i.d. file: the v2 form of a saved v3 file
+        monkeypatch.chdir(tmp_path)
+        mu = IIDJointLaw([0.1, 0.2, 0.3, 0.4], (2, 2))
+        save_model(ChannelModel(([1.0, 4.0], [0.5, 2.0]), mu), "saved.json")
+        doc = json.loads(Path("saved.json").read_text())
+        doc["mu"] = np.frombuffer(base64.b64decode(doc["mu"]), dtype="<f8").tolist()
+        doc["format"] = "powergame-channel-model-v2"
+        Path("model_v2.json").write_text(json.dumps(doc))
+        exec(_readme_v2_migration(), {})
+        assert Path("model_v3.json").read_bytes() == Path("saved.json").read_bytes()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: [], "top level must be a JSON object, not list"),
@@ -453,11 +450,25 @@ class TestExplicitAndFiles:
         with pytest.raises(ModelError, match="JSON"):
             load_model(path)
 
+    def test_non_utf8_file_reported(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"format": "\xff"}')
+        with pytest.raises(ModelError, match="UTF-8"):
+            load_model(path)
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(ModelError, match="format"):
             load_model(path)
+
+
+def _readme_v2_migration() -> str:
+    """The v2 -> v3 migration snippet of README "Channel model files"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (snippet,) = [b for b in re.findall(r"```python\n(.*?)```", readme, re.S)
+                  if "model_v2.json" in b]
+    return snippet
 
 
 def _b64(values) -> str:
@@ -485,6 +496,28 @@ def test_gain_must_be_positive():
 def test_gain_must_be_finite(bad):
     with pytest.raises(ModelError, match="gains"):
         ChannelModel((np.array([bad, 1.0]),), IIDProductLaw([np.array([0.5, 0.5])]))
+
+
+LAW_OF_ROW = {
+    "product": lambda row: IIDProductLaw([np.array([0.5, 0.5]), np.array(row)]),
+    "iid_joint": lambda row: IIDJointLaw(row, dims=(len(row),)),
+    "markov": lambda row: MarkovJointLaw([[0.5, 0.25, 0.25], row, [0.2, 0.3, 0.5]], dims=(3,)),
+}
+
+
+@pytest.mark.parametrize("law", list(LAW_OF_ROW))
+@pytest.mark.parametrize("row, error", [
+    ([0.5, 0.0, 0.5], ReducibleLawError),
+    ([0.0, 0.0, 1.0], ReducibleLawError),
+    ([0.6, -0.1, 0.5], ModelError),
+    ([float("nan"), 0.5, 0.5], ModelError),
+    ([0.4, 0.4, 0.4], ModelError),
+    ([0.3, 0.3, 0.3], ModelError),
+])
+def test_every_law_runs_one_probability_check(law, row, error):
+    LAW_OF_ROW[law]([0.2, 0.3, 0.5])  # the row the cases edit is a valid one
+    with pytest.raises(error):
+        LAW_OF_ROW[law](row)
 
 
 def test_nan_probabilities_rejected():

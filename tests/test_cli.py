@@ -50,6 +50,19 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
     assert "bad.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda path: path.write_bytes(b'{"task": "\xff"}'), "not UTF-8", id="non-utf8"),
+    pytest.param(lambda path: path.mkdir(), "cannot read", id="directory"),
+])
+def test_unreadable_config_exits_2_naming_the_path(tmp_path, capsys, make, message):
+    bad = tmp_path / "bad.json"
+    make(bad)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"config error at {bad}: {message}" in capsys.readouterr().err
+
+
 def test_module_entry_point_exits_2_on_a_malformed_config(tmp_path):
     # ``python -m powergame`` from a checkout, with only src/ on the path
     bad = tmp_path / "bad.json"

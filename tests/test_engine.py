@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from powergame.channels import (
-    ExplicitSpec,
+    ChannelModel,
+    IIDJointLaw,
+    MarkovJointLaw,
     TruncatedRayleighSpec,
     TwoStateSpec,
     build_model,
@@ -41,8 +43,7 @@ def params_for(k, a, sigma2=1.0, p_max=np.inf):
 
 
 def single_state_model(gains):
-    gains = tuple((float(g),) for g in gains)
-    return build_model(ExplicitSpec(gains=gains, mu=(1.0,)), len(gains))
+    return ChannelModel(tuple((float(g),) for g in gains), IIDJointLaw([1.0], (1,) * len(gains)))
 
 
 class TestDiscounting:
@@ -390,10 +391,9 @@ PAIRED_KINDS = [NASH, OPERATING_POINT, TIME_SHARING, threshold(0.5), BEST_USERS,
 
 def _paired_models():
     rows = np.random.default_rng(4).uniform(0.1, 1.0, (8, 8))
-    markov = ExplicitSpec(gains=((0.4, 2.5), (0.7, 1.3), (0.2, 5.0)),
-                          transition=tuple(map(tuple, rows / rows.sum(axis=1, keepdims=True))))
+    markov = MarkovJointLaw(rows / rows.sum(axis=1, keepdims=True), (2, 2, 2))
     return {"rayleigh": build_model(TruncatedRayleighSpec(bins=8), 3),
-            "markov": build_model(markov, 3)}
+            "markov": ChannelModel(((0.4, 2.5), (0.7, 1.3), (0.2, 5.0)), markov)}
 
 
 class TestPairedEstimates:

@@ -21,7 +21,8 @@ from engine_oracle import compliant_utility_oracle, run_game_oracle
 
 from powergame import analysis, engine
 from powergame.channels import (
-    ExplicitSpec,
+    ChannelModel,
+    IIDJointLaw,
     MarkovJointLaw,
     TruncatedRayleighSpec,
     TwoStateSpec,
@@ -58,7 +59,7 @@ def _markov_8_state():
     rows /= rows.sum(axis=1, keepdims=True)
     matrix = 0.6 * np.eye(8) + 0.4 * rows
     gains = (np.array([0.4, 2.5]), np.array([0.3, 1.1, 1.9, 3.7]))
-    return build_model(ExplicitSpec(gains, transition=matrix), 2)
+    return ChannelModel(gains, MarkovJointLaw(matrix, (2, 4)))
 
 
 MODELS = {
@@ -181,7 +182,7 @@ def _rare_low_gain_model(low_mass):
     low = np.zeros((3, 3), dtype=bool)
     low[0, :] = low[:, 0] = True
     mu = np.where(low, low_mass / low.sum(), (1.0 - low_mass) / (~low).sum())
-    return build_model(ExplicitSpec(gains, mu=mu.ravel()), 2)
+    return ChannelModel(gains, IIDJointLaw(mu.ravel(), (3, 3)))
 
 
 @pytest.mark.parametrize("kind", [NASH, OPERATING_POINT])
