@@ -7,6 +7,8 @@ returned with 2 or 1 rows and handled by the other routines.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -19,20 +21,27 @@ import numpy as np
 _ARC_SLACK = 1e-9
 _ROUND_SLACK = 64 * np.finfo(float).eps
 _TWO_PI = 2.0 * np.pi
+# convex_hull: chord margin per |chord| * spread; largest unscaled spread exponent
+_CHORD_MARGIN = 1e-9
+_SCALE_EXP = 400
+_TINY = float(np.finfo(float).tiny)
 
 
-def _half_chain(pts: list) -> list:
-    """One monotone chain over [x, y] lists, popping non-left turns."""
-    chain: list = []
-    for p in pts:
-        px, py = p
-        while len(chain) >= 2:
-            (ox, oy), (ax, ay) = chain[-2], chain[-1]
-            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0:
-                chain.pop()
-            else:
+def _half_chain(pts: np.ndarray) -> list:
+    """Positions of one monotone chain over (m >= 2, 2) points, popping
+    non-left turns; the top two points o, a are kept in locals."""
+    x, y = pts[:, 0].tolist(), pts[:, 1].tolist()
+    chain = [0, 1]
+    ox, oy, ax, ay = x[0], y[0], x[1], y[1]
+    for k, px, py in zip(range(2, len(x)), x[2:], y[2:]):
+        while (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0:
+            chain.pop()
+            ax, ay = ox, oy
+            if len(chain) == 1:
                 break
-        chain.append(p)
+            ox, oy = x[chain[-2]], y[chain[-2]]
+        chain.append(k)
+        ox, oy, ax, ay = ax, ay, px, py
     return chain
 
 
@@ -41,16 +50,33 @@ def convex_hull(points) -> np.ndarray:
 
     Collinear inputs give the segment between their two extreme points.
     Of float-equal points (repeats, or 0.0 and -0.0 in a coordinate) the
-    first in input order is kept.
+    first in input order is kept.  Each half chain walks only the points
+    on its side of the chord from the first to the last sorted point, or
+    within a margin of it (a point farther off would only be pushed and
+    popped); a tiny or huge spread is tested scaled by a power of two.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if pts.size and not np.abs(pts).max() < 2.0**1023:
+        raise ValueError("convex_hull needs finite points below 2**1023 in magnitude")
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]  # by x, then y; stable
     if pts.shape[0] > 1:
         pts = pts[np.concatenate([[True], (pts[1:] != pts[:-1]).any(axis=1)])]
     if pts.shape[0] <= 2:
         return pts
-    xy = pts.tolist()
-    return np.array(_half_chain(xy)[:-1] + _half_chain(xy[::-1])[:-1])
+    test, rel = pts, pts - pts[0]
+    span = float(np.abs(rel).max())
+    exp = math.frexp(span)[1]
+    if abs(exp) > _SCALE_EXP:  # else a cross product could underflow or overflow
+        test, span = np.ldexp(pts, -exp), math.ldexp(span, -exp)
+        rel = test - test[0]
+    d0, d1 = rel[-1].tolist()
+    margin = _CHORD_MARGIN * math.hypot(d0, d1) * span
+    if margin < _TINY:  # not a normal float: every point goes to both chains
+        margin = math.inf
+    side = d0 * rel[:, 1] - d1 * rel[:, 0]  # 0.0 at both ends of the chord
+    lower, upper = np.flatnonzero(side <= margin), np.flatnonzero(side >= -margin)[::-1]
+    return pts[np.concatenate([lower[_half_chain(test[lower])][:-1],
+                               upper[_half_chain(test[upper])][:-1]])]
 
 
 def _vertex_arcs(poly: np.ndarray, scale: float):
@@ -119,6 +145,9 @@ def weighted_minkowski_sum(polys, weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if len(polys) != weights.size or not polys:
         raise ValueError("need one weight per polygon")
+    for j, w in enumerate(weights.tolist()):
+        if not math.isfinite(w):
+            raise ValueError(f"weight {j} is {w}, not finite")
     acc = np.asarray(polys[0], dtype=float) * weights[0]
     for poly, w in zip(polys[1:], weights[1:]):
         acc = minkowski_sum(acc, np.asarray(poly, dtype=float) * w)

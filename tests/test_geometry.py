@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from powergame.geometry import (
     clip_to_lower_bounds,
@@ -57,6 +58,24 @@ class TestConvexHull:
             others = np.delete(hull, j, axis=0)
             assert not point_in_convex_polygon(hull[j], others, tol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0**1023])
+    def test_non_finite_points_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            convex_hull([(0, 0), (1, 0), (0, 1), (bad, 0.5)])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-1000, -560, 660, 1000])
+    def test_extreme_scales_are_scaled_copies(self, k):
+        # a cross product of a 2**-560 cloud underflows, of a 2**660 one
+        # overflows; the test runs on the cloud scaled by a power of two
+        rng = np.random.default_rng(k + 2000)
+        t = 2.0 * np.pi * np.arange(20) / 20
+        ring = np.c_[np.cos(t), np.sin(t)]
+        cloud = np.vstack([ring, rng.uniform(-0.6, 0.6, (30, 2)), ring[:5] * 0.999])
+        want = convex_hull(cloud) * 2.0**k
+        assert want.shape == (20, 2)
+        assert convex_hull(cloud * 2.0**k).tobytes() == want.tobytes()
+
 
 class TestMinkowski:
     def test_unit_squares_add(self):
@@ -87,6 +106,12 @@ class TestMinkowski:
                     brute.append(0.2 * p0 + 0.3 * p1 + 0.5 * p2)
         oracle = convex_hull(brute)
         assert as_vertex_set(lib) == as_vertex_set(oracle)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_refused(self, bad):
+        sq = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+        with pytest.raises(ValueError, match="weight 1 is"):
+            weighted_minkowski_sum([sq, sq], [0.5, bad])
 
 
 class TestClip:

@@ -1,10 +1,12 @@
 """``powergame.geometry`` against the reference kernels in ``geometry_oracle``.
 
-The Minkowski sum keeps only the vertex pairs whose normal arcs overlap
-and the hull runs over Python floats; both must give the reference's
-output bit for bit.  The half-plane clip and the membership test treat
-every edge at once; they must give the edge-by-edge loops' hulls bit for
-bit and their booleans exactly.
+The Minkowski sum keeps only the vertex pairs whose normal arcs overlap,
+and each half chain of the hull runs over Python floats and walks only
+the points on its side of the chord; both must give the reference's
+output bit for bit (one cloud where the reference's walk over every point
+gives a polygon that is not convex is pinned apart).  The half-plane clip
+and the membership test treat every edge at once; they must give the
+edge-by-edge loops' hulls bit for bit and their booleans exactly.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from geometry_oracle import (
     point_in_convex_polygon_oracle,
     weighted_minkowski_sum_oracle,
 )
+import powergame.geometry
 from powergame.analysis import feasible_region_2p
 from powergame.channels import TruncatedRayleighSpec, build_model
 from powergame.geometry import (
@@ -201,6 +204,103 @@ def test_hull_keeps_the_first_of_float_equal_points(seed):
     for vertex in hull:
         first = cloud[np.all(cloud == vertex, axis=1)][0]
         assert vertex.tobytes() == first.tobytes()
+
+
+def nudged(rng, x, ulps):
+    return x + rng.integers(-ulps, ulps + 1, np.shape(x)) * np.spacing(x)
+
+
+def collinear(rng):
+    t = rng.uniform(-1.0, 1.0, int(rng.integers(3, 40)))
+    line = rng.normal(size=2) * rng.choice([0.0, 1.0, 100.0]) + t[:, None] * rng.normal(size=2)
+    return nudged(rng, line, int(rng.integers(0, 4)))
+
+
+def sliver(rng):
+    n = int(rng.integers(3, 40))
+    d = rng.normal(size=2)
+    off = rng.normal(size=n) * 10.0 ** rng.uniform(-17.0, -8.0)
+    return rng.normal(size=2) + rng.uniform(-1.0, 1.0, n)[:, None] * d + off[:, None] * [-d[1], d[0]]
+
+
+def near_duplicate_extremes(rng):
+    cloud = rng.normal(size=(int(rng.integers(3, 30)), 2))
+    ends = cloud[[cloud[:, 0].argmin(), cloud[:, 0].argmax()]]
+    return rng.permutation(np.vstack([cloud, nudged(rng, ends.repeat(3, axis=0), 3)]))
+
+
+def vertical_ends(rng):
+    cloud = rng.normal(size=(int(rng.integers(3, 30)), 2))
+    x = np.repeat([cloud[:, 0].min(), cloud[:, 0].max()], 3)
+    return rng.permutation(np.vstack([cloud, np.c_[nudged(rng, x, 3), rng.normal(size=6)]]))
+
+
+def polygon_twins(rng):
+    n = int(rng.integers(3, 24))
+    t = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(n) / n
+    ring = np.c_[np.cos(t), np.sin(t)] * rng.uniform(0.01, 100.0) + rng.normal(size=2)
+    twins = nudged(rng, ring[rng.integers(0, n, int(rng.integers(1, n + 1)))], 4)
+    return rng.permutation(np.vstack([ring, twins]))
+
+
+def integer_grid(rng):
+    return rng.integers(-3, 4, (int(rng.integers(3, 40)), 2)) * rng.choice([1.0, 0.1, 1e-3])
+
+
+def utility_like(rng):
+    # a utility cloud: (0, 0), (1, 0) and points above the chord between them
+    x = rng.uniform(0.0, 1.0, int(rng.integers(3, 60)))
+    y = np.abs(rng.normal(size=x.size)) * x * (1.0 - x) * 10.0 ** rng.uniform(-12.0, 0.0)
+    cloud = np.vstack([[(0.0, 0.0), (1.0, 0.0)], np.c_[x, y]])
+    return rng.permutation(nudged(rng, cloud, int(rng.integers(0, 3))))
+
+
+ADVERSARIAL = (collinear, sliver, near_duplicate_extremes, vertical_ends, polygon_twins,
+               integer_grid, utility_like)
+
+
+@pytest.fixture(scope="module")
+def adversarial_hulls():
+    """(kind, cloud, oracle hull) for 400 seeded clouds of each kind whose
+    oracle hull has at least 3 vertices."""
+    out = []
+    for k, kind in enumerate(ADVERSARIAL):
+        for seed in range(400):
+            cloud = kind(np.random.default_rng([k, seed]))
+            want = convex_hull_oracle(cloud)
+            if want.shape[0] >= 3:
+                out.append((kind.__name__, cloud, want))
+    return out
+
+
+def test_chord_split_matches_reference_on_adversarial_clouds(adversarial_hulls):
+    # near-collinear and near-duplicate points meet orientation tests that
+    # rounding decides; the chains walk fewer points, and give the same bytes
+    assert {kind for kind, _, _ in adversarial_hulls} == {f.__name__ for f in ADVERSARIAL}
+    for _, cloud, want in adversarial_hulls:
+        assert_bitwise(convex_hull(cloud), want)
+
+
+def test_chord_margin_is_needed(adversarial_hulls, monkeypatch):
+    # with a margin far below rounding (0 sends every point to both chains),
+    # a point within rounding of the chord is left out of a chain that would
+    # have kept it
+    monkeypatch.setattr(powergame.geometry, "_CHORD_MARGIN", 1e-300)
+    assert any(convex_hull(cloud).tobytes() != want.tobytes()
+               for _, cloud, want in adversarial_hulls)
+
+
+def test_near_duplicates_off_the_chord_stay_out_of_the_other_chain():
+    # three points a few ulps apart, well below the chord: a walk over every
+    # point lets rounding among them keep two in the upper chain, which
+    # gives a 5-row polygon that is not convex; the split keeps them out
+    cloud = np.array([
+        (-0.9075053702852343, 0.03963488354707584), (-0.32251514686141675, -0.2171361671274569),
+        (-0.18094050945540374, -0.2792778353810669), (-0.20018640696808657, -0.270830191082701),
+        (-0.18094050945540385, -0.27927783538106665), (-0.18094050945540383, -0.2792778353810667),
+        (1.388556147221949, -0.7936011590947135), (0.8745126177144568, -0.9642205384780433)])
+    assert convex_hull_oracle(cloud).shape == (5, 2)
+    assert_bitwise(convex_hull(cloud), cloud[[0, 7, 6]])
 
 
 def pick_bound(coords, pick, u, which):
