@@ -247,9 +247,21 @@ class ChannelModel:
     def sup_gain(self) -> float:
         return float(max(g.max() for g in self.gains))
 
+    @cached_property
+    def _shared_gains(self) -> np.ndarray | None:
+        """The gain table every player has (both built-in specs), or None."""
+        first = self.gains[0]
+        return first if all(np.array_equal(g, first) for g in self.gains[1:]) else None
+
     def gain_matrix(self, idx: np.ndarray) -> np.ndarray:
         """Map an (..., K) index array to the corresponding gains."""
         idx = np.asarray(idx)
+        if idx.shape[-1:] != (self.n_players,):
+            raise ValueError(f"expected {self.n_players} state indices per row, got shape "
+                             f"{idx.shape}")
+        shared = self._shared_gains
+        if shared is not None and idx.dtype.kind in "iu":
+            return shared.take(idx)  # one gather instead of one per player
         out = np.empty(idx.shape, dtype=float)
         for i, g in enumerate(self.gains):
             out[..., i] = g[idx[..., i]]

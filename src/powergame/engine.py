@@ -52,6 +52,7 @@ from .strategies import (  # noqa: F401  compliant_profile stays importable from
     detect_deviation,
     group_gross_rates,
     unchecked_profile,
+    under_caps,
 )
 
 _FULL_TRACE_MAX = 10_000
@@ -163,8 +164,8 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
         params, kinds, *_draw_states(params, model, cfg), cfg)
     horizon = cfg.horizon
     keep = np.arange(0, horizon, 1 if horizon <= _FULL_TRACE_MAX else _THINNED_EVERY)
-    kept = keep if rows is None else rows[keep]  # the kept stages' rows
-    eta, powers = eta[kept], powers[kept]
+    kept = keep if rows is None else rows.take(keep)  # the kept stages' rows
+    eta, powers = eta.take(kept, axis=0), powers.take(kept, axis=0)
     calm = horizon if punishment_stage is None else punishment_stage
     punishing = np.repeat((keep >= calm)[:, None], params.n_players, axis=1)
     trace = StageTrace(
@@ -172,13 +173,13 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
         eta=eta,
         powers=powers,
         sinr=sinr(params, eta, powers),
-        utility=util_all[keep],
-        recommended=recommended[kept],
+        utility=util_all.take(keep, axis=0),
+        recommended=recommended.take(kept, axis=0),
         punishing=punishing,
     )
     return RunResult(
         discounted=discounted_utility(util_all, cfg.lam),
-        time_average=util_all.mean(axis=0),
+        time_average=_time_average(util_all),
         weight_sum=float(-np.expm1(horizon * np.log1p(-cfg.lam))),
         remainder_bound=truncation_bound(util_all, cfg.lam),
         trace=trace,
@@ -225,12 +226,14 @@ def _play(params: GameParams, kinds: tuple, eta: np.ndarray, rows, cfg: EngineCo
         raise ValueError("deviation player index out of range")
     planned, recommended, expected, k_active = _plan(params, kinds, eta, dev is not None)
     if (expected is None and kinds[0].name != "social_optimum"
-            and np.all(planned <= params.p_max)):
-        utility = _compliant_utility(params, kinds[0], eta, planned, k_active)
-        return eta, planned, recommended, rows, utility if rows is None else utility[rows], None
-    if rows is not None:
-        eta, planned, recommended = eta[rows], planned[rows], recommended[rows]
-        expected = None if expected is None else expected[rows]
+            and under_caps(params, planned)):
+        utility = _compliant_utility(params, kinds[0], eta, planned, recommended, k_active)
+        if rows is not None:
+            utility = utility.take(rows, axis=0)
+        return eta, planned, recommended, rows, utility, None
+    if rows is not None:  # ``take`` gathers rows several times faster than indexing
+        eta, planned, recommended = (a.take(rows, axis=0) for a in (eta, planned, recommended))
+        expected = None if expected is None else expected.take(rows, axis=0)
     horizon = eta.shape[0]
 
     deviating = slice(0, 0)
@@ -269,6 +272,19 @@ def _play(params: GameParams, kinds: tuple, eta: np.ndarray, rows, cfg: EngineCo
     return eta, powers, recommended, None, util_all, punishment_stage
 
 
+def _time_average(util: np.ndarray) -> np.ndarray:
+    """``util.mean(axis=0)`` of (T, K) stage utilities, bit for bit.
+
+    For a C-contiguous array with K >= 2, ``mean`` adds the rows one by one
+    into a (K,) total, and so does ``einsum``, several times faster; with
+    K = 1 ``mean`` sums pairwise, and it is kept there.  (The one input on
+    which they differ, a column of -0.0 only, is no utility.)
+    """
+    if util.shape[1] < 2 or not util.flags.c_contiguous:
+        return util.mean(axis=0)
+    return np.einsum("tk->k", util) / util.shape[0]
+
+
 def _plan(params, kinds, eta, deviation: bool):
     """Every player's unchecked compliant plan, one plan per distinct rule.
 
@@ -297,15 +313,15 @@ def _plan(params, kinds, eta, deviation: bool):
     return powers, recommended, expected, k_active
 
 
-def _compliant_utility(params, kind, eta, powers, k_active):
-    """Utilities R_i f(s_i) / p_i of one rule's plan ``powers`` (under every
-    cap, nobody deviating), from the SINR s_i the rule gives each
-    transmitter: beta_star under ``nash``, gamma_tilde of the group size
-    under the equal-received-power rules, and p eta / sigma2 for the lone
-    ``time_sharing`` winner.  Silent players get 0.  Not for
-    ``social_optimum``."""
+def _compliant_utility(params, kind, eta, powers, recommended, k_active):
+    """Utilities R_i f(s_i) / p_i of one rule's plan ``powers`` and
+    ``recommended`` mask (under every cap, nobody deviating), from the SINR
+    s_i the rule gives each transmitter: beta_star under ``nash``,
+    gamma_tilde of the group size under the equal-received-power rules, and
+    p eta / sigma2 for the lone ``time_sharing`` winner.  Silent players
+    get 0.  Not for ``social_optimum``."""
     if kind.name == "time_sharing":
-        flat = np.flatnonzero(powers)  # each row's one transmitter, as a flat index
+        flat = np.flatnonzero(recommended)  # each row's one winner, as a flat index
         p = np.take(powers, flat)
         solo = params.rates[flat % powers.shape[1]] * params.eff.value(
             p * np.take(eta, flat) / params.sigma2) / p
@@ -314,10 +330,13 @@ def _compliant_utility(params, kind, eta, powers, k_active):
         return utility
     # each row's group: all K players under operating_point, and row 0 of
     # the table under nash, whose SINR is gamma_tilde(1) = beta_star
-    utility = np.take(group_gross_rates(params),
-                      np.zeros_like(k_active) if kind.name == "nash" else k_active - 1, axis=0)
+    gross = group_gross_rates(params)
+    nash = kind.name == "nash"
+    if (nash or kind.name == "operating_point") and powers.min(initial=np.inf) > 0:
+        return gross[0 if nash else -1] / powers  # everyone transmits, in one group
+    utility = np.take(gross, np.zeros_like(k_active) if nash else k_active - 1, axis=0)
     transmits = powers > 0
-    if transmits.all():  # nash and operating_point: no mask arithmetic needed
+    if transmits.all():  # everyone recommended everywhere: no mask arithmetic needed
         utility /= powers
     else:  # (gross * 1) / (p + 0) is exactly gross / p, and (gross * 0) / (0 + 1) is 0
         utility *= transmits
@@ -395,7 +414,7 @@ def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: 
             except (PowerGameError, ValueError) as exc:  # an earlier entry may still fail first
                 live, error = j, exc
                 break
-            means[j].append(util.mean(axis=0))
+            means[j].append(_time_average(util))
         if live == 0:
             break
     if error is not None:

@@ -243,14 +243,21 @@ def _cap_error(params: GameParams, nash: bool, p: float, i: int) -> Exception:
     return CapError(f"equal-received-power level {p:.6g} exceeds player {i}'s cap")
 
 
+def under_caps(params: GameParams, powers: np.ndarray) -> bool:
+    """Whether every planned power in the (N, K) ``powers`` is at most its
+    player's cap (False for NaN).  One max against the lowest cap settles
+    most plans; NaN, and a cap that binds, fall through to the full check."""
+    return bool(powers.max(initial=-np.inf) <= params.p_max.min()
+                or np.all(powers <= params.p_max))
+
+
 def check_caps(params: GameParams, kinds, powers) -> None:
     """Raise what compliant play raises at the first planned power, in
     row-major order, over its player's cap or undefined (NaN: the selfish
     equilibrium does not exist).  ``kinds`` is the rule, or one per player."""
-    ok = powers <= params.p_max
-    if ok.all():
+    if under_caps(params, powers):
         return
-    t, i = np.argwhere(~ok)[0]
+    t, i = np.argwhere(~(powers <= params.p_max))[0]
     kind = kinds if isinstance(kinds, StrategyKind) else kinds[i]
     raise _cap_error(params, kind.name == "nash", powers[t, i], i)
 
@@ -291,8 +298,8 @@ def unchecked_profile(params: GameParams, kind: StrategyKind, eta: np.ndarray):
     if name == "time_sharing":
         top, winner = _first_max(eta.T)  # lowest index wins ties
         powers = np.zeros((n, k))
-        powers[np.arange(n), winner] = np.minimum(params.beta_star * params.sigma2 / top,
-                                                  params.p_max[winner])
+        np.put(powers, np.arange(0, n * k, k) + winner,  # each row's winner, as a flat index
+               np.minimum(params.beta_star * params.sigma2 / top, params.p_max[winner]))
         return powers, winner[:, None] == np.arange(k), np.ones(n, dtype=int)
 
     if name == "threshold":

@@ -9,7 +9,8 @@ player to the selfish equilibrium from stage t+1 on.  Tests compare
 generated runs.  The scalar selectors it uses are private copies of the
 package's former ones, and it plans the social optimum with the scalar
 search in ``oneshot_oracle``, so the reference does not share the
-vectorized selection masks or the lockstep welfare search it checks.
+vectorized selection masks or the lockstep welfare search it checks; it
+looks its gains up with ``channels_oracle.gain_matrix_oracle``.
 
 ``compliant_utility_oracle`` is the SINR route for one rule's compliant
 plan, which the engine replaces by the SINR the rule gives each
@@ -27,6 +28,7 @@ bit for bit.
 from __future__ import annotations
 
 import numpy as np
+from channels_oracle import gain_matrix_oracle
 from oneshot_oracle import social_optimum_oracle
 
 from powergame.engine import (
@@ -136,7 +138,7 @@ def run_game_oracle(params, model, kinds, cfg) -> RunResult:
         raise ValueError("model and game disagree on the player count")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=cfg.spawn_key))
     idx = model.sample_path(cfg.horizon, rng, cfg.initial_state)
-    eta = model.gain_matrix(idx)
+    eta = gain_matrix_oracle(model, idx)
     powers, recommended, sinr_all, util_all, punishing, punishment_stage = (
         _run_sequential(params, model, kinds, cfg, eta)
     )

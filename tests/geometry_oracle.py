@@ -38,10 +38,7 @@ def convex_hull_oracle(points) -> np.ndarray:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = np.array(lower[:-1] + upper[:-1])
-    if hull.shape[0] == 2 and np.allclose(hull[0], hull[1]):
-        return hull[:1]
-    return hull
+    return np.array(lower[:-1] + upper[:-1])
 
 
 def minkowski_sum_oracle(poly_a, poly_b) -> np.ndarray:

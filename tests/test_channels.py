@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from channels_oracle import gain_matrix_oracle
 
 from powergame.channels import (
     ChannelModel,
@@ -528,3 +529,59 @@ def test_nan_probabilities_rejected():
         IIDJointLaw([nan, 0.5], dims=(2,))
     with pytest.raises(ModelError):
         MarkovJointLaw([[nan, 0.5], [0.5, 0.5]], dims=(2,))
+
+
+def _gain_models():
+    rng = rng_of(77)
+    table = rng.uniform(0.1, 9.0, 6)
+    return {
+        "two_state": build_model(TwoStateSpec(0.5, 2.5, 0.3), 3),
+        "rayleigh": build_model(TruncatedRayleighSpec(bins=16), 4),
+        # equal tables held as separate arrays are one shared table too
+        "equal_copies": ChannelModel((table, table.copy()), IIDJointLaw(np.full(36, 1 / 36), (6, 6))),
+        "explicit": ChannelModel(tuple(rng.uniform(0.1, 9.0, d) for d in (16, 8, 4)),
+                                 IIDProductLaw([np.full(d, 1.0 / d) for d in (16, 8, 4)])),
+        # same dims, different tables: the per-player gather
+        "distinct": ChannelModel((table, table[::-1]), IIDJointLaw(np.full(36, 1 / 36), (6, 6))),
+    }
+
+
+@pytest.mark.parametrize("name", ["two_state", "rayleigh", "equal_copies", "explicit",
+                                  "distinct"])
+@pytest.mark.parametrize("lead", [(), (1,), (7,), (0,), (3, 5), (2, 1, 4)])
+def test_gain_matrix_matches_the_per_player_gather(name, lead):
+    model = _gain_models()[name]
+    assert (model._shared_gains is not None) == (name not in ("explicit", "distinct"))
+    dims = np.array(model.law.dims)
+    rng = rng_of(len(lead))
+    idx = rng.integers(0, dims, lead + (dims.size,))
+    for index in (idx, idx - dims, idx.astype(np.int32)):  # negative indices count from the end
+        got = model.gain_matrix(index)
+        want = gain_matrix_oracle(model, index)
+        assert got.shape == want.shape == idx.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["two_state", "rayleigh", "equal_copies", "explicit",
+                                  "distinct"])
+def test_gain_matrix_refuses_an_index_out_of_range(name):
+    model = _gain_models()[name]
+    dims = np.array(model.law.dims)
+    for player in range(dims.size):
+        for bad in (dims[player], -dims[player] - 1):
+            idx = np.zeros((3, dims.size), dtype=np.int64)
+            idx[1, player] = bad
+            with pytest.raises(IndexError):
+                gain_matrix_oracle(model, idx)
+            with pytest.raises(IndexError):
+                model.gain_matrix(idx)
+
+
+@pytest.mark.parametrize("name", ["two_state", "explicit"])
+def test_gain_matrix_needs_one_index_per_player(name):
+    # a wider index array used to leave its extra columns uninitialized
+    model = _gain_models()[name]
+    k = model.n_players
+    for shape in ((k + 2,), (4, k - 1), (4, k + 1), ()):
+        with pytest.raises(ValueError, match="state indices per row"):
+            model.gain_matrix(np.zeros(shape, dtype=np.int64))

@@ -16,6 +16,7 @@ from powergame.efficiency import ExponentialEfficiency
 from powergame.engine import (
     DeviationSpec,
     EngineConfig,
+    _time_average,
     discount_weights,
     discounted_utility,
     estimate_expected_utilities,
@@ -481,6 +482,22 @@ class TestErgodicAndInitialState:
             gap = np.abs(means[a] - means[b])
             tol = 3 * np.sqrt(ses[a] ** 2 + ses[b] ** 2)
             assert np.all(gap <= tol)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_time_average_is_the_mean_bit_for_bit(k):
+    # heavy-tailed values (Pareto, infinite variance) of both signs, with
+    # exact zeros: a change in the order of the additions shows in the low
+    # bits, even at K = 1 and N = 3, where mean sums pairwise and einsum not
+    rng = np.random.default_rng(2100 + k)
+    for n in (1, 2, 3, 8, 100, 20_000):
+        for _ in range(3):
+            u = rng.pareto(1.5, (n, k)) * rng.choice([-1.0, 1.0], (n, k))
+            u[rng.random((n, k)) < 0.25] = 0.0
+            if k > 1:
+                u[:, -1] = 0.0  # a player that never earns
+            for view in (u, np.asfortranarray(u), u[::-1]):
+                assert _time_average(view).tobytes() == view.mean(axis=0).tobytes()
 
 
 def test_trace_csv_format():

@@ -16,6 +16,7 @@ from powergame.strategies import (
     PunishmentState,
     SignalProfile,
     StrategyKind,
+    check_caps,
     compliant_profile,
     detect_deviation,
     group_gross_rates,
@@ -24,6 +25,7 @@ from powergame.strategies import (
     stage_action,
     threshold,
     unchecked_profile,
+    under_caps,
 )
 
 
@@ -321,3 +323,58 @@ class TestCompliantProfile:
         np.testing.assert_array_equal(recommended.sum(axis=1), k_active)
         for t in range(40):
             assert set(np.nonzero(recommended[t])[0]) == set(select_best_users(p, eta[t]))
+
+
+
+class TestCapScreen:
+    """``check_caps`` and the closed-form route screen a plan with one max
+    against the lowest cap; NaN and a binding cap fall through to the full
+    comparison, which raises at the first failing power in row-major order."""
+
+    @staticmethod
+    def assert_raises_like_stage_action(params, kind, eta, t, i):
+        powers, _, k_active = unchecked_profile(params, kind, eta)
+        assert not under_caps(params, powers)
+        sig = SignalProfile(own_gain=float(eta[t, i]), recommended=True,
+                            k_active=int(k_active[t]))
+        with pytest.raises(PowerGameError) as staged:
+            stage_action(kind, params, sig, PunishmentState(), i)
+        with pytest.raises(type(staged.value), match=f"^{re.escape(str(staged.value))}$"):
+            check_caps(params, kind, powers)
+
+    def test_nan_nash_plan(self):
+        # (K-1) a = 1: no interior equilibrium, so every planned power is NaN
+        params = params_for(3, 0.5)
+        eta = np.random.default_rng(5).uniform(0.5, 2.0, (50, 3))
+        assert np.isnan(unchecked_profile(params, NASH, eta)[0]).all()
+        self.assert_raises_like_stage_action(params, NASH, eta, 0, 0)
+
+    def test_plan_over_one_players_lower_cap(self):
+        # the level 0.1 / eta first passes player 1's cap of 0.05 at row 3;
+        # player 2 passes its cap of 10 later, player 1 meets its cap at row 1
+        params = params_for(3, 0.1, p_max=[10.0, 0.05, 10.0])
+        eta = np.full((8, 3), 4.0)
+        eta[1, 1], eta[3, 1], eta[5, 2] = 2.0, 1.0, 0.005
+        self.assert_raises_like_stage_action(params, OPERATING_POINT, eta, 3, 1)
+        eta[3, 1] = 2.0  # now only player 2's cap is passed
+        self.assert_raises_like_stage_action(params, OPERATING_POINT, eta, 5, 2)
+
+    def test_binding_caps_pass(self):
+        # powers above the lowest cap but each under its own; 0.05 is exactly
+        # player 1's cap
+        params = params_for(3, 0.1, p_max=[10.0, 0.05, 10.0])
+        eta = np.array([[0.02, 2.0, 0.1], [4.0, 4.0, 0.01]])
+        powers = unchecked_profile(params, OPERATING_POINT, eta)[0]
+        assert powers.max() > params.p_max.min() and under_caps(params, powers)
+        check_caps(params, OPERATING_POINT, powers)
+        check_caps(params, OPERATING_POINT, powers[:0])  # no rows: nothing to raise
+
+    def test_screen_agrees_with_the_full_comparison(self):
+        rng = np.random.default_rng(17)
+        for caps in ([np.inf] * 3, [1.0, 0.5, np.inf], [0.5] * 3):
+            params = params_for(3, 0.1, p_max=caps)
+            for _ in range(200):
+                powers = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, 2.0, np.inf, np.nan],
+                                    (int(rng.integers(0, 4)), 3),
+                                    p=[0.15] * 6 + [0.05] * 2)
+                assert under_caps(params, powers) == bool(np.all(powers <= params.p_max))
