@@ -7,8 +7,9 @@ seeded with ``(seed, spawn_key)``.  Channel evolution does not depend on
 actions, so the whole path is drawn up front; runs sharing a seed see
 identical channels regardless of strategy, which is what makes paired
 (common-random-number) comparisons work; ``estimate_expected_utilities``
-draws each such path once and plays every strategy on it.  Rules plan once
-per visited joint state where the joint space is no larger than the horizon.
+draws each such path once and plays every strategy on it, a closed-form
+one in fixed blocks of rows.  Rules plan once per visited joint state
+where the joint space is no larger than the horizon.
 
 Every run is evaluated over the whole horizon at once: with the path
 fixed up front and punishment never ending once it starts, grim trigger
@@ -50,13 +51,15 @@ from .strategies import (  # noqa: F401  compliant_profile stays importable from
     check_caps,
     compliant_profile,
     detect_deviation,
-    group_gross_rates,
     unchecked_profile,
     under_caps,
 )
 
 _FULL_TRACE_MAX = 10_000
 _THINNED_EVERY = 100
+# entries (rows * K) per block when the estimator plays a closed-form rule:
+# bounds its per-rule arrays at any horizon, 4096 rows at K = 8
+_PLAY_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -330,7 +333,7 @@ def _compliant_utility(params, kind, eta, powers, recommended, k_active):
         return utility
     # each row's group: all K players under operating_point, and row 0 of
     # the table under nash, whose SINR is gamma_tilde(1) = beta_star
-    gross = group_gross_rates(params)
+    gross = params.group_gross_rates
     nash = kind.name == "nash"
     if (nash or kind.name == "operating_point") and powers.min(initial=np.inf) > 0:
         return gross[0 if nash else -1] / powers  # everyone transmits, in one group
@@ -410,16 +413,76 @@ def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: 
         for j, kinds in enumerate(kinds_list[:live]):
             try:
                 kinds = _normalize_kinds(kinds, params.n_players)
-                *_, util, _ = _play(params, kinds, eta, rows, cfg)
+                average = _closed_form_average(params, kinds, eta, rows)
+                if average is None:  # played whole, which raises if a plan is over a cap
+                    average = _time_average(_play(params, kinds, eta, rows, cfg)[4])
             except (PowerGameError, ValueError) as exc:  # an earlier entry may still fail first
                 live, error = j, exc
                 break
-            means[j].append(_time_average(util))
+            means[j].append(average)
+        del eta, rows  # the next path is drawn without this one alive
         if live == 0:
             break
     if error is not None:
         raise error
     return [UtilityEstimate.from_replicates(np.array(per)) for per in means]
+
+
+def _closed_form_average(params: GameParams, kinds: tuple, eta: np.ndarray, rows):
+    """``_time_average`` of what ``_play`` gives a closed-form run of
+    ``kinds`` with no deviation, bit for bit, played one block of rows at a
+    time; None where the whole path must be played: K = 1, mixed rules,
+    ``social_optimum``, or a plan over a cap in some block.
+
+    Per stage (``rows`` None) each block of gains is planned, cap-screened
+    and scored; on the visited states the utility table is scored once and
+    gathered one block of ``rows`` at a time.
+    """
+    kind = kinds[0]
+    if eta.shape[1] < 2 or kind.name == "social_optimum" or len(set(kinds)) > 1:
+        return None
+
+    def score(gains):  # closed-form utilities of the rows ``gains``, None over a cap
+        powers, recommended, _, k_active = _plan(params, kinds, gains, False)
+        if not under_caps(params, powers):
+            return None
+        return _compliant_utility(params, kind, gains, powers, recommended, k_active)
+
+    if rows is None:
+        def fill(start, out):
+            utility = score(eta[start:start + len(out)])
+            if utility is not None:
+                out[...] = utility
+            return utility is not None
+    else:
+        table = score(eta)
+        if table is None:
+            return None
+
+        def fill(start, out):  # ``clip`` lets ``take`` write to ``out`` unbuffered
+            table.take(rows[start:start + len(out)], axis=0, out=out, mode="clip")
+            return True
+
+    return _streamed_average(fill, eta.shape[0] if rows is None else rows.size, eta.shape[1])
+
+
+def _streamed_average(fill, n: int, k: int):
+    """``_time_average`` of (n, k) stage utilities, k >= 2, bit for bit,
+    without their whole array: ``fill(start, out)`` writes rows ``start``
+    on into the block ``out`` and returns False to give up (then None).
+
+    Each block goes into rows 1.. of one buffer whose row 0 carries the
+    running (k,) total, so ``einsum`` over the buffer continues the
+    row-by-row sum it makes over a whole C-contiguous array.
+    """
+    step = max(1, _PLAY_BLOCK_ENTRIES // k)
+    buf = np.zeros((min(step, n) + 1, k))
+    for start in range(0, n, step):
+        m = min(step, n - start)
+        if not fill(start, buf[1:m + 1]):
+            return None
+        buf[0] = np.einsum("tk->k", buf[:m + 1])
+    return buf[0] / n
 
 
 def trace_csv(result: RunResult) -> str:

@@ -78,10 +78,10 @@ def _get(cfg: dict, path: str, kind, required=True, default=None, defaults_used=
             defaults_used.append(path)
         return default
     value = node[parts[-1]]
-    if kind is float and _is_number(value):
-        return float(value)
-    if kind is int and _is_number(value, int):
-        return value
+    if kind in (int, float):  # a JSON boolean is no number, although Python's bool is an int
+        if not _is_number(value, kind):
+            _fail(path, f"expected {kind.__name__}, got {type(value).__name__}")
+        return kind(value)
     if kind is not None and not isinstance(value, kind):
         _fail(path, f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}")
     return value

@@ -15,6 +15,7 @@ All vector quantities are numpy arrays of length K.  ``sinr``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -117,6 +118,18 @@ class GameParams:
         profile, sigma2 * g / (1 - (k-1) g) with g = gamma_tilde(k): with
         g = a / (1 + (k-1) a) it is sigma2 * a for every k."""
         return self.sigma2 * self.eff.a
+
+    @cached_property
+    def group_gross_rates(self) -> np.ndarray:
+        """(K, K) gross rates of equal-received-power groups, read-only: row
+        m - 1 holds every player's R_i f(gamma_tilde(m)), the goodput of each
+        member of an m-player group (its utility times its power).  Row 0 is
+        also the selfish equilibrium's, since gamma_tilde(1) = beta_star.
+        Computed once per game: block-wise play reads it for every block."""
+        gamma = np.array([self.gamma_tilde(m) for m in range(1, self.n_players + 1)])
+        gross = self.eff.value(gamma)[:, None] * self.rates
+        gross.flags.writeable = False
+        return gross
 
     def require_equal_rates(self) -> float:
         if np.any(self.rates != self.rates[0]):

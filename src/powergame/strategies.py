@@ -143,19 +143,10 @@ def _best_users_mask(params: GameParams, eta: np.ndarray):
     params.require_equal_rates()
     desc = np.sort(eta, axis=1)[:, ::-1]  # the ranking's gains: tied gains are equal floats
     # equal_received is the common received power of every group size
-    coeff = group_gross_rates(params)[:, 0] / params.equal_received
+    coeff = params.group_gross_rates[:, 0] / params.equal_received
     prefixes = accumulate(desc.T)  # the sums of the m best gains, added in ranking order
     k_star = _first_max(map(np.multiply, coeff, prefixes))[1] + 1
     return stable_top(eta, desc, k_star), k_star
-
-
-def group_gross_rates(params: GameParams) -> np.ndarray:
-    """(K, K) gross rates of equal-received-power groups: row m - 1 holds
-    every player's R_i f(gamma_tilde(m)), the goodput of each member of an
-    m-player group (its utility times its power).  Row 0 is also the
-    selfish equilibrium's, since gamma_tilde(1) = beta_star."""
-    gamma = np.array([params.gamma_tilde(m) for m in range(1, params.n_players + 1)])
-    return params.eff.value(gamma)[:, None] * params.rates
 
 
 def _threshold_mask(alpha: float, eta: np.ndarray) -> np.ndarray:

@@ -44,7 +44,6 @@ from powergame.strategies import (
     PunishmentState,
     SignalProfile,
     detect_deviation,
-    group_gross_rates,
     stage_action,
     unchecked_profile,
 )
@@ -93,7 +92,7 @@ def _best_users_mask(params: GameParams, eta: np.ndarray) -> np.ndarray:
     order = np.argsort(-eta, axis=1, kind="stable")
     cums = np.cumsum(np.take_along_axis(eta, order, axis=1), axis=1)
     # equal_received, the common received power, is the same for every m
-    coeff = group_gross_rates(params)[:, 0] / params.equal_received
+    coeff = params.group_gross_rates[:, 0] / params.equal_received
     k_star = np.argmax(coeff * cums, axis=1) + 1
     recommended = np.zeros((n, k), dtype=bool)
     np.put_along_axis(recommended, order, np.arange(k) < k_star[:, None], axis=1)
@@ -125,9 +124,9 @@ def closed_form_utility_oracle(params, kind, eta, powers, k_active):
         gross[stages, winner] = params.rates[winner] * params.eff.value(
             powers[stages, winner] * eta[stages, winner] / params.sigma2)
     elif kind.name == "nash":
-        gross = group_gross_rates(params)[0]
+        gross = params.group_gross_rates[0]
     else:  # each row's recommended group: all K players under operating_point
-        gross = group_gross_rates(params)[k_active - 1]
+        gross = params.group_gross_rates[k_active - 1]
     return np.divide(gross, powers, out=np.zeros(powers.shape), where=powers > 0)
 
 

@@ -149,8 +149,11 @@ NAN, INF = float("nan"), float("inf")
 
 
 def _with(cfg, path, value):
-    section, key = path.split(".")
-    cfg[section][key] = value
+    *sections, key = path.split(".")
+    node = cfg
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
     return cfg
 
 
@@ -277,6 +280,30 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, field, edit):
     path = write_config(tmp_path, edit(small_config()))
     assert main(["simulate", "--config", path, "--out", str(out)]) == 2
     assert f"config error at {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+RAYLEIGH_CHANNEL = {"kind": "truncated_rayleigh", "eta_min": 0.1, "eta_max": 10.0, "bins": 4}
+
+
+@pytest.mark.parametrize("field, value, edit", [pytest.param(*case, id=case[0]) for case in [
+    ("game.K", True, None),
+    ("engine.seed", False, None),
+    ("engine.horizon", True, None),
+    ("engine.replicates", True, None),
+    ("engine.deviation.player", False, None),
+    ("engine.deviation.start", True, lambda cfg: _with(cfg, "engine.deviation", {"player": 0})),
+    ("region.grid_size", True, None),
+    ("channel.bins", True, lambda cfg: _with(cfg, "channel", dict(RAYLEIGH_CHANNEL))),
+]])
+def test_json_booleans_are_not_integers(tmp_path, capsys, field, value, edit):
+    # Python counts true as the integer 1 and false as 0: a 1-player game,
+    # seed 0, one replicate, a 1-bin channel
+    cfg = small_config() if edit is None else edit(small_config())
+    out = tmp_path / "out"
+    path = write_config(tmp_path, _with(cfg, field, value))
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert f"config error at {field}: expected int, got bool" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -15,7 +15,9 @@ from powergame.channels import (
 from powergame.efficiency import ExponentialEfficiency
 from powergame.engine import (
     DeviationSpec,
+    _PLAY_BLOCK_ENTRIES,
     EngineConfig,
+    _streamed_average,
     _time_average,
     discount_weights,
     discounted_utility,
@@ -498,6 +500,41 @@ def test_time_average_is_the_mean_bit_for_bit(k):
                 u[:, -1] = 0.0  # a player that never earns
             for view in (u, np.asfortranarray(u), u[::-1]):
                 assert _time_average(view).tobytes() == view.mean(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_streamed_average_is_the_time_average_bit_for_bit(k):
+    # the values of the test above, streamed through the estimator's blocks
+    # with the number of rows at and around their edges: a block edge must
+    # not change the order of the additions
+    step = _PLAY_BLOCK_ENTRIES // k
+    rng = np.random.default_rng(2300 + k)
+    for n in (step - 1, step, step + 1, 3 * step + 7):
+        u = rng.pareto(1.5, (n, k)) * rng.choice([-1.0, 1.0], (n, k))
+        u[rng.random((n, k)) < 0.25] = 0.0
+        u[:, -1] = 0.0
+        filled = []
+
+        def fill(start, out):
+            filled.append((start, len(out)))
+            out[...] = u[start:start + len(out)]
+            return True
+
+        assert _streamed_average(fill, n, k).tobytes() == _time_average(u).tobytes()
+        assert filled == [(start, min(step, n - start)) for start in range(0, n, step)]
+
+
+def test_streamed_average_gives_up_when_a_block_does():
+    u = np.ones((3 * _PLAY_BLOCK_ENTRIES // 2, 2))
+    starts = []
+
+    def fill(start, out):
+        starts.append(start)
+        out[...] = u[start:start + len(out)]
+        return start == 0
+
+    assert _streamed_average(fill, u.shape[0], 2) is None
+    assert starts == [0, _PLAY_BLOCK_ENTRIES // 2]
 
 
 def test_trace_csv_format():

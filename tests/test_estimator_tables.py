@@ -3,8 +3,9 @@
 When the joint space is no larger than the horizon, ``estimate_expected_utilities``
 plans every entry once per distinct visited joint state; a single rule other
 than the social optimum, under its caps, is evaluated there and its utility
-rows are gathered along the path, any other entry gathers its plan and plays
-per stage.
+rows are gathered along the path one block at a time, any other entry
+gathers its plan and plays per stage.  On larger joint spaces such a rule
+is planned and scored one block of stages at a time.
 ``run_game`` takes the same path.  ``IIDProductLaw`` draws uniform laws
 over 2^m bins as ``floor(u * n)``.  Both must give the bits the per-stage
 play and ``searchsorted`` give.
@@ -15,6 +16,8 @@ alike.  Against the SINR route (``engine_oracle.compliant_utility_oracle``)
 they agree within 1e-13 relative, and bit for bit under time sharing.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from engine_oracle import compliant_utility_oracle, run_game_oracle
@@ -23,16 +26,19 @@ from powergame import analysis, engine
 from powergame.channels import (
     ChannelModel,
     IIDJointLaw,
+    IIDProductLaw,
     MarkovJointLaw,
     TruncatedRayleighSpec,
     TwoStateSpec,
     build_model,
 )
 from powergame.engine import (
+    _PLAY_BLOCK_ENTRIES,
     EngineConfig,
     _draw_states,
     _normalize_kinds,
     _play,
+    _time_average,
     estimate_expected_utilities,
     run_game,
 )
@@ -93,20 +99,22 @@ def _sinr_route(params, model, kind, horizon, seed, replicates):
 
 
 @pytest.fixture
-def played_rows(monkeypatch):
-    """Row counts of every ``_play`` call the estimator makes."""
+def planned_rows(monkeypatch):
+    """Row counts of every ``_plan`` call: one per ``_play`` call, per
+    block of a streamed closed-form estimate, or per visited-state table."""
     rows = []
+    plan = engine._plan
 
-    def spy(params, kinds, eta, stage_rows, cfg):
+    def spy(params, kinds, eta, deviation):
         rows.append(eta.shape[0])
-        return _play(params, kinds, eta, stage_rows, cfg)
+        return plan(params, kinds, eta, deviation)
 
-    monkeypatch.setattr(engine, "_play", spy)
+    monkeypatch.setattr(engine, "_plan", spy)
     return rows
 
 
 @pytest.mark.parametrize("name", list(MODELS))
-def test_tables_match_the_per_stage_play(name, played_rows):
+def test_tables_match_the_per_stage_play(name, planned_rows):
     make, k, horizon = MODELS[name]
     model = make()
     params = GameParams.symmetric(k, a=0.1)
@@ -115,8 +123,8 @@ def test_tables_match_the_per_stage_play(name, played_rows):
     got = estimate_expected_utilities(params, model, kinds_list, horizon, seed=41,
                                       replicates=3)
     # every entry, the mixed one too, is planned on at most joint_size rows
-    assert len(played_rows) == 3 * len(kinds_list)
-    assert max(played_rows) <= model.joint_size
+    assert len(planned_rows) == 3 * len(kinds_list)
+    assert max(planned_rows) <= model.joint_size
     for kinds, est in zip(kinds_list, got):
         want = _per_stage(params, model, kinds, horizon, 41, 3)
         assert est.per_replicate.tobytes() == want.tobytes(), kinds
@@ -165,12 +173,12 @@ def test_closed_form_utilities_match_the_sinr_route(law, k, kind, monkeypatch):
                         np.testing.assert_allclose(got, want, rtol=SINR_ROUTE_RTOL, atol=0)
 
 
-def test_joint_spaces_larger_than_the_horizon_play_per_stage(played_rows):
+def test_joint_spaces_larger_than_the_horizon_play_per_stage(planned_rows):
     model = build_model(TruncatedRayleighSpec(bins=16), 4)  # 65536 joint states
     params = GameParams.symmetric(4, a=0.1)
     (est,) = estimate_expected_utilities(params, model, [BEST_USERS], 2000, seed=3,
                                          replicates=2)
-    assert played_rows == [2000, 2000]
+    assert planned_rows == [2000, 2000]
     want = _per_stage(params, model, BEST_USERS, 2000, 3, 2)
     assert est.per_replicate.tobytes() == want.tobytes()
 
@@ -186,12 +194,12 @@ def _rare_low_gain_model(low_mass):
 
 
 @pytest.mark.parametrize("kind", [NASH, OPERATING_POINT])
-def test_a_cap_binding_only_in_unvisited_states_never_raises(kind, played_rows):
+def test_a_cap_binding_only_in_unvisited_states_never_raises(kind, planned_rows):
     # at p_max 1 only the lowest gains (0.01, 0.02) need more power than the cap
     model = _rare_low_gain_model(1e-12)
     params = GameParams.symmetric(2, a=0.1, p_max=1.0)
     (est,) = estimate_expected_utilities(params, model, [kind], 200, seed=5, replicates=3)
-    assert played_rows == [4, 4, 4]  # the four states without a lowest gain, no replay
+    assert planned_rows == [4, 4, 4]  # the four states without a lowest gain, no replay
     assert est.per_replicate.tobytes() == _per_stage(params, model, kind, 200, 5, 3).tobytes()
 
 
@@ -215,12 +223,12 @@ def test_a_cap_binding_in_a_visited_state_raises_the_first_stage_error(kind, err
 
 
 @pytest.mark.parametrize("kind", [NASH, OPERATING_POINT])
-def test_run_game_ignores_a_cap_binding_only_in_unvisited_states(kind, played_rows):
+def test_run_game_ignores_a_cap_binding_only_in_unvisited_states(kind, planned_rows):
     model = _rare_low_gain_model(1e-12)
     params = GameParams.symmetric(2, a=0.1, p_max=1.0)
     cfg = EngineConfig(horizon=200, lam=0.2, seed=5)
     got = run_game(params, model, kind, cfg)
-    assert played_rows == [4]
+    assert planned_rows == [4]
     want = run_game_oracle(params, model, kind, cfg)
     for name in ("eta", "powers", "sinr", "utility"):
         np.testing.assert_allclose(getattr(got.trace, name), getattr(want.trace, name),
@@ -244,6 +252,106 @@ def test_run_game_raises_the_first_failing_stage_error(kind, error):
     with pytest.raises(error) as got:
         run_game(params, model, kind, cfg)
     assert str(got.value) == str(want.value)
+
+
+def _scaled_gains_model(bins):
+    """Three players on the uniform law over ``bins`` states each; player i's
+    gains are (i + 1) times player 0's, so the weakest player needs the
+    most power."""
+    base = np.geomspace(0.2, 5.0, bins)
+    return ChannelModel(tuple(base * (i + 1) for i in range(3)),
+                        IIDProductLaw([np.full(bins, 1.0 / bins)] * 3))
+
+
+@pytest.mark.parametrize("bins, streamed", [(4, False), (64, True)],
+                         ids=["visited_states", "per_stage"])
+def test_streamed_estimates_equal_the_whole_path_play(bins, streamed, monkeypatch):
+    # three blocks and 7 rows at K = 3: the visited-state route gathers its
+    # table block by block, the per-stage route plans every block
+    model = _scaled_gains_model(bins)
+    horizon = 3 * (_PLAY_BLOCK_ENTRIES // 3) + 7
+    assert (model.joint_size > horizon) == streamed
+    a, sigma2 = 0.1, 0.7
+    free = GameParams.symmetric(3, a=a, sigma2=sigma2)
+    # each player's cap is its largest selfish-equilibrium power, which every
+    # plan stays under: the lowest cap is below the weakest player's powers,
+    # so the screen falls through to the full check
+    tight = GameParams.symmetric(3, a=a, sigma2=sigma2, p_max=[
+        free.nash_received / g.min() for g in model.gains])
+    assert np.ptp(tight.p_max) > 0
+    # time sharing caps its solo power: caps near the median bind on some rows
+    solo = GameParams.symmetric(3, a=a, sigma2=sigma2,
+                                p_max=a * sigma2 / model.gains[1][bins // 2])
+    cases = [(params, kind) for params in (free, tight) for kind in CLOSED_FORM_RULES]
+    cases.append((solo, TIME_SHARING))
+    play = engine._play
+    monkeypatch.setattr(engine, "_play", lambda *args: pytest.fail("played whole"))
+    for params, kind in cases:
+        (est,) = estimate_expected_utilities(params, model, [kind], horizon, seed=9,
+                                             replicates=2, spawn_prefix=(4,))
+        for r in range(2):
+            cfg = EngineConfig(horizon=horizon, lam=0.5, seed=9, spawn_key=(4, r))
+            eta, rows = _draw_states(params, model, cfg)
+            _, powers, *_, util, _ = play(params, (kind,) * 3, eta, rows, cfg)
+            if params is solo:
+                assert (powers == params.p_max).any()
+            want = _time_average(util)
+            assert est.per_replicate[r].tobytes() == want.tobytes(), (kind, params.p_max)
+
+
+def _rare_low_gain_k4():
+    """Four players, 16 gains each: the lowest gain, 0.05, has mass 2e-5;
+    the others lie in [1, 4]."""
+    probs = np.full(16, (1.0 - 2e-5) / 15)
+    probs[0] = 2e-5
+    gains = np.concatenate([[0.05], np.linspace(1.0, 4.0, 15)])
+    return ChannelModel((gains,) * 4, IIDProductLaw([probs] * 4))
+
+
+@pytest.mark.parametrize("kinds_list", [
+    [OPERATING_POINT, NASH],
+    [NASH, OPERATING_POINT],
+    [TIME_SHARING, BEST_USERS, OPERATING_POINT, NASH],
+], ids=["op_first", "nash_first", "passing_first"])
+def test_a_cap_binding_after_the_first_block_raises_the_whole_path_error(kinds_list):
+    # at p_max 0.5 only the gain 0.05 needs more power than the cap under the
+    # selfish equilibrium and equal received power; time sharing and best
+    # users leave a player with it silent (or, if all have it, at 0.1 / 0.05)
+    model = _rare_low_gain_k4()
+    params = GameParams.symmetric(4, a=0.1, p_max=0.5)
+    horizon, seed = 30_000, 1
+    cfg = EngineConfig(horizon=horizon, lam=0.5, seed=seed, spawn_key=(0,))
+    eta, rows = _draw_states(params, model, cfg)
+    assert rows is None  # per stage
+    low = np.flatnonzero((eta < 1.0).any(axis=1))
+    assert _PLAY_BLOCK_ENTRIES // 4 < low[0] and low.size > 1  # not in the first block
+    failing = [kind for kind in kinds_list if kind in (NASH, OPERATING_POINT)][0]
+    with pytest.raises((CapError, SaturationError)) as whole:
+        run_game(params, model, failing, cfg)
+    with pytest.raises((CapError, SaturationError)) as got:
+        estimate_expected_utilities(params, model, kinds_list, horizon, seed, replicates=2)
+    assert type(got.value) is type(whole.value)
+    assert str(got.value) == str(whole.value)
+
+
+def test_a_streamed_estimate_holds_no_path_sized_array_per_rule():
+    # a path costs two (N, K) arrays while it is drawn (the uniforms and the
+    # state indices, then the indices and the gains), so its draw alone
+    # peaks near 2 x one (N, K) float64 array; the blocks and their buffer
+    # add 2^15 entries each. Played whole, each rule held its plan, its
+    # utilities and their gathered copies, and the previous path stayed
+    # alive while the next was drawn: 5.4 x
+    model = build_model(TruncatedRayleighSpec(bins=16), 8)
+    params = GameParams.symmetric(8, a=0.1)
+    horizon = 100_000
+    tracemalloc.start()
+    try:
+        estimate_expected_utilities(params, model, CLOSED_FORM_RULES, horizon, seed=3,
+                                    replicates=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * horizon * 8 * 8, peak / (horizon * 8 * 8)
 
 
 class _FixedUniforms:

@@ -19,7 +19,6 @@ from powergame.strategies import (
     check_caps,
     compliant_profile,
     detect_deviation,
-    group_gross_rates,
     select_best_users,
     select_by_threshold,
     stage_action,
@@ -93,10 +92,11 @@ class TestBestUserSelection:
 def test_group_gross_rates_fall_with_group_size(a, rates):
     # f(gamma_tilde(m)) = exp(-a / gamma_tilde(m)) = exp(-(1 + (m - 1) a))
     params = GameParams(10, ExponentialEfficiency(a), rates=rates)
-    got = group_gross_rates(params)
+    got = params.group_gross_rates
     m = np.arange(1, 11)[:, None]
     want = params.rates * np.exp(-(1.0 + (m - 1) * a))
     assert got.shape == (10, 10)
+    assert params.group_gross_rates is got and not got.flags.writeable  # one shared table
     assert np.all(np.diff(got, axis=0) < 0)
     # exp scales the rounding of a / gamma_tilde(m) by that exponent, so the
     # bound holds while it stays at most 2: everywhere the selfish
