@@ -1,6 +1,6 @@
 """Experiment configs, presets, and the artifact-producing runner.
 
-Configs are JSON documents with a fixed schema (see README).  The runner
+Configs are JSON documents with a fixed schema (``_FIELDS``, see README).  The runner
 validates fully before touching the filesystem, builds every artifact in
 memory, then writes them plus a ``manifest.json`` echoing the config, the
 seed, which constants came from defaults, and a sha256 per artifact.
@@ -33,24 +33,97 @@ from .errors import ConfigError
 from .oneshot import GameParams
 from .strategies import _VALID_KINDS, StrategyKind, threshold
 
-_TASKS = ("simulate", "dominance", "region", "lambdamax", "partition")
-_SWEEP_AXES = ("ratio", "K", "alpha")
-
-DEFAULTS = {
-    "game.sigma2": 1.0,
-    "game.p_max": 1e6,
-    "channel.eta_min(two_state)": 1.0,
-    "channel.scale": 1.0,
-    "channel.eta_min(rayleigh)": 0.1,
-    "channel.eta_max(rayleigh)": 10.0,
-    "channel.bins": 16,
-    "engine.lam": 0.5,
-    "engine.replicates": 4,
-    "engine.detection_tol": 1e-6,
-    "region.grid_size": 12,
+# the main CSV (the default ``artifact``) and the other files of each task
+_TASK_FILES = {
+    "simulate": ("summary.csv", "trace.csv"),
+    "dominance": ("dominance.csv",),
+    "region": ("region.csv", "markers.csv", "fstar.csv", "minmax.csv"),
+    "lambdamax": ("lambdamax.csv",),
+    "partition": ("partition.csv",),
 }
-
+_TASKS = tuple(_TASK_FILES)
+_SWEEP_AXES = {  # each axis and the check of its values
+    "ratio": ((lambda x: _is_number(x) and 1 <= x < math.inf),
+              "ratio values must be finite numbers >= 1"),
+    "K": ((lambda x: _is_number(x, int) and x >= 1), "K values must be integers >= 1"),
+    "alpha": ((lambda x: _is_number(x) and 0 <= x <= 1), "alpha values must lie in [0, 1]"),
+}
 _PRESET_SEED = 987654321
+_REQUIRED = object()
+
+
+def _at_least(low):
+    return (lambda v: v >= low), f"must be >= {low}"
+
+
+def _one_of(names):
+    return (lambda v: v in names), f"must be one of {names}"
+
+
+_POSITIVE = (lambda v: 0 < v < math.inf), "must be positive and finite"  # NaN fails too
+_OPEN_UNIT = (lambda v: 0 < v < 1), "must be in (0, 1)"
+_NON_EMPTY = len, "must be non-empty"
+_STRINGS = (lambda v: all(isinstance(s, str) for s in v)), "must be a list of strings"
+_FILE_NAME = ((lambda v: v not in ("", ".", "..") and not set(v) & set("/\\\0")),
+              "must be a plain file name")
+_SIMULATE = ("simulate",)
+_SAMPLED = ("simulate", "dominance", "lambdamax")  # the tasks with replicates and sweeps
+_PLAYED = _SAMPLED + ("partition",)  # the tasks that play a horizon
+
+# The config schema, one row per field: (path, type, default, check, readers).
+# - type None takes any value, which parse_config checks itself.
+# - default _REQUIRED must be given where read; None means absence is
+#   meaningful (no trace, no deviation, no sweep, the task's own file name).
+#   Any other default the run reads is listed in defaults_used when absent.
+# - check (predicate, message) is applied to a given value.
+# - readers: the tasks, channel kinds or strategy kinds that read the field
+#   (None: all).  A given field that no row of its path reads exits 2.
+# Rows under an absent optional section (engine.deviation, sweep) are
+# skipped; the "strategies[]." rows describe one object in strategies.
+_FIELDS = (
+    ("task", str, _REQUIRED, _one_of(_TASKS), None),
+    ("game.K", int, _REQUIRED, _at_least(1), None),
+    ("game.a", float, None, _POSITIVE, None),  # exactly one of a and rate
+    ("game.rate", float, 1.0, _POSITIVE, None),  # rate 1 when a is given
+    ("game.sigma2", float, 1.0, _POSITIVE, None),
+    ("game.p_max", None, 1e6, None, None),  # a number or one per player
+    ("channel.kind", str, _REQUIRED,
+     _one_of(("two_state", "truncated_rayleigh", "explicit")), None),
+    ("channel.eta_min", float, 1.0, None, ("two_state",)),
+    ("channel.eta_max", float, _REQUIRED, None, ("two_state",)),
+    ("channel.p_high", float, 0.5, _OPEN_UNIT, ("two_state",)),
+    ("channel.scale", float, 1.0, _POSITIVE, ("truncated_rayleigh",)),
+    ("channel.eta_min", float, 0.1, None, ("truncated_rayleigh",)),
+    ("channel.eta_max", float, 10.0, None, ("truncated_rayleigh",)),
+    ("channel.bins", int, 16, _at_least(2), ("truncated_rayleigh",)),
+    ("channel.path", str, _REQUIRED, None, ("explicit",)),
+    ("strategies", list, _REQUIRED, _NON_EMPTY, ("simulate", "dominance")),
+    ("strategies[].kind", str, _REQUIRED, _one_of(_VALID_KINDS), None),
+    ("strategies[].alpha", float, _REQUIRED, ((lambda v: 0 <= v <= 1), "must be in [0, 1]"),
+     ("threshold",)),
+    ("engine.seed", int, _REQUIRED, _at_least(0), None),  # the manifest records it
+    ("engine.horizon", int, 100_000, _at_least(1), _PLAYED),
+    ("engine.lam", float, 0.5, _OPEN_UNIT, _SIMULATE),
+    ("engine.replicates", int, 4, _at_least(1), _SAMPLED),
+    ("engine.detection_tol", float, 1e-6, _POSITIVE, _SIMULATE),
+    ("engine.trace", bool, None, None, _SIMULATE),
+    ("engine.deviation", dict, None, None, _SIMULATE),
+    ("engine.deviation.player", int, _REQUIRED, _at_least(0), _SIMULATE),
+    ("engine.deviation.start", int, None, _at_least(1), _SIMULATE),
+    ("engine.deviation.mode", str, None, _one_of(("one_shot", "permanent")), _SIMULATE),
+    ("sweep", dict, None, None, _SAMPLED),
+    ("sweep.axis", str, _REQUIRED, _one_of(tuple(_SWEEP_AXES)), _SAMPLED),
+    ("sweep.values", list, _REQUIRED, _NON_EMPTY, _SAMPLED),
+    ("region.grid_size", int, 12, _at_least(2), ("region",)),
+    ("artifact", str, None, _FILE_NAME, None),
+    ("provenance.stated", list, None, _STRINGS, None),
+    ("provenance.default", list, None, _STRINGS, None),
+)
+_ITEM = "strategies[]."
+_CONFIG_FIELDS = tuple(row for row in _FIELDS if not row[0].startswith(_ITEM))
+_STRATEGY_FIELDS = tuple((row[0][len(_ITEM):],) + row[1:]
+                         for row in _FIELDS if row[0].startswith(_ITEM))
+_SECTIONS = {row[0].rpartition(".")[0] for row in _CONFIG_FIELDS} - {""}
 
 
 def _fmt(x: float) -> str:
@@ -61,30 +134,69 @@ def _fail(path: str, message: str):
     raise ConfigError(f"config error at {path}: {message}")
 
 
-def _require_positive_finite(path: str, value) -> None:
-    if value is not None and not 0 < value < math.inf:  # NaN fails too
-        _fail(path, "must be positive and finite")
+def _flatten(node: dict, prefix: str = "") -> dict:
+    """{path: value} of every key of ``node``, descending into sections."""
+    flat = {}
+    for key, value in node.items():
+        path = prefix + key
+        if "." in key:  # it would pass for a field of a section
+            _fail(path, "unknown field")
+        flat[path] = value
+        if path in _SECTIONS:
+            if not isinstance(value, dict):
+                _fail(path, "must be an object")
+            flat.update(_flatten(value, path + "."))
+    return flat
 
 
-def _get(cfg: dict, path: str, kind, required=True, default=None, defaults_used=None):
-    node = cfg
-    parts = path.split(".")
-    for part in parts[:-1]:
-        node = node.get(part, {}) if isinstance(node, dict) else {}
-    if not isinstance(node, dict) or parts[-1] not in node:
-        if required:
-            _fail(path, "missing required field")
-        if defaults_used is not None and default is not None:
-            defaults_used.append(path)
-        return default
-    value = node[parts[-1]]
-    if kind in (int, float):  # a JSON boolean is no number, although Python's bool is an int
-        if not _is_number(value, kind):
-            _fail(path, f"expected {kind.__name__}, got {type(value).__name__}")
-        return kind(value)
-    if kind is not None and not isinstance(value, kind):
-        _fail(path, f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}")
+def _typed(path: str, value, kind, check):
+    number = kind in (int, float)  # a JSON boolean is no number, although Python's bool is an int
+    if not (_is_number(value, kind) if number else kind is None or isinstance(value, kind)):
+        _fail(path, f"expected {kind.__name__}, got {type(value).__name__}")
+    value = kind(value) if number else value
+    if check is not None and not check[0](value):
+        _fail(path, check[1])
     return value
+
+
+def _read(given: dict, rows, keys, used: list, shown: str = "") -> dict:
+    """Walk ``rows`` over the flattened object ``given``.  The fields named
+    by ``keys``, which every reader reads, are read first; their values
+    select which other rows are read.  A key outside ``rows`` exits 2, then
+    a bad value, then a given field that no row reads; each names the first
+    such field in sorted (or table) order.
+
+    Returns the value of every given field and the default of every absent
+    one, read or not; ``used`` collects the paths of the read defaults."""
+    paths = {row[0] for row in rows}
+    known = paths | {path.rpartition(".")[0] for path in paths} - {""}
+    for path in sorted(given):
+        if path not in known:
+            _fail(shown + path, "unknown field")
+    values, context = {}, set()
+    for universal in (True, False):
+        if not universal:
+            context = {values[key] for key in keys}
+        for path, kind, default, check, readers in rows:
+            section = path.rpartition(".")[0]
+            if (readers is None) != universal or section in paths and section not in given:
+                continue
+            if path in given:
+                values[path] = _typed(shown + path, given[path], kind, check)
+            elif readers is not None and context.isdisjoint(readers):
+                if default not in (None, _REQUIRED):  # not read: kept, not recorded
+                    values.setdefault(path, default)
+            elif default is _REQUIRED:
+                _fail(shown + path, "missing required field")
+            elif default is not None:
+                values[path] = default
+                used.append(path)
+    for path in sorted(given):
+        mine = [row for row in rows if row[0] == path]
+        if mine and all(row[4] is not None and context.isdisjoint(row[4]) for row in mine):
+            readers = ", ".join(dict.fromkeys(name for row in mine for name in row[4]))
+            _fail(shown + path, f"read only by {readers}")
+    return values
 
 
 @dataclass
@@ -106,124 +218,71 @@ class Experiment:
 
 
 def parse_config(cfg: dict) -> Experiment:
-    """Validate a config dict and build its sweep points; raises
-    ConfigError naming the bad field."""
+    """Validate a config dict against ``_FIELDS`` and build its sweep
+    points; raises ConfigError naming the bad field."""
     if not isinstance(cfg, dict):
         raise ConfigError("config error at <root>: document must be a JSON object")
     used: list = []
+    v = _read(_flatten(cfg), _CONFIG_FIELDS, ("task", "channel.kind"), used)
+    task, n_players, p_max = v["task"], v["game.K"], v["game.p_max"]
 
-    task = _get(cfg, "task", str)
-    if task not in _TASKS:
-        _fail("task", f"must be one of {_TASKS}")
-
-    n_players = _get(cfg, "game.K", int)
-    if n_players < 1:
-        _fail("game.K", "must be >= 1")
-    game = cfg.get("game")
-    game = game if isinstance(game, dict) else {}
-    if ("a" in game) == ("rate" in game):
+    a = v.get("game.a")
+    if (a is None) == ("game.rate" in used):  # neither or both given
         _fail("game", "give exactly one of a or rate")
-    a = _get(cfg, "game.a", float, required=False)
-    rate = _get(cfg, "game.rate", float, required=False)
-    _require_positive_finite("game.a", a)
-    _require_positive_finite("game.rate", rate)
-    if rate is None:
-        used.append("game.rate")  # given a, GameParams.symmetric plays at rate 1
-    sigma2 = _get(cfg, "game.sigma2", float, required=False,
-                  default=DEFAULTS["game.sigma2"], defaults_used=used)
-    _require_positive_finite("game.sigma2", sigma2)
-    p_max = _get(cfg, "game.p_max", None, required=False,
-                 default=DEFAULTS["game.p_max"], defaults_used=used)
+    rate = v["game.rate"] if a is None else None
     if isinstance(p_max, list):
-        if len(p_max) != n_players or any(not _is_number(v) or not v > 0 for v in p_max):
+        if len(p_max) != n_players or any(not _is_number(x) or not x > 0 for x in p_max):
             _fail("game.p_max", f"must be {n_players} positive numbers")
     elif not _is_number(p_max) or not p_max > 0:
         _fail("game.p_max", "must be a positive number or list")
 
-    channel = _parse_channel(cfg, used)
-    strategies = _parse_strategies(cfg, task, n_players)
+    kind, eta_min, eta_max = v["channel.kind"], v.get("channel.eta_min"), v.get("channel.eta_max")
+    if kind == "two_state":
+        if not 0 < eta_min <= eta_max < math.inf:
+            _fail("channel.eta_max", "need 0 < eta_min <= eta_max < inf")
+        channel = TwoStateSpec(eta_min, eta_max, v["channel.p_high"])
+    elif kind == "truncated_rayleigh":
+        if not 0 <= eta_min < eta_max:
+            _fail("channel.eta_max", "need 0 <= eta_min < eta_max")
+        channel = TruncatedRayleighSpec(v["channel.scale"], eta_min, eta_max, v["channel.bins"])
+    else:
+        channel = v["channel.path"]
+    strategies = []
+    for j, item in enumerate(v.get("strategies", [])):
+        shown = f"strategies[{j}]."
+        if not isinstance(item, (str, dict)):
+            _fail(shown[:-1], "must be a kind name or an object with kind")
+        item = _read({"kind": item} if isinstance(item, str) else item, _STRATEGY_FIELDS,
+                     ("kind",), used, shown)
+        name = item["kind"]
+        strategies.append(threshold(item["alpha"]) if name == "threshold" else StrategyKind(name))
+    if task == "simulate" and len(strategies) not in (1, n_players):
+        _fail("strategies", f"simulate needs 1 or K={n_players} entries")
 
-    seed = _get(cfg, "engine.seed", int)
-    if seed < 0:
-        _fail("engine.seed", "must be >= 0")
-    horizon = _get(cfg, "engine.horizon", int, required=False, default=100_000,
-                   defaults_used=used)
-    if horizon < 1:
-        _fail("engine.horizon", "must be >= 1")
-    lam = _get(cfg, "engine.lam", float, required=False,
-               default=DEFAULTS["engine.lam"], defaults_used=used)
-    if not 0.0 < lam < 1.0:
-        _fail("engine.lam", "must be in (0, 1)")
-    replicates = _get(cfg, "engine.replicates", int, required=False,
-                      default=DEFAULTS["engine.replicates"], defaults_used=used)
-    if replicates < 1:
-        _fail("engine.replicates", "must be >= 1")
-    detection_tol = _get(cfg, "engine.detection_tol", float, required=False,
-                         default=DEFAULTS["engine.detection_tol"], defaults_used=used)
-    _require_positive_finite("engine.detection_tol", detection_tol)
-    trace = _get(cfg, "engine.trace", bool, required=False, default=False)
-    dv = _get(cfg, "engine.deviation", None, required=False)
-    if task != "simulate":
-        for path, given in (("engine.trace", trace), ("engine.deviation", dv is not None)):
-            if given:
-                _fail(path, f"only the simulate task reads it, not {task}")
-    deviation = None
-    if dv is not None:
-        if not isinstance(dv, dict):
-            _fail("engine.deviation", "must be an object")
-        try:
-            deviation = DeviationSpec(
-                player=_get(cfg, "engine.deviation.player", int),
-                start=_get(cfg, "engine.deviation.start", int, required=False, default=1),
-                mode=_get(cfg, "engine.deviation.mode", str, required=False,
-                          default="one_shot"),
-            )
-        except ValueError as exc:
-            _fail("engine.deviation", str(exc))
-        if deviation.start > horizon:  # the run would play no deviation
-            _fail("engine.deviation.start", f"must be <= engine.horizon ({horizon})")
+    horizon, trace = v["engine.horizon"], v.get("engine.trace", False)
+    deviation = {path.rpartition(".")[2]: value for path, value in v.items()
+                 if path.startswith("engine.deviation.")}
+    deviation = DeviationSpec(**deviation) if deviation else None
+    if deviation is not None and deviation.start > horizon:  # the run would play no deviation
+        _fail("engine.deviation.start", f"must be <= engine.horizon ({horizon})")
 
-    sweep_axis, sweep_values = None, [None]
-    if cfg.get("sweep") is not None:
-        if task in ("region", "partition"):
-            _fail("sweep", f"the {task} task plays a single point")
-        sweep_axis = _get(cfg, "sweep.axis", str)
-        if sweep_axis not in _SWEEP_AXES:
-            _fail("sweep.axis", f"must be one of {_SWEEP_AXES}")
-        sweep_values = _get(cfg, "sweep.values", list)
-        if not sweep_values:
-            _fail("sweep.values", "must be non-empty")
-        if sweep_axis == "K" and any(not _is_number(v, int) or v < 1 for v in sweep_values):
-            _fail("sweep.values", "K values must be integers >= 1")
-        if sweep_axis == "ratio" and any(
-            not _is_number(v) or not 1 <= v < math.inf for v in sweep_values
-        ):
-            _fail("sweep.values", "ratio values must be finite numbers >= 1")
-        if sweep_axis == "alpha" and any(
-            not _is_number(v) or not 0 <= v <= 1 for v in sweep_values
-        ):
-            _fail("sweep.values", "alpha values must lie in [0, 1]")
-        if sweep_axis == "ratio" and not isinstance(channel, TwoStateSpec):
-            _fail("sweep.axis", "ratio sweeps need a two_state channel")
-        if sweep_axis == "alpha" and not any(s.name == "threshold" for s in strategies):
-            _fail("sweep.axis", "alpha sweeps need a threshold strategy")
-        if sweep_axis == "K" and isinstance(p_max, list):
-            _fail("game.p_max", "a per-player list cannot follow a K sweep")
-        if sweep_axis == "K" and task == "simulate" and len(strategies) != 1:
-            _fail("strategies", "sweeping K needs a single shared strategy")
-        if trace:
-            _fail("engine.trace", "a trace is kept only for a run without a sweep")
+    sweep_axis, sweep_values = v.get("sweep.axis"), v.get("sweep.values", [None])
+    if sweep_axis is not None and not all(map(_SWEEP_AXES[sweep_axis][0], sweep_values)):
+        _fail("sweep.values", _SWEEP_AXES[sweep_axis][1])
+    if sweep_axis == "ratio" and not isinstance(channel, TwoStateSpec):
+        _fail("sweep.axis", "ratio sweeps need a two_state channel")
+    if sweep_axis == "alpha" and not any(s.name == "threshold" for s in strategies):
+        _fail("sweep.axis", "alpha sweeps need a threshold strategy")
+    if sweep_axis == "K" and isinstance(p_max, list):
+        _fail("game.p_max", "a per-player list cannot follow a K sweep")
+    if sweep_axis == "K" and task == "simulate" and len(strategies) != 1:
+        _fail("strategies", "sweeping K needs a single shared strategy")
+    if sweep_axis is not None and trace:
+        _fail("engine.trace", "a trace is kept only for a run without a sweep")
 
-    grid_size = _get(cfg, "region.grid_size", int, required=False,
-                     default=DEFAULTS["region.grid_size"],
-                     defaults_used=used if task == "region" else None)
-    if grid_size < 2:
-        _fail("region.grid_size", "must be >= 2")
-
-    artifact = _get(cfg, "artifact", str, required=False,
-                    default={"simulate": "summary.csv", "dominance": "dominance.csv",
-                             "region": "region.csv", "lambdamax": "lambdamax.csv",
-                             "partition": "partition.csv"}[task])
+    artifact = v.get("artifact", _TASK_FILES[task][0])
+    if artifact in ("config.json", "manifest.json", *_TASK_FILES[task][1:]):
+        _fail("artifact", f"the {task} task writes {artifact} itself")
 
     played = sweep_values if sweep_axis == "K" else [n_players]
     if deviation is not None and deviation.player >= min(played):
@@ -245,7 +304,8 @@ def parse_config(cfg: dict) -> Experiment:
         if isinstance(spec, ChannelModel) and spec.n_players != k:
             _fail("channel.path", f"model has {spec.n_players} players, game has {k}")
         try:
-            params = GameParams.symmetric(k, a=a, rate=rate, sigma2=sigma2, p_max=p_max)
+            params = GameParams.symmetric(k, a=a, rate=rate, sigma2=v["game.sigma2"],
+                                          p_max=p_max)
         except ValueError as exc:  # a, sigma2 and p_max are checked above
             _fail("game.rate", str(exc))
         model = spec if isinstance(spec, ChannelModel) else build_model(spec, k)
@@ -253,75 +313,14 @@ def parse_config(cfg: dict) -> Experiment:
         points.append((label, params, model, kinds))
 
     return Experiment(
-        task=task, config=normalize_config(cfg), defaults_used=sorted(set(used)),
+        task=task, config=normalize_config(cfg),
+        defaults_used=sorted(set(used) | set(v.get("provenance.default", []))),
         points=points,
-        engine=EngineConfig(horizon=horizon, lam=lam, seed=seed, deviation=deviation,
-                            detection_tol=detection_tol),
-        replicates=replicates, trace=trace, sweep_axis=sweep_axis, grid_size=grid_size,
-        artifact=artifact,
+        engine=EngineConfig(horizon=horizon, lam=v["engine.lam"], seed=v["engine.seed"],
+                            deviation=deviation, detection_tol=v["engine.detection_tol"]),
+        replicates=v["engine.replicates"], trace=trace, sweep_axis=sweep_axis,
+        grid_size=v["region.grid_size"], artifact=artifact,
     )
-
-
-def _parse_channel(cfg: dict, used: list) -> TwoStateSpec | TruncatedRayleighSpec | str:
-    kind = _get(cfg, "channel.kind", str)
-    if kind == "two_state":
-        eta_min = _get(cfg, "channel.eta_min", float, required=False,
-                       default=DEFAULTS["channel.eta_min(two_state)"], defaults_used=used)
-        eta_max = _get(cfg, "channel.eta_max", float)
-        p_high = _get(cfg, "channel.p_high", float, required=False, default=0.5,
-                      defaults_used=used)
-        if not 0 < eta_min <= eta_max < math.inf:
-            _fail("channel.eta_max", "need 0 < eta_min <= eta_max < inf")
-        if not 0 < p_high < 1:
-            _fail("channel.p_high", "must be in (0, 1)")
-        return TwoStateSpec(eta_min, eta_max, p_high)
-    if kind == "truncated_rayleigh":
-        scale = _get(cfg, "channel.scale", float, required=False,
-                     default=DEFAULTS["channel.scale"], defaults_used=used)
-        eta_min = _get(cfg, "channel.eta_min", float, required=False,
-                       default=DEFAULTS["channel.eta_min(rayleigh)"], defaults_used=used)
-        eta_max = _get(cfg, "channel.eta_max", float, required=False,
-                       default=DEFAULTS["channel.eta_max(rayleigh)"], defaults_used=used)
-        bins = _get(cfg, "channel.bins", int, required=False,
-                    default=DEFAULTS["channel.bins"], defaults_used=used)
-        _require_positive_finite("channel.scale", scale)
-        if bins < 2:
-            _fail("channel.bins", "must be >= 2")
-        if not 0 <= eta_min < eta_max:
-            _fail("channel.eta_max", "need 0 <= eta_min < eta_max")
-        return TruncatedRayleighSpec(scale, eta_min, eta_max, bins)
-    if kind == "explicit":
-        return _get(cfg, "channel.path", str)
-    _fail("channel.kind", "must be two_state, truncated_rayleigh or explicit")
-
-
-def _parse_strategies(cfg: dict, task: str, n_players: int) -> list:
-    if task in ("partition", "region", "lambdamax"):
-        if "strategies" in cfg:
-            _fail("strategies", f"the {task} task fixes its own rules")
-        return []
-    raw = _get(cfg, "strategies", list)
-    if not raw:
-        _fail("strategies", "must be non-empty")
-    out = []
-    for j, item in enumerate(raw):
-        if isinstance(item, str):
-            item = {"kind": item}
-        if not isinstance(item, dict) or "kind" not in item:
-            _fail(f"strategies[{j}]", "must be a kind name or an object with kind")
-        kind = item["kind"]
-        if kind == "threshold":
-            alpha = item.get("alpha")
-            if not _is_number(alpha) or not 0 <= alpha <= 1:
-                _fail(f"strategies[{j}].alpha", "threshold needs alpha in [0, 1]")
-            out.append(threshold(alpha))
-        elif kind in _VALID_KINDS:
-            out.append(StrategyKind(kind))
-        else:
-            _fail(f"strategies[{j}].kind", f"unknown strategy {kind!r}")
-    if task == "simulate" and len(out) not in (1, n_players):
-        _fail("strategies", f"simulate needs 1 or K={n_players} entries")
-    return out
 
 
 def normalize_config(cfg: dict) -> dict:
@@ -329,10 +328,15 @@ def normalize_config(cfg: dict) -> dict:
     return json.loads(json.dumps(cfg, sort_keys=True))
 
 
+def _csv(lines: list) -> str:
+    return "\n".join(lines) + "\n"
+
+
+# Each runner returns the texts of its task's files, in _TASK_FILES order.
 def _task_simulate(exp: Experiment) -> list:
     header = "player,v_discounted,u_avg,stderr"
     lines = [header if exp.sweep_axis is None else f"{exp.sweep_axis},{header}"]
-    artifacts = []
+    traces = []
     for j, (label, params, model, kinds) in enumerate(exp.points):
         kinds_full = kinds if len(kinds) == params.n_players else kinds * params.n_players
         discounted, averages = [], []
@@ -341,14 +345,13 @@ def _task_simulate(exp: Experiment) -> list:
             discounted.append(result.discounted)
             averages.append(result.time_average)
             if r == 0 and exp.trace:  # parse_config refuses a trace with a sweep
-                artifacts.append(("trace.csv", trace_csv(result)))
+                traces.append(trace_csv(result))
         v = UtilityEstimate.from_replicates(np.array(discounted)).mean
         u = UtilityEstimate.from_replicates(np.array(averages))
         for i in range(params.n_players):
             row = f"{i},{_fmt(v[i])},{_fmt(u.mean[i])},{_fmt(u.stderr[i])}"
             lines.append(row if exp.sweep_axis is None else f"{label},{row}")
-    artifacts.insert(0, (exp.artifact, "\n".join(lines) + "\n"))
-    return artifacts
+    return [_csv(lines), *traces]
 
 
 def _task_dominance(exp: Experiment) -> list:
@@ -362,7 +365,7 @@ def _task_dominance(exp: Experiment) -> list:
             # player-averaged per replicate
             avg = UtilityEstimate.from_replicates(est.per_replicate.mean(axis=1))
             lines.append(f"{label},{kind.label},{_fmt(avg.mean)},{_fmt(avg.stderr)}")
-    return [(exp.artifact, "\n".join(lines) + "\n")]
+    return [_csv(lines)]
 
 
 def _task_region(exp: Experiment) -> list:
@@ -376,12 +379,7 @@ def _task_region(exp: Experiment) -> list:
     minmax_lines = ["player,level"] + [
         f"{i},{_fmt(v)}" for i, v in enumerate(region.minmax)
     ]
-    return [
-        (exp.artifact, "\n".join(hull_lines) + "\n"),
-        ("markers.csv", "\n".join(marker_lines) + "\n"),
-        ("fstar.csv", "\n".join(fstar_lines) + "\n"),
-        ("minmax.csv", "\n".join(minmax_lines) + "\n"),
-    ]
+    return [_csv(hull_lines), _csv(marker_lines), _csv(fstar_lines), _csv(minmax_lines)]
 
 
 def _task_lambdamax(exp: Experiment) -> list:
@@ -397,7 +395,7 @@ def _task_lambdamax(exp: Experiment) -> list:
             f"{_fmt(bound.delta[binding])},{_fmt(bound.delta_stderr[binding])},"
             f"{_fmt(bound.penalty)}"
         )
-    return [(exp.artifact, "\n".join(lines) + "\n")]
+    return [_csv(lines)]
 
 
 def _task_partition(exp: Experiment) -> list:
@@ -409,7 +407,7 @@ def _task_partition(exp: Experiment) -> list:
         f"{k},{_fmt(h1)},{_fmt(h2)}"
         for k, h1, h2 in zip(part.k, part.recommended_freq, part.not_recommended_freq)
     ]
-    return [(exp.artifact, "\n".join(lines) + "\n")]
+    return [_csv(lines)]
 
 
 _TASK_RUNNERS = {
@@ -444,16 +442,16 @@ def run_experiment(config, out_dir) -> dict:
     if not isinstance(config, dict):
         config = load_config(config)
     exp = parse_config(config)
-    artifacts = _TASK_RUNNERS[exp.task](exp)
+    names = (exp.artifact, *_TASK_FILES[exp.task][1:])
+    artifacts = list(zip(names, _TASK_RUNNERS[exp.task](exp)))
     artifacts.append(
         ("config.json", json.dumps(exp.config, sort_keys=True, indent=1) + "\n")
     )
-    preset_prov = exp.config.get("provenance", {})
     manifest = {
         "format": "powergame-manifest-v1",
         "config": exp.config,
         "seed": exp.engine.seed,
-        "defaults_used": sorted(set(exp.defaults_used) | set(preset_prov.get("default", []))),
+        "defaults_used": exp.defaults_used,
         "artifacts": {
             name: hashlib.sha256(text.encode()).hexdigest() for name, text in artifacts
         },
@@ -513,7 +511,7 @@ def preset(name: str, seed: int | None = None) -> dict:
             "task": "region",
             "game": {"K": 2, "a": 0.5, "p_max": 5.0},
             "channel": {"kind": "two_state", "eta_min": 1.0, "eta_max": 4.0, "p_high": 0.5},
-            "engine": {"seed": seed, "horizon": 100_000},
+            "engine": {"seed": seed},
             "region": {"grid_size": 12},
             "artifact": "region.csv",
             "provenance": {

@@ -371,8 +371,7 @@ def test_10_determinism_and_provenance(tmp_path):
         body = (out_a / name).read_bytes()
         assert hashlib.sha256(body).hexdigest() == digest
     defaults = set(manifest["defaults_used"])
-    assert {"game.sigma2", "game.p_max", "game.rate", "channel.p_high",
-            "engine.lam"} <= defaults
+    assert defaults == {"game.sigma2", "game.p_max", "game.rate", "channel.p_high"}
     header = (out_a / "fig2.csv").read_text().split("\n", 1)[0]
     assert header == "ratio,strategy,mean,stderr"
     elapsed = time.perf_counter() - start

@@ -196,6 +196,7 @@ def test_per_player_caps_with_a_k_sweep_exit_2(tmp_path, capsys):
     # the list has K entries, which a sweep to another K cannot follow
     cfg = small_config()
     cfg["task"] = "dominance"
+    del cfg["engine"]["lam"]  # only simulate reads it
     cfg["game"] = {"K": 3, "a": 0.1, "p_max": [1, 1, 1]}
     cfg["sweep"] = {"axis": "K", "values": [2, 3]}
     out = tmp_path / "out"
@@ -338,6 +339,22 @@ def test_trace_with_a_sweep_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def _small_config_for(task):
+    """small_config() as a config of ``task``, without the fields it does
+    not read."""
+    cfg = small_config()
+    cfg["task"] = task
+    if task != "simulate":
+        del cfg["engine"]["lam"]
+    if task in ("region", "partition"):
+        del cfg["engine"]["replicates"]
+    if task == "region":
+        del cfg["engine"]["horizon"]
+    if task not in ("simulate", "dominance"):
+        del cfg["strategies"]
+    return cfg
+
+
 @pytest.mark.parametrize("task, field, value", [
     ("dominance", "engine.trace", True),
     ("dominance", "engine.deviation", {"player": 0}),
@@ -349,14 +366,21 @@ def test_trace_with_a_sweep_exits_2(tmp_path, capsys):
     ("partition", "strategies", ["best_users"]),
     ("region", "sweep", {"axis": "ratio", "values": [2, 4]}),
     ("partition", "sweep", {"axis": "K", "values": [2, 3, 4]}),
+    ("dominance", "engine.lam", 0.5),
+    ("region", "engine.horizon", 1000),
+    ("partition", "engine.replicates", 2),
+    ("lambdamax", "engine.detection_tol", 1e-6),
+    ("simulate", "region.grid_size", 12),
+    ("simulate", "channel.p_high", 0.5),
 ])
 def test_a_field_the_task_would_drop_exits_2(tmp_path, capsys, task, field, value):
-    # only simulate traces or deviates, region, lambdamax and partition fix
-    # their own rules, and region and partition write a single point
-    cfg = small_config()
-    cfg["task"] = task
-    if task != "dominance":
-        del cfg["strategies"]
+    # only simulate traces, deviates or discounts, region, lambdamax and
+    # partition fix their own rules, region and partition write a single
+    # point, only region plays no horizon, and a Rayleigh channel has no
+    # p_high
+    cfg = _small_config_for(task)
+    if field.startswith("channel."):
+        cfg["channel"] = {"kind": "truncated_rayleigh", "bins": 4}
     if "." in field:
         _with(cfg, field, value)
     else:
@@ -381,4 +405,77 @@ def test_malformed_model_file_exits_3(tmp_path, capsys, model, message):
     out = tmp_path / "out"
     assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path, edit", [pytest.param(*case, id=case[0]) for case in [
+    ("regoin", lambda cfg: {**cfg, "regoin": {"grid_size": 12}}),
+    ("game.sigma", lambda cfg: _with(cfg, "game.sigma", 1.0)),
+    ("channel.eta_mx", lambda cfg: _with(cfg, "channel.eta_mx", 8.0)),
+    ("engine.horizn", lambda cfg: _with(cfg, "engine.horizn", 100)),
+    ("engine.replicats", lambda cfg: _with(cfg, "engine.replicats", 3)),
+    ("engine.deviation.strat", lambda cfg: _with(cfg, "engine.deviation",
+                                                  {"player": 0, "strat": 5})),
+    ("sweep.valus", lambda cfg: {**cfg, "sweep": {"axis": "ratio", "values": [1, 2],
+                                                  "valus": [4]}}),
+    ("region.grid", lambda cfg: {**cfg, "region": {"grid": 12}}),
+    ("provenance.stated_by", lambda cfg: {**cfg, "provenance": {"stated_by": []}}),
+    ("strategies[1].alfa", lambda cfg: {**cfg, "strategies": [
+        "nash", {"kind": "threshold", "alpha": 0.5, "alfa": 0.5}]}),
+]])
+def test_a_misspelled_key_exits_2_naming_it(tmp_path, capsys, path, edit):
+    # one case per section: a typo would otherwise run on the default
+    out = tmp_path / "out"
+    config = write_config(tmp_path, edit(small_config()))
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+    assert f"config error at {path}: unknown field" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_first_unknown_key_in_sorted_order_is_named(tmp_path, capsys):
+    cfg = _with(_with(small_config(), "zeta", 1), "engine.horizn", 100)
+    cfg["game"]["sigma"] = 1.0
+    config = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "config error at engine.horizn: unknown field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task, artifact", [
+    ("simulate", "manifest.json"),
+    ("simulate", "config.json"),
+    ("simulate", "trace.csv"),
+    ("region", "minmax.csv"),
+    ("simulate", "../escaped.csv"),
+    ("simulate", "sub/summary.csv"),
+    ("simulate", "back\\slash.csv"),
+    ("simulate", ""),
+    ("simulate", "."),
+    ("simulate", ".."),
+])
+def test_an_artifact_name_that_is_no_plain_new_file_exits_2(tmp_path, capsys, task, artifact):
+    # such a name would overwrite another file of the run, write outside
+    # --out, or fail only after the run
+    cfg = _small_config_for(task)
+    cfg["artifact"] = artifact
+    if task == "simulate":
+        cfg["engine"]["trace"] = True
+    else:
+        cfg["game"]["p_max"] = 5.0
+    config = write_config(tmp_path, cfg)
+    out = tmp_path / "out" / "nested"
+    assert main([task, "--config", config, "--out", str(out)]) == 2
+    assert "config error at artifact:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("provenance, field", [
+    ({"default": 5}, "provenance.default"),
+    ({"stated": ["game.K", 3]}, "provenance.stated"),
+    ("fig2", "provenance"),
+])
+def test_a_malformed_provenance_exits_2_naming_it(tmp_path, capsys, provenance, field):
+    config = write_config(tmp_path, {**small_config(), "provenance": provenance})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+    assert f"config error at {field}:" in capsys.readouterr().err
     assert not out.exists()

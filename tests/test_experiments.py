@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +102,7 @@ class TestValidation:
     def test_alpha_sweep_point_carries_the_swept_alpha(self):
         cfg = small_simulate_config()
         cfg["task"] = "dominance"
+        del cfg["engine"]["lam"]  # only simulate reads it
         cfg["strategies"] = ["nash", {"kind": "threshold", "alpha": 0.5}]
         cfg["sweep"] = {"axis": "alpha", "values": [0, 0.25]}
         points = parse_config(cfg).points
@@ -305,6 +308,73 @@ class TestPresets:
         listed = set(manifest["defaults_used"])
         assert "channel.scale" in listed
         assert "game.sigma2" in listed
+
+
+# every preset's manifest defaults_used: the defaults its task reads, with
+# the preset's own provenance.default notes
+PRESET_DEFAULTS_USED = {
+    "fig2": ["channel.eta_min", "engine.replicates", "engine.seed(default)", "game.p_max",
+             "game.rate", "game.sigma2"],
+    "fig3": ["channel.eta_min", "engine.seed(default)", "game.p_max", "game.rate",
+             "game.sigma2", "region.grid_size"],
+    "fig4": ["channel.bins", "channel.eta_max", "channel.eta_min", "channel.scale",
+             "engine.replicates", "engine.seed(default)", "game.p_max", "game.rate",
+             "game.sigma2"],
+    "fig5": ["channel.bins", "channel.eta_max", "channel.eta_min", "channel.kind",
+             "channel.scale", "engine.replicates", "engine.seed(default)", "game.a",
+             "game.p_max", "game.rate", "game.sigma2"],
+    "partition": ["channel.bins", "channel.eta_max", "channel.eta_min", "channel.kind",
+                  "channel.scale", "engine.seed(default)", "game.p_max", "game.rate",
+                  "game.sigma2"],
+}
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_preset_defaults_used_are_pinned(name):
+    assert parse_config(preset(name)).defaults_used == PRESET_DEFAULTS_USED[name]
+
+
+GAME_DEFAULTS = {"game.rate", "game.sigma2", "game.p_max"}
+
+
+@pytest.mark.parametrize("task, read", [
+    ("simulate", {"engine.horizon", "engine.lam", "engine.replicates", "engine.detection_tol"}),
+    ("dominance", {"engine.horizon", "engine.replicates"}),
+    ("region", {"region.grid_size"}),
+    ("lambdamax", {"engine.horizon", "engine.replicates"}),
+    ("partition", {"engine.horizon"}),
+])
+@pytest.mark.parametrize("channel, channel_read", [
+    ({"kind": "two_state", "eta_max": 4.0}, {"channel.eta_min", "channel.p_high"}),
+    ({"kind": "truncated_rayleigh", "bins": 4},
+     {"channel.scale", "channel.eta_min", "channel.eta_max"}),
+], ids=["two_state", "truncated_rayleigh"])
+def test_defaults_used_lists_the_defaults_the_run_reads(task, read, channel, channel_read):
+    cfg = {"task": task, "game": {"K": 2, "a": 0.1}, "channel": channel, "engine": {"seed": 1}}
+    if task in ("simulate", "dominance"):
+        cfg["strategies"] = ["nash"]
+    exp = parse_config(cfg)
+    assert exp.defaults_used == sorted(GAME_DEFAULTS | channel_read | read)
+
+
+def _key_paths(node, prefix=""):
+    for key, value in node.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _key_paths(value, f"{prefix}{key}.")
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, dict):
+                    yield from _key_paths(item, f"{prefix}{key}[].")
+
+
+def test_readme_schema_block_lists_exactly_the_schema_fields():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("\n```", 1)[0]
+    listed = set(_key_paths(json.loads(re.sub(r"//.*", "", block))))
+    fields = {row[0] for row in experiments._FIELDS}
+    assert fields - listed == set()
+    assert listed - fields == {"game", "channel", "engine", "region", "provenance"}
 
 
 RAYLEIGH16 = {"kind": "truncated_rayleigh", "bins": 16}
