@@ -47,14 +47,16 @@ class ExponentialEfficiency:
             raise ValueError(f"2**rate - 1 is not a finite float for rate {rate}") from None
 
     def value(self, x):
-        """f(x); accepts scalars or arrays, x >= 0 (x = 0 and NaN map to 0)."""
+        """f(x); accepts scalars or arrays, x >= 0 (x = 0 and NaN map to 0,
+        and so does an x whose -a/x overflows, where 0 is the exact limit)."""
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
             raise ValueError("SINR must be nonnegative")
-        # one pass each: -a/x where x > 0, -inf (so exp gives 0) elsewhere
-        out = np.full(x.shape, -np.inf)
-        np.divide(-self.a, x, out=out, where=x > 0)
-        np.exp(out, out=out)
+        # exp(-a/x) where x > 0 and 0 elsewhere: a tiny x (5e-324 at a = 0.1)
+        # overflows -a/x to -inf, so exp gives 0, and the dropped 0 and -0.0
+        # divide by zero
+        with np.errstate(divide="ignore", over="ignore"):
+            out = np.where(x > 0, np.exp(np.divide(-self.a, x)), 0.0)
         return out if out.ndim else float(out)
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .channels import _unravel
 from .errors import PowerGameError
-from .oneshot import GameParams, _utility_from_sinr, best_response, sinr
+from .oneshot import GameParams, _sinr, _utility_from_sinr, best_response
 from .strategies import (  # noqa: F401  compliant_profile stays importable from here
     MONITORED_KINDS,
     NASH,
@@ -175,7 +175,7 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
         t=keep + 1,
         eta=eta,
         powers=powers,
-        sinr=sinr(params, eta, powers),
+        sinr=_sinr(params, eta, powers),
         utility=util_all.take(keep, axis=0),
         recommended=recommended.take(kept, axis=0),
         punishing=punishing,
@@ -246,7 +246,7 @@ def _play(params: GameParams, kinds: tuple, eta: np.ndarray, rows, cfg: EngineCo
     realized = None  # SINR of ``powers``, once computed
     punishment_stage = None
     if expected is not None:
-        realized = sinr(params, eta, powers)
+        realized = _sinr(params, eta, powers)
         hits = detect_deviation(expected, realized, cfg.detection_tol)
         hits &= powers > 0  # silent players are not monitored
         if dev is not None:
@@ -270,7 +270,7 @@ def _play(params: GameParams, kinds: tuple, eta: np.ndarray, rows, cfg: EngineCo
     check_caps(params, NASH, scheduled[calm:])
 
     if realized is None:
-        realized = sinr(params, eta, powers)
+        realized = _sinr(params, eta, powers)
     util_all = _utility_from_sinr(params, powers, realized)
     return eta, powers, recommended, None, util_all, punishment_stage
 
@@ -312,7 +312,7 @@ def _plan(params, kinds, eta, deviation: bool):
     for rule, (rule_powers, *_) in plans.items():
         if rule.name in MONITORED_KINDS:  # the alarm predicts the SINR of the rule's own plan
             cols = [i for i, kind in enumerate(kinds) if kind == rule]
-            expected[:, cols] = sinr(params, eta, rule_powers)[:, cols]
+            expected[:, cols] = _sinr(params, eta, rule_powers)[:, cols]
     return powers, recommended, expected, k_active
 
 

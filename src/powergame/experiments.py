@@ -422,7 +422,7 @@ _TASK_RUNNERS = {
 def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config error at {path}: file not found") from exc
     except OSError as exc:  # a directory, no permission
@@ -433,13 +433,17 @@ def load_config(path) -> dict:
         raise ConfigError(
             f"config error at {path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config error at {path}: document must be a JSON object")
+    return config
 
 
 def run_experiment(config, out_dir) -> dict:
     """Validate, run, and write artifacts plus manifest.json; returns the
-    manifest.  ``config`` is a dict or a path to a JSON file.  Nothing is
-    written unless the whole experiment succeeds."""
-    if not isinstance(config, dict):
+    manifest.  ``config`` is a dict or a path to a JSON file; anything else
+    is a ``ConfigError``.  Nothing is written unless the whole experiment
+    succeeds."""
+    if isinstance(config, (str, os.PathLike)):
         config = load_config(config)
     exp = parse_config(config)
     names = (exp.artifact, *_TASK_FILES[exp.task][1:])

@@ -184,6 +184,16 @@ def check_grid_size(grid_size) -> None:
         raise ValueError(f"grid_size must be an integer >= 2, got {grid_size!r}")
 
 
+def _check_powers(powers) -> np.ndarray:
+    """``powers`` as a float array; refused unless every power is
+    nonnegative and finite (-0.0 is a silent player)."""
+    powers = np.asarray(powers, dtype=float)
+    # two reductions without a temporary; a NaN propagates and fails both
+    if not (powers.min(initial=0.0) >= 0 and powers.max(initial=0.0) < np.inf):
+        raise ValueError("powers must be nonnegative and finite")
+    return powers
+
+
 def sinr(params: GameParams, eta, powers, i: int | None = None):
     """Per-player SINR p_i eta_i / (sum_{j != i} p_j eta_j + sigma2).
 
@@ -191,33 +201,47 @@ def sinr(params: GameParams, eta, powers, i: int | None = None):
     or (...) for a single player when ``i`` is given.
     """
     eta = _check_realization(params, eta)
-    powers = np.asarray(powers, dtype=float)
-    received = powers * eta
-    total = received.sum(axis=-1, keepdims=True)
-    out = received / (total - received + params.sigma2)
+    out = _sinr(params, eta, _check_powers(powers))
     if i is not None:
         out = out[..., i]
     return out if np.ndim(out) else float(out)
 
 
+def _sinr(params: GameParams, eta: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """``sinr`` of float arrays, unchecked: the engine's gains come from a
+    validated model and its powers from its own plans."""
+    received = powers * eta
+    total = received.sum(axis=-1, keepdims=True)
+    return received / (total - received + params.sigma2)
+
+
 def utility(params: GameParams, eta, powers, i: int | None = None):
     """Energy efficiency R_i f(SINR_i) / p_i in bit/J; 0 for a silent player."""
-    powers = np.asarray(powers, dtype=float)
-    out = _utility_from_sinr(params, powers, sinr(params, eta, powers))
+    eta = _check_realization(params, eta)
+    powers = _check_powers(powers)
+    out = _utility_from_sinr(params, powers, _sinr(params, eta, powers))
     if i is not None:
         out = out[..., i]
     return out if np.ndim(out) else float(out)
 
 
 def _utility_from_sinr(params: GameParams, powers: np.ndarray, s) -> np.ndarray:
-    """Utilities of ``powers`` whose SINRs ``s`` are already known."""
+    """Utilities of ``powers`` whose SINRs ``s`` are already known; 0 where
+    a power is not positive (0, -0.0 or NaN)."""
     gross = params.rates * np.asarray(params.eff.value(s))  # s is at least powers' shape
-    return np.divide(gross, powers, out=np.zeros(gross.shape), where=powers > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the dropped entries only
+        return np.where(powers > 0, gross / powers, 0.0)
 
 
 def welfare(params: GameParams, eta, powers):
     """Sum of all players' utilities."""
-    return utility(params, eta, powers).sum(axis=-1)
+    return _welfare(params, _check_realization(params, eta), _check_powers(powers))
+
+
+def _welfare(params: GameParams, eta: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """``welfare`` of float arrays, unchecked: the welfare search scores
+    candidates from its own grids, on gains the search has checked."""
+    return _utility_from_sinr(params, powers, _sinr(params, eta, powers)).sum(axis=-1)
 
 
 def best_response(params: GameParams, eta, p_others, i: int):
@@ -366,7 +390,7 @@ def social_optimum(params: GameParams, eta, grid_size: int = 12):
         grids, sizes = _power_grids(params, rows, grid_size)
         for r, row in enumerate(rows):
             profiles = _grid_profiles([g[:n] for g, n in zip(grids[r], sizes[r])])
-            row_totals = welfare(params, row, profiles)
+            row_totals = _welfare(params, row, profiles)
             best = int(np.argmax(row_totals))
             powers[r], totals[r] = profiles[best], row_totals[best]
     else:
@@ -405,11 +429,12 @@ def _lockstep_ascent(params: GameParams, eta: np.ndarray, grid_size: int):
     Each pair snaps its start to the nearest grid points, then sweeps the
     players in order, moving to a player's best grid point when that
     raises welfare by more than 1e-15; it stops after a sweep that moves
-    nobody.  Each coordinate scores every live pair's candidates in one
-    ``welfare`` call.  Grids are padded to one length by repeating their
-    last point, which never wins an argmin or argmax since it follows the
-    original.  Returns each row's best (powers, welfare), first start on
-    ties.
+    nobody.  Each sweep keeps only the first live pair of each distinct
+    (row, profile, welfare) state, and each coordinate scores the live
+    pairs' candidates in one ``_welfare`` call.  Grids are padded to one
+    length by repeating their last point, which never wins an argmin or
+    argmax since it follows the original.  Returns each row's best
+    (powers, welfare), first start on ties.
     """
     n, k = eta.shape
     padded, _ = _power_grids(params, eta, grid_size)  # (N, K, size)
@@ -420,16 +445,17 @@ def _lockstep_ascent(params: GameParams, eta: np.ndarray, grid_size: int):
     pair_eta = eta[row]
     nearest = np.abs(pair_grids - starts[valid][:, :, None]).argmin(axis=2)
     p = pair_grids[np.arange(row.size)[:, None], np.arange(k), nearest]
-    w = welfare(params, pair_eta, p)
+    w = _welfare(params, pair_eta, p)
 
     live = np.arange(row.size)
     while live.size:
+        live = _first_of_each_state(row, p, w, live)
         moved = np.zeros(live.size, dtype=bool)
         live_eta = pair_eta[live, None, :]
         for i in range(k):
             cand = np.repeat(p[live, None, :], size, axis=1)  # (L, size, K)
             cand[:, :, i] = pair_grids[live, i]
-            totals = welfare(params, live_eta, cand)
+            totals = _welfare(params, live_eta, cand)
             j = np.argmax(totals, axis=1)
             best = totals[np.arange(live.size), j]
             up = best > w[live] + 1e-15
@@ -444,3 +470,17 @@ def _lockstep_ascent(params: GameParams, eta: np.ndarray, grid_size: int):
     pair_of[valid] = np.arange(row.size)
     chosen = pair_of[np.arange(n), np.argmax(final, axis=1)]
     return p[chosen], w[chosen]
+
+
+def _first_of_each_state(row, p, w, live):
+    """``live`` without each pair whose (row, profile, welfare) an earlier
+    live pair holds too.  From one state two pairs climb alike, so the
+    earlier ends where the later would have.  The later keeps its state,
+    whose welfare is never above the earlier's final one, so the final
+    choice (the first start of the best welfare) is unchanged."""
+    key = np.column_stack([w[live], p[live], row[live]])
+    order = np.lexsort(key.T)  # stable: a repeated state keeps pair order
+    ranked = key[order]
+    repeat = np.zeros(live.size, dtype=bool)
+    repeat[order[1:]] = (ranked[1:] == ranked[:-1]).all(axis=1)
+    return live[~repeat]

@@ -7,6 +7,12 @@ package used before it built every row's grids at once.  Tests compare
 ``powergame.oneshot.social_optimum`` and ``oneshot._power_grids`` against
 them by bytes, and the per-stage engine reference plans the social optimum
 with them.
+
+``efficiency_value_oracle`` and ``utility_from_sinr_oracle`` are the
+masked-divide bodies of ``ExponentialEfficiency.value`` and
+``oneshot._utility_from_sinr`` that the package used before both became a
+plain divide under ``np.where``; tests compare the kernels against them by
+bytes.
 """
 
 from __future__ import annotations
@@ -97,3 +103,22 @@ def social_optimum_oracle(params, eta, grid_size: int = 12):
         if w > best_w:
             best_p, best_w = p, w
     return best_p, best_w
+
+
+def efficiency_value_oracle(eff, x):
+    """f(x); accepts scalars or arrays, x >= 0 (x = 0 and NaN map to 0).
+    Warns where -a/x overflows (5e-324 at a = 0.1)."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("SINR must be nonnegative")
+    # one pass each: -a/x where x > 0, -inf (so exp gives 0) elsewhere
+    out = np.full(x.shape, -np.inf)
+    np.divide(-eff.a, x, out=out, where=x > 0)
+    np.exp(out, out=out)
+    return out if out.ndim else float(out)
+
+
+def utility_from_sinr_oracle(params: GameParams, powers: np.ndarray, s) -> np.ndarray:
+    """Utilities of ``powers`` whose SINRs ``s`` are already known."""
+    gross = params.rates * np.asarray(efficiency_value_oracle(params.eff, s))
+    return np.divide(gross, powers, out=np.zeros(gross.shape), where=powers > 0)

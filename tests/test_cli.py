@@ -63,6 +63,17 @@ def test_unreadable_config_exits_2_naming_the_path(tmp_path, capsys, make, messa
     assert f"config error at {bad}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["simulate", "region"])
+@pytest.mark.parametrize("document", ["[]", "3", "null"])
+def test_a_config_that_is_no_json_object_exits_2(tmp_path, capsys, verb, document):
+    bad = tmp_path / "l.json"
+    bad.write_text(document)
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"config error at {bad}: document must be a JSON object" in capsys.readouterr().err
+
+
 def test_module_entry_point_exits_2_on_a_malformed_config(tmp_path):
     # ``python -m powergame`` from a checkout, with only src/ on the path
     bad = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,15 @@ class TestEval:
         assert eff.value(np.array([0.0, np.nan, 0.3])).tolist() == [0.0, 0.0, math.exp(-1.0)]
         with pytest.raises(ValueError, match="nonnegative"):
             eff.value(np.array([0.5, -1e-300]))
+
+    @pytest.mark.parametrize("a", [1e-300, 0.1, 2.0])
+    def test_a_subnormal_sinr_maps_to_zero_without_a_warning(self, a):
+        # -a/x overflows to -inf, so exp gives the exact limit 0
+        eff = ExponentialEfficiency(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eff.value(5e-324) == 0.0
+            assert eff.value(np.array([5e-324, 1e-310])).tolist() == [0.0, 0.0]
 
 
 class TestRoots:

@@ -44,7 +44,7 @@ from powergame.engine import (
 )
 from powergame.efficiency import ExponentialEfficiency
 from powergame.errors import CapError, ModelError, SaturationError
-from powergame.oneshot import GameParams, sinr
+from powergame.oneshot import GameParams, _sinr
 from powergame.strategies import (
     BEST_USERS,
     NASH,
@@ -146,7 +146,7 @@ KERNEL_CASES = [(law, k) for law in LAWS for k in (1, 2, 5, 10)] + [("markov_8_s
 @pytest.mark.parametrize("law, k", KERNEL_CASES, ids=[f"{law}-K{k}" for law, k in KERNEL_CASES])
 def test_closed_form_utilities_match_the_sinr_route(law, k, kind, monkeypatch):
     sinr_calls = []
-    monkeypatch.setattr(engine, "sinr", lambda *args: sinr_calls.append(args) or sinr(*args))
+    monkeypatch.setattr(engine, "_sinr", lambda *args: sinr_calls.append(args) or _sinr(*args))
     model = _markov_8_state() if law == "markov_8_state" else build_model(LAWS[law], k)
     eta = _path_gains(model, 400, k, 0)
     cfg = EngineConfig(horizon=400, lam=0.5, seed=0)

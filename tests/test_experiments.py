@@ -454,6 +454,11 @@ def _pinned_configs(directory):
             "strategies": ["social_optimum"],
             "engine": {"horizon": 40, "seed": 23, "replicates": 2, "trace": True,
                        "deviation": {"player": 2, "start": 15, "mode": "permanent"}}},
+        "social_optimum_exhaustive": {  # K = 3: the exhaustive search, one row per stage
+            "task": "simulate", "game": {"K": 3, "a": 0.1}, "channel": RAYLEIGH16,
+            "strategies": ["social_optimum"],
+            "engine": {"horizon": 40, "seed": 23, "replicates": 2, "trace": True,
+                       "deviation": {"player": 1, "start": 15, "mode": "permanent"}}},
         "dominance_large_k": {  # 16^K joint states: every rule plans one row per stage
             "task": "dominance", "game": {"K": 8, "a": 0.1}, "channel": RAYLEIGH16,
             "strategies": ["nash", "time_sharing", "operating_point",
@@ -513,6 +518,10 @@ PINNED_ARTIFACTS = {
     "social_optimum_ascent": {
         "summary.csv": "f656d2f4ecee5c061f640fa3cc17a9f3c482db55e6ddeef9409d2444e2fcaea1",
         "trace.csv": "afa9314c380f9aa41e7a70c0bd984ae87e1cbed9fdb9987d633d60364a235ed4"},
+    # computed with the masked-divide efficiency and utility kernels
+    "social_optimum_exhaustive": {
+        "summary.csv": "671aa0799847b1c3f415161fd6b8954598453031587c34dcd64526c47d932e85",
+        "trace.csv": "afb97b70957c4678a1edea9881f186a6404482741a59a8af6c9a5e42207f8409"},
     # computed with the argsort best-user mask, the row-reduction selectors
     # and the masked-divide utilities
     "dominance_large_k": {
@@ -528,6 +537,13 @@ def test_artifact_bytes_are_pinned(name, tmp_path):
     manifest = run_experiment(config, tmp_path / name)
     got = {k: v for k, v in manifest["artifacts"].items() if k != "config.json"}
     assert got == PINNED_ARTIFACTS[name]
+
+
+@pytest.mark.parametrize("config", [[], 3, None, 2.5])
+def test_a_config_that_is_neither_a_dict_nor_a_path_is_refused(config, tmp_path):
+    with pytest.raises(ConfigError, match="config error at <root>: document must be a JSON"):
+        run_experiment(config, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def _two_player_model_file(directory):

@@ -1,16 +1,27 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from oneshot_oracle import power_grid_oracle, social_optimum_oracle
+from oneshot_oracle import (
+    efficiency_value_oracle,
+    power_grid_oracle,
+    social_optimum_oracle,
+    utility_from_sinr_oracle,
+)
 
+from powergame import oneshot
 from powergame.efficiency import ExponentialEfficiency
 from powergame.errors import CapError, SaturationError
 from powergame.oneshot import (
     GameParams,
+    _first_of_each_state,
     _power_grids,
+    _sinr,
+    _utility_from_sinr,
+    _welfare,
     best_response,
     nash_powers,
     operating_point_powers,
@@ -53,6 +64,39 @@ class TestGainValidation:
     def test_gains_must_be_positive_and_finite(self, name, gain):
         with pytest.raises(ValueError, match="channel gains must be positive and finite"):
             self.FUNCTIONS[name](params_for(2, 0.1), [gain, 2.0])
+
+
+class TestPowerValidation:
+    FUNCTIONS = {"sinr": sinr, "utility": utility, "welfare": welfare}
+
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
+    def test_powers_must_be_nonnegative_and_finite(self, name, power):
+        with pytest.raises(ValueError, match="powers must be nonnegative and finite"):
+            self.FUNCTIONS[name](params_for(2, 0.1), [1.0, 2.0], [power, 1.0])
+
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    def test_a_bad_power_anywhere_in_a_batch_is_refused(self, name):
+        powers = np.ones((3, 4, 2))
+        powers[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="powers"):
+            self.FUNCTIONS[name](params_for(2, 0.1), np.ones((3, 1, 2)), powers)
+
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    def test_gains_are_checked_before_powers(self, name):
+        with pytest.raises(ValueError, match="channel gains must be positive and finite"):
+            self.FUNCTIONS[name](params_for(2, 0.1), [-1.0, 2.0], [np.nan, 1.0])
+
+    def test_negative_zero_is_a_silent_player(self):
+        p = params_for(2, 0.1)
+        assert utility(p, [1.0, 2.0], [-0.0, 0.5]).tolist() == \
+            utility(p, [1.0, 2.0], [0.0, 0.5]).tolist()
+        assert utility(p, [1.0, 2.0], [-0.0, 0.5], 0) == 0.0
+        assert welfare(p, [1.0, 2.0], [-0.0, -0.0]) == 0.0
+
+    def test_best_response_still_ignores_an_infinite_own_entry(self):
+        p = params_for(2, 0.1)
+        assert best_response(p, [1.0, 2.0], [np.inf, 5.0], 0) == pytest.approx(1.1)
 
 
 class TestSinr:
@@ -464,3 +508,148 @@ def test_coordinate_ascent_matches_the_scalar_search(k, p_max):
         one_p, one_w = social_optimum(p, eta[:1], grid_size)
         assert one_p.shape == (1, k) and one_p.tobytes() == powers[0].tobytes()
         assert one_w.tobytes() == w[:1].tobytes()
+
+
+def test_first_of_each_state_keeps_the_first_live_pair_of_each_state():
+    row = np.array([0, 0, 0, 0, 1, 1, 1])
+    p = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0],
+                  [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    w = np.array([2.0, 2.0, 2.0, 2.0, 2.0, 3.0, 2.0])
+    assert _first_of_each_state(row, p, w, np.arange(7)).tolist() == [0, 2, 4, 5]
+    assert _first_of_each_state(row, p, w, np.array([1, 3, 5, 6])).tolist() == [1, 5, 6]
+    assert _first_of_each_state(row, p, w, np.array([], dtype=int)).tolist() == []
+
+
+@pytest.mark.parametrize("k, p_max", [(5, np.inf), (6, np.inf), (5, 0.09), (7, 1.0)])
+def test_dropping_repeated_ascent_states_changes_no_byte(k, p_max, monkeypatch):
+    # Rayleigh-like rows, where starts snap to the same grid points and
+    # climbs merge: the full lockstep and the deduplicated one agree, and
+    # the deduplicated one scores fewer candidates
+    rng = np.random.default_rng(40 + k)
+    eta = rng.exponential(1.0, (40, k)) + 0.01
+    eta[5] = eta[4]
+    results, scored = [], []
+    welfare_kernel = oneshot._welfare
+
+    def counting(params, eta, powers):
+        scored[-1] += powers.shape[0] * powers.shape[1] if powers.ndim == 3 else 0
+        return welfare_kernel(params, eta, powers)
+
+    monkeypatch.setattr(oneshot, "_welfare", counting)
+    for dedup in (_first_of_each_state, lambda row, p, w, live: live):
+        monkeypatch.setattr(oneshot, "_first_of_each_state", dedup)
+        scored.append(0)
+        for a in (0.05, 0.1, 0.15):
+            results.append(social_optimum(GameParams.symmetric(k, a=a, p_max=p_max), eta))
+    half = len(results) // 2
+    for (p1, w1), (p2, w2) in zip(results[:half], results[half:]):
+        assert p1.tobytes() == p2.tobytes() and w1.tobytes() == w2.tobytes()
+    assert scored[0] < scored[1]
+    params = GameParams.symmetric(k, a=0.05, p_max=p_max)
+    for r in range(0, 40, 5):
+        want_p, want_w = social_optimum_oracle(params, eta[r])
+        assert results[0][0][r].tobytes() == want_p.tobytes()
+        assert results[0][1][r] == want_w
+
+
+def _same_bytes(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# every special value a kernel's mask must keep or drop
+SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, 1e-300, 0.1, 3.0])
+
+
+class TestKernelsAgainstTheMaskedOracles:
+    """``ExponentialEfficiency.value`` and ``_utility_from_sinr`` against
+    their former masked-divide bodies, byte for byte, warning-free."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
+
+    @staticmethod
+    def _oracle(fn, *args):
+        with np.errstate(over="ignore"):  # the masked divide warns where -a/x overflows
+            return fn(*args)
+
+    @pytest.mark.parametrize("a", [0.1, 1.5, 1e-300, 1e300])
+    def test_value_of_each_special_value_and_scalar(self, a):
+        eff = ExponentialEfficiency(a)
+        x = SPECIAL[~(SPECIAL < 0)]  # NaN stays
+        assert _same_bytes(eff.value(x), self._oracle(efficiency_value_oracle, eff, x))
+        for v in x:  # 0-d input gives a float, as before
+            got, want = eff.value(v), self._oracle(efficiency_value_oracle, eff, v)
+            assert type(got) is float and _same_bytes(got, want)
+        for bad in (-np.inf, -1.0, -5e-324):
+            with pytest.raises(ValueError, match="nonnegative"):
+                eff.value(np.array([1.0, bad]))
+
+    def test_value_on_random_arrays(self):
+        rng = np.random.default_rng(11)
+        x = rng.exponential(0.2, (400, 7))
+        x.flat[rng.integers(0, x.size, 300)] = rng.choice(SPECIAL[~(SPECIAL < 0)], 300)
+        for a in (0.02, 0.1, 2.0):
+            eff = ExponentialEfficiency(a)
+            assert _same_bytes(eff.value(x), self._oracle(efficiency_value_oracle, eff, x))
+            assert _same_bytes(eff.value(x[:, ::2]),  # strided
+                               self._oracle(efficiency_value_oracle, eff, x[:, ::2]))
+
+    def test_utility_from_sinr_on_every_pair_of_special_values(self):
+        p = params_for(1, 0.1, rates=2.5)
+        powers, s = (g.ravel() for g in np.meshgrid(SPECIAL, SPECIAL[~(SPECIAL < 0)],
+                                                    indexing="ij"))
+        want = self._oracle(utility_from_sinr_oracle, p, powers, s)
+        # a subnormal power with a positive goodput is a kept entry whose
+        # quotient overflows to inf: it warns, as it did under the mask
+        over = (powers == 5e-324) & (want == np.inf)
+        assert over.any() and _same_bytes(_utility_from_sinr(p, powers[~over], s[~over]),
+                                          want[~over])
+        with pytest.warns(RuntimeWarning, match="overflow encountered in divide"):
+            got = _utility_from_sinr(p, powers[over], s[over])
+        assert _same_bytes(got, want[over])
+        for power, value in zip(powers[~over], s[~over]):  # 0-d arrays give 0-d arrays
+            got = _utility_from_sinr(p, np.asarray(power), np.asarray(value))
+            want_0d = self._oracle(utility_from_sinr_oracle, p, np.asarray(power), value)
+            assert _same_bytes(got, want_0d)
+
+    def test_utility_from_sinr_of_k_powers_against_n_by_k_sinr(self):
+        rng = np.random.default_rng(12)
+        k = 4
+        p = params_for(k, 0.2, rates=np.linspace(1.0, 2.0, k))
+        powers = np.array([0.0, -0.0, 0.3, 1e-300])
+        s = rng.exponential(0.3, (50, k))
+        s[::7] = SPECIAL[[0, 2, 5, 6]]
+        want = self._oracle(utility_from_sinr_oracle, p, powers, s)
+        got = _utility_from_sinr(p, powers, s)
+        assert got.shape == (50, k) and _same_bytes(got, want)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_utility_of_n_by_1_gains_against_n_by_m_profiles(self, k):
+        rng = np.random.default_rng(13 + k)
+        p = params_for(k, 0.1, sigma2=0.7, rates=np.linspace(1.0, 3.0, k))
+        eta = rng.uniform(0.1, 4.0, (6, 1, k))
+        profiles = rng.uniform(0.0, 2.0, (6, 9, k))
+        profiles[rng.random(profiles.shape) < 0.3] = 0.0
+        profiles[0, 0] = -0.0
+        profiles[1, 1, 0] = 5e-324
+        profiles[2, 2, -1] = 1e308
+        eta[2, 0, -1] = 0.5  # its received power stays finite
+        want = self._oracle(utility_from_sinr_oracle, p, profiles, _sinr(p, eta, profiles))
+        got = utility(p, eta, profiles)
+        assert got.shape == (6, 9, k) and _same_bytes(got, want)
+        assert _same_bytes(welfare(p, eta, profiles), want.sum(axis=-1))
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 6])
+    def test_private_kernels_match_the_public_ones(self, k):
+        rng = np.random.default_rng(20 + k)
+        p = params_for(k, 0.15, sigma2=1.3, rates=np.linspace(0.5, 2.0, k))
+        for shape in [(k,), (30, k), (5, 7, k)]:
+            eta = rng.uniform(0.05, 5.0, shape)
+            powers = rng.uniform(0.0, 3.0, shape)
+            powers[rng.random(shape) < 0.25] = 0.0
+            assert _same_bytes(_sinr(p, eta, powers), sinr(p, eta, powers))
+            assert _same_bytes(_welfare(p, eta, powers), welfare(p, eta, powers))
