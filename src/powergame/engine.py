@@ -20,18 +20,16 @@ Every transmitting player whose rule carries an alarm compares its
 realized SINR with the value its plan predicts, and the first stage t*
 with a mismatch (other than the deviator's own) switches every later
 stage to the selfish equilibrium, to which a permanent deviator keeps
-best-responding.  Monitoring is skipped when everyone follows one rule and
-nobody deviates; monitoring from the total received power alone is not
+best-responding.  Monitoring from the total received power alone is not
 supported.
 
-Such a run, when its plan is under every cap, needs no SINR pass either:
-each transmitter realizes the SINR its rule predicts (beta_star under the
-selfish equilibrium, gamma_tilde(k) in a k-player equal-received-power
-group, p eta / sigma2 for the lone time-sharing winner), so its utility is
-R f(s) / p with one s per row.  These utilities agree with the SINR route
-to within rounding (bit for bit under time sharing).  A social-optimum
-run, like any run with an alarm or a plan over its cap, gathers its
-plan along the path and computes SINR stage by stage.  ``run_game``
+One kind of run takes the closed form (``_closed_form``): everyone follows
+one rule other than ``social_optimum``, nobody deviates, and the plan is
+under every cap.  It needs no SINR pass, since each transmitter realizes
+the SINR its rule predicts.  Every other run is monitored, a compliant
+social-optimum run or plan over a cap too; there no alarm fires, the
+predicted and the realized SINR being the same row-wise computation, and
+a plan over a cap raises the first failing stage's error.  ``run_game``
 computes the SINR its trace records, for the kept stages only.
 """
 
@@ -182,7 +180,7 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
     )
     return RunResult(
         discounted=discounted_utility(util_all, cfg.lam),
-        time_average=_time_average(util_all),
+        time_average=util_all.mean(axis=0),
         weight_sum=float(-np.expm1(horizon * np.log1p(-cfg.lam))),
         remainder_bound=truncation_bound(util_all, cfg.lam),
         trace=trace,
@@ -215,44 +213,40 @@ def _play(params: GameParams, kinds: tuple, eta: np.ndarray, rows, cfg: EngineCo
     """Grim-trigger play of per-player ``kinds`` on the gains ``eta``; stage
     t+1 plays row ``rows[t]`` (``rows`` None: row t).
 
-    Every rule plans each row once.  A single rule other than the social
-    optimum, with no alarm and its plan under every cap, stays on the rows
-    and takes its utilities from the SINR the rule gives each transmitter,
-    without computing SINR.  Any other run gathers its plan along the path
-    and plays per stage, which finds the punishment stage or raises the
-    first failing stage's error.  Returns ``(eta, powers, recommended, rows,
-    utility, punishment_stage)``: ``utility`` per stage, the other arrays
-    indexed by the returned ``rows`` map (None: by stage).
+    A run nobody deviates in takes ``_closed_form`` when it gives one: it
+    stays on the rows and computes no SINR.  Any other run plans each row
+    once, gathers its plan along the path and plays per stage, which finds
+    the punishment stage or raises the first failing stage's error.
+    Returns ``(eta, powers, recommended, rows, utility, punishment_stage)``:
+    ``utility`` per stage, the other arrays indexed by the returned ``rows``
+    map (None: by stage).
     """
     dev = cfg.deviation
     if dev is not None and dev.player >= params.n_players:
         raise ValueError("deviation player index out of range")
-    planned, recommended, expected, k_active = _plan(params, kinds, eta, dev is not None)
-    if (expected is None and kinds[0].name != "social_optimum"
-            and under_caps(params, planned)):
-        utility = _compliant_utility(params, kinds[0], eta, planned, recommended, k_active)
+    closed = None if dev is not None else _closed_form(params, kinds, eta)
+    if closed is not None:
+        powers, recommended, utility = closed
         if rows is not None:
             utility = utility.take(rows, axis=0)
-        return eta, planned, recommended, rows, utility, None
+        return eta, powers, recommended, rows, utility, None
+    planned, recommended, expected = _plan(params, kinds, eta)
     if rows is not None:  # ``take`` gathers rows several times faster than indexing
-        eta, planned, recommended = (a.take(rows, axis=0) for a in (eta, planned, recommended))
-        expected = None if expected is None else expected.take(rows, axis=0)
+        eta, planned, recommended, expected = (
+            a.take(rows, axis=0) for a in (eta, planned, recommended, expected))
     horizon = eta.shape[0]
 
     deviating = slice(0, 0)
     if dev is not None:
         deviating = slice(dev.start - 1, None if dev.mode == "permanent" else dev.start)
     powers = _deviate(params, eta, planned, dev, deviating)
-    realized = None  # SINR of ``powers``, once computed
-    punishment_stage = None
-    if expected is not None:
-        realized = _sinr(params, eta, powers)
-        hits = detect_deviation(expected, realized, cfg.detection_tol)
-        hits &= powers > 0  # silent players are not monitored
-        if dev is not None:
-            hits[deviating, dev.player] = False  # nor is the deviator while it deviates
-        if hits.any():
-            punishment_stage = int(np.argmax(hits.any(axis=1))) + 1
+    realized = _sinr(params, eta, powers)
+    hits = detect_deviation(expected, realized, cfg.detection_tol)
+    hits &= powers > 0  # silent players are not monitored
+    if dev is not None:
+        hits[deviating, dev.player] = False  # nor is the deviator while it deviates
+    hit_stages = hits.any(axis=1)
+    punishment_stage = int(np.argmax(hit_stages)) + 1 if hit_stages.any() else None
 
     scheduled = planned
     if punishment_stage is not None and punishment_stage < horizon:
@@ -262,67 +256,62 @@ def _play(params: GameParams, kinds: tuple, eta: np.ndarray, rows, cfg: EngineCo
         if dev is not None and dev.mode == "one_shot" and punishment_stage < dev.start:
             deviating = slice(0, 0)  # caught before its deviation stage came
         powers = _deviate(params, eta, scheduled, dev, deviating)
-        realized = None
+        realized = _sinr(params, eta, powers)
     # raise what the earliest scheduled power over its cap raises (the
     # deviator's counts too, although it plays another one)
     calm = horizon if punishment_stage is None else punishment_stage
     check_caps(params, kinds, scheduled[:calm])
     check_caps(params, NASH, scheduled[calm:])
-
-    if realized is None:
-        realized = _sinr(params, eta, powers)
     util_all = _utility_from_sinr(params, powers, realized)
     return eta, powers, recommended, None, util_all, punishment_stage
 
 
-def _time_average(util: np.ndarray) -> np.ndarray:
-    """``util.mean(axis=0)`` of (T, K) stage utilities, bit for bit.
+def _closed_form(params, kinds, gains):
+    """``(powers, recommended, utility)`` of everyone following one rule on
+    the rows ``gains``, nobody deviating; None for mixed rules, for
+    ``social_optimum`` and for a plan over a cap, which are played.
 
-    For a C-contiguous array with K >= 2, ``mean`` adds the rows one by one
-    into a (K,) total, and so does ``einsum``, several times faster; with
-    K = 1 ``mean`` sums pairwise, and it is kept there.  (The one input on
-    which they differ, a column of -0.0 only, is no utility.)
+    The utilities R_i f(s_i) / p_i take the SINR s_i the rule gives each
+    transmitter: beta_star under ``nash``, gamma_tilde of the group size
+    under the equal-received-power rules, and p eta / sigma2 for the lone
+    ``time_sharing`` winner.  Silent players get 0.  They agree with the
+    SINR route to within rounding (bit for bit under time sharing).
     """
-    if util.shape[1] < 2 or not util.flags.c_contiguous:
-        return util.mean(axis=0)
-    return np.einsum("tk->k", util) / util.shape[0]
+    kind = kinds[0]
+    if kind.name == "social_optimum" or len(set(kinds)) > 1:
+        return None
+    powers, recommended, k_active = unchecked_profile(params, kind, gains)
+    if not under_caps(params, powers):
+        return None
+    return powers, recommended, _compliant_utility(params, kind, gains, powers, recommended,
+                                                   k_active)
 
 
-def _plan(params, kinds, eta, deviation: bool):
+def _plan(params, kinds, eta):
     """Every player's unchecked compliant plan, one plan per distinct rule.
 
-    Returns ``(powers, recommended, expected, k_active)``: ``expected`` is
-    the SINR each player's alarm predicts (NaN without an alarm), or None
-    when everyone follows one rule and nobody deviates; ``k_active`` is the
-    single rule's recommended count per row (None for mixed rules).  Powers
-    over their caps are left for the caller to check.
+    Returns ``(powers, recommended, expected)``: ``expected`` is the SINR
+    each player's alarm predicts, that of its own rule's plan (NaN without
+    an alarm).  Powers over their caps are left for the caller to check.
     """
     rules = list(dict.fromkeys(kinds))
     plans = {rule: unchecked_profile(params, rule, eta) for rule in rules}
-    k_active = None
-    if len(rules) == 1:  # no gathered copy: long compliant runs stay lean
-        powers, recommended, k_active = plans[rules[0]]
+    if len(rules) == 1:  # no gathered copy: long runs stay lean
+        powers, recommended, _ = plans[rules[0]]
     else:  # each player takes its own rule's column
         powers = np.stack([plans[kind][0][:, i] for i, kind in enumerate(kinds)], axis=1)
         recommended = np.stack([plans[kind][1][:, i] for i, kind in enumerate(kinds)], axis=1)
-    if len(rules) == 1 and not deviation:
-        return powers, recommended, None, k_active
-
     expected = np.full(eta.shape, np.nan)
     for rule, (rule_powers, *_) in plans.items():
-        if rule.name in MONITORED_KINDS:  # the alarm predicts the SINR of the rule's own plan
+        if rule.name in MONITORED_KINDS:
             cols = [i for i, kind in enumerate(kinds) if kind == rule]
             expected[:, cols] = _sinr(params, eta, rule_powers)[:, cols]
-    return powers, recommended, expected, k_active
+    return powers, recommended, expected
 
 
 def _compliant_utility(params, kind, eta, powers, recommended, k_active):
-    """Utilities R_i f(s_i) / p_i of one rule's plan ``powers`` and
-    ``recommended`` mask (under every cap, nobody deviating), from the SINR
-    s_i the rule gives each transmitter: beta_star under ``nash``,
-    gamma_tilde of the group size under the equal-received-power rules, and
-    p eta / sigma2 for the lone ``time_sharing`` winner.  Silent players
-    get 0.  Not for ``social_optimum``."""
+    """``_closed_form``'s utilities of one rule's plan ``powers`` and
+    ``recommended`` mask, under every cap."""
     if kind.name == "time_sharing":
         flat = np.flatnonzero(recommended)  # each row's one winner, as a flat index
         p = np.take(powers, flat)
@@ -415,7 +404,7 @@ def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: 
                 kinds = _normalize_kinds(kinds, params.n_players)
                 average = _closed_form_average(params, kinds, eta, rows)
                 if average is None:  # played whole, which raises if a plan is over a cap
-                    average = _time_average(_play(params, kinds, eta, rows, cfg)[4])
+                    average = _play(params, kinds, eta, rows, cfg)[4].mean(axis=0)
             except (PowerGameError, ValueError) as exc:  # an earlier entry may still fail first
                 live, error = j, exc
                 break
@@ -429,58 +418,40 @@ def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: 
 
 
 def _closed_form_average(params: GameParams, kinds: tuple, eta: np.ndarray, rows):
-    """``_time_average`` of what ``_play`` gives a closed-form run of
-    ``kinds`` with no deviation, bit for bit, played one block of rows at a
-    time; None where the whole path must be played: K = 1, mixed rules,
-    ``social_optimum``, or a plan over a cap in some block.
-
-    Per stage (``rows`` None) each block of gains is planned, cap-screened
-    and scored; on the visited states the utility table is scored once and
-    gathered one block of ``rows`` at a time.
-    """
-    kind = kinds[0]
-    if eta.shape[1] < 2 or kind.name == "social_optimum" or len(set(kinds)) > 1:
-        return None
-
-    def score(gains):  # closed-form utilities of the rows ``gains``, None over a cap
-        powers, recommended, _, k_active = _plan(params, kinds, gains, False)
-        if not under_caps(params, powers):
-            return None
-        return _compliant_utility(params, kind, gains, powers, recommended, k_active)
-
-    if rows is None:
-        def fill(start, out):
-            utility = score(eta[start:start + len(out)])
-            if utility is not None:
-                out[...] = utility
-            return utility is not None
-    else:
-        table = score(eta)
-        if table is None:
-            return None
-
-        def fill(start, out):  # ``clip`` lets ``take`` write to ``out`` unbuffered
-            table.take(rows[start:start + len(out)], axis=0, out=out, mode="clip")
-            return True
-
-    return _streamed_average(fill, eta.shape[0] if rows is None else rows.size, eta.shape[1])
-
-
-def _streamed_average(fill, n: int, k: int):
-    """``_time_average`` of (n, k) stage utilities, k >= 2, bit for bit,
-    without their whole array: ``fill(start, out)`` writes rows ``start``
-    on into the block ``out`` and returns False to give up (then None).
+    """``mean(axis=0)`` of the utilities ``_play`` gives ``kinds`` with no
+    deviation, bit for bit, one block of rows at a time; None where the
+    whole path must be played: K = 1, or ``_closed_form`` giving None on
+    the visited-state table or on some block of stages.
 
     Each block goes into rows 1.. of one buffer whose row 0 carries the
-    running (k,) total, so ``einsum`` over the buffer continues the
-    row-by-row sum it makes over a whole C-contiguous array.
+    running (K,) total, so ``einsum`` over the buffer continues the
+    row-by-row sum that ``mean`` makes over a whole C-contiguous array with
+    K >= 2 (with K = 1 it sums pairwise).  Per stage (``rows`` None) each
+    block of gains is scored; on the visited states the table is scored
+    once and gathered one block of ``rows`` at a time.
     """
+    k = eta.shape[1]
+    if k < 2:
+        return None
+    table = None
+    if rows is not None:
+        table = _closed_form(params, kinds, eta)
+        if table is None:
+            return None
+        table = table[2]  # only the utilities stay alive through the blocks
+    n = eta.shape[0] if rows is None else rows.size
     step = max(1, _PLAY_BLOCK_ENTRIES // k)
     buf = np.zeros((min(step, n) + 1, k))
     for start in range(0, n, step):
         m = min(step, n - start)
-        if not fill(start, buf[1:m + 1]):
-            return None
+        if table is not None:  # ``clip`` lets ``take`` write to ``buf`` unbuffered
+            table.take(rows[start:start + m], axis=0, out=buf[1:m + 1], mode="clip")
+        else:
+            scored = _closed_form(params, kinds, eta[start:start + m])
+            if scored is None:
+                return None
+            buf[1:m + 1] = scored[2]
+            del scored  # the next block is scored without this one alive
         buf[0] = np.einsum("tk->k", buf[:m + 1])
     return buf[0] / n
 

@@ -49,6 +49,9 @@ _SWEEP_AXES = {  # each axis and the check of its values
     "alpha": ((lambda x: _is_number(x) and 0 <= x <= 1), "alpha values must lie in [0, 1]"),
 }
 _PRESET_SEED = 987654321
+# the channel of fig4, fig5 and partition; each preset gets its own copy
+_PRESET_RAYLEIGH_16 = {"kind": "truncated_rayleigh", "scale": 1.0,
+                       "eta_min": 0.1, "eta_max": 10.0, "bins": 16}
 _REQUIRED = object()
 
 
@@ -530,8 +533,7 @@ def preset(name: str, seed: int | None = None) -> dict:
         cfg = {
             "task": "dominance",
             "game": {"K": 10, "a": 0.1},
-            "channel": {"kind": "truncated_rayleigh", "scale": 1.0,
-                        "eta_min": 0.1, "eta_max": 10.0, "bins": 16},
+            "channel": dict(_PRESET_RAYLEIGH_16),
             "strategies": ["nash", "time_sharing", "operating_point",
                            {"kind": "threshold", "alpha": 0.5}, "best_users"],
             "engine": {"horizon": 100_000, "seed": seed, "replicates": 4},
@@ -550,8 +552,7 @@ def preset(name: str, seed: int | None = None) -> dict:
         cfg = {
             "task": "lambdamax",
             "game": {"K": 10, "a": 0.1},
-            "channel": {"kind": "truncated_rayleigh", "scale": 1.0,
-                        "eta_min": 0.1, "eta_max": 10.0, "bins": 16},
+            "channel": dict(_PRESET_RAYLEIGH_16),
             "engine": {"horizon": 100_000, "seed": seed, "replicates": 4},
             "sweep": {"axis": "K", "values": list(range(2, 11))},
             "artifact": "fig5.csv",
@@ -567,8 +568,7 @@ def preset(name: str, seed: int | None = None) -> dict:
         cfg = {
             "task": "partition",
             "game": {"K": 5, "a": 0.2},
-            "channel": {"kind": "truncated_rayleigh", "scale": 1.0,
-                        "eta_min": 0.1, "eta_max": 10.0, "bins": 16},
+            "channel": dict(_PRESET_RAYLEIGH_16),
             "engine": {"horizon": 100_000, "seed": seed},
             "artifact": "partition.csv",
             "provenance": {

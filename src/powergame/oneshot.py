@@ -200,26 +200,41 @@ def sinr(params: GameParams, eta, powers, i: int | None = None):
     ``eta`` and ``powers`` have shape (..., K); returns shape (..., K),
     or (...) for a single player when ``i`` is given.
     """
-    eta = _check_realization(params, eta)
-    out = _sinr(params, eta, _check_powers(powers))
+    out = _checked_sinr(params, eta, powers)[1]
     if i is not None:
         out = out[..., i]
     return out if np.ndim(out) else float(out)
+
+
+def _checked_sinr(params: GameParams, eta, powers):
+    """``powers`` as a float array and its SINR on the gains ``eta``, both
+    checked; refused where a received power p eta, or a row's total of
+    them, overflows (two finite powers can)."""
+    eta = _check_realization(params, eta)
+    powers = _check_powers(powers)
+    with np.errstate(over="ignore"):
+        received = powers * eta
+        total = received.sum(axis=-1, keepdims=True)
+    if not total.max(initial=0.0) < np.inf:  # inf in a row carries to its total
+        raise ValueError("received powers p * eta and their sum must be finite")
+    return powers, _sinr_of_received(params, received, total)
 
 
 def _sinr(params: GameParams, eta: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """``sinr`` of float arrays, unchecked: the engine's gains come from a
     validated model and its powers from its own plans."""
     received = powers * eta
-    total = received.sum(axis=-1, keepdims=True)
+    return _sinr_of_received(params, received, received.sum(axis=-1, keepdims=True))
+
+
+def _sinr_of_received(params: GameParams, received, total) -> np.ndarray:
+    """SINR from the received powers and each row's (keepdims) total."""
     return received / (total - received + params.sigma2)
 
 
 def utility(params: GameParams, eta, powers, i: int | None = None):
     """Energy efficiency R_i f(SINR_i) / p_i in bit/J; 0 for a silent player."""
-    eta = _check_realization(params, eta)
-    powers = _check_powers(powers)
-    out = _utility_from_sinr(params, powers, _sinr(params, eta, powers))
+    out = _utility_from_sinr(params, *_checked_sinr(params, eta, powers))
     if i is not None:
         out = out[..., i]
     return out if np.ndim(out) else float(out)
@@ -235,7 +250,7 @@ def _utility_from_sinr(params: GameParams, powers: np.ndarray, s) -> np.ndarray:
 
 def welfare(params: GameParams, eta, powers):
     """Sum of all players' utilities."""
-    return _welfare(params, _check_realization(params, eta), _check_powers(powers))
+    return _utility_from_sinr(params, *_checked_sinr(params, eta, powers)).sum(axis=-1)
 
 
 def _welfare(params: GameParams, eta: np.ndarray, powers: np.ndarray) -> np.ndarray:

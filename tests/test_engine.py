@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from powergame import engine
 from powergame.channels import (
     ChannelModel,
     IIDJointLaw,
+    IIDProductLaw,
     MarkovJointLaw,
     TruncatedRayleighSpec,
     TwoStateSpec,
@@ -17,8 +19,9 @@ from powergame.engine import (
     DeviationSpec,
     _PLAY_BLOCK_ENTRIES,
     EngineConfig,
-    _streamed_average,
-    _time_average,
+    _closed_form_average,
+    _draw_states,
+    _play,
     discount_weights,
     discounted_utility,
     estimate_expected_utilities,
@@ -486,55 +489,97 @@ class TestErgodicAndInitialState:
             assert np.all(gap <= tol)
 
 
-@pytest.mark.parametrize("k", range(1, 13))
-def test_time_average_is_the_mean_bit_for_bit(k):
-    # heavy-tailed values (Pareto, infinite variance) of both signs, with
-    # exact zeros: a change in the order of the additions shows in the low
-    # bits, even at K = 1 and N = 3, where mean sums pairwise and einsum not
-    rng = np.random.default_rng(2100 + k)
-    for n in (1, 2, 3, 8, 100, 20_000):
-        for _ in range(3):
-            u = rng.pareto(1.5, (n, k)) * rng.choice([-1.0, 1.0], (n, k))
-            u[rng.random((n, k)) < 0.25] = 0.0
-            if k > 1:
-                u[:, -1] = 0.0  # a player that never earns
-            for view in (u, np.asfortranarray(u), u[::-1]):
-                assert _time_average(view).tobytes() == view.mean(axis=0).tobytes()
+@pytest.fixture
+def alarms(monkeypatch):
+    """(whether any player is monitored, whether the alarm fired) for
+    every ``detect_deviation`` call the engine makes."""
+    calls = []
+    detect = engine.detect_deviation
+
+    def spy(expected, realized, tol):
+        hits = detect(expected, realized, tol)
+        calls.append((bool(np.isfinite(expected).any()), bool(hits.any())))
+        return hits
+
+    monkeypatch.setattr(engine, "detect_deviation", spy)
+    return calls
 
 
-@pytest.mark.parametrize("k", range(2, 13))
-def test_streamed_average_is_the_time_average_bit_for_bit(k):
-    # the values of the test above, streamed through the estimator's blocks
-    # with the number of rows at and around their edges: a block edge must
-    # not change the order of the additions
+def test_a_compliant_social_optimum_run_is_monitored_and_never_punished(alarms):
+    params = params_for(3, 0.1)
+    model = build_model(TruncatedRayleighSpec(bins=16), 3)
+    res = run_game(params, model, SOCIAL_OPTIMUM, EngineConfig(horizon=40, lam=0.1, seed=4))
+    assert res.punishment_stage is None and not res.trace.punishing.any()
+    estimate_expected_utility(params, model, SOCIAL_OPTIMUM, 40, seed=4, replicates=2)
+    assert alarms == [(True, False)] * 3
+
+
+@pytest.mark.parametrize("kind", [OPERATING_POINT, BEST_USERS])
+def test_a_plan_over_a_cap_is_monitored_and_raises_the_first_stage_error(kind, alarms):
+    # at p_max 0.05 every player with gain 1 needs 0.1 W; on this path the
+    # first such stage names player 1, the first such joint state player 0
+    params = params_for(3, 0.1, p_max=0.05)
+    model = build_model(TwoStateSpec(1.0, 4.0), 3)
+    want = "equal-received-power level 0.1 exceeds player 1's cap"
+    with pytest.raises(CapError) as got:
+        run_game(params, model, kind, EngineConfig(horizon=50, lam=0.1, seed=1, spawn_key=(0,)))
+    assert type(got.value) is CapError and str(got.value) == want
+    with pytest.raises(CapError) as got:
+        estimate_expected_utility(params, model, kind, 50, seed=1, replicates=1)
+    assert type(got.value) is CapError and str(got.value) == want
+    assert alarms == [(True, False)] * 2
+
+
+def uniform_gains_model(k, bins):
+    """``k`` players with ``bins`` gains each in [0.1, 10], all equally likely."""
+    gains = np.geomspace(0.1, 10.0, bins)
+    return ChannelModel((gains,) * k, IIDProductLaw([np.full(bins, 1.0 / bins)] * k))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("bins, per_stage", [(2, False), (512, True)],
+                         ids=["visited_states", "per_stage"])
+def test_closed_form_average_is_the_whole_path_mean_bit_for_bit(k, bins, per_stage):
+    # the number of stages at and around the block edges: a block edge must
+    # not change the order of the additions that ``mean`` makes
+    model = uniform_gains_model(k, bins)
+    params = params_for(k, 0.1)
     step = _PLAY_BLOCK_ENTRIES // k
-    rng = np.random.default_rng(2300 + k)
     for n in (step - 1, step, step + 1, 3 * step + 7):
-        u = rng.pareto(1.5, (n, k)) * rng.choice([-1.0, 1.0], (n, k))
-        u[rng.random((n, k)) < 0.25] = 0.0
-        u[:, -1] = 0.0
-        filled = []
-
-        def fill(start, out):
-            filled.append((start, len(out)))
-            out[...] = u[start:start + len(out)]
-            return True
-
-        assert _streamed_average(fill, n, k).tobytes() == _time_average(u).tobytes()
-        assert filled == [(start, min(step, n - start)) for start in range(0, n, step)]
+        cfg = EngineConfig(horizon=n, lam=0.5, seed=2300 + k)
+        eta, rows = _draw_states(params, model, cfg)
+        assert (rows is None) == per_stage
+        for kind in (NASH, OPERATING_POINT, TIME_SHARING, threshold(0.5), BEST_USERS):
+            kinds = (kind,) * k
+            want = _play(params, kinds, eta, rows, cfg)[4].mean(axis=0)
+            got = _closed_form_average(params, kinds, eta, rows)
+            assert got.tobytes() == want.tobytes(), (n, kind)
 
 
-def test_streamed_average_gives_up_when_a_block_does():
-    u = np.ones((3 * _PLAY_BLOCK_ENTRIES // 2, 2))
-    starts = []
+def test_closed_form_average_gives_up_where_it_cannot_score(monkeypatch):
+    params = params_for(2, 0.1, p_max=1.0)
+    step = _PLAY_BLOCK_ENTRIES // 2
+    eta = np.ones((3 * step // 2, 2))
+    eta[-1, 1] = 0.05  # the operating point needs 2 W here, in the second block
+    scored = []
+    closed_form = engine._closed_form
 
-    def fill(start, out):
-        starts.append(start)
-        out[...] = u[start:start + len(out)]
-        return start == 0
+    def spy(params, kinds, gains):
+        scored.append(gains.shape[0])
+        return closed_form(params, kinds, gains)
 
-    assert _streamed_average(fill, u.shape[0], 2) is None
-    assert starts == [0, _PLAY_BLOCK_ENTRIES // 2]
+    monkeypatch.setattr(engine, "_closed_form", spy)
+    assert _closed_form_average(params, (OPERATING_POINT,) * 2, eta, None) is None
+    assert scored == [step, step // 2]
+    # mixed rules and the social optimum are played from the first block on
+    for kinds in ((OPERATING_POINT, NASH), (SOCIAL_OPTIMUM,) * 2):
+        scored.clear()
+        assert _closed_form_average(params, kinds, eta[:-1], None) is None
+        assert scored == [step]
+    # one player: ``mean`` sums its column pairwise, so the path is played whole
+    scored.clear()
+    assert _closed_form_average(params_for(1, 0.1), (NASH,), eta[:, :1], None) is None
+    assert scored == []
 
 
 def test_trace_csv_format():

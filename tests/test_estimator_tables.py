@@ -38,7 +38,6 @@ from powergame.engine import (
     _draw_states,
     _normalize_kinds,
     _play,
-    _time_average,
     estimate_expected_utilities,
     run_game,
 )
@@ -100,16 +99,25 @@ def _sinr_route(params, model, kind, horizon, seed, replicates):
 
 @pytest.fixture
 def planned_rows(monkeypatch):
-    """Row counts of every ``_plan`` call: one per ``_play`` call, per
-    block of a streamed closed-form estimate, or per visited-state table."""
+    """Row counts of every plan played or scored: one per ``_plan`` call
+    (a run off the closed form) and one per ``_closed_form`` call that
+    gives a plan (a run, a block of a streamed estimate, or a
+    visited-state table)."""
     rows = []
-    plan = engine._plan
+    plan, closed_form = engine._plan, engine._closed_form
 
-    def spy(params, kinds, eta, deviation):
+    def plan_spy(params, kinds, eta):
         rows.append(eta.shape[0])
-        return plan(params, kinds, eta, deviation)
+        return plan(params, kinds, eta)
 
-    monkeypatch.setattr(engine, "_plan", spy)
+    def closed_form_spy(params, kinds, gains):
+        scored = closed_form(params, kinds, gains)
+        if scored is not None:
+            rows.append(gains.shape[0])
+        return scored
+
+    monkeypatch.setattr(engine, "_plan", plan_spy)
+    monkeypatch.setattr(engine, "_closed_form", closed_form_spy)
     return rows
 
 
@@ -295,7 +303,7 @@ def test_streamed_estimates_equal_the_whole_path_play(bins, streamed, monkeypatc
             _, powers, *_, util, _ = play(params, (kind,) * 3, eta, rows, cfg)
             if params is solo:
                 assert (powers == params.p_max).any()
-            want = _time_average(util)
+            want = util.mean(axis=0)
             assert est.per_replicate[r].tobytes() == want.tobytes(), (kind, params.p_max)
 
 

@@ -87,6 +87,23 @@ class TestPowerValidation:
         with pytest.raises(ValueError, match="channel gains must be positive and finite"):
             self.FUNCTIONS[name](params_for(2, 0.1), [-1.0, 2.0], [np.nan, 1.0])
 
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    @pytest.mark.parametrize("eta, powers", [
+        ([4.0, 1.0], [1e308, 1.0]),  # p * eta overflows
+        ([1.0, 1.0], [1e308, 1e308]),  # each p * eta is finite, their sum is not
+        ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1e308, 1e308]]),  # in one row of a batch
+    ], ids=["product", "sum", "batch"])
+    def test_received_powers_must_not_overflow(self, name, eta, powers):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="received powers p \\* eta and their sum"):
+                self.FUNCTIONS[name](params_for(2, 0.1), eta, powers)
+
+    def test_a_received_power_near_the_largest_double_is_scored(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sinr(params_for(2, 0.1), [1.0, 1.0], [1e308, 0.0]).tolist() == [1e308, 0.0]
+
     def test_negative_zero_is_a_silent_player(self):
         p = params_for(2, 0.1)
         assert utility(p, [1.0, 2.0], [-0.0, 0.5]).tolist() == \

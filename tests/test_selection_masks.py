@@ -84,7 +84,7 @@ def test_alarm_predicts_gamma_tilde_within_4_ulp(kind):
             params = GameParams.symmetric(k, a=a, sigma2=sigma2)
             eta = rng.uniform(0.1, 10.0, (200, k))
             _, recommended, k_active = compliant_profile(params, kind, eta)
-            expected = _plan(params, (kind,) * k, eta, True)[2]
+            expected = _plan(params, (kind,) * k, eta)[2]
             gamma = np.array([np.nan] + [params.gamma_tilde(m) for m in range(1, k + 1)])
             gamma = np.broadcast_to(gamma[k_active][:, None], eta.shape)
             ulps = np.abs(expected - gamma)[recommended] / np.spacing(gamma[recommended])
@@ -95,7 +95,7 @@ def test_only_monitored_rules_carry_an_alarm():
     params = GameParams.symmetric(5, a=0.1)
     kinds = (NASH, TIME_SHARING, OPERATING_POINT, BEST_USERS, SOCIAL_OPTIMUM)
     eta = np.random.default_rng(5).uniform(0.1, 10.0, (6, 5))
-    expected = _plan(params, kinds, eta, False)[2]
+    expected = _plan(params, kinds, eta)[2]
     for i, kind in enumerate(kinds):
         assert np.isnan(expected[:, i]).all() == (kind.name not in MONITORED_KINDS)
 
