@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import stationary_distribution
-from .engine import UtilityEstimate, estimate_expected_utilities
+from .engine import UtilityEstimate, _draw_states, _play, estimate_expected_utilities
 from .errors import ModelError
 from .geometry import (
     clip_to_lower_bounds,
@@ -51,10 +51,10 @@ def joint_state_table(model):
 
 def expected_utilities_exact(params: GameParams, model, kind: StrategyKind) -> np.ndarray:
     """Exact per-player expected stage utility of compliant play of ``kind``
-    under the stationary state distribution (enumerates joint states)."""
+    under the stationary state distribution: the engine's per-state
+    utilities (``_play``) weighted by the joint states' probabilities."""
     _, gains, probs = joint_state_table(model)
-    powers, _, _ = compliant_profile(params, kind, gains)
-    return probs @ utility(params, gains, powers)
+    return probs @ _play(params, (kind,) * params.n_players, gains, None)[4]
 
 
 def _punished_utilities(params: GameParams, gains: np.ndarray) -> np.ndarray:
@@ -79,17 +79,16 @@ def minmax_levels(params: GameParams, model, *, seed: int = 0,
     """Punishment floor per player: expected best-response utility against
     all opponents transmitting at their caps.
 
-    Exact state enumeration when the joint space fits in memory, seeded
-    Monte Carlo over the stationary law otherwise.
+    Exact state enumeration when the joint space fits in memory, else the
+    mean over ``samples`` stages of the engine's path seeded by ``seed``.
     """
     params.require_equal_rates()
     try:
         _, gains, probs = joint_state_table(model)
         return probs @ _punished_utilities(params, gains)
     except ModelError:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        idx = model.sample_path(samples, rng)
-        gains = model.gain_matrix(idx)
+        gains, rows = _draw_states(params, model, samples, seed)
+        gains = gains if rows is None else gains.take(rows, axis=0)  # one row per stage
         return _punished_utilities(params, gains).mean(axis=0)
 
 
@@ -252,8 +251,8 @@ class PartitionResult:
 
 def config_partition(params: GameParams, model, *, horizon: int = 100_000,
                      seed: int = 0, player: int = 0) -> PartitionResult:
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    gains = model.gain_matrix(model.sample_path(horizon, rng))
+    gains, rows = _draw_states(params, model, horizon, seed)
+    gains = gains if rows is None else gains.take(rows, axis=0)  # planned per stage, as errors are
     _, recommended, k_active = compliant_profile(params, BEST_USERS, gains)
     mine = recommended[:, player]
     k_vals = np.arange(1, params.n_players + 1)

@@ -4,8 +4,8 @@ Verbs: ``simulate``, ``preset``, ``region``, ``dominance``, ``lambdamax``,
 ``partition``.  Every verb accepts ``--config`` (a JSON file) and ``--out``
 (an output directory, default from $POWERGAME_OUT or ./powergame-out);
 the four analysis verbs fall back to their matching preset when no config
-is given.  Exit codes: 0 success, 2 config error, 3 model/precondition
-violation.
+is given, with its seed overridden by ``--seed`` (refused with ``--config``).
+Exit codes: 0 success, 2 config error, 3 model/precondition violation.
 """
 
 from __future__ import annotations
@@ -26,26 +26,25 @@ _FALLBACK_PRESET = {
 
 
 def _out_dir(args) -> str:
-    if args.out:
-        return args.out
-    return os.environ.get("POWERGAME_OUT", "powergame-out")
+    return args.out or os.environ.get("POWERGAME_OUT", "powergame-out")
 
 
 def _config_for(verb: str, args) -> dict:
-    if args.config:
-        cfg = load_config(args.config)
-        if verb != "simulate":
-            task = cfg.get("task")
-            if task is not None and task != verb:
-                raise ConfigError(
-                    f"config error at task: config says {task!r} but the "
-                    f"{verb} verb was invoked"
-                )
-            cfg["task"] = verb
-        return cfg
-    if verb in _FALLBACK_PRESET:
+    if verb == "simulate":
+        if not args.config:
+            raise ConfigError("config error at --config: simulate requires a config file")
+        return load_config(args.config)
+    if not args.config:
         return preset(_FALLBACK_PRESET[verb], seed=args.seed)
-    raise ConfigError("config error at --config: simulate requires a config file")
+    if args.seed is not None:  # the config's engine.seed would silently win
+        raise ConfigError("config error at --seed: set engine.seed in the config instead")
+    cfg = load_config(args.config)
+    task = cfg.get("task")
+    if task is not None and task != verb:
+        raise ConfigError(f"config error at task: config says {task!r} but the {verb} verb "
+                          "was invoked")
+    cfg["task"] = verb
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -65,7 +64,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(verb, help=doc)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="seed override for preset fallbacks")
+        if verb in _FALLBACK_PRESET:
+            p.add_argument("--seed", type=int, help="fallback preset's seed; not with --config")
 
     p = sub.add_parser("preset", help="run a named built-in experiment")
     p.add_argument("--name", required=True, help=f"one of: {', '.join(PRESETS)}")

@@ -58,6 +58,7 @@ _THINNED_EVERY = 100
 # entries (rows * K) per block when the estimator plays a closed-form rule:
 # bounds its per-rule arrays at any horizon, 4096 rows at K = 8
 _PLAY_BLOCK_ENTRIES = 1 << 15
+_DETECTION_TOL = 1e-6  # the relative SINR mismatch an alarm tolerates by default
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class EngineConfig:
     spawn_key: tuple = ()
     deviation: DeviationSpec | None = None
     initial_state: tuple | None = None
-    detection_tol: float = 1e-6
+    detection_tol: float = _DETECTION_TOL
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -161,8 +162,10 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
     Deterministic: identical inputs give an identical result.
     """
     kinds = _normalize_kinds(kinds, params.n_players)
+    eta, rows = _draw_states(params, model, cfg.horizon, cfg.seed, cfg.spawn_key,
+                             cfg.initial_state)
     eta, powers, recommended, rows, util_all, punishment_stage = _play(
-        params, kinds, *_draw_states(params, model, cfg), cfg)
+        params, kinds, eta, rows, cfg.deviation, cfg.detection_tol)
     horizon = cfg.horizon
     keep = np.arange(0, horizon, 1 if horizon <= _FULL_TRACE_MAX else _THINNED_EVERY)
     kept = keep if rows is None else rows.take(keep)  # the kept stages' rows
@@ -190,16 +193,16 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
     )
 
 
-def _draw_states(params: GameParams, model, cfg: EngineConfig):
-    """Gains of the path seeded by ``(seed, spawn_key)`` and each stage's row
-    in them: the distinct joint states the path visits, in flat-index order,
-    when the joint space is no larger than the horizon, else one row per
-    stage and the map None."""
+def _draw_states(params, model, horizon: int, seed: int, spawn_key=(), initial_state=None):
+    """Gains of the ``horizon``-stage path seeded by ``(seed, spawn_key)``, the
+    package's one seeded draw, and each stage's row in them: the distinct
+    joint states the path visits, in flat-index order, when the joint space
+    is no larger than the horizon, else one row per stage and the map None."""
     if model.n_players != params.n_players:
         raise ValueError("model and game disagree on the player count")
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=cfg.spawn_key))
-    path = model.sample_path(cfg.horizon, rng, cfg.initial_state)
-    if model.joint_size > cfg.horizon:
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
+    path = model.sample_path(horizon, rng, initial_state)
+    if model.joint_size > horizon:
         return model.gain_matrix(path), None
     dims = model.law.dims
     flat = np.ravel_multi_index(path.T, dims)
@@ -209,19 +212,21 @@ def _draw_states(params: GameParams, model, cfg: EngineConfig):
     return model.gain_matrix(_unravel(np.flatnonzero(seen), dims)), row_of[flat]
 
 
-def _play(params: GameParams, kinds: tuple, eta: np.ndarray, rows, cfg: EngineConfig):
+def _play(params, kinds: tuple, eta: np.ndarray, rows, deviation=None, tol=_DETECTION_TOL):
     """Grim-trigger play of per-player ``kinds`` on the gains ``eta``; stage
-    t+1 plays row ``rows[t]`` (``rows`` None: row t).
+    t+1 plays row ``rows[t]`` (``rows`` None: row t).  Alarms tolerate a
+    relative SINR mismatch of ``tol``.
 
     A run nobody deviates in takes ``_closed_form`` when it gives one: it
     stays on the rows and computes no SINR.  Any other run plans each row
     once, gathers its plan along the path and plays per stage, which finds
-    the punishment stage or raises the first failing stage's error.
+    the punishment stage or raises the first failing stage's error.  The
+    analysis scores exact expectations with it, on the joint-state table.
     Returns ``(eta, powers, recommended, rows, utility, punishment_stage)``:
     ``utility`` per stage, the other arrays indexed by the returned ``rows``
     map (None: by stage).
     """
-    dev = cfg.deviation
+    dev = deviation
     if dev is not None and dev.player >= params.n_players:
         raise ValueError("deviation player index out of range")
     closed = None if dev is not None else _closed_form(params, kinds, eta)
@@ -241,7 +246,7 @@ def _play(params: GameParams, kinds: tuple, eta: np.ndarray, rows, cfg: EngineCo
         deviating = slice(dev.start - 1, None if dev.mode == "permanent" else dev.start)
     powers = _deviate(params, eta, planned, dev, deviating)
     realized = _sinr(params, eta, powers)
-    hits = detect_deviation(expected, realized, cfg.detection_tol)
+    hits = detect_deviation(expected, realized, tol)
     hits &= powers > 0  # silent players are not monitored
     if dev is not None:
         hits[deviating, dev.player] = False  # nor is the deviator while it deviates
@@ -396,15 +401,13 @@ def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: 
     means = [[] for _ in kinds_list]
     live, error = len(means), None  # entries from ``live`` on are not evaluated
     for r in range(replicates):
-        cfg = EngineConfig(horizon=horizon, lam=0.5, seed=seed,
-                           spawn_key=spawn_prefix + (r,))
-        eta, rows = _draw_states(params, model, cfg)
+        eta, rows = _draw_states(params, model, horizon, seed, spawn_prefix + (r,))
         for j, kinds in enumerate(kinds_list[:live]):
             try:
                 kinds = _normalize_kinds(kinds, params.n_players)
                 average = _closed_form_average(params, kinds, eta, rows)
                 if average is None:  # played whole, which raises if a plan is over a cap
-                    average = _play(params, kinds, eta, rows, cfg)[4].mean(axis=0)
+                    average = _play(params, kinds, eta, rows)[4].mean(axis=0)
             except (PowerGameError, ValueError) as exc:  # an earlier entry may still fail first
                 live, error = j, exc
                 break

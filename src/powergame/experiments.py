@@ -18,10 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analysis
+from . import __version__, analysis
 from .channels import (ChannelModel, TruncatedRayleighSpec, TwoStateSpec, _is_number, build_model,
                        load_model)
 from .engine import (
+    _DETECTION_TOL,
     DeviationSpec,
     EngineConfig,
     UtilityEstimate,
@@ -108,7 +109,7 @@ _FIELDS = (
     ("engine.horizon", int, 100_000, _at_least(1), _PLAYED),
     ("engine.lam", float, 0.5, _OPEN_UNIT, _SIMULATE),
     ("engine.replicates", int, 4, _at_least(1), _SAMPLED),
-    ("engine.detection_tol", float, 1e-6, _POSITIVE, _SIMULATE),
+    ("engine.detection_tol", float, _DETECTION_TOL, _POSITIVE, _SIMULATE),
     ("engine.trace", bool, None, None, _SIMULATE),
     ("engine.deviation", dict, None, None, _SIMULATE),
     ("engine.deviation.player", int, _REQUIRED, _at_least(0), _SIMULATE),
@@ -462,7 +463,7 @@ def run_experiment(config, out_dir) -> dict:
         "artifacts": {
             name: hashlib.sha256(text.encode()).hexdigest() for name, text in artifacts
         },
-        "version": _package_version(),
+        "version": __version__,
     }
     os.makedirs(out_dir, exist_ok=True)
     for name, text in artifacts:
@@ -472,12 +473,6 @@ def run_experiment(config, out_dir) -> dict:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return manifest
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 PRESETS = ("fig2", "fig3", "fig4", "fig5", "partition")

@@ -208,16 +208,18 @@ def sinr(params: GameParams, eta, powers, i: int | None = None):
 
 def _checked_sinr(params: GameParams, eta, powers):
     """``powers`` as a float array and its SINR on the gains ``eta``, both
-    checked; refused where a received power p eta, or a row's total of
-    them, overflows (two finite powers can)."""
+    checked; refused where a received power p eta, a row's total of them
+    (two finite powers can overflow it, leaving every SINR of the row 0) or
+    a SINR (a received power over a tiny sigma2 can) is not finite."""
     eta = _check_realization(params, eta)
     powers = _check_powers(powers)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
         received = powers * eta
         total = received.sum(axis=-1, keepdims=True)
-    if not total.max(initial=0.0) < np.inf:  # inf in a row carries to its total
-        raise ValueError("received powers p * eta and their sum must be finite")
-    return powers, _sinr_of_received(params, received, total)
+        s = _sinr_of_received(params, received, total)
+    if not (total.max(initial=0.0) < np.inf and s.max(initial=0.0) < np.inf):
+        raise ValueError("received powers p * eta and their sum, and each SINR, must be finite")
+    return powers, s
 
 
 def _sinr(params: GameParams, eta: np.ndarray, powers: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 
 from analysis_oracle import punished_utilities_oracle
 from oneshot_oracle import power_grid_oracle
+from powergame import analysis, channels, engine
 from powergame.analysis import (
     config_partition,
     dominance_report,
@@ -26,10 +27,18 @@ from powergame.channels import (
 )
 from powergame.efficiency import ExponentialEfficiency
 from powergame.engine import estimate_expected_utilities, estimate_expected_utility
-from powergame.errors import ModelError, SaturationError
+from powergame.errors import CapError, ModelError, SaturationError
 from powergame.geometry import point_in_convex_polygon
 from powergame.oneshot import GameParams, utility
-from powergame.strategies import BEST_USERS, NASH, OPERATING_POINT
+from powergame.strategies import (
+    BEST_USERS,
+    NASH,
+    OPERATING_POINT,
+    SOCIAL_OPTIMUM,
+    TIME_SHARING,
+    compliant_profile,
+    threshold,
+)
 
 
 def params_for(k, a, sigma2=1.0, p_max=np.inf, rates=1.0):
@@ -44,6 +53,13 @@ def fig3_like():
     params = params_for(2, 0.5, p_max=5.0)
     model = build_model(TwoStateSpec(1.0, 4.0), 2)
     return params, model
+
+
+def per_stage_gains(model, horizon, seed):
+    """The gains of every stage of the path seeded by ``seed``, drawn the
+    way the analysis drew them before it used the engine's draw."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return model.gain_matrix(model.sample_path(horizon, rng))
 
 
 class TestMinmax:
@@ -155,11 +171,29 @@ class TestMinmax:
     def test_monte_carlo_path_matches_the_oracle_on_the_same_gains(self):
         params = params_for(5, 0.1, p_max=10.0)
         model = build_model(TruncatedRayleighSpec(bins=16), 5)  # 16^5 > 2^17 joint states
-        rng = np.random.default_rng(np.random.SeedSequence(7))
-        gains = model.gain_matrix(model.sample_path(2000, rng))
+        gains = per_stage_gains(model, 2000, 7)
         expected = punished_utilities_oracle(params, gains).mean(axis=0)
         levels = minmax_levels(params, model, seed=7, samples=2000)
         np.testing.assert_allclose(levels, expected, rtol=1e-15, atol=0)
+
+    def test_monte_carlo_fallback_gathers_a_visited_state_table(self, monkeypatch):
+        # a joint space refused for enumeration but no larger than the
+        # samples: the engine's draw returns the visited states and each
+        # stage's row, and the floor is still the mean over the stages
+        params = params_for(3, 0.1, p_max=10.0)
+        model = build_model(TruncatedRayleighSpec(bins=6), 3)  # 216 joint states
+        monkeypatch.setattr(channels, "_JOINT_CAP", 100)
+        with pytest.raises(ModelError):
+            joint_state_table(model)
+        for samples in (216, 3000):
+            table, rows = engine._draw_states(params, model, samples, 7)
+            assert rows is not None and table.shape[0] <= 216
+            gains = per_stage_gains(model, samples, 7)
+            want = analysis._punished_utilities(params, gains).mean(axis=0)
+            got = minmax_levels(params, model, seed=7, samples=samples)
+            assert got.tobytes() == want.tobytes()
+            np.testing.assert_allclose(
+                got, punished_utilities_oracle(params, gains).mean(axis=0), rtol=1e-15, atol=0)
 
     def test_below_equilibrium_play(self):
         # punishment is at least as harsh as equilibrium play
@@ -198,6 +232,77 @@ class TestExactExpectations:
         model = build_model(TruncatedRayleighSpec(bins=16), 5)
         with pytest.raises(ModelError):
             expected_utilities_exact(params, model, NASH)
+
+
+def former_exact(params, model, kind):
+    """``expected_utilities_exact`` as it was before it played through the
+    engine: the checked compliant profile scored by the public ``utility``."""
+    _, gains, probs = joint_state_table(model)
+    return probs @ utility(params, gains, compliant_profile(params, kind, gains)[0])
+
+
+def rayleigh16_k2(a, p_max=np.inf):
+    return params_for(2, a, p_max=p_max), build_model(TruncatedRayleighSpec(bins=16), 2)
+
+
+EXACT_RULES = [NASH, OPERATING_POINT, TIME_SHARING, BEST_USERS, SOCIAL_OPTIMUM]
+
+
+class TestExactThroughTheEngine:
+    @pytest.mark.parametrize("kind", EXACT_RULES, ids=lambda kind: kind.label)
+    @pytest.mark.parametrize("case", [
+        pytest.param(fig3_like, id="fig3"),
+        pytest.param(lambda: rayleigh16_k2(0.1), id="rayleigh16-a0.1"),
+        pytest.param(lambda: rayleigh16_k2(0.5, 20.0), id="rayleigh16-a0.5-cap20"),
+    ])
+    def test_two_players_match_the_former_route_bit_for_bit(self, case, kind, monkeypatch):
+        params, model = case()
+        want = former_exact(params, model, kind)
+        for name in ("compliant_profile", "utility"):  # the engine scores the rule
+            monkeypatch.setattr(analysis, name, lambda *args, name=name: pytest.fail(name))
+        assert expected_utilities_exact(params, model, kind).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", EXACT_RULES + [threshold(0.5)], ids=lambda kind: kind.label)
+    @pytest.mark.parametrize("case", [
+        pytest.param(fig3_like, id="fig3"),
+        pytest.param(lambda: (params_for(3, 0.1),
+                              build_model(TwoStateSpec(1.0, 4.0, 0.3), 3)), id="two_state-K3"),
+        pytest.param(lambda: (params_for(4, 0.1, p_max=5.0),
+                              build_model(TwoStateSpec(1.0, 4.0, 0.3), 4)), id="two_state-K4"),
+        pytest.param(lambda: (params_for(3, 0.2, p_max=10.0),
+                              build_model(TruncatedRayleighSpec(bins=6), 3)), id="rayleigh6-K3"),
+        pytest.param(lambda: (params_for(4, 0.1),
+                              build_model(TruncatedRayleighSpec(bins=4), 4)), id="rayleigh4-K4"),
+    ])
+    def test_more_players_and_threshold_match_the_former_route(self, case, kind):
+        params, model = case()
+        np.testing.assert_allclose(expected_utilities_exact(params, model, kind),
+                                   former_exact(params, model, kind), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("kind", EXACT_RULES + [threshold(0.5)], ids=lambda kind: kind.label)
+    @pytest.mark.parametrize("case", [
+        pytest.param(lambda: (params_for(3, 0.5), build_model(TwoStateSpec(1.0, 4.0), 3)),
+                     id="saturated-K3"),
+        pytest.param(lambda: (params_for(2, 0.5, p_max=0.3),
+                              build_model(TwoStateSpec(1.0, 4.0), 2)), id="fig3-cap0.3"),
+        pytest.param(lambda: rayleigh16_k2(0.5, 2.0), id="rayleigh16-cap2"),
+        pytest.param(lambda: (params_for(3, 0.2, p_max=[0.5, 5.0, 1.0]),
+                              build_model(TruncatedRayleighSpec(bins=6), 3)),
+                     id="rayleigh6-K3-unequal-caps"),
+    ])
+    def test_caps_and_saturation_raise_what_they_raised(self, case, kind):
+        params, model = case()
+        try:
+            want = former_exact(params, model, kind)
+        except (CapError, SaturationError) as exc:
+            with pytest.raises(type(exc)) as got:
+                expected_utilities_exact(params, model, kind)
+            assert str(got.value) == str(exc)
+        else:
+            # the selfish equilibrium is saturated or over a cap in every case
+            assert kind != NASH
+            np.testing.assert_allclose(expected_utilities_exact(params, model, kind), want,
+                                       rtol=1e-15, atol=0)
 
 
 class TestRegion:
@@ -496,6 +601,21 @@ class TestPartition:
         model = single_state_model([1.0])
         part = config_partition(params, model, horizon=100, seed=0)
         assert part.recommended_freq[0] == pytest.approx(1.0)
+
+    def test_a_visited_state_table_gives_the_per_stage_frequencies(self):
+        # 16 joint states, no more than the horizon: the engine's draw
+        # returns a table, whose gains are gathered along the stages
+        params = params_for(4, 0.15)
+        model = build_model(TwoStateSpec(1.0, 4.0, 0.3), 4)
+        for horizon, player in ((16, 0), (5000, 2)):
+            assert engine._draw_states(params, model, horizon, 3)[1] is not None
+            _, recommended, k_active = compliant_profile(
+                params, BEST_USERS, per_stage_gains(model, horizon, 3))
+            mine = recommended[:, player]
+            part = config_partition(params, model, horizon=horizon, seed=3, player=player)
+            for k in range(1, 5):
+                assert part.recommended_freq[k - 1] == (mine & (k_active == k)).mean()
+                assert part.not_recommended_freq[k - 1] == (~mine & (k_active == k)).mean()
 
     def test_frequencies_sum_to_one(self):
         params = params_for(4, 0.15)

@@ -149,11 +149,32 @@ def test_env_var_default_output(tmp_path, monkeypatch):
     assert (target / "summary.csv").exists()
 
 
+def test_simulate_takes_no_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path, small_config())
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "5"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("verb, name", [("region", "fig3"), ("dominance", "fig4"),
+                                        ("lambdamax", "fig5"), ("partition", "partition")])
+def test_seed_with_a_config_exits_2(tmp_path, capsys, verb, name):
+    # the config's engine.seed would win, and the manifest would not show --seed
+    path = write_config(tmp_path, preset(name))
+    out = tmp_path / "out"
+    assert main([verb, "--config", path, "--out", str(out), "--seed", "5"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_region_fallback_preset_runs(tmp_path):
     # no --config: the region verb falls back to its preset
     out = tmp_path / "out"
     assert main(["region", "--out", str(out), "--seed", "2"]) == 0
     assert (out / "region.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 2
 
 
 NAN, INF = float("nan"), float("inf")

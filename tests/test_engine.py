@@ -546,12 +546,11 @@ def test_closed_form_average_is_the_whole_path_mean_bit_for_bit(k, bins, per_sta
     params = params_for(k, 0.1)
     step = _PLAY_BLOCK_ENTRIES // k
     for n in (step - 1, step, step + 1, 3 * step + 7):
-        cfg = EngineConfig(horizon=n, lam=0.5, seed=2300 + k)
-        eta, rows = _draw_states(params, model, cfg)
+        eta, rows = _draw_states(params, model, n, 2300 + k)
         assert (rows is None) == per_stage
         for kind in (NASH, OPERATING_POINT, TIME_SHARING, threshold(0.5), BEST_USERS):
             kinds = (kind,) * k
-            want = _play(params, kinds, eta, rows, cfg)[4].mean(axis=0)
+            want = _play(params, kinds, eta, rows)[4].mean(axis=0)
             got = _closed_form_average(params, kinds, eta, rows)
             assert got.tobytes() == want.tobytes(), (n, kind)
 

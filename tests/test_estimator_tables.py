@@ -83,9 +83,8 @@ def _per_stage(params, model, kinds, horizon, seed, replicates):
     """Each replicate's time average from ``_play`` over the whole drawn path."""
     out = []
     for r in range(replicates):
-        cfg = EngineConfig(horizon=horizon, lam=0.5, seed=seed, spawn_key=(r,))
         eta = _path_gains(model, horizon, seed, r)
-        out.append(_play(params, _normalize_kinds(kinds, params.n_players), eta, None, cfg)[4]
+        out.append(_play(params, _normalize_kinds(kinds, params.n_players), eta, None)[4]
                    .mean(axis=0))
     return np.array(out)
 
@@ -157,7 +156,6 @@ def test_closed_form_utilities_match_the_sinr_route(law, k, kind, monkeypatch):
     monkeypatch.setattr(engine, "_sinr", lambda *args: sinr_calls.append(args) or _sinr(*args))
     model = _markov_8_state() if law == "markov_8_state" else build_model(LAWS[law], k)
     eta = _path_gains(model, 400, k, 0)
-    cfg = EngineConfig(horizon=400, lam=0.5, seed=0)
     unequal = np.linspace(0.5, 2.0, k)
     for a in (0.02, 0.1, 0.37, 1.5):
         if kind == NASH and (k - 1) * a >= 1.0:
@@ -171,7 +169,7 @@ def test_closed_form_utilities_match_the_sinr_route(law, k, kind, monkeypatch):
                 for p_max in caps:
                     params = GameParams(k, ExponentialEfficiency(a), rates=rate,
                                         sigma2=sigma2, p_max=p_max)
-                    _, powers, _, _, got, _ = _play(params, (kind,) * k, eta, None, cfg)
+                    _, powers, _, _, got, _ = _play(params, (kind,) * k, eta, None)
                     assert not sinr_calls  # no SINR pass
                     want = compliant_utility_oracle(params, kind, eta)
                     if kind == TIME_SHARING:
@@ -220,10 +218,9 @@ def test_a_cap_binding_in_a_visited_state_raises_the_first_stage_error(kind, err
         _per_stage(params, model, kind, horizon, seed, 1)
     # the table's first failing state is not the first failing stage's, so
     # the table's own error would name another player and power
-    cfg = EngineConfig(horizon=horizon, lam=0.5, seed=seed, spawn_key=(0,))
-    table_eta, _ = _draw_states(params, model, cfg)
+    table_eta, _ = _draw_states(params, model, horizon, seed, (0,))
     with pytest.raises(error) as table:
-        _play(params, (kind, kind), table_eta, None, cfg)
+        _play(params, (kind, kind), table_eta, None)
     assert str(table.value) != str(per_stage.value)
     with pytest.raises(error) as got:
         estimate_expected_utilities(params, model, [kind], horizon, seed=seed, replicates=1)
@@ -253,9 +250,9 @@ def test_run_game_raises_the_first_failing_stage_error(kind, error):
     cfg = EngineConfig(horizon=40, lam=0.2, seed=1, spawn_key=(0,))
     with pytest.raises(error) as want:
         run_game_oracle(params, model, kind, cfg)
-    table_eta, _ = _draw_states(params, model, cfg)
+    table_eta, _ = _draw_states(params, model, cfg.horizon, cfg.seed, cfg.spawn_key)
     with pytest.raises(error) as table:
-        _play(params, (kind, kind), table_eta, None, cfg)
+        _play(params, (kind, kind), table_eta, None)
     assert str(table.value) != str(want.value)
     with pytest.raises(error) as got:
         run_game(params, model, kind, cfg)
@@ -298,9 +295,8 @@ def test_streamed_estimates_equal_the_whole_path_play(bins, streamed, monkeypatc
         (est,) = estimate_expected_utilities(params, model, [kind], horizon, seed=9,
                                              replicates=2, spawn_prefix=(4,))
         for r in range(2):
-            cfg = EngineConfig(horizon=horizon, lam=0.5, seed=9, spawn_key=(4, r))
-            eta, rows = _draw_states(params, model, cfg)
-            _, powers, *_, util, _ = play(params, (kind,) * 3, eta, rows, cfg)
+            eta, rows = _draw_states(params, model, horizon, 9, (4, r))
+            _, powers, *_, util, _ = play(params, (kind,) * 3, eta, rows)
             if params is solo:
                 assert (powers == params.p_max).any()
             want = util.mean(axis=0)
@@ -329,7 +325,7 @@ def test_a_cap_binding_after_the_first_block_raises_the_whole_path_error(kinds_l
     params = GameParams.symmetric(4, a=0.1, p_max=0.5)
     horizon, seed = 30_000, 1
     cfg = EngineConfig(horizon=horizon, lam=0.5, seed=seed, spawn_key=(0,))
-    eta, rows = _draw_states(params, model, cfg)
+    eta, rows = _draw_states(params, model, horizon, seed, (0,))
     assert rows is None  # per stage
     low = np.flatnonzero((eta < 1.0).any(axis=1))
     assert _PLAY_BLOCK_ENTRIES // 4 < low[0] and low.size > 1  # not in the first block

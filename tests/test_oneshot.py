@@ -99,6 +99,18 @@ class TestPowerValidation:
             with pytest.raises(ValueError, match="received powers p \\* eta and their sum"):
                 self.FUNCTIONS[name](params_for(2, 0.1), eta, powers)
 
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    def test_a_sinr_over_a_tiny_noise_power_must_not_overflow(self, name):
+        params = params_for(2, 0.1, sigma2=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="each SINR, must be finite"):
+                self.FUNCTIONS[name](params, [1.0, 1.0], [1e10, 0.0])
+        # the engine's unchecked kernel leaves it to its callers
+        with np.errstate(over="ignore"):
+            assert _sinr(params, np.array([1.0, 1.0]), np.array([1e10, 0.0])).tolist() == \
+                [np.inf, 0.0]
+
     def test_a_received_power_near_the_largest_double_is_scored(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
