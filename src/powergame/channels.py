@@ -39,12 +39,14 @@ def _probabilities(values, shape: tuple, what: str) -> np.ndarray:
     """``values`` as a float array of ``shape`` whose rows (last axis) are
     probability vectors with every entry positive.
 
-    A wrong shape, or a negative, NaN or non-normalized entry, raises
-    ``ModelError``; a zero entry raises ``ReducibleLawError``.
+    A wrong or empty shape, or a negative, NaN or non-normalized entry,
+    raises ``ModelError``; a zero entry raises ``ReducibleLawError``.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != shape:
         raise ModelError(f"{what} has shape {values.shape}, expected {shape}")
+    if values.size == 0:  # np.all over no rows would pass it
+        raise ModelError(f"{what} has shape {shape}, with no states")
     if not (np.all(values >= 0)
             and np.all(np.abs(values.sum(axis=-1) - 1.0) <= _ROW_SUM_TOL)):  # NaN fails
         raise ModelError(f"{what} must be nonnegative and sum to 1")
@@ -131,32 +133,71 @@ class IIDJointLaw:
 
 
 class MarkovJointLaw:
-    """Row-stochastic transition matrix over the joint state space."""
+    """Row-stochastic transition matrix over the joint state space.
+
+    The tables that paths are drawn with are built on the first draw, so a
+    law that is loaded and never sampled builds none.
+    """
 
     def __init__(self, matrix, dims):
         self.dims = tuple(int(d) for d in dims)
         size = math.prod(self.dims)
         self.matrix = _probabilities(matrix, (size, size), "transition matrix")
-        self._cum = _cdf(self.matrix)
-        # zero-copy views of the rows: stepping the chain bisects one of
-        # them per stage without a numpy call
-        self._rows = [memoryview(row) for row in self._cum]
 
     def sample_path(self, horizon: int, rng, initial=None) -> np.ndarray:
-        # bisect_right takes the same midpoints as searchsorted(side="right"),
-        # so even a row whose sums pass 1.0 before its last entry maps every
-        # uniform to the same state
+        # A uniform x in bucket k = floor(x * G) lies in [k/G, (k+1)/G), so
+        # the state row s maps it to, the first j with cum[s, j] > x, is one
+        # of lo = guide[s][k] .. hi = guide[s][k + 1].  That test is monotone
+        # in j for every x < 1 (the only entries out of order, sums past 1.0
+        # and the pinned last 1.0, lie above every uniform), so bisecting
+        # [lo, hi) gives the index a search of the whole row would give (hi
+        # when every entry there is <= x, and lo at once when lo == hi), and
+        # a seed maps to the same path.
         u = rng.random(horizon)
         if initial is None:
             state = int(np.searchsorted(self._start_cum, u[0], side="right"))
         else:
             state = int(np.ravel_multi_index(tuple(initial), self.dims))
         flat = [state]
-        rows = self._rows
-        for x in u[1:].tolist():
-            state = bisect_right(rows[state], x)
+        rows, guides = self._rows, self._guides
+        steps = u[1:]
+        buckets = len(guides[0]) - 1  # G
+        for x, k in zip(steps.tolist(), (steps * buckets).astype(np.int64).tolist()):
+            guide = guides[state]
+            state = bisect_right(rows[state], x, guide[k], guide[k + 1])
             flat.append(state)
         return _unravel(np.array(flat, dtype=np.int64), self.dims)
+
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        return _cdf(self.matrix)
+
+    @cached_property
+    def _rows(self) -> list:
+        # zero-copy views of the rows: a step bisects one of them without a
+        # numpy call
+        return [memoryview(row) for row in self._cum]
+
+    @cached_property
+    def _guides(self) -> list:
+        """Row views of the (S, G + 1) int32 guide over G buckets, G the
+        power of two at or above the state count S: ``guide[s][k]`` is
+        #{j : cum[s, j] <= k/G} for k < G, and S - 1 for k = G.
+
+        x * G and k/G are exact, and cum[s, j] <= k/G exactly when
+        k >= ceil(cum[s, j] * G), so one ``bincount`` of those slots and
+        its running sum build every row at once.  S * (G + 1) * 4 bytes is
+        at most the cumulative matrix's S * S * 8, since G < 2S.
+        """
+        cum = self._cum
+        size = cum.shape[0]
+        buckets = 1 << (size - 1).bit_length()
+        slots = np.minimum(np.ceil(cum * buckets), buckets)  # past 1.0: the last slot
+        slots += (buckets + 1) * np.arange(size)[:, None]
+        counts = np.bincount(slots.astype(np.intp).ravel(), minlength=size * (buckets + 1))
+        guide = np.cumsum(counts.reshape(size, buckets + 1), axis=1, dtype=np.int32)
+        guide[:, -1] = size - 1
+        return [memoryview(row) for row in guide]
 
     @cached_property
     def _start_cum(self) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from channels_oracle import gain_matrix_oracle
+from channels_oracle import FixedUniforms, gain_matrix_oracle
 
 from powergame.channels import (
     ChannelModel,
@@ -221,12 +221,25 @@ def _overshooting_markov():
     return law
 
 
+def _spiked_markov(size=64):
+    # each row puts all but (size - 1) * 1e-6 of its mass on one state, so
+    # the bucket below that state's entry and the last bucket each hold
+    # many cumulative values
+    matrix = np.full((size, size), 1e-6)
+    spike = (7 * np.arange(size) + 3) % size
+    matrix[np.arange(size), spike] = 1.0 - (size - 1) * 1e-6
+    return MarkovJointLaw(matrix, (size,))
+
+
 MARKOV_LAWS = {
+    "1": lambda: MarkovJointLaw([[1.0]], (1,)),
     "2": lambda: _random_markov((2,), 1),
+    "3x5": lambda: _random_markov((3, 5), 4),
     "16x16": lambda: _random_markov((16, 16), 2),
     "4x4x4x4": lambda: _random_markov((4, 4, 4, 4), 3),
     "zero_entries": _zero_entry_markov,
     "overshoot": _overshooting_markov,
+    "spiked": _spiked_markov,
 }
 
 
@@ -251,6 +264,43 @@ class TestMarkovStepper:
         law = _overshooting_markov()
         flat = law.sample_path(1000, rng_of(0), (1,)).ravel()
         assert np.count_nonzero(flat[:-1] == 1) > 100
+
+    def test_a_bucket_of_the_spiked_law_holds_many_states(self):
+        law = _spiked_markov()
+        law.sample_path(2, rng_of(0))
+        assert max(max(np.diff(guide)) for guide in law._guides) >= 30
+
+    @pytest.mark.parametrize("name", list(MARKOV_LAWS))
+    def test_uniforms_on_bucket_edges_and_cumulative_values(self, name):
+        # from a given state, step once with every bucket edge k/G, every
+        # cumulative value of that state's row below 1, and the double just
+        # below each of them and below 1
+        law = MARKOV_LAWS[name]()
+        size = law.matrix.shape[0]
+        buckets = 1 << (size - 1).bit_length()
+        rows = range(size) if size <= 64 else (0, 1, size // 2, size - 1)
+        for row in rows:
+            cum = law._cum[row]
+            edges = np.concatenate([np.arange(buckets) / buckets, cum[cum < 1.0], [1.0]])
+            initial = tuple(int(i) for i in np.unravel_index(row, law.dims))
+            for x in np.concatenate([edges[:-1], np.nextafter(edges[edges > 0], 0.0)]):
+                got = law.sample_path(2, FixedUniforms([0.5, x]), initial)
+                want = markov_path_reference(law, 2, FixedUniforms([0.5, x]), initial)
+                assert got.tobytes() == want.tobytes(), (row, x)
+
+    @pytest.mark.parametrize("size", [2, 15, 256])
+    def test_guide_takes_at_most_the_bytes_of_the_cdf(self, size):
+        law = _random_markov((size,), size)
+        law.sample_path(2, rng_of(0))
+        assert sum(guide.nbytes for guide in law._guides) <= law._cum.nbytes
+
+    def test_tables_are_built_on_the_first_draw(self, tmp_path):
+        law = _random_markov((16, 16), 2)
+        save_model(ChannelModel((np.arange(1.0, 17.0),) * 2, law), tmp_path / "m.json")
+        for law in (law, load_model(tmp_path / "m.json").law):
+            assert not {"_cum", "_rows", "_guides"} & set(vars(law))
+            law.sample_path(2, rng_of(0))
+            assert {"_cum", "_rows", "_guides"} <= set(vars(law))
 
 
 class TestStationary:
@@ -519,6 +569,17 @@ def test_every_law_runs_one_probability_check(law, row, error):
     LAW_OF_ROW[law]([0.2, 0.3, 0.5])  # the row the cases edit is a valid one
     with pytest.raises(error):
         LAW_OF_ROW[law](row)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IIDProductLaw([np.array([0.5, 0.5]), np.array([])]),
+    lambda: IIDJointLaw(np.zeros(0), dims=(2, 0)),
+    lambda: MarkovJointLaw(np.zeros((0, 0)), dims=(0,)),
+    lambda: MarkovJointLaw(np.zeros((0, 0)), dims=(2, 0)),
+])
+def test_a_law_without_states_is_refused(build):
+    with pytest.raises(ModelError, match="no states"):
+        build()
 
 
 def test_nan_probabilities_rejected():

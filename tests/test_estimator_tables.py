@@ -20,6 +20,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from channels_oracle import FixedUniforms
 from engine_oracle import compliant_utility_oracle, run_game_oracle
 
 from powergame import analysis, engine
@@ -358,16 +359,6 @@ def test_a_streamed_estimate_holds_no_path_sized_array_per_rule():
     assert peak <= 2.5 * horizon * 8 * 8, peak / (horizon * 8 * 8)
 
 
-class _FixedUniforms:
-    """Stands in for a generator whose ``random`` returns given values."""
-
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)
-
-    def random(self, size):
-        return self.u.reshape(size).copy()  # a fresh array, as a generator gives
-
-
 def _searchsorted_path(law, u):
     return np.stack([np.searchsorted(cum, u[:, i], side="right")
                      for i, cum in enumerate(law._cums)], axis=-1)
@@ -379,14 +370,14 @@ def test_dyadic_bin_draws_equal_searchsorted(bins):
     law = model.law
     assert law._dyadic_bins is not None
     u = np.random.default_rng(bins).random((500_000, 2))  # 1e6 uniforms
-    got = model.sample_path(500_000, _FixedUniforms(u))
+    got = model.sample_path(500_000, FixedUniforms(u))
     assert got.tobytes() == _searchsorted_path(law, u).astype(np.int64).tobytes()
     # every bin edge j/n and the largest double below it
     edges = np.arange(bins) / bins
     below = np.nextafter(edges[1:], 0.0)
     u = np.concatenate([edges, below, [np.nextafter(1.0, 0.0)]])
     u = np.stack([u, u[::-1]], axis=-1)
-    got = model.sample_path(u.shape[0], _FixedUniforms(u))
+    got = model.sample_path(u.shape[0], FixedUniforms(u))
     assert got.tobytes() == _searchsorted_path(law, u).astype(np.int64).tobytes()
 
 
@@ -396,7 +387,7 @@ def test_non_dyadic_laws_keep_searchsorted():
         assert law._dyadic_bins is None
     model = build_model(TruncatedRayleighSpec(bins=12), 2)
     u = np.random.default_rng(12).random((100_000, 2))
-    got = model.sample_path(100_000, _FixedUniforms(u))
+    got = model.sample_path(100_000, FixedUniforms(u))
     assert got.tobytes() == _searchsorted_path(model.law, u).astype(np.int64).tobytes()
 
 
