@@ -266,6 +266,8 @@ class ChannelModel:
     law: IIDProductLaw | IIDJointLaw | MarkovJointLaw
 
     def __post_init__(self):
+        if self.n_players < 1:
+            raise ModelError("a channel model needs at least one player")
         gains = tuple(np.asarray(g, dtype=float) for g in self.gains)
         if len(gains) != self.n_players:
             raise ModelError("gain sets and law disagree on the player count")

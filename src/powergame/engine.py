@@ -58,7 +58,6 @@ _THINNED_EVERY = 100
 # entries (rows * K) per block when the estimator plays a closed-form rule:
 # bounds its per-rule arrays at any horizon, 4096 rows at K = 8
 _PLAY_BLOCK_ENTRIES = 1 << 15
-_DETECTION_TOL = 1e-6  # the relative SINR mismatch an alarm tolerates by default
 
 
 @dataclass(frozen=True)
@@ -89,15 +88,12 @@ class EngineConfig:
     spawn_key: tuple = ()
     deviation: DeviationSpec | None = None
     initial_state: tuple | None = None
-    detection_tol: float = _DETECTION_TOL
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not 0.0 < self.lam < 1.0:
             raise ValueError("discount factor must be in (0, 1)")
-        if not 0.0 < self.detection_tol < np.inf:  # NaN or inf would silence the alarm
-            raise ValueError("detection_tol must be positive and finite")
 
 
 @dataclass
@@ -165,7 +161,7 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
     eta, rows = _draw_states(params, model, cfg.horizon, cfg.seed, cfg.spawn_key,
                              cfg.initial_state)
     eta, powers, recommended, rows, util_all, punishment_stage = _play(
-        params, kinds, eta, rows, cfg.deviation, cfg.detection_tol)
+        params, kinds, eta, rows, cfg.deviation)
     horizon = cfg.horizon
     keep = np.arange(0, horizon, 1 if horizon <= _FULL_TRACE_MAX else _THINNED_EVERY)
     kept = keep if rows is None else rows.take(keep)  # the kept stages' rows
@@ -212,10 +208,12 @@ def _draw_states(params, model, horizon: int, seed: int, spawn_key=(), initial_s
     return model.gain_matrix(_unravel(np.flatnonzero(seen), dims)), row_of[flat]
 
 
-def _play(params, kinds: tuple, eta: np.ndarray, rows, deviation=None, tol=_DETECTION_TOL):
+def _play(params, kinds: tuple, eta: np.ndarray, rows, deviation=None):
     """Grim-trigger play of per-player ``kinds`` on the gains ``eta``; stage
-    t+1 plays row ``rows[t]`` (``rows`` None: row t).  Alarms tolerate a
-    relative SINR mismatch of ``tol``.
+    t+1 plays row ``rows[t]`` (``rows`` None: row t).  A silent player's
+    alarm cannot fire: unless it is the deviator, it plays its own plan's
+    column, so its realized SINR equals the predicted 0.0 exactly (and a
+    NaN prediction never fires).
 
     A run nobody deviates in takes ``_closed_form`` when it gives one: it
     stays on the rows and computes no SINR.  Any other run plans each row
@@ -246,10 +244,9 @@ def _play(params, kinds: tuple, eta: np.ndarray, rows, deviation=None, tol=_DETE
         deviating = slice(dev.start - 1, None if dev.mode == "permanent" else dev.start)
     powers = _deviate(params, eta, planned, dev, deviating)
     realized = _sinr(params, eta, powers)
-    hits = detect_deviation(expected, realized, tol)
-    hits &= powers > 0  # silent players are not monitored
+    hits = detect_deviation(expected, realized)
     if dev is not None:
-        hits[deviating, dev.player] = False  # nor is the deviator while it deviates
+        hits[deviating, dev.player] = False  # the deviator is not monitored while it deviates
     hit_stages = hits.any(axis=1)
     punishment_stage = int(np.argmax(hit_stages)) + 1 if hit_stages.any() else None
 

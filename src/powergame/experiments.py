@@ -22,7 +22,6 @@ from . import __version__, analysis
 from .channels import (ChannelModel, TruncatedRayleighSpec, TwoStateSpec, _is_number, build_model,
                        load_model)
 from .engine import (
-    _DETECTION_TOL,
     DeviationSpec,
     EngineConfig,
     UtilityEstimate,
@@ -109,7 +108,6 @@ _FIELDS = (
     ("engine.horizon", int, 100_000, _at_least(1), _PLAYED),
     ("engine.lam", float, 0.5, _OPEN_UNIT, _SIMULATE),
     ("engine.replicates", int, 4, _at_least(1), _SAMPLED),
-    ("engine.detection_tol", float, _DETECTION_TOL, _POSITIVE, _SIMULATE),
     ("engine.trace", bool, None, None, _SIMULATE),
     ("engine.deviation", dict, None, None, _SIMULATE),
     ("engine.deviation.player", int, _REQUIRED, _at_least(0), _SIMULATE),
@@ -321,7 +319,7 @@ def parse_config(cfg: dict) -> Experiment:
         defaults_used=sorted(set(used) | set(v.get("provenance.default", []))),
         points=points,
         engine=EngineConfig(horizon=horizon, lam=v["engine.lam"], seed=v["engine.seed"],
-                            deviation=deviation, detection_tol=v["engine.detection_tol"]),
+                            deviation=deviation),
         replicates=v["engine.replicates"], trace=trace, sweep_axis=sweep_axis,
         grid_size=v["region.grid_size"], artifact=artifact,
     )

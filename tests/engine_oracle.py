@@ -187,7 +187,7 @@ def _stage_plans(params, kinds, row, so_cache):
             elif kind.name == "social_optimum":
                 state = row.tobytes()
                 if state not in so_cache:
-                    so_cache[state], _ = social_optimum_oracle(params, row, kind.grid_size)
+                    so_cache[state], _ = social_optimum_oracle(params, row)
                 so_profile = so_cache[state]
                 mask = so_profile > 0
                 done[key] = (mask, int(mask.sum()))
@@ -293,9 +293,7 @@ def _run_sequential(params, model, kinds, cfg, eta):
                 if deviating and i == dev.player:
                     continue
                 expected = _expected_sinr(params, kind, k_act[i], i, so_profile, row)
-                if expected is not None and detect_deviation(
-                    expected, float(s_t[i]), cfg.detection_tol
-                ):
+                if expected is not None and detect_deviation(expected, float(s_t[i])):
                     punish.trigger(stage)
                     break
 

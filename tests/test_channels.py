@@ -549,6 +549,17 @@ def test_gain_must_be_finite(bad):
         ChannelModel((np.array([bad, 1.0]),), IIDProductLaw([np.array([0.5, 0.5])]))
 
 
+@pytest.mark.parametrize("law", [
+    pytest.param(lambda: IIDProductLaw([]), id="product"),
+    pytest.param(lambda: IIDJointLaw([1.0], ()), id="iid_joint"),
+    pytest.param(lambda: MarkovJointLaw([[1.0]], ()), id="markov"),
+])
+def test_a_model_needs_at_least_one_player(law):
+    # a law over no players would sample (horizon, 0) paths or fail inside numpy
+    with pytest.raises(ModelError, match="at least one player"):
+        ChannelModel((), law())
+
+
 LAW_OF_ROW = {
     "product": lambda row: IIDProductLaw([np.array([0.5, 0.5]), np.array(row)]),
     "iid_joint": lambda row: IIDJointLaw(row, dims=(len(row),)),

@@ -201,8 +201,6 @@ def _rayleigh_channel(cfg):
 
 
 @pytest.mark.parametrize("path, value, prepare", [
-    ("engine.detection_tol", NAN, None),
-    ("engine.detection_tol", INF, None),
     ("game.a", NAN, None),
     ("game.a", INF, None),
     ("game.rate", NAN, _rate_game),
@@ -401,7 +399,7 @@ def _small_config_for(task):
     ("dominance", "engine.lam", 0.5),
     ("region", "engine.horizon", 1000),
     ("partition", "engine.replicates", 2),
-    ("lambdamax", "engine.detection_tol", 1e-6),
+    ("lambdamax", "engine.lam", 0.5),
     ("simulate", "region.grid_size", 12),
     ("simulate", "channel.p_high", 0.5),
 ])
@@ -446,6 +444,8 @@ def test_malformed_model_file_exits_3(tmp_path, capsys, model, message):
     ("channel.eta_mx", lambda cfg: _with(cfg, "channel.eta_mx", 8.0)),
     ("engine.horizn", lambda cfg: _with(cfg, "engine.horizn", 100)),
     ("engine.replicats", lambda cfg: _with(cfg, "engine.replicats", 3)),
+    # not a field: the alarm's tolerance is a constant of detect_deviation
+    ("engine.detection_tol", lambda cfg: _with(cfg, "engine.detection_tol", 1e-6)),
     ("engine.deviation.strat", lambda cfg: _with(cfg, "engine.deviation",
                                                   {"player": 0, "strat": 5})),
     ("sweep.valus", lambda cfg: {**cfg, "sweep": {"axis": "ratio", "values": [1, 2],

@@ -84,11 +84,6 @@ class TestDiscounting:
         with pytest.raises(ValueError):
             EngineConfig(horizon=10, lam=0.0, seed=1)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
-    def test_detection_tol_must_be_positive_and_finite(self, tol):
-        with pytest.raises(ValueError, match="detection_tol"):
-            EngineConfig(horizon=10, lam=0.5, seed=1, detection_tol=tol)
-
 
 class TestRunGame:
     def test_single_stage_value(self):
@@ -496,8 +491,8 @@ def alarms(monkeypatch):
     calls = []
     detect = engine.detect_deviation
 
-    def spy(expected, realized, tol):
-        hits = detect(expected, realized, tol)
+    def spy(expected, realized):
+        hits = detect(expected, realized)
         calls.append((bool(np.isfinite(expected).any()), bool(hits.any())))
         return hits
 
@@ -528,6 +523,30 @@ def test_a_plan_over_a_cap_is_monitored_and_raises_the_first_stage_error(kind, a
         estimate_expected_utility(params, model, kind, 50, seed=1, replicates=1)
     assert type(got.value) is CapError and str(got.value) == want
     assert alarms == [(True, False)] * 2
+
+
+@pytest.mark.parametrize("kinds", [
+    (TIME_SHARING,) * 3,
+    (BEST_USERS, threshold(0.5), SOCIAL_OPTIMUM),
+], ids=["time_sharing", "mixed"])
+def test_a_silent_player_realizes_its_predicted_zero_sinr_exactly(kinds):
+    # why ``_play`` masks no alarm by power: a silent player that does not
+    # deviate plays its own plan's zero, so it realizes the 0.0 SINR its
+    # alarm predicts, also while another player deviates
+    params = params_for(3, 0.1)
+    model = build_model(TruncatedRayleighSpec(bins=16), 3)
+    eta, rows = _draw_states(params, model, 200, 7)
+    assert rows is None
+    planned, _, expected = engine._plan(params, kinds, eta)
+    dev = DeviationSpec(player=0, mode="permanent")
+    powers = engine._deviate(params, eta, planned, dev, slice(0, None))
+    realized = engine._sinr(params, eta, powers)
+    silent = planned == 0.0
+    silent[:, dev.player] = False
+    assert silent.any()
+    assert np.all(realized[silent] == 0.0)
+    assert np.all((expected[silent] == 0.0) | np.isnan(expected[silent]))
+    assert not engine.detect_deviation(expected, realized)[silent].any()
 
 
 def uniform_gains_model(k, bins):

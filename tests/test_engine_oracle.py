@@ -25,7 +25,6 @@ from powergame.strategies import (
     OPERATING_POINT,
     SOCIAL_OPTIMUM,
     TIME_SHARING,
-    StrategyKind,
     threshold,
 )
 
@@ -58,13 +57,10 @@ def assert_agrees(params, model, kinds, cfg):
 
 
 def _assignments(k):
-    # K = 5 searches welfare by coordinate ascent, slow on the full grid
-    social = SOCIAL_OPTIMUM if k < 5 else StrategyKind("social_optimum", grid_size=6)
-    rules = RULES[:-1] + (social,)
-    yield from rules
+    yield from RULES
     for shift in (0, 2, 3):  # mixed: every rule, each at a few player positions
-        yield tuple(rules[(i + shift) % len(rules)] for i in range(k))
-    yield (social,) + (BEST_USERS,) * (k - 1)
+        yield tuple(RULES[(i + shift) % len(RULES)] for i in range(k))
+    yield (SOCIAL_OPTIMUM,) + (BEST_USERS,) * (k - 1)
 
 
 # at cap 0.09 the selfish equilibrium binds in the low state (gain 1.2) and
@@ -156,13 +152,10 @@ def test_detection_before_the_deviation_stage_cancels_a_one_shot():
         assert_agrees(params, model, kinds, cfg)
 
 
-SMALL_SOCIAL = StrategyKind("social_optimum", grid_size=6)
-
-
 @st.composite
 def runs(draw):
     k = draw(st.integers(2, 4))
-    pool = st.sampled_from(RULES[:-1] + (SMALL_SOCIAL,))
+    pool = st.sampled_from(RULES)
     if draw(st.booleans()):
         kinds = draw(pool)
     else:

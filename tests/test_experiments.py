@@ -338,7 +338,7 @@ GAME_DEFAULTS = {"game.rate", "game.sigma2", "game.p_max"}
 
 
 @pytest.mark.parametrize("task, read", [
-    ("simulate", {"engine.horizon", "engine.lam", "engine.replicates", "engine.detection_tol"}),
+    ("simulate", {"engine.horizon", "engine.lam", "engine.replicates"}),
     ("dominance", {"engine.horizon", "engine.replicates"}),
     ("region", {"region.grid_size"}),
     ("lambdamax", {"engine.horizon", "engine.replicates"}),
