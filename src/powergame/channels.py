@@ -87,10 +87,13 @@ class IIDProductLaw:
         self.dims = tuple(p.size for p in self.probs)
         self._cums = [_cdf(p) for p in self.probs]
         # a uniform law over n = 2^m bins has cumulative values exactly j/n,
-        # so floor(u * n) is the index searchsorted finds, bit for bit
+        # so floor(u * n) is the index searchsorted finds, bit for bit; one
+        # scalar scales every column when all players have the same n
         bins = [p.size for p in self.probs]
         exact = all(n & (n - 1) == 0 and np.all(p == 1.0 / n) for n, p in zip(bins, self.probs))
-        self._dyadic_bins = np.array(bins, dtype=float) if exact else None
+        self._dyadic_bins = None
+        if exact:
+            self._dyadic_bins = float(bins[0]) if len(set(bins)) == 1 else np.array(bins, float)
 
     def sample_path(self, horizon: int, rng, initial=None) -> np.ndarray:
         u = rng.random((horizon, len(self.dims)))

@@ -268,10 +268,12 @@ def _play(params, kinds: tuple, eta: np.ndarray, rows, deviation=None):
     return eta, powers, recommended, None, util_all, punishment_stage
 
 
-def _closed_form(params, kinds, gains):
+def _closed_form(params, kinds, gains, out=None):
     """``(powers, recommended, utility)`` of everyone following one rule on
     the rows ``gains``, nobody deviating; None for mixed rules, for
-    ``social_optimum`` and for a plan over a cap, which are played.
+    ``social_optimum`` and for a plan over a cap, which are played.  The
+    utilities go into ``out`` when it is given (an (N, K) C-contiguous
+    float array, left untouched on None).
 
     The utilities R_i f(s_i) / p_i take the SINR s_i the rule gives each
     transmitter: beta_star under ``nash``, gamma_tilde of the group size
@@ -286,7 +288,7 @@ def _closed_form(params, kinds, gains):
     if not under_caps(params, powers):
         return None
     return powers, recommended, _compliant_utility(params, kind, gains, powers, recommended,
-                                                   k_active)
+                                                   k_active, out)
 
 
 def _plan(params, kinds, eta):
@@ -311,32 +313,37 @@ def _plan(params, kinds, eta):
     return powers, recommended, expected
 
 
-def _compliant_utility(params, kind, eta, powers, recommended, k_active):
+def _compliant_utility(params, kind, eta, powers, recommended, k_active, out=None):
     """``_closed_form``'s utilities of one rule's plan ``powers`` and
-    ``recommended`` mask, under every cap."""
+    ``recommended`` mask, under every cap, written to ``out`` if given."""
+    if out is None:
+        out = np.empty(powers.shape)
     if kind.name == "time_sharing":
         flat = np.flatnonzero(recommended)  # each row's one winner, as a flat index
         p = np.take(powers, flat)
         solo = params.rates[flat % powers.shape[1]] * params.eff.value(
             p * np.take(eta, flat) / params.sigma2) / p
-        utility = np.zeros(powers.shape)
-        np.put(utility, flat, solo)
-        return utility
+        out.fill(0.0)
+        np.put(out, flat, solo)
+        return out
     # each row's group: all K players under operating_point, and row 0 of
     # the table under nash, whose SINR is gamma_tilde(1) = beta_star
     gross = params.group_gross_rates
     nash = kind.name == "nash"
     if (nash or kind.name == "operating_point") and powers.min(initial=np.inf) > 0:
-        return gross[0 if nash else -1] / powers  # everyone transmits, in one group
-    utility = np.take(gross, np.zeros_like(k_active) if nash else k_active - 1, axis=0)
+        # everyone transmits, in one group
+        return np.divide(gross[0 if nash else -1], powers, out=out)
+    # ``clip`` lets ``take`` write to ``out`` unbuffered (every index is in range)
+    np.take(gross, np.zeros_like(k_active) if nash else k_active - 1, axis=0, out=out,
+            mode="clip")
     transmits = powers > 0
     if transmits.all():  # everyone recommended everywhere: no mask arithmetic needed
-        utility /= powers
+        out /= powers
     else:  # (gross * 1) / (p + 0) is exactly gross / p, and (gross * 0) / (0 + 1) is 0
-        utility *= transmits
+        out *= transmits
         silent = np.logical_not(transmits, out=transmits)
-        utility /= powers + silent
-    return utility
+        out /= powers + silent
+    return out
 
 
 def _deviate(params, eta, scheduled, dev, stages):
@@ -423,12 +430,13 @@ def _closed_form_average(params: GameParams, kinds: tuple, eta: np.ndarray, rows
     whole path must be played: K = 1, or ``_closed_form`` giving None on
     the visited-state table or on some block of stages.
 
-    Each block goes into rows 1.. of one buffer whose row 0 carries the
-    running (K,) total, so ``einsum`` over the buffer continues the
-    row-by-row sum that ``mean`` makes over a whole C-contiguous array with
-    K >= 2 (with K = 1 it sums pairwise).  Per stage (``rows`` None) each
-    block of gains is scored; on the visited states the table is scored
-    once and gathered one block of ``rows`` at a time.
+    Each block is scored or gathered in place into rows 1.. of one buffer
+    whose row 0 carries the running (K,) total, so ``einsum`` over the
+    buffer continues the row-by-row sum that ``mean`` makes over a whole
+    C-contiguous array with K >= 2 (with K = 1 it sums pairwise).  Per
+    stage (``rows`` None) each block of gains is scored; on the visited
+    states the table is scored once and gathered one block of ``rows`` at
+    a time.
     """
     k = eta.shape[1]
     if k < 2:
@@ -446,12 +454,8 @@ def _closed_form_average(params: GameParams, kinds: tuple, eta: np.ndarray, rows
         m = min(step, n - start)
         if table is not None:  # ``clip`` lets ``take`` write to ``buf`` unbuffered
             table.take(rows[start:start + m], axis=0, out=buf[1:m + 1], mode="clip")
-        else:
-            scored = _closed_form(params, kinds, eta[start:start + m])
-            if scored is None:
-                return None
-            buf[1:m + 1] = scored[2]
-            del scored  # the next block is scored without this one alive
+        elif _closed_form(params, kinds, eta[start:start + m], buf[1:m + 1]) is None:
+            return None
         buf[0] = np.einsum("tk->k", buf[:m + 1])
     return buf[0] / n
 

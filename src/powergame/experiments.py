@@ -211,7 +211,10 @@ class Experiment:
     config: dict  # normalized echo
     defaults_used: list
     points: list[tuple[str, GameParams, ChannelModel, list[StrategyKind]]]
-    engine: EngineConfig  # each run replaces its spawn_key
+    horizon: int
+    seed: int
+    lam: float | None  # simulate only
+    deviation: DeviationSpec | None  # simulate only
     replicates: int
     trace: bool
     sweep_axis: str | None
@@ -318,8 +321,8 @@ def parse_config(cfg: dict) -> Experiment:
         task=task, config=normalize_config(cfg),
         defaults_used=sorted(set(used) | set(v.get("provenance.default", []))),
         points=points,
-        engine=EngineConfig(horizon=horizon, lam=v["engine.lam"], seed=v["engine.seed"],
-                            deviation=deviation),
+        horizon=horizon, seed=v["engine.seed"],
+        lam=v["engine.lam"] if task == "simulate" else None, deviation=deviation,
         replicates=v["engine.replicates"], trace=trace, sweep_axis=sweep_axis,
         grid_size=v["region.grid_size"], artifact=artifact,
     )
@@ -343,7 +346,9 @@ def _task_simulate(exp: Experiment) -> list:
         kinds_full = kinds if len(kinds) == params.n_players else kinds * params.n_players
         discounted, averages = [], []
         for r in range(exp.replicates):
-            result = run_game(params, model, kinds_full, replace(exp.engine, spawn_key=(j, r)))
+            cfg = EngineConfig(horizon=exp.horizon, lam=exp.lam, seed=exp.seed, spawn_key=(j, r),
+                               deviation=exp.deviation)
+            result = run_game(params, model, kinds_full, cfg)
             discounted.append(result.discounted)
             averages.append(result.time_average)
             if r == 0 and exp.trace:  # parse_config refuses a trace with a sweep
@@ -360,7 +365,7 @@ def _task_dominance(exp: Experiment) -> list:
     lines = [f"{exp.sweep_axis or 'K'},strategy,mean,stderr"]
     for j, (label, params, model, kinds) in enumerate(exp.points):
         estimates = estimate_expected_utilities(
-            params, model, kinds, exp.engine.horizon, exp.engine.seed, exp.replicates,
+            params, model, kinds, exp.horizon, exp.seed, exp.replicates,
             spawn_prefix=(j,),
         )
         for kind, est in zip(kinds, estimates):
@@ -388,8 +393,8 @@ def _task_lambdamax(exp: Experiment) -> list:
     lines = [f"{exp.sweep_axis or 'K'},lambda_max,delta,delta_stderr,penalty"]
     for j, (label, params, model, _) in enumerate(exp.points):
         bound = analysis.lambda_max(
-            params, model, horizon=exp.engine.horizon, replicates=exp.replicates,
-            seed=exp.engine.seed, spawn_prefix=(j,),
+            params, model, horizon=exp.horizon, replicates=exp.replicates, seed=exp.seed,
+            spawn_prefix=(j,),
         )
         binding = int(np.argmin(bound.per_player))
         lines.append(
@@ -403,7 +408,7 @@ def _task_lambdamax(exp: Experiment) -> list:
 def _task_partition(exp: Experiment) -> list:
     _, params, model, _ = exp.points[0]  # parse_config refuses a sweep
     part = analysis.config_partition(
-        params, model, horizon=exp.engine.horizon, seed=exp.engine.seed
+        params, model, horizon=exp.horizon, seed=exp.seed
     )
     lines = ["k,H1_freq,H2_freq"] + [
         f"{k},{_fmt(h1)},{_fmt(h2)}"
@@ -456,7 +461,7 @@ def run_experiment(config, out_dir) -> dict:
     manifest = {
         "format": "powergame-manifest-v1",
         "config": exp.config,
-        "seed": exp.engine.seed,
+        "seed": exp.seed,
         "defaults_used": exp.defaults_used,
         "artifacts": {
             name: hashlib.sha256(text.encode()).hexdigest() for name, text in artifacts

@@ -16,6 +16,7 @@ compliance is exactly predictable from the plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -24,9 +25,10 @@ from .errors import CapError, InformationError, SaturationError
 from .oneshot import (
     GameParams,
     _check_realization,
+    _ranked_gains,
+    _top_mask,
     check_gains,
     social_optimum,
-    stable_top,
 )
 
 _VALID_KINDS = (
@@ -112,24 +114,32 @@ def select_best_users(params: GameParams, eta) -> np.ndarray:
     At equal rates the optimum over all 2^K - 1 subsets is always a
     prefix of the gain ranking, so only the K prefix sets are scored
     (ties in gain broken by player index).  Returns ascending player
-    indices; gains must be positive and finite, one per player.
+    indices; ``eta`` is one realization, a (K,) vector of positive, finite
+    gains.
     """
-    eta = _check_realization(params, np.atleast_2d(np.asarray(eta, dtype=float)))
-    return np.nonzero(_best_users_mask(params, eta)[0][0])[0]
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim != 1:
+        raise ValueError(f"select_best_users expects a single realization, got shape {eta.shape}")
+    eta = _check_realization(params, eta)
+    return np.nonzero(_best_users_mask(params, eta[None])[0][0])[0]
 
 
 def select_by_threshold(alpha: float, eta) -> np.ndarray:
     """Players whose gain is within a factor alpha of the stage's best gain.
 
     Never empty: the best player always qualifies.  Returns ascending
-    player indices; gains must be positive and finite.
+    player indices; ``eta`` is one realization, a 1-D vector of positive,
+    finite gains.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    eta = np.atleast_2d(check_gains(eta))
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim != 1:
+        raise ValueError(f"select_by_threshold expects a single realization, got shape {eta.shape}")
+    eta = check_gains(eta)
     if eta.size == 0:
         raise ValueError("select_by_threshold needs at least one gain")
-    return np.nonzero(_threshold_mask(alpha, eta)[0])[0]
+    return np.nonzero(_threshold_mask(alpha, eta[None])[0])[0]
 
 
 # The selection kernels sweep the K player columns one at a time: with K
@@ -141,17 +151,22 @@ def _best_users_mask(params: GameParams, eta: np.ndarray):
     prefix of the stable gain ranking whose equal-received-power welfare is
     largest, the shortest one on ties."""
     params.require_equal_rates()
-    desc = np.sort(eta, axis=1)[:, ::-1]  # the ranking's gains: tied gains are equal floats
+    buf, rank_row = _ranked_gains(eta)  # tied gains are equal floats
     # equal_received is the common received power of every group size
     coeff = params.group_gross_rates[:, 0] / params.equal_received
-    prefixes = accumulate(desc.T)  # the sums of the m best gains, added in ranking order
+    # the sums of the m best gains, added in ranking order
+    prefixes = accumulate(buf[row] for row in rank_row[:-1])
     k_star = _first_max(map(np.multiply, coeff, prefixes))[1] + 1
-    return stable_top(eta, desc, k_star), k_star
+    # each row's k*-th and (k*+1)-th largest gains, gathered at flat indices
+    n = eta.shape[0]
+    cut, after = (buf.reshape(-1).take(rank_row.take(rank) * n + np.arange(n))
+                  for rank in (k_star - 1, k_star))
+    return _top_mask(eta, k_star, cut, after), k_star
 
 
 def _threshold_mask(alpha: float, eta: np.ndarray) -> np.ndarray:
     """(N, K) threshold recommendations: gains within alpha of the row's best."""
-    return eta >= alpha * _first_max(eta.T)[0][:, None]
+    return eta >= alpha * reduce(np.maximum, eta.T)[:, None]
 
 
 def _first_max(columns):

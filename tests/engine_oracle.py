@@ -23,9 +23,16 @@ the recommended counts.  ``closed_form_utility_oracle`` is the former
 masked divide for the utilities of all five closed-form rules.  The
 package now computes these with column sweeps, which must agree with them
 bit for bit.
+
+``best_users_sort_oracle`` is the best-users kernel the package used
+before it ranked gains with a sorting network: ``np.sort`` along each row
+and ``stable_top_oracle``, which takes each row's m best players in the
+stable ranking with an index-order tie loop on every row.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 from channels_oracle import gain_matrix_oracle
@@ -97,6 +104,38 @@ def _best_users_mask(params: GameParams, eta: np.ndarray) -> np.ndarray:
     recommended = np.zeros((n, k), dtype=bool)
     np.put_along_axis(recommended, order, np.arange(k) < k_star[:, None], axis=1)
     return recommended
+
+
+def best_users_sort_oracle(params: GameParams, eta: np.ndarray):
+    """``strategies._best_users_mask``, the (N, K) recommendations and (N,)
+    counts, by ``np.sort`` along each row and ``stable_top_oracle``."""
+    params.require_equal_rates()
+    desc = np.sort(eta, axis=1)[:, ::-1]
+    coeff = params.group_gross_rates[:, 0] / params.equal_received
+    values = [np.multiply(c, prefix) for c, prefix in zip(coeff, accumulate(desc.T))]
+    k_star = np.argmax(np.stack(values, axis=1), axis=1) + 1  # the first maximum
+    return stable_top_oracle(eta, desc, k_star), k_star
+
+
+def stable_top_oracle(eta: np.ndarray, desc: np.ndarray, m) -> np.ndarray:
+    """(N, K) mask of each row's ``m`` best players in the stable gain
+    ranking (larger gain first, lower index first among equal gains), given
+    ``desc``, each row of ``eta`` sorted descending; ``m`` in 1..K is one
+    count for every row or one per row.  Every gain above the m-th largest
+    is in, and the gains equal to it are taken in index order until m
+    players are."""
+    n, k = eta.shape
+    cut = desc[np.arange(n), m - 1]
+    left = np.full(n, m)  # places left for the gains equal to the cutoff
+    for j in range(k - 1):  # the smallest gain is never above a cutoff
+        left -= desc[:, j] > cut
+    top = eta > cut[:, None]
+    tie = eta == cut[:, None]
+    for j in range(k):
+        take = tie[:, j] & (left > 0)
+        left -= take
+        top[:, j] |= take
+    return top
 
 
 def _threshold_mask(alpha: float, eta: np.ndarray) -> np.ndarray:

@@ -582,9 +582,9 @@ def test_closed_form_average_gives_up_where_it_cannot_score(monkeypatch):
     scored = []
     closed_form = engine._closed_form
 
-    def spy(params, kinds, gains):
+    def spy(params, kinds, gains, out=None):
         scored.append(gains.shape[0])
-        return closed_form(params, kinds, gains)
+        return closed_form(params, kinds, gains, out)
 
     monkeypatch.setattr(engine, "_closed_form", spy)
     assert _closed_form_average(params, (OPERATING_POINT,) * 2, eta, None) is None

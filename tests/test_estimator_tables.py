@@ -110,8 +110,8 @@ def planned_rows(monkeypatch):
         rows.append(eta.shape[0])
         return plan(params, kinds, eta)
 
-    def closed_form_spy(params, kinds, gains):
-        scored = closed_form(params, kinds, gains)
+    def closed_form_spy(params, kinds, gains, out=None):
+        scored = closed_form(params, kinds, gains, out)
         if scored is not None:
             rows.append(gains.shape[0])
         return scored

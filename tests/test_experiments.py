@@ -280,7 +280,7 @@ class TestPresets:
     @pytest.mark.parametrize("name", PRESETS)
     def test_all_presets_parse(self, name):
         exp = parse_config(preset(name))
-        assert exp.engine.seed == 987654321
+        assert exp.seed == 987654321
 
     def test_unknown_preset_lists_names(self):
         with pytest.raises(ConfigError) as err:
@@ -297,7 +297,7 @@ class TestPresets:
         cfg = preset("fig4")
         exp = parse_config(cfg)
         assert all(params.eff.a == 0.1 for _, params, _, _ in exp.points)
-        assert exp.engine.horizon == 100_000
+        assert exp.horizon == 100_000
         stated = set(cfg["provenance"]["stated"])
         assert not stated & set(exp.defaults_used)
 

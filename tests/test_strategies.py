@@ -262,6 +262,23 @@ def test_selectors_refuse_an_empty_gain_vector(name):
         SELECTORS[name]([])
 
 
+TWO_PLAYER_SELECTORS = {
+    "select_best_users": lambda eta: select_best_users(params_for(2, 0.1), eta),
+    "select_by_threshold": lambda eta: select_by_threshold(0.5, eta),
+}
+
+
+@pytest.mark.parametrize("eta", [[[1.0, 2.0], [5.0, 1.0]], [[1.0, 2.0]], [[[1.0, 2.0]]], 2.0],
+                         ids=["two_rows", "one_row", "three_axes", "scalar"])
+@pytest.mark.parametrize("name", list(TWO_PLAYER_SELECTORS))
+def test_selectors_take_one_realization_only(name, eta):
+    # best users used to answer for the first of several rows ([0 1] for the
+    # two rows here), and the threshold rule with row indices ([0 0] for the
+    # three axes)
+    with pytest.raises(ValueError, match="expects a single realization"):
+        TWO_PLAYER_SELECTORS[name](eta)
+
+
 def test_best_users_needs_one_gain_per_player():
     with pytest.raises(ValueError, match="expected 3 channel gains"):
         select_best_users(params_for(3, 0.1), [4.0, 2.0])
