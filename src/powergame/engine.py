@@ -60,6 +60,15 @@ _THINNED_EVERY = 100
 _PLAY_BLOCK_ENTRIES = 1 << 15
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """Refuse a non-integer (a float or a bool; numpy integers pass) or a
+    value below ``low`` where an integer input enters the engine."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
 @dataclass(frozen=True)
 class DeviationSpec:
     """Forced unilateral deviation: at ``start`` the deviator plays a best
@@ -74,10 +83,8 @@ class DeviationSpec:
     def __post_init__(self):
         if self.mode not in ("one_shot", "permanent"):
             raise ValueError(f"unknown deviation mode {self.mode!r}")
-        if self.start < 1:
-            raise ValueError("deviation start stage must be >= 1")
-        if self.player < 0:
-            raise ValueError("deviation player index must be >= 0")
+        _check_count("deviation start stage", self.start, 1)
+        _check_count("deviation player index", self.player, 0)
 
 
 @dataclass(frozen=True)
@@ -90,8 +97,7 @@ class EngineConfig:
     initial_state: tuple | None = None
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        _check_count("horizon", self.horizon, 1)
         if not 0.0 < self.lam < 1.0:
             raise ValueError("discount factor must be in (0, 1)")
 
@@ -399,8 +405,8 @@ def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: 
     Each estimate equals its own ``estimate_expected_utility`` call bit for
     bit.  If several entries fail, the error of the first listed is raised.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+    _check_count("horizon", horizon, 1)
+    _check_count("replicates", replicates, 1)
     kinds_list = list(kinds_list)
     means = [[] for _ in kinds_list]
     live, error = len(means), None  # entries from ``live`` on are not evaluated

@@ -27,22 +27,59 @@ _SCALE_EXP = 400
 _TINY = float(np.finfo(float).tiny)
 
 
-def _half_chain(pts: np.ndarray) -> list:
-    """Positions of one monotone chain over (m >= 2, 2) points, popping
-    non-left turns; the top two points o, a are kept in locals."""
-    x, y = pts[:, 0].tolist(), pts[:, 1].tolist()
-    chain = [0, 1]
-    ox, oy, ax, ay = x[0], y[0], x[1], y[1]
-    for k, px, py in zip(range(2, len(x)), x[2:], y[2:]):
+def _half_chain(x: list, y: list, left: list, start: int, end: int) -> list:
+    """Positions of one monotone chain over the points start .. end - 1,
+    popping non-left turns.  ``left[k - 2]`` says the triple k - 2, k - 1, k
+    turns left, for start + 2 <= k < end, and ``left[end - 2]`` is False.
+
+    Every point is pushed when it is reached, so after a point that popped
+    nothing the top two are the two points before the next one, whose turn
+    ``left`` holds: the run of left turns up to the next stop is pushed in
+    one step.  At a stop, and at each point after a pop, the turn is tested
+    against the top two o, a, kept in locals.
+    """
+    chain = [start, start + 1]
+    k = start + 2
+    ox, oy, ax, ay = x[start], y[start], x[start + 1], y[start + 1]
+    popped = False
+    while k < end:
+        if not popped and left[k - 2]:
+            stop = left.index(False, k - 2) + 2
+            chain.extend(range(k, stop))
+            k = stop
+            ox, oy, ax, ay = x[k - 2], y[k - 2], x[k - 1], y[k - 1]
+            continue
+        px, py = x[k], y[k]
+        popped = False
         while (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0:
+            popped = True
             chain.pop()
             ax, ay = ox, oy
             if len(chain) == 1:
                 break
             ox, oy = x[chain[-2]], y[chain[-2]]
         chain.append(k)
+        k += 1
         ox, oy, ax, ay = ax, ay, px, py
     return chain
+
+
+def _half_chains(seq: np.ndarray, nl: int):
+    """Positions in (m, 2) ``seq`` of the lower chain over its first ``nl``
+    points and of the upper chain over the rest, each of >= 2 points.
+
+    One pass computes the turn of every consecutive triple, by the chain
+    loop's own expression: left where it is > 0, a stop otherwise (NaN
+    included).  Of the two triples across the seam, the first ends the
+    lower chain's runs and the second is read by neither chain; a stop
+    appended ends the upper chain's.
+    """
+    d1, d2 = seq[1:-1] - seq[:-2], seq[2:] - seq[:-2]
+    left = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0).tolist()
+    left[nl - 2] = False
+    left.append(False)
+    x, y = seq[:, 0].tolist(), seq[:, 1].tolist()
+    return _half_chain(x, y, left, 0, nl), _half_chain(x, y, left, nl, len(x))
 
 
 def convex_hull(points) -> np.ndarray:
@@ -59,8 +96,9 @@ def convex_hull(points) -> np.ndarray:
     if pts.size and not np.abs(pts).max() < 2.0**1023:
         raise ValueError("convex_hull needs finite points below 2**1023 in magnitude")
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]  # by x, then y; stable
-    if pts.shape[0] > 1:
-        pts = pts[np.concatenate([[True], (pts[1:] != pts[:-1]).any(axis=1)])]
+    new = (pts[1:, 0] != pts[:-1, 0]) | (pts[1:, 1] != pts[:-1, 1])
+    if not new.all():  # a sum of hull vertices rarely repeats one
+        pts = pts[np.concatenate([[True], new])]
     if pts.shape[0] <= 2:
         return pts
     test, rel = pts, pts - pts[0]
@@ -75,8 +113,10 @@ def convex_hull(points) -> np.ndarray:
         margin = math.inf
     side = d0 * rel[:, 1] - d1 * rel[:, 0]  # 0.0 at both ends of the chord
     lower, upper = np.flatnonzero(side <= margin), np.flatnonzero(side >= -margin)[::-1]
-    return pts[np.concatenate([lower[_half_chain(test[lower])][:-1],
-                               upper[_half_chain(test[upper])][:-1]])]
+    both = np.concatenate([lower, upper])
+    low, up = _half_chains(test[both], lower.size)
+    keep = low[:-1] + up[:-1]
+    return pts[both[np.fromiter(keep, np.intp, len(keep))]]
 
 
 def _vertex_arcs(poly: np.ndarray, scale: float):
@@ -155,9 +195,12 @@ def weighted_minkowski_sum(polys, weights) -> np.ndarray:
 
 
 def clip_to_lower_bounds(poly, bounds) -> np.ndarray:
-    """Intersect a convex polygon with {x >= bounds[0]} and {y >= bounds[1]}."""
+    """Intersect a convex polygon with {x >= bounds[0]} and {y >= bounds[1]};
+    a bound of -inf is no bound, +inf leaves nothing, and NaN is refused."""
     verts = np.asarray(poly, dtype=float).reshape(-1, 2)
     for dim, bound in enumerate(bounds):
+        if np.isnan(bound):
+            raise ValueError(f"lower bound {dim} is NaN")
         nxt = np.roll(verts, -1, axis=0)
         inside = verts[:, dim] >= bound
         crossing = inside != (nxt[:, dim] >= bound)
@@ -168,8 +211,13 @@ def clip_to_lower_bounds(poly, bounds) -> np.ndarray:
 
 
 def point_in_convex_polygon(point, poly, tol: float = 1e-9) -> bool:
-    """Membership test allowing ``tol`` of slack outside each edge."""
+    """Membership test allowing ``tol`` of slack outside each edge; a
+    non-finite point, or a NaN or negative ``tol``, is refused."""
     p = np.asarray(point, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValueError(f"point {point!r} is not finite")
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance {tol!r} is not >= 0")
     verts = np.asarray(poly, dtype=float).reshape(-1, 2)
     if verts.shape[0] == 0:
         return False

@@ -8,8 +8,10 @@ two polygons.  ``weighted_minkowski_sum_oracle`` is the same left fold over
 states built on them.  ``clip_to_lower_bounds_oracle`` and
 ``point_in_convex_polygon_oracle`` are the edge-by-edge loops the package
 used before it treated every edge at once; the clip hulls its points with
-the package's ``convex_hull``, as it did then.  Tests compare
-``powergame.geometry`` against these bit for bit.
+the package's ``convex_hull``, as it did then.  ``half_chain_oracle`` is the
+package's half chain before it pushed each run of left turns in one step:
+a push or a pop per point.  Tests compare ``powergame.geometry`` against
+these bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +41,24 @@ def convex_hull_oracle(points) -> np.ndarray:
             upper.pop()
         upper.append(p)
     return np.array(lower[:-1] + upper[:-1])
+
+
+def half_chain_oracle(pts: np.ndarray) -> list:
+    """Positions of one monotone chain over (m >= 2, 2) points, popping
+    non-left turns; the top two points o, a are kept in locals."""
+    x, y = pts[:, 0].tolist(), pts[:, 1].tolist()
+    chain = [0, 1]
+    ox, oy, ax, ay = x[0], y[0], x[1], y[1]
+    for k, px, py in zip(range(2, len(x)), x[2:], y[2:]):
+        while (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0:
+            chain.pop()
+            ax, ay = ox, oy
+            if len(chain) == 1:
+                break
+            ox, oy = x[chain[-2]], y[chain[-2]]
+        chain.append(k)
+        ox, oy, ax, ay = ax, ay, px, py
+    return chain
 
 
 def minkowski_sum_oracle(poly_a, poly_b) -> np.ndarray:

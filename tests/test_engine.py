@@ -84,6 +84,35 @@ class TestDiscounting:
         with pytest.raises(ValueError):
             EngineConfig(horizon=10, lam=0.0, seed=1)
 
+    @pytest.mark.parametrize("horizon", [10.5, 10.0, True, False, np.float64(3.0), np.bool_(True)])
+    def test_non_integer_horizon_refused(self, horizon):
+        # 10.5 was built and failed in run_game with a numpy casting
+        # TypeError; True played one stage
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            EngineConfig(horizon=horizon, lam=0.5, seed=1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("player", 1.5), ("player", 1.0), ("player", True),
+        ("start", 2.5), ("start", 2.0), ("start", True),
+    ])
+    def test_non_integer_deviation_refused(self, field, value):
+        # these were built and failed later with an IndexError or TypeError
+        spec = {"player": 1, "start": 2, field: value}
+        with pytest.raises(ValueError, match="must be an integer"):
+            DeviationSpec(**spec)
+
+    def test_numpy_integer_inputs_accepted(self):
+        params = params_for(2, 0.1)
+        model = build_model(TwoStateSpec(1.0, 4.0), 2)
+        dev = DeviationSpec(player=np.int64(1), start=np.int32(3))
+        got = run_game(params, model, OPERATING_POINT,
+                       EngineConfig(horizon=np.int64(20), lam=0.5, seed=2, deviation=dev))
+        want = run_game(params, model, OPERATING_POINT,
+                        EngineConfig(horizon=20, lam=0.5, seed=2,
+                                     deviation=DeviationSpec(player=1, start=3)))
+        assert got.discounted.tobytes() == want.discounted.tobytes()
+        assert got.punishment_stage == want.punishment_stage
+
 
 class TestRunGame:
     def test_single_stage_value(self):
@@ -442,6 +471,25 @@ class TestPairedEstimates:
         model = build_model(TwoStateSpec(1.0, 4.0), 2)
         with pytest.raises(ValueError):
             estimate_expected_utilities(params, model, [NASH, BEST_USERS], 10, 0, 0)
+
+    @pytest.mark.parametrize("horizon,replicates,name", [
+        (10.5, 2, "horizon"), (True, 2, "horizon"), (np.float64(10.0), 2, "horizon"),
+        (10, 2.5, "replicates"), (10, True, "replicates"), (10, 2.0, "replicates"),
+    ])
+    def test_non_integer_counts_refused(self, horizon, replicates, name):
+        # a float horizon used to play its floor, a float replicate count
+        # failed in range() with a bare TypeError
+        params = params_for(2, 0.1)
+        model = build_model(TwoStateSpec(1.0, 4.0), 2)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            estimate_expected_utility(params, model, NASH, horizon, 0, replicates)
+
+    def test_numpy_integer_counts_accepted(self):
+        params = params_for(2, 0.1)
+        model = build_model(TwoStateSpec(1.0, 4.0), 2)
+        got = estimate_expected_utility(params, model, NASH, np.int64(10), 0, np.int32(2))
+        want = estimate_expected_utility(params, model, NASH, 10, 0, 2)
+        assert got.per_replicate.tobytes() == want.per_replicate.tobytes()
 
 
 class TestErgodicAndInitialState:

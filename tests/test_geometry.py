@@ -129,6 +129,21 @@ class TestClip:
         out = clip_to_lower_bounds(sq, (0.0, 0.0))
         assert as_vertex_set(out) == as_vertex_set(sq)
 
+    @pytest.mark.parametrize("bounds", [(np.nan, 0.0), (0.0, np.nan), (np.nan, np.nan)])
+    def test_nan_bound_refused(self, bounds):
+        sq = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+        with pytest.raises(ValueError, match="is NaN"):
+            clip_to_lower_bounds(sq, bounds)
+
+    def test_infinite_bounds(self):
+        # -inf is no bound, +inf on either coordinate leaves nothing
+        sq = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+        assert clip_to_lower_bounds(sq, (-np.inf, -np.inf)).tobytes() == sq.tobytes()
+        assert as_vertex_set(clip_to_lower_bounds(sq, (-np.inf, 0.5))) == {
+            (0, 0.5), (1, 0.5), (1, 1), (0, 1)}
+        for bounds in ((np.inf, 0.0), (0.0, np.inf), (np.inf, -np.inf)):
+            assert clip_to_lower_bounds(sq, bounds).shape == (0, 2)
+
 
 class TestMembership:
     def test_inside_outside_boundary(self):
@@ -155,3 +170,27 @@ class TestMembership:
         seg = np.array([(0, 0), (1, 1)], dtype=float)
         assert point_in_convex_polygon((0.5, 0.5), seg)
         assert not point_in_convex_polygon((0.5, 0.6), seg)
+
+    @pytest.mark.parametrize("poly", [
+        [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+        [(0.0, 0.5), (1.0, 0.5)],
+        [(0.5, 0.5)],
+        np.empty((0, 2)),
+    ])
+    @pytest.mark.parametrize("point", [
+        (np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5), (0.5, -np.inf),
+    ])
+    def test_non_finite_point_refused(self, poly, point):
+        with pytest.raises(ValueError, match="not finite"):
+            point_in_convex_polygon(point, poly)
+
+    @pytest.mark.parametrize("poly", [
+        [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+        [(0.0, 0.5), (1.0, 0.5)],
+        [(0.5, 0.5)],
+        np.empty((0, 2)),
+    ])
+    @pytest.mark.parametrize("tol", [np.nan, -1e-9, -np.inf])
+    def test_nan_or_negative_tolerance_refused(self, poly, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            point_in_convex_polygon((5.0, 5.0), poly, tol=tol)

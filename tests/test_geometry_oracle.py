@@ -4,7 +4,9 @@ The Minkowski sum keeps only the vertex pairs whose normal arcs overlap,
 and each half chain of the hull runs over Python floats and walks only
 the points on its side of the chord; both must give the reference's
 output bit for bit (one cloud where the reference's walk over every point
-gives a polygon that is not convex is pinned apart).  The half-plane clip
+gives a polygon that is not convex is pinned apart).  The half chains push
+each run of left turns in one step; they must give the positions of the
+loop that pushes or pops once per point.  The half-plane clip
 and the membership test treat every edge at once; they must give the
 edge-by-edge loops' hulls bit for bit and their booleans exactly.
 """
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from geometry_oracle import (
     clip_to_lower_bounds_oracle,
     convex_hull_oracle,
+    half_chain_oracle,
     minkowski_sum_oracle,
     point_in_convex_polygon_oracle,
     weighted_minkowski_sum_oracle,
@@ -25,6 +28,7 @@ import powergame.geometry
 from powergame.analysis import feasible_region_2p
 from powergame.channels import TruncatedRayleighSpec, build_model
 from powergame.geometry import (
+    _half_chains,
     clip_to_lower_bounds,
     convex_hull,
     minkowski_sum,
@@ -252,8 +256,23 @@ def utility_like(rng):
     return rng.permutation(nudged(rng, cloud, int(rng.integers(0, 3))))
 
 
+def nearly_convex(rng):
+    # the fold's candidates: points on a convex curve, a few nudged inward
+    # by a few ulps and a few inserted halfway along an edge
+    n = int(rng.integers(3, 60))
+    t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    center = rng.normal(size=2) * rng.choice([0.0, 1.0, 100.0])
+    ring = np.c_[np.cos(t), np.sin(t) * rng.uniform(0.1, 1.0)] * rng.uniform(0.01, 100.0) + center
+    inward = rng.choice(n, int(rng.integers(0, 4)), replace=False)
+    steps = rng.integers(1, 4, (inward.size, 1)) * np.spacing(ring[inward])
+    ring[inward] -= steps * np.sign(ring[inward] - center)
+    edges = rng.choice(n, int(rng.integers(0, 4)), replace=False)
+    mids = (ring[edges] + ring[(edges + 1) % n]) / 2.0
+    return rng.permutation(np.vstack([ring, mids]))
+
+
 ADVERSARIAL = (collinear, sliver, near_duplicate_extremes, vertical_ends, polygon_twins,
-               integer_grid, utility_like)
+               integer_grid, utility_like, nearly_convex)
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +317,95 @@ def test_near_duplicates_off_the_chord_stay_out_of_the_other_chain():
         (1.388556147221949, -0.7936011590947135), (0.8745126177144568, -0.9642205384780433)])
     assert convex_hull_oracle(cloud).shape == (5, 2)
     assert_bitwise(convex_hull(cloud), cloud[[0, 7, 6]])
+
+
+def parabola(rng, m):
+    # m points of y = x^2 by increasing x: every triple turns left
+    x = np.sort(rng.uniform(-1.0, 1.0, m))
+    return np.c_[x, x * x]
+
+
+def raised(pts, rows):
+    # each listed point lifted above its neighbours: the triple it ends in
+    # the middle of is a stop
+    out = pts.copy()
+    out[rows, 1] += 1.0
+    return out
+
+
+def first_stop(rng):
+    return raised(parabola(rng, int(rng.integers(4, 30))), [1])
+
+
+def last_stop(rng):
+    m = int(rng.integers(4, 30))
+    return raised(parabola(rng, m), [m - 2])
+
+
+def neighbour_stops(rng):
+    # a few points lifted at random, and two neighbours lifted twice as high
+    m = int(rng.integers(8, 40))
+    pts = raised(parabola(rng, m), rng.choice(m, int(rng.integers(0, 4)), replace=False))
+    j = int(rng.integers(1, m - 3))
+    pts[[j, j + 1], 1] += 2.0
+    return pts
+
+
+def zero_turns(rng):
+    # integer points on a convex polyline with runs along each piece, and
+    # a few points repeated in place: turns of exactly 0
+    m = int(rng.integers(6, 40))
+    x = np.sort(rng.integers(-20, 20, m)).astype(float)
+    y = np.maximum(np.abs(x - rng.integers(-5, 5)), 2.0 * x - rng.integers(0, 10))
+    return np.c_[x, y]
+
+
+def all_stops(rng):
+    # a concave run (every turn right) or one straight line (every turn 0)
+    pts = parabola(rng, int(rng.integers(3, 30)))
+    pts[:, 1] *= -1.0 if rng.random() < 0.5 else 0.0
+    return pts
+
+
+CHAIN_KINDS = (first_stop, last_stop, neighbour_stops, zero_turns, all_stops)
+
+
+def chain_hits(kind, pts):
+    """Whether ``pts`` meets the jump path ``kind`` is named for."""
+    d1, d2 = pts[1:-1] - pts[:-2], pts[2:] - pts[:-2]
+    turns = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    stops, m = np.flatnonzero(~(turns > 0)) + 2, pts.shape[0]
+    return {
+        "first_stop": 2 in stops,
+        "last_stop": m - 1 in stops,
+        "neighbour_stops": bool(np.any(np.diff(stops) == 1)),
+        "zero_turns": bool(np.any(turns == 0)),
+        "all_stops": stops.size == m - 2,
+    }[kind.__name__]
+
+
+@pytest.mark.parametrize("kind", CHAIN_KINDS, ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize("seed", range(25))
+def test_half_chains_match_the_one_step_loop(kind, seed):
+    # each kind's points as the lower chain and, reversed, as the upper,
+    # laid end to end as convex_hull lays them; against the loop that
+    # pushes or pops once per point
+    rng = np.random.default_rng([seed, 7])
+    lower = kind(rng)
+    upper = CHAIN_KINDS[seed % len(CHAIN_KINDS)](rng)[::-1]
+    assert chain_hits(kind, lower)
+    low, up = _half_chains(np.concatenate([lower, upper]), lower.shape[0])
+    assert low == half_chain_oracle(lower)
+    assert up == [lower.shape[0] + k for k in half_chain_oracle(upper)]
+
+
+def test_half_chains_of_two_points():
+    # a chain of two points has no triple of its own; a collinear middle
+    # point is popped
+    two = np.array([(0.0, 0.0), (1.0, 1.0)])
+    line = np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    assert _half_chains(np.concatenate([two, line]), 2) == ([0, 1], [2, 4])
+    assert _half_chains(np.concatenate([line, two]), 3) == ([0, 2], [3, 4])
 
 
 def pick_bound(coords, pick, u, which):
