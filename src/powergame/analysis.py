@@ -18,7 +18,7 @@ from .engine import UtilityEstimate, _draw_states, _play, estimate_expected_util
 from .errors import ModelError
 from .geometry import (
     clip_to_lower_bounds,
-    convex_hull,
+    convex_hulls,
     weighted_minkowski_sum,
 )
 from .oneshot import (GameParams, _grid_profiles, _power_grids, best_response, check_grid_size,
@@ -131,7 +131,7 @@ def feasible_region_2p(params: GameParams, model, grid_size: int = 12) -> Region
         block = slice(lo, lo + _REGION_BLOCK_STATES)
         profiles = _grid_profiles([padded[block, 0], padded[block, 1]])
         clouds = utility(params, gains[block, None, :], profiles)
-        hulls.extend(convex_hull(cloud) for cloud in clouds)
+        hulls.extend(convex_hulls(clouds))
     grids = [[g[:n] for g, n in zip(state, state_sizes)]
              for state, state_sizes in zip(padded, sizes)]
     region = weighted_minkowski_sum(hulls, probs)

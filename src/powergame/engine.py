@@ -98,6 +98,7 @@ class EngineConfig:
 
     def __post_init__(self):
         _check_count("horizon", self.horizon, 1)
+        _check_count("seed", self.seed, 0)
         if not 0.0 < self.lam < 1.0:
             raise ValueError("discount factor must be in (0, 1)")
 
@@ -200,6 +201,7 @@ def _draw_states(params, model, horizon: int, seed: int, spawn_key=(), initial_s
     package's one seeded draw, and each stage's row in them: the distinct
     joint states the path visits, in flat-index order, when the joint space
     is no larger than the horizon, else one row per stage and the map None."""
+    _check_count("seed", seed, 0)
     if model.n_players != params.n_players:
         raise ValueError("model and game disagree on the player count")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))

@@ -22,6 +22,8 @@ _ARC_SLACK = 1e-9
 _ROUND_SLACK = 64 * np.finfo(float).eps
 _TWO_PI = 2.0 * np.pi
 # convex_hull: chord margin per |chord| * spread; largest unscaled spread exponent
+# (convex_hulls: the same margin per |edge| * spread, and the same exponent
+# bound on the spread, for its octagon of extreme points)
 _CHORD_MARGIN = 1e-9
 _SCALE_EXP = 400
 _TINY = float(np.finfo(float).tiny)
@@ -119,6 +121,75 @@ def convex_hull(points) -> np.ndarray:
     return pts[both[np.fromiter(keep, np.intp, len(keep))]]
 
 
+def convex_hulls(clouds) -> list:
+    """``[convex_hull(c) for c in clouds]`` for a (C, M, 2) block of clouds.
+
+    Each cloud's extreme points in the directions +-x, +-y, +-(x + y) and
+    +-(x - y), in CCW order, are the corners of an octagon of cloud points.
+    A point left of every edge of it by more than ``_CHORD_MARGIN`` *
+    |edge| * spread (the spread: the larger of the cloud's x and y
+    extents), far beyond rounding, lies strictly inside the hull of the
+    corners, so it is no vertex: it is dropped before ``convex_hull`` sees
+    the rest, in input order.  A zero-length edge is no edge, and an edge
+    whose margin is not a normal float drops nothing.  A cloud with a
+    coordinate of 2**_SCALE_EXP or more, or whose spread has a binary
+    exponent outside +-``_SCALE_EXP`` (a repeated point included), keeps
+    every point, and no cross product is formed for it.
+    """
+    pts = np.asarray(clouds, dtype=float)
+    if pts.ndim != 3 or pts.shape[2] != 2:
+        raise ValueError(f"convex_hulls needs a (C, M, 2) block of clouds, got {pts.shape}")
+    mag = np.abs(pts).reshape(pts.shape[0], 2 * pts.shape[1]).max(axis=1, initial=0.0)
+    if not mag.max(initial=0.0) < 2.0**1023:
+        raise ValueError("convex_hulls needs finite points below 2**1023 in magnitude")
+    keep = np.ones(pts.shape[:2], dtype=bool)
+    if pts.shape[1] >= 3:
+        small = np.flatnonzero(mag < 2.0**_SCALE_EXP)  # no sum or product below overflows
+        if small.size:
+            keep[small] = ~_octagon_interior(pts[small] if small.size < mag.size else pts)
+    return [convex_hull(cloud[mask]) for cloud, mask in zip(pts, keep)]
+
+
+def _octagon_interior(pts: np.ndarray) -> np.ndarray:
+    """The points of (C, M >= 3, 2) clouds that ``convex_hulls`` drops.
+
+    Coordinates are taken from each cloud's first point; that rounding
+    moves a point by half an ulp of the spread, far below the margin.  The
+    cross product of edge (ex, ey) from corner v with point p is then
+    ex * py - ey * px - (ex * vy - ey * vx).
+    """
+    x, y = np.moveaxis(pts, 2, 0)
+    x, y = x - x[:, :1], y - y[:, :1]
+    rows = np.arange(pts.shape[0])[:, None]
+    s, d = x + y, y - x
+    ends = np.stack([x.argmax(1), s.argmax(1), y.argmax(1), d.argmax(1),
+                     x.argmin(1), s.argmin(1), y.argmin(1), d.argmin(1)], axis=1)
+    vx, vy = x[rows, ends], y[rows, ends]  # the corners, CCW
+    spread = np.maximum(vx[:, 0] - vx[:, 4], vy[:, 2] - vy[:, 6])
+    inside = np.zeros(x.shape, dtype=bool)
+    ok = np.flatnonzero((spread >= 2.0**(-_SCALE_EXP - 1)) & (spread < 2.0**_SCALE_EXP))
+    if ok.size < spread.size:
+        x, y, vx, vy, spread = x[ok], y[ok], vx[ok], vy[ok], spread[ok]
+    ex, ey = np.roll(vx, -1, axis=1) - vx, np.roll(vy, -1, axis=1) - vy
+    margin = _CHORD_MARGIN * np.hypot(ex, ey) * spread[:, None]
+    margin[margin < _TINY] = np.inf
+    margin[(ex == 0.0) & (ey == 0.0)] = -np.inf
+    bound = margin + (ex * vy - ey * vx)
+    cross = ex[:, :, None] * y[:, None, :]
+    cross -= ey[:, :, None] * x[:, None, :]
+    inside[ok] = (cross > bound[:, :, None]).all(axis=1)
+    return inside
+
+
+def _wrap_angle(angle: np.ndarray) -> np.ndarray:
+    """numpy's float ``remainder(angle, 2 pi)`` bit for bit, which is
+    fmod, plus 2 pi where that is negative, and +0.0 for a zero of either
+    sign (-0.0 + 0.0 is +0.0)."""
+    out = np.fmod(angle, _TWO_PI)
+    out += (out < 0.0) * _TWO_PI
+    return out
+
+
 def _vertex_arcs(poly: np.ndarray, scale: float):
     """Arc of edge directions (start, CCW width) at each vertex of a CCW
     convex polygon, or None when the polygon gives no usable arcs (an edge
@@ -141,7 +212,7 @@ def _vertex_arcs(poly: np.ndarray, scale: float):
     angle = np.arctan2(edges[:, 1], edges[:, 0])
     round_slack = _ROUND_SLACK * scale
     slack = np.maximum(_ARC_SLACK, round_slack / np.maximum(length, round_slack / np.pi))
-    turn = np.remainder(angle[nxt] - angle + np.pi, _TWO_PI) - np.pi
+    turn = _wrap_angle(angle[nxt] - angle + np.pi) - np.pi
     # a convex CCW polygon turns left once around; rounding may leave a
     # nearly collinear vertex turning right by a hair (NaN fails the test)
     if not (turn.min() >= -1e-6 and abs(turn.sum() - _TWO_PI) <= 1e-6):
@@ -171,7 +242,7 @@ def minkowski_sum(poly_a, poly_b) -> np.ndarray:
         return convex_hull(a[:, None, :] + b[None, :, :])
     (start_a, width_a), (start_b, width_b) = arcs_a, arcs_b
     # two arcs meet iff one of them starts inside the other
-    gap = np.remainder(start_b[None, :] - start_a[:, None], _TWO_PI)
+    gap = _wrap_angle(start_b[None, :] - start_a[:, None])
     keep = gap <= width_a[:, None]
     keep |= _TWO_PI - gap <= width_b[None, :]
     i, j = np.nonzero(keep)

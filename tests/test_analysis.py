@@ -139,6 +139,9 @@ class TestMinmax:
         assert np.all(levels > 0) and np.all(np.isfinite(levels))
         with pytest.raises(ValueError, match="horizon"):
             minmax_levels(params, model, seed=3, samples=0)
+        for seed in (1.5, True, -1):
+            with pytest.raises(ValueError, match="seed must be"):
+                minmax_levels(params, model, seed=seed, samples=100)
 
     @pytest.mark.parametrize(
         "params,model",
@@ -601,6 +604,13 @@ class TestPartition:
         model = single_state_model([1.0])
         part = config_partition(params, model, horizon=100, seed=0)
         assert part.recommended_freq[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seed", [2.0, True, -1])
+    def test_bad_seed_refused(self, seed):
+        params = params_for(2, 0.1)
+        model = build_model(TwoStateSpec(1.0, 4.0), 2)
+        with pytest.raises(ValueError, match="seed must be"):
+            config_partition(params, model, horizon=100, seed=seed)
 
     def test_a_visited_state_table_gives_the_per_stage_frequencies(self):
         # 16 joint states, no more than the horizon: the engine's draw

@@ -113,6 +113,40 @@ class TestDiscounting:
         assert got.discounted.tobytes() == want.discounted.tobytes()
         assert got.punishment_stage == want.punishment_stage
 
+    @pytest.mark.parametrize("seed,match", [
+        (True, "seed must be an integer"), (False, "seed must be an integer"),
+        (np.bool_(True), "seed must be an integer"), (1.5, "seed must be an integer"),
+        (1.0, "seed must be an integer"), (np.float64(2.0), "seed must be an integer"),
+        (-1, "seed must be >= 0"), (np.int64(-3), "seed must be >= 0"),
+    ])
+    def test_bad_seed_refused(self, seed, match):
+        # True played as seed 1 and was recorded as True; 1.5 failed late
+        # with numpy's TypeError
+        with pytest.raises(ValueError, match=match):
+            EngineConfig(horizon=10, lam=0.5, seed=seed)
+        params = params_for(2, 0.1)
+        model = build_model(TwoStateSpec(1.0, 4.0), 2)
+        with pytest.raises(ValueError, match=match):
+            _draw_states(params, model, 5, seed)
+
+    def test_bad_seed_refused_by_the_estimator(self):
+        params = params_for(2, 0.1)
+        model = build_model(TwoStateSpec(1.0, 4.0), 2)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            estimate_expected_utility(params, model, NASH, 5, 2.5, 2)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            estimate_expected_utilities(params, model, [NASH, BEST_USERS], 5, True, 2)
+
+    def test_numpy_integer_seed_accepted(self):
+        params = params_for(2, 0.1)
+        model = build_model(TwoStateSpec(1.0, 4.0), 2)
+        got = run_game(params, model, NASH, EngineConfig(horizon=20, lam=0.5, seed=np.uint32(7)))
+        want = run_game(params, model, NASH, EngineConfig(horizon=20, lam=0.5, seed=7))
+        assert got.discounted.tobytes() == want.discounted.tobytes()
+        got = estimate_expected_utility(params, model, NASH, 20, np.int64(7), 2)
+        want = estimate_expected_utility(params, model, NASH, 20, 7, 2)
+        assert got.per_replicate.tobytes() == want.per_replicate.tobytes()
+
 
 class TestRunGame:
     def test_single_stage_value(self):

@@ -6,9 +6,12 @@ the points on its side of the chord; both must give the reference's
 output bit for bit (one cloud where the reference's walk over every point
 gives a polygon that is not convex is pinned apart).  The half chains push
 each run of left turns in one step; they must give the positions of the
-loop that pushes or pops once per point.  The half-plane clip
-and the membership test treat every edge at once; they must give the
-edge-by-edge loops' hulls bit for bit and their booleans exactly.
+loop that pushes or pops once per point.  ``convex_hulls`` drops the
+points deep inside an octagon of each cloud's extreme points before the
+cloud's hull; it must give ``convex_hull`` of each whole cloud bit for
+bit.  The half-plane clip and the membership test treat every edge at
+once; they must give the edge-by-edge loops' hulls bit for bit and their
+booleans exactly.
 """
 
 import numpy as np
@@ -25,17 +28,19 @@ from geometry_oracle import (
     weighted_minkowski_sum_oracle,
 )
 import powergame.geometry
-from powergame.analysis import feasible_region_2p
+from powergame.analysis import feasible_region_2p, joint_state_table
 from powergame.channels import TruncatedRayleighSpec, build_model
 from powergame.geometry import (
     _half_chains,
+    _wrap_angle,
     clip_to_lower_bounds,
     convex_hull,
+    convex_hulls,
     minkowski_sum,
     point_in_convex_polygon,
     weighted_minkowski_sum,
 )
-from powergame.oneshot import GameParams, utility
+from powergame.oneshot import GameParams, _power_grids, utility
 
 
 def assert_bitwise(got, want):
@@ -43,11 +48,11 @@ def assert_bitwise(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def state_clouds(params, region, nudge_ulps=0):
+def state_clouds(params, state_gains, state_grids, nudge_ulps=0):
     """Utility pairs over each state's grids; with ``nudge_ulps``, each
     player's grid also holds its equal-received-power power raised by that
     many ulps, beside the exact one."""
-    for eta, grids in zip(region.state_gains, region.state_grids):
+    for eta, grids in zip(state_gains, state_grids):
         if nudge_ulps:
             level = params.equal_received / eta * (1.0 + nudge_ulps * 2.0**-52)
             grids = [np.union1d(g, level[i]) for i, g in enumerate(grids)]
@@ -59,7 +64,8 @@ def region_and_state_hulls(bins, cap, grid_size, a=0.5, sigma2=1.0):
     params = GameParams.symmetric(2, a=a, sigma2=sigma2, p_max=cap * sigma2)
     model = build_model(TruncatedRayleighSpec(1.0, 0.1, 10.0, bins), 2)
     region = feasible_region_2p(params, model, grid_size)
-    return region, [convex_hull_oracle(c) for c in state_clouds(params, region)]
+    clouds = state_clouds(params, region.state_gains, region.state_grids)
+    return region, [convex_hull_oracle(c) for c in clouds]
 
 
 @pytest.mark.parametrize("bins,cap,grid_size", [
@@ -73,18 +79,24 @@ def test_region_hull_matches_pair_enumeration(bins, cap, grid_size):
 
 def test_rayleigh16_with_near_duplicate_vertices():
     # a second equal-received-power power 4 ulps above the first gives many
-    # state hulls two vertices a few ulps apart, which share one arc
+    # state hulls two vertices a few ulps apart, which share one arc. The
+    # states and grids are feasible_region_2p's, built here so that every
+    # state hull is checked before the package folds any (a hull that keeps
+    # too many points makes the fold's pair sums grow without bound)
     params = GameParams.symmetric(2, a=0.5, p_max=20.0)
     model = build_model(TruncatedRayleighSpec(1.0, 0.1, 10.0, 16), 2)
-    region = feasible_region_2p(params, model, 12)
-    clouds = list(state_clouds(params, region, nudge_ulps=4))
+    _, gains, probs = joint_state_table(model)
+    padded, sizes = _power_grids(params, gains, 12)
+    grids = [[g[:n] for g, n in zip(state, state_sizes)]
+             for state, state_sizes in zip(padded, sizes)]
+    clouds = list(state_clouds(params, gains, grids, nudge_ulps=4))
     hulls = [convex_hull_oracle(c) for c in clouds]
     edges = np.diff(np.vstack([hulls[8], hulls[8][:1]]), axis=0)
     assert np.hypot(edges[:, 0], edges[:, 1]).min() < 1e-15
     for cloud, hull in zip(clouds, hulls):
         assert_bitwise(convex_hull(cloud), hull)
-    assert_bitwise(weighted_minkowski_sum(hulls, region.state_probs),
-                   weighted_minkowski_sum_oracle(hulls, region.state_probs))
+    assert_bitwise(weighted_minkowski_sum(hulls, probs),
+                   weighted_minkowski_sum_oracle(hulls, probs))
 
 
 def regular_polygon(n, radius=1.0, phase=0.0, center=(0.0, 0.0)):
@@ -406,6 +418,174 @@ def test_half_chains_of_two_points():
     line = np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     assert _half_chains(np.concatenate([two, line]), 2) == ([0, 1], [2, 4])
     assert _half_chains(np.concatenate([line, two]), 3) == ([0, 2], [3, 4])
+
+
+def gaussian(rng, m):
+    center = rng.normal(size=2) * rng.choice([0.0, 1.0, 1e3])
+    return center + rng.normal(size=(m, 2)) * 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+def small_grid(rng, m):
+    # many exact collinear points and repeats
+    return rng.integers(-3, 4, (m, 2)) * rng.choice([1.0, 0.1, 1e-3])
+
+
+def nudged_circle(rng, m):
+    # points on a circle, some nudged inward by a few ulps, and a few inside
+    t = rng.uniform(0.0, 2.0 * np.pi, m)
+    center = rng.normal(size=2) * rng.choice([0.0, 1.0, 100.0])
+    ring = np.c_[np.cos(t), np.sin(t)] * rng.uniform(0.01, 100.0) + center
+    inward = rng.random(m) < 0.5
+    ring[inward] -= (rng.integers(1, 5, (inward.sum(), 1)) * np.spacing(ring[inward])
+                     * np.sign(ring[inward] - center))
+    inner = rng.random(m) < 0.2
+    ring[inner] = center + (ring[inner] - center) * rng.uniform(0.0, 1.0, (inner.sum(), 1))
+    return ring
+
+
+def extreme_spread(rng, m):
+    # a cross product of the unscaled points would underflow or overflow;
+    # 2**-401 and 2**400 sit at the prefilter's bounds, and below 2**1022 a
+    # sum of two coordinates taken from another point can overflow
+    scale = rng.choice([1e300, 1e-300, 2.0**-401, 2.0**-400, 2.0**399, 2.0**400, 2.0**1022])
+    return rng.uniform(-1.0, 1.0, (m, 2)) * scale
+
+
+def thin_sliver(rng, m):
+    # within 1e-12 of a segment
+    d = rng.normal(size=2)
+    off = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.uniform(-16.0, -12.0)
+    return rng.normal(size=2) + rng.uniform(-1.0, 1.0, m)[:, None] * d + off[:, None] * [-d[1], d[0]]
+
+
+def utility_axes(rng, m):
+    # a utility cloud: a third of the points on each axis, the rest under a
+    # concave frontier
+    x, y = rng.uniform(0.0, 1.0, m), rng.uniform(0.0, 1.0, m)
+    y *= (1.0 - x**2) * 10.0 ** rng.uniform(-6.0, 0.0)
+    axis = rng.integers(0, 3, m)
+    x[axis == 1] = 0.0
+    y[axis == 2] = 0.0
+    return np.c_[x, y]
+
+
+def octagon_edges(rng, m):
+    # a few extreme points, and points within a few ulps of the edges of
+    # the octagon convex_hulls builds from them
+    corners = rng.normal(size=(8, 2))
+    base = np.vstack([corners, rng.normal(size=(m - 8 - m // 2, 2)) * 0.3])
+    x, y = base[:, 0], base[:, 1]
+    ends = [np.argmax(x), np.argmax(x + y), np.argmax(y), np.argmax(y - x),
+            np.argmin(x), np.argmin(x + y), np.argmin(y), np.argmin(y - x)]
+    k = rng.integers(0, 8, m // 2)
+    a, b = base[np.take(ends, k)], base[np.take(ends, (k + 1) % 8)]
+    on_edge = a + rng.uniform(0.0, 1.0, (k.size, 1)) * (b - a)
+    return rng.permutation(np.vstack([base, nudged(rng, on_edge, 4)]))
+
+
+def repeated_point(rng, m):
+    return np.repeat(rng.normal(size=(1, 2)), m, axis=0)
+
+
+BLOCK_KINDS = (gaussian, small_grid, nudged_circle, extreme_spread, thin_sliver, utility_axes,
+               octagon_edges, repeated_point)
+
+
+def assert_hulls_match(block):
+    got = convex_hulls(block)
+    assert len(got) == len(block)
+    for hull, cloud in zip(got, block):
+        assert_bitwise(hull, convex_hull(cloud))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", BLOCK_KINDS, ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize("seed", range(30))
+def test_convex_hulls_match_one_hull_per_cloud(kind, seed):
+    rng = np.random.default_rng([seed, 31])
+    m = int(rng.integers(16, 80))
+    assert_hulls_match(np.stack([kind(rng, m) for _ in range(6)]))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_convex_hulls_of_a_mixed_block(seed):
+    # each cloud is tested on its own spread and octagon
+    rng = np.random.default_rng([seed, 32])
+    m = int(rng.integers(16, 40))
+    kinds = rng.choice(len(BLOCK_KINDS), 12)
+    assert_hulls_match(np.stack([BLOCK_KINDS[k](rng, m) for k in kinds]))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_convex_hulls_of_tiny_and_repeated_clouds(m):
+    # one point repeated is an octagon of one point, which must drop nothing
+    rng = np.random.default_rng(m)
+    assert_hulls_match(rng.normal(size=(5, m, 2)))
+    assert_hulls_match(np.stack([repeated_point(rng, m) for _ in range(3)]))
+    assert convex_hulls(np.empty((0, m, 2))) == []
+    assert [h.tolist() for h in convex_hulls([[(1.5, -2.0)] * max(m, 1)])] == [[[1.5, -2.0]]]
+
+
+def test_convex_hulls_drop_interior_points(monkeypatch):
+    # the rows convex_hull is handed: a Gaussian cloud's octagon holds most
+    # of its points, and the prefilter gives them to no chain
+    seen = []
+    monkeypatch.setattr(powergame.geometry, "convex_hull",
+                        lambda pts: seen.append(len(pts)) or convex_hull(pts))
+    block = np.random.default_rng(3).normal(size=(4, 200, 2))
+    for hull, cloud in zip(convex_hulls(block), block):
+        assert_bitwise(hull, convex_hull(cloud))
+    assert len(seen) == 4 and sum(seen) < 0.5 * block.shape[0] * block.shape[1]
+
+
+def test_prefilter_margin_is_needed(monkeypatch):
+    # a thin triangle: with a margin far below rounding, its middle vertex
+    # is read as inside the octagon of the three points and dropped
+    cloud = np.array([(0.2704333811054189, -0.14509671617039252),
+                      (0.29244367466838767, -0.15690598803202033),
+                      (-0.29754658558459496, 0.15964387347288278)])
+    assert_bitwise(convex_hull(cloud), cloud[[2, 0, 1]])
+    assert_bitwise(convex_hulls(cloud[None])[0], cloud[[2, 0, 1]])
+    monkeypatch.setattr(powergame.geometry, "_CHORD_MARGIN", 1e-300)
+    assert_bitwise(convex_hull(cloud), cloud[[2, 0, 1]])
+    assert_bitwise(convex_hulls(cloud[None])[0], cloud[[2, 1]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_convex_hulls_of_clouds_near_the_largest_float():
+    # taken from the first point, x + y of the last is 3.8 * 2**1023: such a
+    # cloud keeps every point and forms no sum or product
+    big = 1.9 * 2.0**1022
+    cloud = np.array([(-big, -big), (0.0, 0.0), (big, -big), (big, big), (-big, big), (0.5, 0.5)])
+    assert_hulls_match(np.stack([cloud, cloud * 2.0**-700]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0**1023, -2.0**1023])
+def test_convex_hulls_refuse_non_finite_points(bad):
+    block = np.random.default_rng(0).normal(size=(3, 10, 2))
+    block[1, 4, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        convex_hulls(block)
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (2, 5, 3), (1, 2, 3, 2)])
+def test_convex_hulls_need_a_block_of_clouds(shape):
+    with pytest.raises(ValueError, match="block of clouds"):
+        convex_hulls(np.zeros(shape))
+
+
+def test_wrap_angle_is_numpy_remainder():
+    # numpy's float remainder is fmod, plus 2 pi where that is negative, and
+    # +0.0 for a zero of either sign
+    rng = np.random.default_rng(0)
+    turns = np.arange(-4, 5) * (2.0 * np.pi)
+    x = np.concatenate([
+        rng.uniform(-8.0 * np.pi, 8.0 * np.pi, 20_000), np.linspace(-8.0 * np.pi, 8.0 * np.pi, 4001),
+        turns, np.nextafter(turns, np.inf), np.nextafter(turns, -np.inf), [0.0, -0.0, 5e-324, -5e-324],
+    ])
+    want = np.remainder(x, 2.0 * np.pi)
+    assert _wrap_angle(x).tobytes() == want.tobytes()
+    assert _wrap_angle(np.array([-0.0])).tobytes() == np.array([0.0]).tobytes()
 
 
 def pick_bound(coords, pick, u, which):
