@@ -12,7 +12,10 @@ Every law must be irreducible in the strict sense: every transition
 probability positive, which for an i.i.d. law means full support.
 Joint states are tuples of per-player indices; flat indices enumerate
 them in row-major (lexicographic) order, which is also the order used by
-the model file format.
+the model file format.  Every law draws a path both ways: ``sample_flat``
+gives flat indices and ``sample_path`` an (N, K) array of per-player
+indices.  The joint laws draw flat indices, and their ``sample_path``
+unravels them; the product law draws per player and flattens that.
 """
 
 from __future__ import annotations
@@ -108,6 +111,10 @@ class IIDProductLaw:
             idx[0] = np.asarray(initial, dtype=np.int64)
         return idx
 
+    def sample_flat(self, horizon: int, rng, initial=None) -> np.ndarray:
+        """``sample_path`` as row-major flat joint-state indices."""
+        return np.ravel_multi_index(self.sample_path(horizon, rng, initial).T, self.dims)
+
     def stationary_joint(self) -> np.ndarray:
         _enumerable_size(self.dims)
         mu = self.probs[0]
@@ -116,7 +123,15 @@ class IIDProductLaw:
         return mu
 
 
-class IIDJointLaw:
+class _JointLaw:
+    """A law drawn natively as flat joint-state indices (``sample_flat``);
+    its per-player path unravels that draw."""
+
+    def sample_path(self, horizon: int, rng, initial=None) -> np.ndarray:
+        return _unravel(self.sample_flat(horizon, rng, initial), self.dims)
+
+
+class IIDJointLaw(_JointLaw):
     """Fresh draws of the whole joint state from a single distribution."""
 
     def __init__(self, mu, dims):
@@ -124,18 +139,17 @@ class IIDJointLaw:
         self.mu = _probabilities(mu, (math.prod(self.dims),), "joint state distribution")
         self._cum = _cdf(self.mu)
 
-    def sample_path(self, horizon: int, rng, initial=None) -> np.ndarray:
+    def sample_flat(self, horizon: int, rng, initial=None) -> np.ndarray:
         flat = np.searchsorted(self._cum, rng.random(horizon), side="right")
-        idx = _unravel(flat, self.dims)
         if initial is not None:
-            idx[0] = np.asarray(initial, dtype=np.int64)
-        return idx
+            flat[0] = np.ravel_multi_index(tuple(initial), self.dims)
+        return flat
 
     def stationary_joint(self) -> np.ndarray:
         return self.mu.copy()
 
 
-class MarkovJointLaw:
+class MarkovJointLaw(_JointLaw):
     """Row-stochastic transition matrix over the joint state space.
 
     The tables that paths are drawn with are built on the first draw, so a
@@ -147,7 +161,7 @@ class MarkovJointLaw:
         size = math.prod(self.dims)
         self.matrix = _probabilities(matrix, (size, size), "transition matrix")
 
-    def sample_path(self, horizon: int, rng, initial=None) -> np.ndarray:
+    def sample_flat(self, horizon: int, rng, initial=None) -> np.ndarray:
         # A uniform x in bucket k = floor(x * G) lies in [k/G, (k+1)/G), so
         # the state row s maps it to, the first j with cum[s, j] > x, is one
         # of lo = guide[s][k] .. hi = guide[s][k + 1].  That test is monotone
@@ -169,7 +183,7 @@ class MarkovJointLaw:
             guide = guides[state]
             state = bisect_right(rows[state], x, guide[k], guide[k + 1])
             flat.append(state)
-        return _unravel(np.array(flat, dtype=np.int64), self.dims)
+        return np.fromiter(flat, np.int64, horizon)
 
     @cached_property
     def _cum(self) -> np.ndarray:
@@ -190,12 +204,15 @@ class MarkovJointLaw:
         x * G and k/G are exact, and cum[s, j] <= k/G exactly when
         k >= ceil(cum[s, j] * G), so one ``bincount`` of those slots and
         its running sum build every row at once.  S * (G + 1) * 4 bytes is
-        at most the cumulative matrix's S * S * 8, since G < 2S.
+        at most the cumulative matrix's S * S * 8, since G < 2S.  The slots
+        are computed in one S x S buffer.
         """
         cum = self._cum
         size = cum.shape[0]
         buckets = 1 << (size - 1).bit_length()
-        slots = np.minimum(np.ceil(cum * buckets), buckets)  # past 1.0: the last slot
+        slots = np.multiply(cum, buckets)
+        np.ceil(slots, out=slots)
+        np.minimum(slots, buckets, out=slots)  # past 1.0: the last slot
         slots += (buckets + 1) * np.arange(size)[:, None]
         counts = np.bincount(slots.astype(np.intp).ravel(), minlength=size * (buckets + 1))
         guide = np.cumsum(counts.reshape(size, buckets + 1), axis=1, dtype=np.int32)
@@ -208,8 +225,13 @@ class MarkovJointLaw:
         return _cdf(self.stationary_joint())
 
     def stationary_joint(self) -> np.ndarray:
+        # solve (P^T - I) mu = 0 with the last equation replaced by sum(mu) = 1;
+        # the system is the transpose of P - I built in place, a Fortran-order
+        # view with the same values as a C-order copy of P^T - I
         n = self.matrix.shape[0]
-        a = self.matrix.T - np.eye(n)
+        a = self.matrix.copy()
+        a.flat[::n + 1] -= 1.0
+        a = a.T
         a[-1, :] = 1.0
         b = np.zeros(n)
         b[-1] = 1.0
@@ -318,16 +340,36 @@ class ChannelModel:
         return _unravel(np.arange(_enumerable_size(self.law.dims)), self.law.dims)
 
     def sample_path(self, horizon: int, rng, initial=None) -> np.ndarray:
+        """(horizon, K) per-player state indices of a path drawn from ``rng``;
+        ``initial``, if given, is the first state (K integer indices)."""
+        horizon, initial = self._draw_args(horizon, initial)
+        return self.law.sample_path(horizon, rng, initial)
+
+    def sample_flat(self, horizon: int, rng, initial=None) -> np.ndarray:
+        """``sample_path`` as row-major flat joint-state indices: the same
+        stream, the same checks and errors."""
+        horizon, initial = self._draw_args(horizon, initial)
+        return self.law.sample_flat(horizon, rng, initial)
+
+    def _draw_args(self, horizon, initial) -> tuple:
+        """``(horizon, initial)`` checked: ``ValueError`` for a horizon below
+        one, and for an initial state that is not K integer indices in
+        range (a float or a bool is not an index)."""
         horizon = int(horizon)
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         if initial is not None:
-            initial = tuple(int(v) for v in initial)
-            if len(initial) != self.n_players or any(
-                not 0 <= v < d for v, d in zip(initial, self.law.dims)
+            try:
+                values = tuple(initial)
+            except TypeError:  # not a sequence at all
+                values = ()
+            if len(values) != self.n_players or any(
+                isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                or not 0 <= v < d for v, d in zip(values, self.law.dims)
             ):
-                raise ValueError(f"invalid initial state {initial}")
-        return self.law.sample_path(horizon, rng, initial)
+                raise ValueError(f"invalid initial state {initial!r}")
+            initial = tuple(int(v) for v in values)
+        return horizon, initial
 
 
 def _rayleigh_gain_bins(spec: TruncatedRayleighSpec) -> np.ndarray:

@@ -30,7 +30,8 @@ the SINR its rule predicts.  Every other run is monitored, a compliant
 social-optimum run or plan over a cap too; there no alarm fires, the
 predicted and the realized SINR being the same row-wise computation, and
 a plan over a cap raises the first failing stage's error.  ``run_game``
-computes the SINR its trace records, for the kept stages only.
+computes the SINR its trace records, for the kept stages only, or once per
+visited joint state when the table has no more rows than the trace keeps.
 """
 
 from __future__ import annotations
@@ -172,6 +173,9 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
     horizon = cfg.horizon
     keep = np.arange(0, horizon, 1 if horizon <= _FULL_TRACE_MAX else _THINNED_EVERY)
     kept = keep if rows is None else rows.take(keep)  # the kept stages' rows
+    # SINR is row-wise, so a table no longer than the kept stages is scored per row
+    per_row = rows is not None and eta.shape[0] <= keep.size
+    sinr = _sinr(params, eta, powers) if per_row else None
     eta, powers = eta.take(kept, axis=0), powers.take(kept, axis=0)
     calm = horizon if punishment_stage is None else punishment_stage
     punishing = np.repeat((keep >= calm)[:, None], params.n_players, axis=1)
@@ -179,14 +183,14 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
         t=keep + 1,
         eta=eta,
         powers=powers,
-        sinr=_sinr(params, eta, powers),
+        sinr=sinr.take(kept, axis=0) if per_row else _sinr(params, eta, powers),
         utility=util_all.take(keep, axis=0),
         recommended=recommended.take(kept, axis=0),
         punishing=punishing,
     )
     return RunResult(
         discounted=discounted_utility(util_all, cfg.lam),
-        time_average=util_all.mean(axis=0),
+        time_average=_time_average(util_all),
         weight_sum=float(-np.expm1(horizon * np.log1p(-cfg.lam))),
         remainder_bound=truncation_bound(util_all, cfg.lam),
         trace=trace,
@@ -205,15 +209,13 @@ def _draw_states(params, model, horizon: int, seed: int, spawn_key=(), initial_s
     if model.n_players != params.n_players:
         raise ValueError("model and game disagree on the player count")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
-    path = model.sample_path(horizon, rng, initial_state)
     if model.joint_size > horizon:
-        return model.gain_matrix(path), None
-    dims = model.law.dims
-    flat = np.ravel_multi_index(path.T, dims)
+        return model.gain_matrix(model.sample_path(horizon, rng, initial_state)), None
+    flat = model.sample_flat(horizon, rng, initial_state)
     seen = np.zeros(model.joint_size, dtype=bool)
     seen[flat] = True
     row_of = np.cumsum(seen) - 1
-    return model.gain_matrix(_unravel(np.flatnonzero(seen), dims)), row_of[flat]
+    return model.gain_matrix(_unravel(np.flatnonzero(seen), model.law.dims)), row_of[flat]
 
 
 def _play(params, kinds: tuple, eta: np.ndarray, rows, deviation=None):
@@ -419,7 +421,7 @@ def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: 
                 kinds = _normalize_kinds(kinds, params.n_players)
                 average = _closed_form_average(params, kinds, eta, rows)
                 if average is None:  # played whole, which raises if a plan is over a cap
-                    average = _play(params, kinds, eta, rows)[4].mean(axis=0)
+                    average = _time_average(_play(params, kinds, eta, rows)[4])
             except (PowerGameError, ValueError) as exc:  # an earlier entry may still fail first
                 live, error = j, exc
                 break
@@ -430,6 +432,16 @@ def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: 
     if error is not None:
         raise error
     return [UtilityEstimate.from_replicates(np.array(per)) for per in means]
+
+
+def _time_average(utility: np.ndarray) -> np.ndarray:
+    """``utility.mean(axis=0)`` bit for bit, of the C-contiguous (N, K)
+    utilities ``_play`` gives.  With K >= 2 ``mean`` adds them row by row,
+    and ``einsum`` makes the same sum several times faster; with K = 1
+    ``mean`` sums pairwise."""
+    if utility.shape[1] < 2:
+        return utility.mean(axis=0)
+    return np.einsum("tk->k", utility) / utility.shape[0]
 
 
 def _closed_form_average(params: GameParams, kinds: tuple, eta: np.ndarray, rows):

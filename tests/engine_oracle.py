@@ -28,6 +28,11 @@ bit for bit.
 before it ranked gains with a sorting network: ``np.sort`` along each row
 and ``stable_top_oracle``, which takes each row's m best players in the
 stable ranking with an index-order tie loop on every row.
+
+``draw_states_oracle`` is the route ``_draw_states`` took before the
+joint laws drew flat joint indices: the (N, K) path of
+``ChannelModel.sample_path``, flattened with ``np.ravel_multi_index`` to
+build the visited-state table.
 """
 
 from __future__ import annotations
@@ -167,6 +172,25 @@ def closed_form_utility_oracle(params, kind, eta, powers, k_active):
     else:  # each row's recommended group: all K players under operating_point
         gross = params.group_gross_rates[k_active - 1]
     return np.divide(gross, powers, out=np.zeros(powers.shape), where=powers > 0)
+
+
+def draw_states_oracle(params, model, horizon, seed, spawn_key=(), initial_state=None):
+    """``_draw_states`` from the per-player path: the gains per stage when
+    the joint space is larger than the horizon, else the visited states'
+    gains in flat-index order and each stage's row in them."""
+    if model.n_players != params.n_players:
+        raise ValueError("model and game disagree on the player count")
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
+    path = model.sample_path(horizon, rng, initial_state)
+    if model.joint_size > horizon:
+        return gain_matrix_oracle(model, path), None
+    dims = model.law.dims
+    flat = np.ravel_multi_index(path.T, dims)
+    visited = np.unique(flat)
+    row_of = np.full(model.joint_size, -1, dtype=np.int64)
+    row_of[visited] = np.arange(visited.size)
+    states = np.stack(np.unravel_index(visited, dims), axis=-1)
+    return gain_matrix_oracle(model, states), row_of[flat]
 
 
 def run_game_oracle(params, model, kinds, cfg) -> RunResult:

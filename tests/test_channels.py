@@ -294,6 +294,16 @@ class TestMarkovStepper:
         law.sample_path(2, rng_of(0))
         assert sum(guide.nbytes for guide in law._guides) <= law._cum.nbytes
 
+    @pytest.mark.parametrize("name", list(MARKOV_LAWS))
+    def test_guide_counts_the_cumulative_values_at_each_bucket_edge(self, name):
+        law = MARKOV_LAWS[name]()
+        size = law.matrix.shape[0]
+        buckets = 1 << (size - 1).bit_length()
+        edges = np.arange(buckets) / buckets
+        for row, guide in zip(law._cum, law._guides):
+            want = np.append(np.searchsorted(row, edges, side="right"), size - 1)
+            assert np.asarray(guide).tolist() == want.tolist()
+
     def test_tables_are_built_on_the_first_draw(self, tmp_path):
         law = _random_markov((16, 16), 2)
         save_model(ChannelModel((np.arange(1.0, 17.0),) * 2, law), tmp_path / "m.json")
@@ -303,7 +313,74 @@ class TestMarkovStepper:
             assert {"_cum", "_rows", "_guides"} <= set(vars(law))
 
 
+def _flat_draw_laws():
+    """One law of each family, and each of the two product-law draws."""
+    mu = rng_of(8).uniform(0.2, 1.0, 15)
+    return {
+        "product_dyadic": IIDProductLaw([np.full(16, 1 / 16)] * 2),
+        "product_searchsorted": IIDProductLaw([[0.7, 0.3], [0.2, 0.5, 0.3]]),
+        "joint": IIDJointLaw(mu / mu.sum(), (3, 5)),
+        **{f"markov_{name}": make() for name, make in MARKOV_LAWS.items()},
+    }
+
+
+class TestFlatDraw:
+    @pytest.mark.parametrize("name", list(_flat_draw_laws()))
+    @pytest.mark.parametrize("initial", [None, "last"])
+    def test_flat_draw_is_the_flattened_path(self, name, initial):
+        law = _flat_draw_laws()[name]
+        if name.startswith("product"):
+            assert (law._dyadic_bins is not None) == (name == "product_dyadic")
+        if initial == "last":
+            initial = tuple(d - 1 for d in law.dims)
+        model = ChannelModel(tuple(np.arange(1.0, d + 1.0) for d in law.dims), law)
+        for horizon in (1, 2, 300):
+            path = law.sample_path(horizon, rng_of(horizon), initial)
+            want = np.ravel_multi_index(path.T, law.dims)
+            for flat in (law.sample_flat(horizon, rng_of(horizon), initial),
+                         model.sample_flat(horizon, rng_of(horizon), initial)):
+                assert flat.dtype == np.int64 and flat.tobytes() == want.tobytes()
+            assert model.sample_path(horizon, rng_of(horizon), initial).tobytes() == path.tobytes()
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_is_refused(self, horizon):
+        m = build_model(TwoStateSpec(1.0, 4.0), 2)
+        with pytest.raises(ValueError, match="horizon"):
+            m.sample_flat(horizon, rng_of(3))
+
+    @pytest.mark.parametrize("initial", [
+        (1,), (1, 0, 0), (2, 0), (0, -1), (1.0, 0), (np.float64(1.0), 0), (True, 0),
+        (np.bool_(True), 0), ("1", 0), 1, 1.5, None,
+    ])
+    def test_bad_initial_state_is_refused_by_both_draws(self, initial):
+        m = build_model(TwoStateSpec(1.0, 4.0), 2)
+        if initial is None:  # a ragged row: not one index per player
+            initial = [np.array([1, 0]), 0]
+        for draw in (m.sample_path, m.sample_flat):
+            with pytest.raises(ValueError, match="invalid initial state"):
+                draw(10, rng_of(3), initial)
+
+    def test_numpy_integer_initial_state_accepted(self):
+        m = build_model(TwoStateSpec(1.0, 4.0), 2)
+        for initial in ((np.int64(1), np.uint8(0)), np.array([1, 0]), [1, 0]):
+            assert m.sample_path(5, rng_of(3), initial)[0].tolist() == [1, 0]
+            assert m.sample_flat(5, rng_of(3), initial)[0] == 2
+
+
 class TestStationary:
+    @pytest.mark.parametrize("name", list(MARKOV_LAWS))
+    def test_markov_solve_takes_the_transposed_system_bit_for_bit(self, name):
+        # the system is built as a Fortran-order view of P - I; LAPACK must
+        # see the values of the C-order P^T - I and return the same bits
+        law = MARKOV_LAWS[name]()
+        n = law.matrix.shape[0]
+        a = law.matrix.T - np.eye(n)
+        a[-1, :] = 1.0
+        b = np.zeros(n)
+        b[-1] = 1.0
+        mu = np.clip(np.linalg.solve(a, b), 0.0, None)
+        assert law.stationary_joint().tobytes() == (mu / mu.sum()).tobytes()
+
     def test_iid_returns_mu(self):
         law = IIDJointLaw([0.2, 0.3, 0.5], dims=(3,))
         np.testing.assert_allclose(stationary_distribution(law), [0.2, 0.3, 0.5])

@@ -13,10 +13,13 @@ from powergame.channels import (
     TruncatedRayleighSpec,
     TwoStateSpec,
     build_model,
+    load_model,
+    save_model,
 )
 from powergame.efficiency import ExponentialEfficiency
 from powergame.engine import (
     DeviationSpec,
+    _FULL_TRACE_MAX,
     _PLAY_BLOCK_ENTRIES,
     EngineConfig,
     _closed_form_average,
@@ -32,7 +35,7 @@ from powergame.engine import (
 )
 from powergame.errors import CapError, SaturationError
 from powergame.oneshot import GameParams, sinr, utility
-from engine_oracle import run_game_oracle
+from engine_oracle import draw_states_oracle, run_game_oracle
 from powergame.strategies import (
     BEST_USERS,
     NASH,
@@ -693,3 +696,105 @@ def test_trace_csv_format():
     first = lines[1].split(",")
     assert first[0] == "1" and first[1] == "0"
     assert float(first[2]) in (1.0, 4.0)
+
+
+def _markov_model(dims, seed):
+    """A sticky Markov law over ``dims``, as the benchmark's Markov models."""
+    rng = np.random.default_rng(seed)
+    size = math.prod(dims)
+    rows = rng.uniform(0.1, 1.0, (size, size))
+    rows /= rows.sum(axis=1, keepdims=True)
+    gains = tuple(np.sort(rng.uniform(0.2, 5.0, d)) for d in dims)
+    return ChannelModel(gains, MarkovJointLaw(0.5 * np.eye(size) + 0.5 * rows, dims))
+
+
+def _mu_file_model(path):
+    """An ``IIDJointLaw`` over 3 x 5 joint states, loaded from a ``mu`` file."""
+    mu = np.random.default_rng(5).uniform(0.2, 1.0, 15)
+    save_model(ChannelModel(([0.5, 1.0, 2.0], [0.3, 0.6, 1.2, 2.4, 4.8]),
+                            IIDJointLaw(mu / mu.sum(), (3, 5))), path)
+    return load_model(path)
+
+
+DRAW_MODELS = {
+    "rayleigh16": lambda tmp: build_model(TruncatedRayleighSpec(bins=16), 2),
+    "two_state_p03": lambda tmp: build_model(TwoStateSpec(1.0, 4.0, p_high=0.3), 4),
+    "mu_file": lambda tmp: _mu_file_model(tmp / "mu.json"),
+    "markov_16x16": lambda tmp: _markov_model((16, 16), 1),
+    "markov_8x8x4": lambda tmp: _markov_model((8, 8, 4), 2),
+    "markov_4x4x4x4": lambda tmp: _markov_model((4, 4, 4, 4), 3),
+}
+
+
+@pytest.mark.parametrize("name", DRAW_MODELS)
+@pytest.mark.parametrize("initial", [None, "last", "middle"])
+def test_draw_states_matches_the_per_player_route(name, initial, tmp_path):
+    # the visited-state table is built from a flat draw; it must be the
+    # table of the (N, K) path flattened, bit for bit, with and without a
+    # forced first state, on both sides of the joint size
+    model = DRAW_MODELS[name](tmp_path)
+    dims = model.law.dims
+    if name in ("rayleigh16", "two_state_p03"):  # the dyadic draw, and the searched one
+        assert (model.law._dyadic_bins is not None) == (name == "rayleigh16")
+    if initial is not None:
+        initial = tuple(d - 1 if initial == "last" else d // 2 for d in dims)
+    params = params_for(len(dims), 0.1)
+    size = model.joint_size
+    for horizon in (1, size // 2, size - 1, size, size + 1, 4 * size):
+        for seed in (0, 17):
+            got = _draw_states(params, model, horizon, seed, (3,), initial)
+            want = draw_states_oracle(params, model, horizon, seed, (3,), initial)
+            assert (got[1] is None) == (want[1] is None) == (size > horizon)
+            assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+            if got[1] is not None:
+                assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+            if initial is not None:
+                first = got[0][0 if got[1] is None else got[1][0]]
+                assert first.tolist() == [g[i] for g, i in zip(model.gains, initial)]
+
+
+@pytest.mark.parametrize("name", DRAW_MODELS)
+@pytest.mark.parametrize("initial", [
+    (0,), (0, 0, 0, 0, 0), (0, 99), (0, -1), (1.0, 0), (True, 0), (0.5, 1), 1.5, "01",
+], ids=["short", "long", "over", "negative", "float", "bool", "fraction", "scalar", "string"])
+def test_a_bad_initial_state_raises_the_same_error_on_both_routes(name, initial, tmp_path):
+    model = DRAW_MODELS[name](tmp_path)
+    k = model.n_players
+    if isinstance(initial, tuple) and len(initial) == 2 and k > 2:
+        initial = initial + (0,) * (k - 2)  # the same fault at the model's K
+    params = params_for(k, 0.1)
+    messages = set()
+    for horizon in (model.joint_size - 1, model.joint_size):  # per stage, then the table
+        cfg = EngineConfig(horizon=horizon, lam=0.5, seed=4, initial_state=initial)
+        with pytest.raises(ValueError, match="invalid initial state") as exc:
+            run_game(params, model, NASH, cfg)
+        messages.add(str(exc.value))
+        for draw in (model.sample_path, model.sample_flat):
+            with pytest.raises(ValueError, match="invalid initial state") as exc:
+                draw(horizon, np.random.default_rng(4), initial)
+            messages.add(str(exc.value))
+    assert len(messages) == 1
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("run", ["closed_form", "monitored", "deviating"])
+def test_time_average_is_the_trace_mean_bit_for_bit(k, run):
+    # ``run_game`` averages with ``einsum`` for K >= 2; the full trace holds
+    # every stage's utility, whose ``mean(axis=0)`` it must equal
+    params = params_for(k, 0.1)
+    kinds, deviation = (NASH,) * k, None
+    if run == "monitored":
+        kinds = (SOCIAL_OPTIMUM,) if k == 1 else tuple(
+            (BEST_USERS, NASH, OPERATING_POINT)[i % 3] for i in range(k))
+    elif run == "deviating":
+        kinds, deviation = (OPERATING_POINT,) * k, DeviationSpec(0, 40, "permanent")
+    for model in (build_model(TruncatedRayleighSpec(bins=16), k),
+                  build_model(TwoStateSpec(1.0, 4.0, p_high=0.3), k)):
+        for horizon in (1, 2, 999, _FULL_TRACE_MAX):
+            if deviation is not None and horizon < deviation.start:
+                continue
+            cfg = EngineConfig(horizon=horizon, lam=0.1, seed=31 + k, deviation=deviation)
+            res = run_game(params, model, kinds, cfg)
+            assert res.trace.t.size == horizon
+            want = res.trace.utility.mean(axis=0)
+            assert res.time_average.tobytes() == want.tobytes(), (model.law.dims, horizon)

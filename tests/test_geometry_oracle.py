@@ -77,12 +77,22 @@ def test_region_hull_matches_pair_enumeration(bins, cap, grid_size):
     assert_bitwise(region.hull, weighted_minkowski_sum_oracle(hulls, region.state_probs))
 
 
-def test_rayleigh16_with_near_duplicate_vertices():
+def test_rayleigh16_with_near_duplicate_vertices(monkeypatch):
     # a second equal-received-power power 4 ulps above the first gives many
     # state hulls two vertices a few ulps apart, which share one arc. The
     # states and grids are feasible_region_2p's, built here so that every
-    # state hull is checked before the package folds any (a hull that keeps
-    # too many points makes the fold's pair sums grow without bound)
+    # state hull is checked before the package folds any, and each fold
+    # step must give at most |A| + |B| vertices (a hull that keeps too many
+    # points makes the fold's pair sums grow without bound)
+    fold_sizes = []
+
+    def bounded_sum(poly_a, poly_b):
+        out = minkowski_sum(poly_a, poly_b)
+        fold_sizes.append(len(out))
+        assert len(out) <= len(poly_a) + len(poly_b), (len(fold_sizes), len(out))
+        return out
+
+    monkeypatch.setattr(powergame.geometry, "minkowski_sum", bounded_sum)
     params = GameParams.symmetric(2, a=0.5, p_max=20.0)
     model = build_model(TruncatedRayleighSpec(1.0, 0.1, 10.0, 16), 2)
     _, gains, probs = joint_state_table(model)
@@ -97,6 +107,7 @@ def test_rayleigh16_with_near_duplicate_vertices():
         assert_bitwise(convex_hull(cloud), hull)
     assert_bitwise(weighted_minkowski_sum(hulls, probs),
                    weighted_minkowski_sum_oracle(hulls, probs))
+    assert len(fold_sizes) == len(hulls) - 1
 
 
 def regular_polygon(n, radius=1.0, phase=0.0, center=(0.0, 0.0)):
