@@ -38,6 +38,16 @@ _JOINT_CAP = 1 << 17  # largest joint space materialized exactly
 MODEL_FILE_FORMAT = "powergame-channel-model-v3"
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """Refuse a non-integer (a float, a bool or a string; numpy integers
+    pass) or a value below ``low`` where an integer input enters a draw or
+    a run: the package's one integer rule, so nothing is silently clipped."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+
 def _probabilities(values, shape: tuple, what: str) -> np.ndarray:
     """``values`` as a float array of ``shape`` whose rows (last axis) are
     probability vectors with every entry positive.
@@ -352,12 +362,10 @@ class ChannelModel:
         return self.law.sample_flat(horizon, rng, initial)
 
     def _draw_args(self, horizon, initial) -> tuple:
-        """``(horizon, initial)`` checked: ``ValueError`` for a horizon below
-        one, and for an initial state that is not K integer indices in
-        range (a float or a bool is not an index)."""
-        horizon = int(horizon)
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        """``(horizon, initial)`` checked: ``ValueError`` for a horizon that
+        is not an integer of at least one, and for an initial state that is
+        not K integer indices in range (a float or a bool is not an index)."""
+        _check_count("horizon", horizon, 1)
         if initial is not None:
             try:
                 values = tuple(initial)
@@ -369,7 +377,7 @@ class ChannelModel:
             ):
                 raise ValueError(f"invalid initial state {initial!r}")
             initial = tuple(int(v) for v in values)
-        return horizon, initial
+        return int(horizon), initial
 
 
 def _rayleigh_gain_bins(spec: TruncatedRayleighSpec) -> np.ndarray:

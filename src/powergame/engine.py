@@ -31,7 +31,9 @@ social-optimum run or plan over a cap too; there no alarm fires, the
 predicted and the realized SINR being the same row-wise computation, and
 a plan over a cap raises the first failing stage's error.  ``run_game``
 computes the SINR its trace records, for the kept stages only, or once per
-visited joint state when the table has no more rows than the trace keeps.
+visited joint state when the table has no more rows than the trace keeps;
+``_payoffs`` plays the same run and returns only its two payoffs, with no
+trace built.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _unravel
+from .channels import _check_count, _unravel
 from .errors import PowerGameError
 from .oneshot import GameParams, _sinr, _utility_from_sinr, best_response
 from .strategies import (  # noqa: F401  compliant_profile stays importable from here
@@ -61,13 +63,14 @@ _THINNED_EVERY = 100
 _PLAY_BLOCK_ENTRIES = 1 << 15
 
 
-def _check_count(name: str, value, low: int) -> None:
-    """Refuse a non-integer (a float or a bool; numpy integers pass) or a
-    value below ``low`` where an integer input enters the engine."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}")
+def _check_spawn_key(name: str, key) -> None:
+    """Refuse a spawn key that is not a tuple of integers >= 0: ``True``
+    would seed as 1, and a float or a bare integer would fail only at the
+    draw."""
+    if not isinstance(key, tuple):
+        raise ValueError(f"{name} must be a tuple of integers >= 0, got {key!r}")
+    for entry in key:
+        _check_count(f"{name} entry", entry, 0)
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,7 @@ class EngineConfig:
     def __post_init__(self):
         _check_count("horizon", self.horizon, 1)
         _check_count("seed", self.seed, 0)
+        _check_spawn_key("spawn key", self.spawn_key)
         if not 0.0 < self.lam < 1.0:
             raise ValueError("discount factor must be in (0, 1)")
 
@@ -165,11 +169,8 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
     ``kinds`` is one StrategyKind for everyone or a per-player sequence.
     Deterministic: identical inputs give an identical result.
     """
-    kinds = _normalize_kinds(kinds, params.n_players)
-    eta, rows = _draw_states(params, model, cfg.horizon, cfg.seed, cfg.spawn_key,
-                             cfg.initial_state)
-    eta, powers, recommended, rows, util_all, punishment_stage = _play(
-        params, kinds, eta, rows, cfg.deviation)
+    eta, powers, recommended, rows, util_all, punishment_stage = _seeded_play(
+        params, model, kinds, cfg)
     horizon = cfg.horizon
     keep = np.arange(0, horizon, 1 if horizon <= _FULL_TRACE_MAX else _THINNED_EVERY)
     kept = keep if rows is None else rows.take(keep)  # the kept stages' rows
@@ -200,12 +201,30 @@ def run_game(params: GameParams, model, kinds, cfg: EngineConfig) -> RunResult:
     )
 
 
+def _seeded_play(params, model, kinds, cfg: EngineConfig) -> tuple:
+    """``_play``'s tuple for the path ``cfg`` seeds: the run both
+    ``run_game`` and ``_payoffs`` score."""
+    kinds = _normalize_kinds(kinds, params.n_players)
+    eta, rows = _draw_states(params, model, cfg.horizon, cfg.seed, cfg.spawn_key,
+                             cfg.initial_state)
+    return _play(params, kinds, eta, rows, cfg.deviation)
+
+
+def _payoffs(params, model, kinds, cfg: EngineConfig) -> tuple:
+    """``(discounted, time_average)`` of ``run_game(params, model, kinds,
+    cfg)`` bit for bit, raising what it raises, with no trace built: for a
+    caller that keeps only the payoffs."""
+    utility = _seeded_play(params, model, kinds, cfg)[4]
+    return discounted_utility(utility, cfg.lam), _time_average(utility)
+
+
 def _draw_states(params, model, horizon: int, seed: int, spawn_key=(), initial_state=None):
     """Gains of the ``horizon``-stage path seeded by ``(seed, spawn_key)``, the
     package's one seeded draw, and each stage's row in them: the distinct
     joint states the path visits, in flat-index order, when the joint space
     is no larger than the horizon, else one row per stage and the map None."""
     _check_count("seed", seed, 0)
+    _check_spawn_key("spawn key", spawn_key)
     if model.n_players != params.n_players:
         raise ValueError("model and game disagree on the player count")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
@@ -411,6 +430,7 @@ def estimate_expected_utilities(params: GameParams, model, kinds_list, horizon: 
     """
     _check_count("horizon", horizon, 1)
     _check_count("replicates", replicates, 1)
+    _check_spawn_key("spawn prefix", spawn_prefix)
     kinds_list = list(kinds_list)
     means = [[] for _ in kinds_list]
     live, error = len(means), None  # entries from ``live`` on are not evaluated

@@ -25,6 +25,7 @@ from .engine import (
     DeviationSpec,
     EngineConfig,
     UtilityEstimate,
+    _payoffs,
     estimate_expected_utilities,
     run_game,
     trace_csv,
@@ -348,11 +349,14 @@ def _task_simulate(exp: Experiment) -> list:
         for r in range(exp.replicates):
             cfg = EngineConfig(horizon=exp.horizon, lam=exp.lam, seed=exp.seed, spawn_key=(j, r),
                                deviation=exp.deviation)
-            result = run_game(params, model, kinds_full, cfg)
-            discounted.append(result.discounted)
-            averages.append(result.time_average)
             if r == 0 and exp.trace:  # parse_config refuses a trace with a sweep
+                result = run_game(params, model, kinds_full, cfg)
                 traces.append(trace_csv(result))
+                payoffs = result.discounted, result.time_average
+            else:  # only the payoffs are kept: no trace is built
+                payoffs = _payoffs(params, model, kinds_full, cfg)
+            discounted.append(payoffs[0])
+            averages.append(payoffs[1])
         v = UtilityEstimate.from_replicates(np.array(discounted)).mean
         u = UtilityEstimate.from_replicates(np.array(averages))
         for i in range(params.n_players):

@@ -348,6 +348,25 @@ class TestFlatDraw:
         with pytest.raises(ValueError, match="horizon"):
             m.sample_flat(horizon, rng_of(3))
 
+    @pytest.mark.parametrize("law", ["product", "markov"])
+    @pytest.mark.parametrize("horizon", [5.7, 3.0, True, False, "3", np.float64(3.0),
+                                         np.bool_(True), None])
+    def test_non_integer_horizon_is_refused_by_both_draws(self, law, horizon):
+        # int(horizon) drew 5 stages for 5.7, 1 for True and 3 for "3"
+        if law == "product":
+            m = build_model(TwoStateSpec(1.0, 4.0), 2)
+        else:
+            m = ChannelModel(([1.0, 4.0],), MarkovJointLaw([[0.9, 0.1], [0.2, 0.8]], (2,)))
+        for draw in (m.sample_path, m.sample_flat):
+            with pytest.raises(ValueError, match="horizon must be an integer"):
+                draw(horizon, rng_of(3))
+
+    def test_numpy_integer_horizon_accepted(self):
+        m = build_model(TwoStateSpec(1.0, 4.0), 2)
+        for horizon in (np.int64(7), np.uint8(7), np.int32(7)):
+            for draw in (m.sample_path, m.sample_flat):
+                assert draw(horizon, rng_of(3)).tobytes() == draw(7, rng_of(3)).tobytes()
+
     @pytest.mark.parametrize("initial", [
         (1,), (1, 0, 0), (2, 0), (0, -1), (1.0, 0), (np.float64(1.0), 0), (True, 0),
         (np.bool_(True), 0), ("1", 0), 1, 1.5, None,

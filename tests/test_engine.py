@@ -798,3 +798,101 @@ def test_time_average_is_the_trace_mean_bit_for_bit(k, run):
             assert res.trace.t.size == horizon
             want = res.trace.utility.mean(axis=0)
             assert res.time_average.tobytes() == want.tobytes(), (model.law.dims, horizon)
+
+
+PAYOFF_MODELS = {
+    # 16 joint states: the visited-state table from 16 stages on, one row per stage below
+    "markov16": (lambda: _markov_model((4, 4), 7), (10, 600, _FULL_TRACE_MAX + 1)),
+    "rayleigh16_k5": (lambda: build_model(TruncatedRayleighSpec(bins=16), 5), (10, 300)),
+    "rayleigh16_k1": (lambda: build_model(TruncatedRayleighSpec(bins=16), 1), (10, 600)),
+}
+PAYOFF_RUNS = {
+    "closed_form": (lambda k: (NASH,) * k, None),
+    "one_shot": (lambda k: (BEST_USERS,) * k, DeviationSpec(0, 5, "one_shot")),
+    "permanent": (lambda k: (OPERATING_POINT,) * k, DeviationSpec(0, 5, "permanent")),
+    "mixed": (lambda k: tuple((BEST_USERS, NASH, threshold(0.5))[i % 3] for i in range(k)),
+              DeviationSpec(0, 5, "one_shot")),
+    "social_optimum": (lambda k: (SOCIAL_OPTIMUM,) * k, None),
+}
+
+
+@pytest.mark.parametrize("name", PAYOFF_MODELS)
+@pytest.mark.parametrize("run", PAYOFF_RUNS)
+def test_payoffs_are_run_games_bit_for_bit(name, run):
+    build, horizons = PAYOFF_MODELS[name]
+    model = build()
+    k = model.n_players
+    params = params_for(k, 0.1)
+    kinds, deviation = PAYOFF_RUNS[run]
+    for horizon in horizons:
+        for seed, spawn_key in ((3, ()), (8, (1, 2))):
+            cfg = EngineConfig(horizon=horizon, lam=0.05, seed=seed, spawn_key=spawn_key,
+                               deviation=deviation)
+            res = run_game(params, model, kinds(k), cfg)
+            discounted, average = engine._payoffs(params, model, kinds(k), cfg)
+            for got, want in ((discounted, res.discounted), (average, res.time_average)):
+                assert got.dtype == want.dtype and got.shape == want.shape == (k,)
+                assert got.tobytes() == want.tobytes(), (horizon, seed)
+
+
+@pytest.mark.parametrize("kind", [OPERATING_POINT, BEST_USERS])
+@pytest.mark.parametrize("deviation", [None, DeviationSpec(2, 3, "one_shot")])
+def test_payoffs_raise_what_run_game_raises_for_a_plan_over_a_cap(kind, deviation):
+    params = params_for(3, 0.1, p_max=0.05)
+    model = build_model(TwoStateSpec(1.0, 4.0), 3)
+    for horizon in (5, 50):  # one row per stage, then the visited-state table
+        cfg = EngineConfig(horizon=horizon, lam=0.1, seed=1, spawn_key=(0,), deviation=deviation)
+        with pytest.raises(CapError) as want:
+            run_game(params, model, kind, cfg)
+        with pytest.raises(CapError) as got:
+            engine._payoffs(params, model, kind, cfg)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("spawn_key,match", [
+    ((True,), "spawn key entry must be an integer"),
+    ((np.bool_(False),), "spawn key entry must be an integer"),
+    ((1.5,), "spawn key entry must be an integer"),
+    ((0, 2.0), "spawn key entry must be an integer"),
+    ((0, "1"), "spawn key entry must be an integer"),
+    ((-1,), "spawn key entry must be >= 0"),
+    ((0, np.int64(-2)), "spawn key entry must be >= 0"),
+    (3, "spawn key must be a tuple of integers >= 0"),
+    ([0, 1], "spawn key must be a tuple of integers >= 0"),
+    (None, "spawn key must be a tuple of integers >= 0"),
+])
+def test_a_bad_spawn_key_is_refused(spawn_key, match):
+    # (True,) played as spawn 1 and was recorded as (True,); (1.5,) failed
+    # at the draw with numpy's TypeError, and 3 with "'int' object is not iterable"
+    with pytest.raises(ValueError, match=match):
+        EngineConfig(horizon=10, lam=0.5, seed=1, spawn_key=spawn_key)
+    params = params_for(2, 0.1)
+    model = build_model(TwoStateSpec(1.0, 4.0), 2)
+    with pytest.raises(ValueError, match=match):
+        _draw_states(params, model, 5, 1, spawn_key)
+
+
+@pytest.mark.parametrize("prefix,match", [
+    ((True,), "spawn prefix entry must be an integer"),
+    ((1.5,), "spawn prefix entry must be an integer"),
+    ((-1,), "spawn prefix entry must be >= 0"),
+    ([0], "spawn prefix must be a tuple of integers >= 0"),
+])
+def test_a_bad_spawn_prefix_is_refused_by_the_estimator(prefix, match):
+    params = params_for(2, 0.1)
+    model = build_model(TwoStateSpec(1.0, 4.0), 2)
+    with pytest.raises(ValueError, match=match):
+        estimate_expected_utility(params, model, NASH, 5, 2, 2, spawn_prefix=prefix)
+
+
+def test_numpy_integer_spawn_key_accepted():
+    params = params_for(2, 0.1)
+    model = build_model(TwoStateSpec(1.0, 4.0), 2)
+    got = run_game(params, model, NASH, EngineConfig(horizon=20, lam=0.5, seed=7,
+                                                     spawn_key=(np.int64(1), np.uint8(2))))
+    want = run_game(params, model, NASH, EngineConfig(horizon=20, lam=0.5, seed=7,
+                                                      spawn_key=(1, 2)))
+    assert got.discounted.tobytes() == want.discounted.tobytes()
+    got = estimate_expected_utility(params, model, NASH, 20, 7, 2, spawn_prefix=(np.int32(4),))
+    want = estimate_expected_utility(params, model, NASH, 20, 7, 2, spawn_prefix=(4,))
+    assert got.per_replicate.tobytes() == want.per_replicate.tobytes()

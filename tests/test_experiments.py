@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from powergame import experiments
+from powergame import engine, experiments
 from powergame.channels import ChannelModel, MarkovJointLaw, save_model
 from powergame.cli import main
 from powergame.engine import EngineConfig, UtilityEstimate, run_game
@@ -173,6 +173,28 @@ class TestRunExperiment:
             for i in range(2)
         ]
         assert (tmp_path / "out" / "summary.csv").read_text().splitlines() == want
+
+    @pytest.mark.parametrize("trace,built", [(False, 0), (True, 1)])
+    def test_only_the_written_trace_is_built(self, tmp_path, monkeypatch, trace, built):
+        # replicates whose trace is not written keep only their payoffs, and
+        # the summary is the same bytes either way
+        traces = []
+
+        class CountingTrace(engine.StageTrace):
+            def __init__(self, *args, **kwargs):
+                traces.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "StageTrace", CountingTrace)
+        cfg = small_simulate_config(replicates=3, trace=trace,
+                                    deviation={"player": 1, "start": 20, "mode": "one_shot"})
+        run_experiment(cfg, tmp_path / "out")
+        assert len(traces) == built
+        assert (tmp_path / "out" / "trace.csv").exists() == trace
+        cfg["engine"]["trace"] = not trace
+        run_experiment(cfg, tmp_path / "other")
+        summary = [(tmp_path / out / "summary.csv").read_bytes() for out in ("out", "other")]
+        assert summary[0] == summary[1]
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -470,6 +492,11 @@ def _pinned_configs(directory):
             "channel": RAYLEIGH16, "strategies": ["time_sharing"],
             "engine": {"horizon": 2000, "seed": 25, "replicates": 2},
             "sweep": {"axis": "K", "values": [3, 4]}},
+        "markov_untraced_simulate": {  # no trace: every replicate keeps only its payoffs
+            "task": "simulate", "game": {"K": 2, "a": 0.15}, "channel": markov,
+            "strategies": ["best_users", "nash"],
+            "engine": {"horizon": 2000, "seed": 25, "replicates": 3,
+                       "deviation": {"player": 0, "start": 50, "mode": "one_shot"}}},
     }
 
 
@@ -528,6 +555,9 @@ PINNED_ARTIFACTS = {
         "dominance.csv": "9f5dbf4c4bc187ac67a167a523cbe1b56f3afb32c957506200a28f6f481bf4a3"},
     "time_sharing_capped": {
         "dominance.csv": "481a0828602a7a623208f65c58cf6b934b707c7d82205370acc07e9abe83e78d"},
+    # computed while every replicate still built its trace through run_game
+    "markov_untraced_simulate": {
+        "summary.csv": "ca6ace63c02b2dbbffa528770463d8f4cf044d8ee129e4d82bc166bb274d3694"},
 }
 
 
