@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import stationary_distribution
+from .channels import _check_count, stationary_distribution
 from .engine import UtilityEstimate, _draw_states, _play, estimate_expected_utilities
 from .errors import ModelError
 from .geometry import (
@@ -80,9 +80,11 @@ def minmax_levels(params: GameParams, model, *, seed: int = 0,
     all opponents transmitting at their caps.
 
     Exact state enumeration when the joint space fits in memory, else the
-    mean over ``samples`` stages of the engine's path seeded by ``seed``.
+    mean over ``samples`` stages of the engine's path seeded by ``seed``;
+    ``samples`` must be an integer >= 1 on every model.
     """
     params.require_equal_rates()
+    _check_count("samples", samples, 1)
     try:
         _, gains, probs = joint_state_table(model)
         return probs @ _punished_utilities(params, gains)
@@ -251,6 +253,12 @@ class PartitionResult:
 
 def config_partition(params: GameParams, model, *, horizon: int = 100_000,
                      seed: int = 0, player: int = 0) -> PartitionResult:
+    """Frequencies of (``player`` recommended or not, group size k) over the
+    ``horizon`` stages of the engine's path seeded by ``seed``, under
+    best-user selection; ``player`` must be an integer in 0..K-1."""
+    _check_count("player", player, 0)
+    if player >= params.n_players:
+        raise ValueError(f"player must be < {params.n_players}, the player count, got {player!r}")
     gains, rows = _draw_states(params, model, horizon, seed)
     gains = gains if rows is None else gains.take(rows, axis=0)  # planned per stage, as errors are
     _, recommended, k_active = compliant_profile(params, BEST_USERS, gains)

@@ -19,7 +19,8 @@ import numpy as np
 # The slack stops at half a turn, past which an arc meets every other arc (so
 # an edge of subnormal length cannot overflow it).
 _ARC_SLACK = 1e-9
-_ROUND_SLACK = 64 * np.finfo(float).eps
+_ROUND_SLACK = 64 * float(np.finfo(float).eps)
+_VERTEX_SLACK = 2.0 * _ARC_SLACK  # the slack of a vertex whose two edges have _ARC_SLACK
 _TWO_PI = 2.0 * np.pi
 # convex_hull: chord margin per |chord| * spread; largest unscaled spread exponent
 # (convex_hulls: the same margin per |edge| * spread, and the same exponent
@@ -66,22 +67,30 @@ def _half_chain(x: list, y: list, left: list, start: int, end: int) -> list:
     return chain
 
 
-def _half_chains(seq: np.ndarray, nl: int):
-    """Positions in (m, 2) ``seq`` of the lower chain over its first ``nl``
-    points and of the upper chain over the rest, each of >= 2 points.
+def _half_chains(seq: np.ndarray, starts: list, ends: list) -> list:
+    """Positions in (m, 2) ``seq`` of the monotone chain over each range
+    ``starts[h]`` .. ``ends[h]`` - 1 of >= 2 points, the ranges apart.
 
     One pass computes the turn of every consecutive triple, by the chain
     loop's own expression: left where it is > 0, a stop otherwise (NaN
-    included).  Of the two triples across the seam, the first ends the
-    lower chain's runs and the second is read by neither chain; a stop
-    appended ends the upper chain's.
+    included).  Each chain's last triple is made a stop, which ends its
+    runs; a triple across two ranges is read by no chain.
     """
     d1, d2 = seq[1:-1] - seq[:-2], seq[2:] - seq[:-2]
     left = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0).tolist()
-    left[nl - 2] = False
     left.append(False)
+    for end in ends:
+        left[end - 2] = False
     x, y = seq[:, 0].tolist(), seq[:, 1].tolist()
-    return _half_chain(x, y, left, 0, nl), _half_chain(x, y, left, nl, len(x))
+    return [_half_chain(x, y, left, lo, hi) for lo, hi in zip(starts, ends)]
+
+
+def _chord_margin(d0: float, d1: float, span: float) -> float:
+    """How far off the chord (d0, d1) of a cloud of ``span`` a point may
+    lie and still go to both half chains: ``_CHORD_MARGIN`` * |chord| *
+    span, or inf where that is not a normal float (every point goes)."""
+    margin = _CHORD_MARGIN * math.hypot(d0, d1) * span
+    return math.inf if margin < _TINY else margin
 
 
 def convex_hull(points) -> np.ndarray:
@@ -97,10 +106,10 @@ def convex_hull(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.size and not np.abs(pts).max() < 2.0**1023:
         raise ValueError("convex_hull needs finite points below 2**1023 in magnitude")
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]  # by x, then y; stable
+    pts = pts.take(np.lexsort((pts[:, 1], pts[:, 0])), axis=0)  # by x, then y; stable
     new = (pts[1:, 0] != pts[:-1, 0]) | (pts[1:, 1] != pts[:-1, 1])
     if not new.all():  # a sum of hull vertices rarely repeats one
-        pts = pts[np.concatenate([[True], new])]
+        pts = pts.compress(np.concatenate([[True], new]), axis=0)
     if pts.shape[0] <= 2:
         return pts
     test, rel = pts, pts - pts[0]
@@ -110,15 +119,13 @@ def convex_hull(points) -> np.ndarray:
         test, span = np.ldexp(pts, -exp), math.ldexp(span, -exp)
         rel = test - test[0]
     d0, d1 = rel[-1].tolist()
-    margin = _CHORD_MARGIN * math.hypot(d0, d1) * span
-    if margin < _TINY:  # not a normal float: every point goes to both chains
-        margin = math.inf
+    margin = _chord_margin(d0, d1, span)
     side = d0 * rel[:, 1] - d1 * rel[:, 0]  # 0.0 at both ends of the chord
     lower, upper = np.flatnonzero(side <= margin), np.flatnonzero(side >= -margin)[::-1]
     both = np.concatenate([lower, upper])
-    low, up = _half_chains(test[both], lower.size)
+    low, up = _half_chains(test.take(both, axis=0), [0, lower.size], [lower.size, both.size])
     keep = low[:-1] + up[:-1]
-    return pts[both[np.fromiter(keep, np.intp, len(keep))]]
+    return pts.take(both.take(np.fromiter(keep, np.intp, len(keep))), axis=0)
 
 
 def convex_hulls(clouds) -> list:
@@ -129,12 +136,19 @@ def convex_hulls(clouds) -> list:
     A point left of every edge of it by more than ``_CHORD_MARGIN`` *
     |edge| * spread (the spread: the larger of the cloud's x and y
     extents), far beyond rounding, lies strictly inside the hull of the
-    corners, so it is no vertex: it is dropped before ``convex_hull`` sees
-    the rest, in input order.  A zero-length edge is no edge, and an edge
-    whose margin is not a normal float drops nothing.  A cloud with a
-    coordinate of 2**_SCALE_EXP or more, or whose spread has a binary
-    exponent outside +-``_SCALE_EXP`` (a repeated point included), keeps
-    every point, and no cross product is formed for it.
+    corners, so it is no vertex: it is dropped before any chain sees it.
+    A zero-length edge is no edge, and an edge whose margin is not a
+    normal float drops nothing.  A cloud with a coordinate of
+    2**_SCALE_EXP or more, or whose spread has a binary exponent outside
+    +-``_SCALE_EXP`` (a repeated point included), keeps every point, and
+    no cross product is formed for it.
+
+    The kept points of every cloud are then hulled as ``convex_hull``
+    hulls them, in one numpy pass over the block (``_block_hulls``).  A
+    cloud with a coordinate of 2**_SCALE_EXP or more, of 2 or fewer
+    distinct kept points, or whose spread's binary exponent lies outside
+    +-``_SCALE_EXP``, goes to ``convex_hull`` instead, its kept points in
+    input order.
     """
     pts = np.asarray(clouds, dtype=float)
     if pts.ndim != 3 or pts.shape[2] != 2:
@@ -143,11 +157,87 @@ def convex_hulls(clouds) -> list:
     if not mag.max(initial=0.0) < 2.0**1023:
         raise ValueError("convex_hulls needs finite points below 2**1023 in magnitude")
     keep = np.ones(pts.shape[:2], dtype=bool)
-    if pts.shape[1] >= 3:
-        small = np.flatnonzero(mag < 2.0**_SCALE_EXP)  # no sum or product below overflows
-        if small.size:
-            keep[small] = ~_octagon_interior(pts[small] if small.size < mag.size else pts)
-    return [convex_hull(cloud[mask]) for cloud, mask in zip(pts, keep)]
+    small = mag < 2.0**_SCALE_EXP  # no sum or product below overflows
+    if pts.shape[1] >= 3 and small.any():
+        rows = np.flatnonzero(small)
+        keep[rows] = ~_octagon_interior(pts[rows] if rows.size < mag.size else pts)
+    hulls = _block_hulls(pts, keep, small)
+    for c, hull in enumerate(hulls):
+        if hull is None:
+            hulls[c] = convex_hull(pts[c][keep[c]])
+    return hulls
+
+
+def _block_hulls(pts: np.ndarray, keep: np.ndarray, small: np.ndarray) -> list:
+    """``convex_hull(pts[c][keep[c]])`` for each cloud c of ``small``
+    whose kept points hold 3 or more distinct points and whose spread's
+    binary exponent lies within +-``_SCALE_EXP``, else None.
+
+    ``convex_hull``'s steps, each over the whole block but the sort (one
+    lexsort per cloud, which is faster than one with the cloud as a third
+    key): one dedupe, each cloud's chord split (``_chord_margin``), one
+    ``_half_chains`` pass over the lower chains of cloud after cloud and
+    the upper chains after them, and one gather (the hulls are views of
+    one array).  ``convex_hull`` keeps its own sort, dedupe and split,
+    since this block bookkeeping would nearly double the time of one
+    cloud's hull, the cost of each fold step's hull.
+    """
+    hulls = [None] * pts.shape[0]
+    flat = np.flatnonzero(keep)  # cloud-major: input order in each cloud
+    if not flat.size:
+        return hulls
+    sp, cloud = pts.reshape(-1, 2).take(flat, axis=0), flat // pts.shape[1]
+    x, y, order, lo = sp[:, 0], sp[:, 1], [], 0
+    for hi in np.cumsum(keep.sum(axis=1)).tolist():
+        order.append(np.lexsort((y[lo:hi], x[lo:hi])) + lo)
+        lo = hi
+    sp = sp.take(np.concatenate(order), axis=0)
+    new = np.ones(cloud.size, dtype=bool)
+    new[1:] = (sp[1:, 0] != sp[:-1, 0]) | (sp[1:, 1] != sp[:-1, 1]) | (cloud[1:] != cloud[:-1])
+    if not new.all():
+        sp, cloud = sp.compress(new, axis=0), cloud.compress(new)
+    counts = np.bincount(cloud, minlength=pts.shape[0])
+    taken = small & (counts >= 3)
+    if not taken.any():
+        return hulls
+    if not taken.all():
+        sp = sp.compress(taken.take(cloud), axis=0)
+    ids, sizes = np.flatnonzero(taken), counts[taken]
+    first = np.cumsum(sizes) - sizes
+    rel = sp - np.repeat(sp.take(first, axis=0), sizes, axis=0)
+    span = np.maximum.reduceat(np.abs(rel).ravel(), 2 * first)
+    scaled = np.abs(np.frexp(span)[1]) > _SCALE_EXP  # convex_hull scales these
+    if scaled.any():
+        sel = np.repeat(~scaled, sizes)
+        ids, sizes, span = ids[~scaled], sizes[~scaled], span[~scaled]
+        if not ids.size:
+            return hulls
+        sp, rel = sp.compress(sel, axis=0), rel.compress(sel, axis=0)
+        first = np.cumsum(sizes) - sizes
+    chord = rel.take(first + sizes - 1, axis=0)
+    margin = np.array([_chord_margin(d0, d1, s) for (d0, d1), s in zip(chord.tolist(), span.tolist())])
+    owner = np.repeat(np.arange(ids.size), sizes)
+    side = chord[:, 0].take(owner) * rel[:, 1] - chord[:, 1].take(owner) * rel[:, 0]
+    bound = margin.take(owner)
+    lower, upper = np.flatnonzero(side <= bound), np.flatnonzero(side >= -bound)[::-1]
+    # the lower points ascending, cloud after cloud, then the upper points
+    # descending, so the last cloud's upper chain comes first
+    both = np.concatenate([lower, upper])
+    n_low = np.bincount(owner.take(lower), minlength=ids.size)
+    n_up = np.bincount(owner.take(upper), minlength=ids.size)
+    low_end, up_start = np.cumsum(n_low), both.size - np.cumsum(n_up)
+    starts = np.stack([low_end - n_low, up_start], axis=1).ravel().tolist()
+    ends = np.stack([low_end, up_start + n_up], axis=1).ravel().tolist()
+    chains = _half_chains(sp.take(both, axis=0), starts, ends)
+    rows, cuts = [], []
+    for low, up in zip(chains[0::2], chains[1::2]):
+        rows += low[:-1]
+        rows += up[:-1]
+        cuts.append(len(rows))
+    verts = sp.take(both.take(np.fromiter(rows, np.intp, len(rows))), axis=0)
+    for c, hull in zip(ids.tolist(), np.split(verts, cuts[:-1])):
+        hulls[c] = hull
+    return hulls
 
 
 def _octagon_interior(pts: np.ndarray) -> np.ndarray:
@@ -190,68 +280,115 @@ def _wrap_angle(angle: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vertex_arcs(poly: np.ndarray, scale: float):
-    """Arc of edge directions (start, CCW width) at each vertex of a CCW
-    convex polygon, or None when the polygon gives no usable arcs (an edge
-    of zero length, which only a point cloud with a repeated point has, or
-    edges that do not turn once around CCW).
+def _polygon_arcs(polys: list) -> list:
+    """Scale-free arc facts of each (M, 2) float CCW polygon of ``polys``,
+    in one pass over all of them: (edge lengths, arc starts, arc widths,
+    shortest edge, largest coordinate magnitude), or None for a polygon of
+    fewer than 3 vertices or without usable arcs.
 
     A vertex is extreme for exactly the directions whose outward normals
     lie between the normals of its incoming and outgoing edges; rotating
     every normal by the same quarter turn, the arc from the incoming to
-    the outgoing edge direction stands for that normal arc.
+    the outgoing edge direction stands for that normal arc.  The arcs here
+    are before slack (``_slackened``), and per vertex the edge length is
+    that of the edge leaving it.  Usable arcs need no edge of zero length
+    (which only a point cloud with a repeated point has), and edges that
+    turn once around CCW.  The turns are summed in order, so a polygon's
+    test does not depend on the polygons beside it.
     """
-    m = poly.shape[0]
+    out = [None] * len(polys)
+    idx = [j for j, poly in enumerate(polys) if poly.shape[0] >= 3]
+    if not idx:
+        return out
+    sizes = np.array([polys[j].shape[0] for j in idx])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    pts = polys[idx[0]] if len(idx) == 1 else np.concatenate([polys[j] for j in idx])
     # vertex k leaves along edge k, which runs to vertex k + 1, and arrives
-    # along edge k - 1 (negative indices wrap around)
-    nxt, prev = np.arange(1 - m, 1), np.arange(-1, m - 1)
-    edges = poly[nxt] - poly
-    length = np.hypot(edges[:, 0], edges[:, 1])
-    if not length.all():
-        return None
-    angle = np.arctan2(edges[:, 1], edges[:, 0])
-    round_slack = _ROUND_SLACK * scale
-    slack = np.maximum(_ARC_SLACK, round_slack / np.maximum(length, round_slack / np.pi))
+    # along edge k - 1, both within its own polygon
+    nxt = np.arange(1, ends[-1] + 1)
+    nxt[ends - 1] = starts
+    prev = np.arange(-1, ends[-1] - 1)
+    prev[starts] = ends - 1
+    x, y = pts[:, 0], pts[:, 1]
+    ex, ey = x[nxt] - x, y[nxt] - y
+    length = np.hypot(ex, ey)
+    angle = np.arctan2(ey, ex)
     turn = _wrap_angle(angle[nxt] - angle + np.pi) - np.pi
+    vturn = turn[prev]
+    start = angle[prev] + np.minimum(vturn, 0.0)
+    width = np.abs(vturn)
+    shortest = np.minimum.reduceat(length, starts)
     # a convex CCW polygon turns left once around; rounding may leave a
     # nearly collinear vertex turning right by a hair (NaN fails the test)
-    if not (turn.min() >= -1e-6 and abs(turn.sum() - _TWO_PI) <= 1e-6):
-        return None
-    vturn = turn[prev]
-    vslack = slack[prev] + slack
-    start = angle[prev] + np.minimum(vturn, 0.0) - vslack
-    return start, np.abs(vturn) + 2.0 * vslack
+    usable = (shortest > 0.0) & (np.minimum.reduceat(turn, starts) >= -1e-6)
+    usable &= np.abs(np.add.reduceat(turn, starts) - _TWO_PI) <= 1e-6
+    absmax = np.maximum.reduceat(np.abs(pts).ravel(), 2 * starts)
+    for j, lo, hi, short, big, ok in zip(idx, starts.tolist(), ends.tolist(), shortest.tolist(),
+                                          absmax.tolist(), usable.tolist()):
+        if ok:
+            out[j] = (length[lo:hi], start[lo:hi], width[lo:hi], short, big)
+    return out
 
 
-def minkowski_sum(poly_a, poly_b) -> np.ndarray:
-    """Minkowski sum of two convex polygons: hull of candidate pair sums.
+def _slackened(arcs, scale: float):
+    """(start, CCW width) of each vertex arc of one polygon's arc facts,
+    widened by its two edges' slack at coordinate ``scale``.
 
-    Only pairs whose vertex arcs (``_vertex_arcs``) overlap can be
-    vertices of the sum, so only those pairs are added; when either
-    polygon gives no arcs every pair is.  The hull of the candidates is
-    the hull of all pair sums, and each kept sum is the same float.
+    An edge's slack is the larger of ``_ARC_SLACK`` and ``round_slack`` /
+    its length, a division that is monotone in the length: where even the
+    shortest edge gives no more than ``_ARC_SLACK``, every edge's slack is
+    ``_ARC_SLACK``, and each vertex's the sum of two of them.
     """
-    a = np.asarray(poly_a, dtype=float).reshape(-1, 2)
-    b = np.asarray(poly_b, dtype=float).reshape(-1, 2)
-    arcs_a = arcs_b = None
-    if a.shape[0] >= 3 and b.shape[0] >= 3:
-        scale = max(float(np.abs(a).max()), float(np.abs(b).max()))
-        arcs_a = _vertex_arcs(a, scale)
-        arcs_b = _vertex_arcs(b, scale)
-    if arcs_a is None or arcs_b is None:
+    length, start, width, shortest, _ = arcs
+    round_slack = _ROUND_SLACK * scale
+    if round_slack / max(shortest, round_slack / math.pi) <= _ARC_SLACK:
+        return start - _VERTEX_SLACK, width + 2.0 * _VERTEX_SLACK
+    slack = np.maximum(_ARC_SLACK, round_slack / np.maximum(length, round_slack / np.pi))
+    vslack = slack + np.concatenate((slack[-1:], slack[:-1]))  # the edges at each vertex
+    return start - vslack, width + 2.0 * vslack
+
+
+def _minkowski_step(a: np.ndarray, b: np.ndarray, arcs_b) -> np.ndarray:
+    """``minkowski_sum`` of (M, 2) float polygons ``a`` and ``b``, given
+    ``b``'s arc facts (``_polygon_arcs``, None where it gives no arcs)."""
+    arcs_a = _polygon_arcs([a])[0] if arcs_b is not None else None
+    if arcs_a is None:
         return convex_hull(a[:, None, :] + b[None, :, :])
-    (start_a, width_a), (start_b, width_b) = arcs_a, arcs_b
+    scale = max(arcs_a[4], arcs_b[4])
+    start_a, width_a = _slackened(arcs_a, scale)
+    start_b, width_b = _slackened(arcs_b, scale)
     # two arcs meet iff one of them starts inside the other
     gap = _wrap_angle(start_b[None, :] - start_a[:, None])
     keep = gap <= width_a[:, None]
     keep |= _TWO_PI - gap <= width_b[None, :]
     i, j = np.nonzero(keep)
-    return convex_hull(a[i] + b[j])
+    return convex_hull(a.take(i, axis=0) + b.take(j, axis=0))
+
+
+def minkowski_sum(poly_a, poly_b) -> np.ndarray:
+    """Minkowski sum of two convex polygons: hull of candidate pair sums.
+
+    Only pairs whose vertex arcs (``_polygon_arcs``, widened by
+    ``_slackened``) overlap can be vertices of the sum, so only those
+    pairs are added; when either polygon gives no arcs every pair is.  The
+    hull of the candidates is the hull of all pair sums, and each kept sum
+    is the same float.
+    """
+    a = np.asarray(poly_a, dtype=float).reshape(-1, 2)
+    b = np.asarray(poly_b, dtype=float).reshape(-1, 2)
+    return _minkowski_step(a, b, _polygon_arcs([b])[0])
 
 
 def weighted_minkowski_sum(polys, weights) -> np.ndarray:
     """Hull of sum_j w_j P_j for convex polygons P_j and weights w_j
-    (a left fold of ``minkowski_sum`` over the polygons in order)."""
+    (a left fold of ``minkowski_sum`` over the polygons in order).
+
+    The arc facts of every weighted polygon but the first come from one
+    pass before the fold, so each step computes only the accumulated
+    polygon's arcs, the slack at their common scale, the pair mask and the
+    hull of the kept sums.
+    """
     polys = list(polys)
     weights = np.asarray(weights, dtype=float)
     if len(polys) != weights.size or not polys:
@@ -259,16 +396,21 @@ def weighted_minkowski_sum(polys, weights) -> np.ndarray:
     for j, w in enumerate(weights.tolist()):
         if not math.isfinite(w):
             raise ValueError(f"weight {j} is {w}, not finite")
-    acc = np.asarray(polys[0], dtype=float) * weights[0]
-    for poly, w in zip(polys[1:], weights[1:]):
-        acc = minkowski_sum(acc, np.asarray(poly, dtype=float) * w)
+    scaled = [np.asarray(poly, dtype=float).reshape(-1, 2) * w
+              for poly, w in zip(polys, weights.tolist())]
+    acc = scaled[0]
+    for poly, arcs in zip(scaled[1:], _polygon_arcs(scaled[1:])):
+        acc = _minkowski_step(acc, poly, arcs)
     return convex_hull(acc)
 
 
 def clip_to_lower_bounds(poly, bounds) -> np.ndarray:
     """Intersect a convex polygon with {x >= bounds[0]} and {y >= bounds[1]};
-    a bound of -inf is no bound, +inf leaves nothing, and NaN is refused."""
+    a bound of -inf is no bound, +inf leaves nothing, and NaN, or bounds
+    that are not exactly two entries, are refused."""
     verts = np.asarray(poly, dtype=float).reshape(-1, 2)
+    if np.shape(bounds) != (2,):
+        raise ValueError(f"need two lower bounds, one per axis, got {bounds!r}")
     for dim, bound in enumerate(bounds):
         if np.isnan(bound):
             raise ValueError(f"lower bound {dim} is NaN")

@@ -10,8 +10,10 @@ states built on them.  ``clip_to_lower_bounds_oracle`` and
 used before it treated every edge at once; the clip hulls its points with
 the package's ``convex_hull``, as it did then.  ``half_chain_oracle`` is the
 package's half chain before it pushed each run of left turns in one step:
-a push or a pop per point.  Tests compare ``powergame.geometry`` against
-these bit for bit.
+a push or a pop per point.  ``vertex_arcs_oracle`` is the package's arc
+rule before it split into scale-free facts, computed for every weighted
+state polygon before the fold, and the slack at each step's scale.  Tests
+compare ``powergame.geometry`` against these bit for bit.
 """
 
 from __future__ import annotations
@@ -59,6 +61,29 @@ def half_chain_oracle(pts: np.ndarray) -> list:
         chain.append(k)
         ox, oy, ax, ay = ax, ay, px, py
     return chain
+
+
+def vertex_arcs_oracle(poly: np.ndarray, scale: float):
+    """Arc of edge directions (start, CCW width) at each vertex of a CCW
+    convex polygon, widened by its edges' slack at coordinate ``scale``, or
+    None for an edge of zero length or edges that do not turn once around
+    CCW."""
+    m = poly.shape[0]
+    nxt, prev = np.arange(1 - m, 1), np.arange(-1, m - 1)
+    edges = poly[nxt] - poly
+    length = np.hypot(edges[:, 0], edges[:, 1])
+    if not length.all():
+        return None
+    angle = np.arctan2(edges[:, 1], edges[:, 0])
+    round_slack = 64 * np.finfo(float).eps * scale
+    slack = np.maximum(1e-9, round_slack / np.maximum(length, round_slack / np.pi))
+    turn = np.remainder(angle[nxt] - angle + np.pi, 2.0 * np.pi) - np.pi
+    if not (turn.min() >= -1e-6 and abs(turn.sum() - 2.0 * np.pi) <= 1e-6):
+        return None
+    vturn = turn[prev]
+    vslack = slack[prev] + slack
+    start = angle[prev] + np.minimum(vturn, 0.0) - vslack
+    return start, np.abs(vturn) + 2.0 * vslack
 
 
 def minkowski_sum_oracle(poly_a, poly_b) -> np.ndarray:

@@ -129,6 +129,16 @@ class TestMinmax:
             )
             assert best >= levels[0] - 1e-9
 
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, True])
+    def test_bad_samples_refused_on_every_model(self, samples):
+        # on an enumerable model samples is not used, and used to be taken
+        # silently; on K = 5 Rayleigh-16 the message named the horizon
+        for k, bins in ((2, 4), (5, 16)):
+            params = params_for(k, 0.1, p_max=10.0)
+            model = build_model(TruncatedRayleighSpec(bins=bins), k)
+            with pytest.raises(ValueError, match="samples must be"):
+                minmax_levels(params, model, seed=3, samples=samples)
+
     def test_monte_carlo_fallback_for_large_joint_spaces(self):
         params = params_for(5, 0.1, p_max=10.0)
         model = build_model(TruncatedRayleighSpec(bins=16), 5)  # 16^5 joint states
@@ -137,7 +147,7 @@ class TestMinmax:
         levels = minmax_levels(params, model, seed=3, samples=4000)
         assert levels.shape == (5,)
         assert np.all(levels > 0) and np.all(np.isfinite(levels))
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
             minmax_levels(params, model, seed=3, samples=0)
         for seed in (1.5, True, -1):
             with pytest.raises(ValueError, match="seed must be"):
@@ -611,6 +621,17 @@ class TestPartition:
         model = build_model(TwoStateSpec(1.0, 4.0), 2)
         with pytest.raises(ValueError, match="seed must be"):
             config_partition(params, model, horizon=100, seed=seed)
+
+    @pytest.mark.parametrize("player,message", [
+        (-1, "player must be >= 0"), (3, "player must be < 3"), (1.0, "player must be an integer"),
+    ])
+    def test_bad_player_refused(self, player, message):
+        # -1 used to give the last player's frequencies, labelled -1, and 3
+        # and 1.0 raised IndexError
+        params = params_for(3, 0.1)
+        model = build_model(TwoStateSpec(1.0, 4.0), 3)
+        with pytest.raises(ValueError, match=message):
+            config_partition(params, model, horizon=100, seed=0, player=player)
 
     def test_a_visited_state_table_gives_the_per_stage_frequencies(self):
         # 16 joint states, no more than the horizon: the engine's draw

@@ -135,6 +135,13 @@ class TestClip:
         with pytest.raises(ValueError, match="is NaN"):
             clip_to_lower_bounds(sq, bounds)
 
+    @pytest.mark.parametrize("bounds", [(0.5, 0.5, 0.5), (0.5,)])
+    def test_bounds_other_than_two_refused(self, bounds):
+        # three bounds used to raise IndexError, and one clipped x only
+        sq = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+        with pytest.raises(ValueError, match="two lower bounds"):
+            clip_to_lower_bounds(sq, bounds)
+
     def test_infinite_bounds(self):
         # -inf is no bound, +inf on either coordinate leaves nothing
         sq = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)

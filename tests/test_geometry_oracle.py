@@ -25,13 +25,16 @@ from geometry_oracle import (
     half_chain_oracle,
     minkowski_sum_oracle,
     point_in_convex_polygon_oracle,
+    vertex_arcs_oracle,
     weighted_minkowski_sum_oracle,
 )
 import powergame.geometry
 from powergame.analysis import feasible_region_2p, joint_state_table
-from powergame.channels import TruncatedRayleighSpec, build_model
+from powergame.channels import TruncatedRayleighSpec, TwoStateSpec, build_model
 from powergame.geometry import (
     _half_chains,
+    _polygon_arcs,
+    _slackened,
     _wrap_angle,
     clip_to_lower_bounds,
     convex_hull,
@@ -85,14 +88,15 @@ def test_rayleigh16_with_near_duplicate_vertices(monkeypatch):
     # step must give at most |A| + |B| vertices (a hull that keeps too many
     # points makes the fold's pair sums grow without bound)
     fold_sizes = []
+    step = powergame.geometry._minkowski_step
 
-    def bounded_sum(poly_a, poly_b):
-        out = minkowski_sum(poly_a, poly_b)
+    def bounded_step(poly_a, poly_b, arcs_b):
+        out = step(poly_a, poly_b, arcs_b)
         fold_sizes.append(len(out))
         assert len(out) <= len(poly_a) + len(poly_b), (len(fold_sizes), len(out))
         return out
 
-    monkeypatch.setattr(powergame.geometry, "minkowski_sum", bounded_sum)
+    monkeypatch.setattr(powergame.geometry, "_minkowski_step", bounded_step)
     params = GameParams.symmetric(2, a=0.5, p_max=20.0)
     model = build_model(TruncatedRayleighSpec(1.0, 0.1, 10.0, 16), 2)
     _, gains, probs = joint_state_table(model)
@@ -193,6 +197,64 @@ def test_subnormal_edge():
     b = np.array([(0, 0), (2, 0), (0, 2)], float)
     for x, y in ((a, b), (b, a), (a, a), (a, b * 1e-300)):
         assert_bitwise(minkowski_sum(x, y), minkowski_sum_oracle(x, y))
+
+
+def weighted_state_polygons():
+    """The weighted state hulls the fig3 and Rayleigh-16 regions fold, the
+    latter also with near-duplicate vertices; squares with one corner cut
+    by an edge whose slack at scale 1 lies just above or below the even
+    1e-9; and polygons of fewer than 3 vertices, with a zero-length edge,
+    with a vertex turning right by a hair or by far, and one turning twice
+    around."""
+    polys = []
+    for params, model, nudge in [
+            (GameParams.symmetric(2, a=0.5, p_max=5.0), build_model(TwoStateSpec(1.0, 4.0), 2), 0),
+            (GameParams.symmetric(2, a=0.5, p_max=20.0),
+             build_model(TruncatedRayleighSpec(1.0, 0.1, 10.0, 16), 2), 0),
+            (GameParams.symmetric(2, a=0.5, p_max=20.0),
+             build_model(TruncatedRayleighSpec(1.0, 0.1, 10.0, 16), 2), 4)]:
+        _, gains, probs = joint_state_table(model)
+        padded, sizes = _power_grids(params, gains, 12)
+        grids = [[g[:n] for g, n in zip(state, state_sizes)]
+                 for state, state_sizes in zip(padded, sizes)]
+        clouds = state_clouds(params, gains, grids, nudge_ulps=nudge)
+        polys += [convex_hull(cloud) * w for cloud, w in zip(clouds, probs)]
+    square = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], float)
+    for cut in (7e-6, 2e-5):  # 64 eps over the cut edge is about 1.4e-9 and 5.0e-10
+        polys.append(np.array([(0, 0), (1, 0), (1, 1 - cut), (1 - cut, 1), (0, 1)]))
+    pentagon = regular_polygon(5)
+    polys += [
+        np.empty((0, 2)), square[:1], square[:2], square[:3] * 0.0,
+        np.insert(square, 2, square[2], axis=0),  # a repeated vertex
+        np.insert(square, 1, (0.5, -1e-9), axis=0),  # turns right by about 4e-9 rad
+        np.insert(square, 1, (0.5, 0.25), axis=0),  # turns right by about 53 degrees
+        pentagon[[0, 2, 4, 1, 3]],  # a pentagram: left turns, twice around
+    ]
+    return polys
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e6, 1e12])
+def test_batched_arc_facts_match_the_single_polygon_arcs(factor):
+    # the facts of every weighted state polygon, from one pass, widened by
+    # the slack at a scale at or above each polygon's own, against the arc
+    # rule of one polygon at a time; both the shortcut for an even slack and
+    # the slack of each edge are taken
+    polys = weighted_state_polygons()
+    batched = _polygon_arcs(polys)
+    paths = set()
+    for poly, facts in zip(polys, batched):
+        scale = float(np.abs(poly).max(initial=0.0)) * factor
+        want = vertex_arcs_oracle(poly, scale) if poly.shape[0] >= 3 else None
+        assert (facts is None) == (want is None)
+        if want is None:
+            continue
+        for arcs in (facts, _polygon_arcs([poly])[0]):  # in the batch and alone
+            start, width = _slackened(arcs, scale)
+            assert_bitwise(start, want[0])
+            assert_bitwise(width, want[1])
+        paths.add(64 * np.finfo(float).eps * scale / facts[3] <= 1e-9)  # even slack
+    assert paths == ({True, False} if factor == 1.0 else {False})
+    assert [facts is None for facts in batched[-8:]] == [True] * 5 + [False, True, True]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -417,7 +479,8 @@ def test_half_chains_match_the_one_step_loop(kind, seed):
     lower = kind(rng)
     upper = CHAIN_KINDS[seed % len(CHAIN_KINDS)](rng)[::-1]
     assert chain_hits(kind, lower)
-    low, up = _half_chains(np.concatenate([lower, upper]), lower.shape[0])
+    n = lower.shape[0]
+    low, up = _half_chains(np.concatenate([lower, upper]), [0, n], [n, n + upper.shape[0]])
     assert low == half_chain_oracle(lower)
     assert up == [lower.shape[0] + k for k in half_chain_oracle(upper)]
 
@@ -427,8 +490,8 @@ def test_half_chains_of_two_points():
     # point is popped
     two = np.array([(0.0, 0.0), (1.0, 1.0)])
     line = np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
-    assert _half_chains(np.concatenate([two, line]), 2) == ([0, 1], [2, 4])
-    assert _half_chains(np.concatenate([line, two]), 3) == ([0, 2], [3, 4])
+    assert _half_chains(np.concatenate([two, line]), [0, 2], [2, 5]) == [[0, 1], [2, 4]]
+    assert _half_chains(np.concatenate([line, two]), [0, 3], [3, 5]) == [[0, 2], [3, 4]]
 
 
 def gaussian(rng, m):
@@ -538,15 +601,21 @@ def test_convex_hulls_of_tiny_and_repeated_clouds(m):
 
 
 def test_convex_hulls_drop_interior_points(monkeypatch):
-    # the rows convex_hull is handed: a Gaussian cloud's octagon holds most
+    # the points the prefilter keeps: a Gaussian cloud's octagon holds most
     # of its points, and the prefilter gives them to no chain
-    seen = []
-    monkeypatch.setattr(powergame.geometry, "convex_hull",
-                        lambda pts: seen.append(len(pts)) or convex_hull(pts))
+    kept = []
+    interior = powergame.geometry._octagon_interior
+
+    def counted(pts):
+        inside = interior(pts)
+        kept.append(int((~inside).sum()))
+        return inside
+
+    monkeypatch.setattr(powergame.geometry, "_octagon_interior", counted)
     block = np.random.default_rng(3).normal(size=(4, 200, 2))
     for hull, cloud in zip(convex_hulls(block), block):
         assert_bitwise(hull, convex_hull(cloud))
-    assert len(seen) == 4 and sum(seen) < 0.5 * block.shape[0] * block.shape[1]
+    assert len(kept) == 1 and kept[0] < 0.5 * block.shape[0] * block.shape[1]
 
 
 def test_prefilter_margin_is_needed(monkeypatch):
